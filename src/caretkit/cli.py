@@ -21,7 +21,7 @@ from .proof import (
 )
 from .semantics import EvalError, eval_caret, eval_ltl
 from .syntax import Not, ParseError, parse_formula, print_formula
-from .tableau import CLASSES, ClosureCapError, decide_sat
+from .tableau import CLASSES, DEFAULT_CLOSURE_CAP, ClosureCapError, decide_sat
 from .trace import TraceFormatError, parse_trace, trace_to_text
 
 __all__ = ["main"]
@@ -36,7 +36,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cap(args) -> int | None:
     if args.cap is None:
-        return 24
+        return DEFAULT_CLOSURE_CAP
     return None if args.cap == 0 else args.cap
 
 
@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--class", dest="cls", required=True, choices=CLASSES)
     p.add_argument("--cap", type=int, default=None,
-                   help="closure size cap (0 lifts the cap; default 24)")
+                   help="closure size cap (0 lifts the cap; default "
+                   f"{DEFAULT_CLOSURE_CAP})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sat)
 
@@ -166,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--class", dest="cls", required=True, choices=CLASSES)
     p.add_argument("--cap", type=int, default=None,
-                   help="closure size cap (0 lifts the cap; default 24)")
+                   help="closure size cap (0 lifts the cap; default "
+                   f"{DEFAULT_CLOSURE_CAP})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_valid)
 

@@ -243,32 +243,68 @@ def formula_sort_key(f: Formula) -> tuple[int, str]:
     The printed text pins the order independently of hash randomisation, so
     anything sorted with this key is stable across runs.
     """
-    return (formula_size(f), print_formula(f))
+    return _sort_keys((f,))[f]
 
 
 # ---------------------------------------------------------------------------
 # Printer.  print_formula(f) reparses to a structurally equal tree; sugar is
 # not reconstructed, the output is plain core syntax.
 
+# (text before the operand(s), between them, after them) per node type
+_PRINT_PARTS = {
+    Not: ("!(", "", ")"),
+    WeakNext: ("X ", "", ""),
+    AbsWeakNext: ("Xa ", "", ""),
+    And: ("(", " & ", ")"),
+    Until: ("(", " U ", ")"),
+    AbsUntil: ("(", " Ua ", ")"),
+}
+
+
+def _sort_keys(roots) -> dict[Formula, tuple[int, str]]:
+    """(size, printed text) of every node under the roots.
+
+    Each distinct node is printed once, from its children's entries, in an
+    explicit post-order walk, so nesting depth is bounded by memory rather
+    than by the interpreter's recursion limit.
+    """
+    keys: dict[Formula, tuple[int, str]] = {}
+    stack = list(roots)
+    while stack:
+        g = stack[-1]
+        if g in keys:
+            stack.pop()
+            continue
+        t = type(g)
+        if t is TrueConst:
+            keys[g] = (1, "true")
+        elif t is Prop:
+            keys[g] = (1, g.name)
+        elif t not in _PRINT_PARTS:
+            raise TypeError(f"not a formula node: {g!r}")
+        elif isinstance(g, _Unary):
+            sub = keys.get(g.operand)
+            if sub is None:
+                stack.append(g.operand)
+                continue
+            before, _, after = _PRINT_PARTS[t]
+            keys[g] = (sub[0] + 1, before + sub[1] + after)
+        else:
+            left = keys.get(g.left)
+            right = keys.get(g.right)
+            if left is None or right is None:
+                stack.append(g.left)
+                stack.append(g.right)
+                continue
+            before, mid, after = _PRINT_PARTS[t]
+            keys[g] = (left[0] + right[0] + 1,
+                       before + left[1] + mid + right[1] + after)
+        stack.pop()
+    return keys
+
+
 def print_formula(f: Formula) -> str:
-    t = type(f)
-    if t is TrueConst:
-        return "true"
-    if t is Prop:
-        return f.name
-    if t is Not:
-        return "!(" + print_formula(f.operand) + ")"
-    if t is WeakNext:
-        return "X " + print_formula(f.operand)
-    if t is AbsWeakNext:
-        return "Xa " + print_formula(f.operand)
-    if t is And:
-        return "(" + print_formula(f.left) + " & " + print_formula(f.right) + ")"
-    if t is Until:
-        return "(" + print_formula(f.left) + " U " + print_formula(f.right) + ")"
-    if t is AbsUntil:
-        return "(" + print_formula(f.left) + " Ua " + print_formula(f.right) + ")"
-    raise TypeError(f"not a formula node: {f!r}")
+    return _sort_keys((f,))[f][1]
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +564,8 @@ def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
 
     members = set(core)
     members.update(negate(g) for g in core)
-    core_sorted = tuple(sorted(core, key=formula_sort_key))
-    members_sorted = tuple(sorted(members, key=formula_sort_key))
-    bound = 8 * formula_size(f) + 20
+    key = _sort_keys(members).__getitem__
+    core_sorted = tuple(sorted(core, key=key))
+    members_sorted = tuple(sorted(members, key=key))
+    bound = 8 * key(f)[0] + 20
     return ClosureSet(f, mode, core_sorted, members_sorted, bound)

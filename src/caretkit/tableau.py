@@ -23,6 +23,7 @@ infinite class.  The mixed class accepts either kind of witness.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 from .semantics import EvalContext
 from .syntax import (
     And, ClosureSet, FALSE, Formula, Not, Prop, TRUE, Until, WeakNext,
-    closure, formula_sort_key, is_ltl, negate, props_of,
+    closure, is_ltl, negate, props_of,
 )
 from .trace import FiniteTrace, LassoTrace
 
@@ -39,18 +40,30 @@ __all__ = [
     "CLASSES", "ClosureCapError", "Atom", "ChainWitness", "AtomGraph",
     "SatResult", "enumerate_atoms", "build_atom_graph", "decide_sat",
     "decide_valid", "extract_model", "brute_force_sat",
-    "DEFAULT_CLOSURE_CAP",
+    "DEFAULT_CLOSURE_CAP", "MAX_FREE_BITS",
 ]
 
 CLASSES = ("gen", "fin", "inf")
 DEFAULT_CLOSURE_CAP = 24
+# Atoms are enumerated as every valuation of the free bits (propositions and
+# weak-next bases), so this bounds the table at 2 ** 18 rows whatever the
+# closure cap says.
+MAX_FREE_BITS = 18
 
 _TERMINAL_MARK = WeakNext(FALSE)          # next of false: true exactly at last states
 _FIN_MARK = Until(TRUE, _TERMINAL_MARK)   # eventually a last state
 
 
 class ClosureCapError(Exception):
-    """The closure exceeded the configured size cap."""
+    """The closure exceeded the configured size cap, or its atoms need more
+    than MAX_FREE_BITS free bits."""
+
+
+# One shared label per distinct set of true propositions, so models that
+# outlive their decision do not each hold copies; weak values let a label go
+# once no model uses it.
+_LABELS: weakref.WeakValueDictionary[tuple[str, ...], frozenset[str]] = \
+    weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -105,16 +118,15 @@ def _strip(f: Formula) -> tuple[Formula, int]:
     return f, parity
 
 
-def _pack_rows(matrix: np.ndarray) -> list[int]:
-    """Rows of a bool matrix as big integers (deterministic, arbitrary width)."""
-    if matrix.shape[1] == 0:
-        return [0] * matrix.shape[0]
-    packed = np.packbits(matrix, axis=1)
-    return [int.from_bytes(row.tobytes(), "big") for row in packed]
-
-
 class _Tableau:
-    """Shared atom table for one closure: columns, keys and per-atom data."""
+    """Shared atom table for one closure: member rows, keys and per-atom data.
+
+    Atom a is entry a of every row in ``member_rows``; atoms are ordered
+    lexicographically on their member bit-vectors in closure order.
+    ``demand``, ``signature``, ``until_present`` and ``until_fulfill`` are
+    fixed-width keys with one bit per weak-next or until base, the first
+    base in the most significant bit.
+    """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
         if clo.mode != "ltl":
@@ -123,165 +135,201 @@ class _Tableau:
             raise ClosureCapError(
                 f"closure of size {len(clo.members)} exceeds the cap {cap}; "
                 "raise closure_cap to proceed")
-        self.clo = clo
         core = clo.core
 
-        bases = sorted({_strip(m)[0] for m in clo.members}, key=formula_sort_key)
+        # every base (a member with its negations stripped) is an unnegated
+        # core member, and the core is already in (size, text) order
+        bases = [m for m in core if type(m) is not Not]
         props = [b for b in bases if type(b) is Prop]
         nexts = [b for b in bases if type(b) is WeakNext]
-        derived = sorted((b for b in bases if type(b) in (And, Until)),
-                         key=formula_sort_key)
+        derived = [b for b in bases if type(b) in (And, Until)]
         free = props + nexts
-        if len(free) > 18:
+        if len(free) > MAX_FREE_BITS:
             raise ClosureCapError(
-                f"atom enumeration needs {len(free)} free bits; "
-                "the formula is beyond the supported closure size")
+                f"atom enumeration needs {len(free)} free bits (propositions "
+                f"plus weak-next members); the limit is {MAX_FREE_BITS} and "
+                "no closure cap (--cap) value lifts it")
 
-        n = 1 << len(free)
-        rows = np.arange(n, dtype=np.uint32)
-        col: dict[Formula, np.ndarray] = {TRUE: np.ones(n, dtype=bool)}
-        for k, b in enumerate(free):
-            col[b] = ((rows >> np.uint32(k)) & 1).astype(bool)
+        # valuations of the free bits, bit k for free[k]; a terminal atom
+        # must assert every weak next
+        rows = np.arange(1 << len(free), dtype=np.uint32)
+        nexts_mask = np.uint32(sum(1 << free.index(b) for b in nexts))
+        terminal_bit = np.uint32(1 << free.index(_TERMINAL_MARK))
+        keep = rows[((rows & terminal_bit) == 0)
+                    | ((rows & nexts_mask) == nexts_mask)]
+        del rows
+
+        # one row per core member, indexed by atom; every per-atom datum
+        # below is a row, because every base is a core member and the
+        # closure holds the operands of its weak nexts and untils and both
+        # markers.  Separate rows rather than one matrix keep each
+        # allocation at one row's size, so the allocator does not go on
+        # holding a whole table's worth of heap after the largest formulas.
+        member_rows = [np.empty(len(keep), dtype=bool) for _ in core]
+        row = dict(zip(core, member_rows)).__getitem__
 
         def val(f: Formula) -> np.ndarray:
             b, parity = _strip(f)
-            return ~col[b] if parity else col[b]
+            return ~row(b) if parity else row(b)
 
+        row(TRUE)[:] = True
+        for k, b in enumerate(free):
+            np.not_equal(keep & np.uint32(1 << k), 0, out=row(b))
         for b in derived:
             if type(b) is And:
-                col[b] = val(b.left) & val(b.right)
+                np.logical_and(val(b.left), val(b.right), out=row(b))
             else:
                 unfold = WeakNext(Not(b))
-                if unfold not in col:
+                if unfold not in clo:
                     raise AssertionError("closure lost an until unfolding")
-                col[b] = val(b.right) | (val(b.left) & ~col[unfold])
+                np.logical_or(val(b.right), val(b.left) & ~row(unfold),
+                              out=row(b))
+        for m in core:
+            if type(m) is Not:
+                np.logical_not(row(m.operand), out=row(m))
+        order = np.lexsort(member_rows[::-1])
+        for r in member_rows:
+            r[:] = r[order]
 
-        terminal_col = col[_TERMINAL_MARK]
-        valid = np.ones(n, dtype=bool)
-        for b in nexts:
-            valid &= col[b] | ~terminal_col
-        keep = np.flatnonzero(valid)
-
-        member_matrix = np.empty((len(keep), len(core)), dtype=bool)
-        for k, m in enumerate(core):
-            member_matrix[:, k] = val(m)[keep]
-        order = sorted(range(len(keep)),
-                       key=_pack_rows(member_matrix).__getitem__)
-        keep = keep[order]
-        member_matrix = member_matrix[order]
-
-        def packed(columns: list[np.ndarray]) -> list[int]:
-            if not columns:
-                return [0] * len(keep)
-            return _pack_rows(np.stack([c[keep] for c in columns], axis=1))
+        def key(bits: list[np.ndarray]) -> np.ndarray:
+            # nexts <= MAX_FREE_BITS and untils <= nexts, so 32 bits suffice
+            out = np.zeros(len(keep), dtype=np.uint32)
+            for b in bits:
+                out <<= 1
+                out |= b
+            return out
 
         untils = [b for b in derived if type(b) is Until]
         self.core = core
         self.props = props
-        self.nexts = nexts
-        self.untils = untils
-        self.member_matrix = member_matrix
+        self.member_rows = member_rows
         self.count = len(keep)
-        self.terminal = terminal_col[keep]
-        self.fin_viable = col[_FIN_MARK][keep]
-        self.origin_bit = val(clo.origin)[keep]
-        self.demand = packed([col[b] for b in nexts])
-        self.signature = packed([val(b.operand) for b in nexts])
-        self.until_present = packed([col[u] for u in untils])
-        self.until_fulfill = packed([val(u.right) for u in untils])
-        self.prop_matrix = np.stack([col[b][keep] for b in props], axis=1) \
-            if props else np.zeros((len(keep), 0), dtype=bool)
+        self.terminal = row(_TERMINAL_MARK)
+        self.fin_viable = row(_FIN_MARK)
+        self.origin_bit = row(clo.origin)
+        self.demand = key([row(b) for b in nexts])
+        self.signature = key([row(b.operand) for b in nexts])
+        self.until_present = key([row(u) for u in untils])
+        self.until_fulfill = key([row(u.right) for u in untils])
+        self.prop_rows = [row(b) for b in props]
 
-    def class_indices(self, cls: str) -> list[int]:
+    def class_indices(self, cls: str) -> np.ndarray:
         if cls == "gen":
-            sel = np.ones(self.count, dtype=bool)
-        elif cls == "fin":
-            sel = self.fin_viable
-        elif cls == "inf":
-            sel = ~self.terminal
-        else:
-            raise ValueError(f"unknown trace class {cls!r}")
-        return [int(i) for i in np.flatnonzero(sel)]
+            return np.arange(self.count)
+        if cls == "fin":
+            return np.flatnonzero(self.fin_viable)
+        if cls == "inf":
+            return np.flatnonzero(~self.terminal)
+        raise ValueError(f"unknown trace class {cls!r}")
 
     def atom(self, a: int) -> Atom:
-        vals = self.member_matrix[a]
         members = frozenset(
-            m if vals[k] else negate(m) for k, m in enumerate(self.core))
-        props = frozenset(
-            b.name for j, b in enumerate(self.props) if self.prop_matrix[a, j])
+            m if v else negate(m)
+            for m, v in zip(self.core, [r[a] for r in self.member_rows]))
+        names = tuple(b.name for b, r in zip(self.props, self.prop_rows) if r[a])
+        props = _LABELS.get(names)
+        if props is None:
+            props = _LABELS[names] = frozenset(names)
         return Atom(members=members, terminal=bool(self.terminal[a]),
                     fin_viable=bool(self.fin_viable[a]), props=props)
 
 
 class _ClassGraph:
-    """Atoms of one class, bucketed by operand signature and pruned."""
+    """Atoms of one class, bucketed by operand signature and pruned.
+
+    Buckets are numbered in ascending key order; ``bucket(s)`` lists the
+    live atoms of bucket s in ascending atom order.  ``next_bucket`` maps
+    each live atom to the bucket its successors form, or to -1 when the
+    atom is terminal: after pruning every live non-terminal atom has a
+    successor.
+    """
 
     def __init__(self, tab: _Tableau, cls: str):
         self.tab = tab
-        self.cls = cls
-        self.ids = tab.class_indices(cls)
-        self.terminal = {a: bool(tab.terminal[a]) for a in self.ids}
-        self.buckets: dict[int, list[int]] = {}
-        self.demanders: dict[int, list[int]] = {}
-        for a in self.ids:
-            self.buckets.setdefault(tab.signature[a], []).append(a)
-            if not self.terminal[a]:
-                self.demanders.setdefault(tab.demand[a], []).append(a)
-        self.alive = {a: True for a in self.ids}
-        self._prune()
+        ids = tab.class_indices(cls)
+        n = len(ids)
+        terminal = tab.terminal[ids]
+        # demanded keys no atom carries get (empty) buckets of their own
+        keys, inv = np.unique(
+            np.concatenate((tab.signature[ids], tab.demand[ids])),
+            return_inverse=True)
+        bucket, wanted = inv[:n], inv[n:]
+        nb = len(keys)
+        live = self._prune(bucket, np.where(terminal, nb, wanted), nb)
 
-    def _prune(self):
-        tab = self.tab
-        bucket_alive = {s: len(members) for s, members in self.buckets.items()}
-        dead: list[int] = []
-        for a in self.ids:
-            if not self.terminal[a] and bucket_alive.get(tab.demand[a], 0) == 0:
-                self.alive[a] = False
-                dead.append(a)
-        while dead:
-            a = dead.pop()
-            s = tab.signature[a]
-            bucket_alive[s] -= 1
-            if bucket_alive[s] == 0:
-                for b in self.demanders.get(s, ()):
-                    if self.alive[b]:
-                        self.alive[b] = False
-                        dead.append(b)
+        self.live_ids = live_ids = ids[live]
+        live_bucket = bucket[live]
+        self._flat = live_ids[np.argsort(live_bucket, kind="stable")].tolist()
+        sizes = np.bincount(live_bucket, minlength=nb)
+        self._starts = [0] + np.cumsum(sizes).tolist()
+        next_bucket = np.where(terminal[live], -1, wanted[live])
+        self.next_bucket = dict(zip(live_ids.tolist(), next_bucket.tolist()))
+
+    @staticmethod
+    def _prune(bucket: np.ndarray, wanted: np.ndarray, nb: int) -> np.ndarray:
+        """Live mask: the greatest set of atoms that are terminal or have a
+        live successor.  ``wanted`` is nb for terminal atoms."""
+        size = np.bincount(bucket, minlength=nb + 1)
+        live = size[wanted] > 0
+        live[wanted == nb] = True
+        alive = np.bincount(bucket[live], minlength=nb)
+        emptied = np.flatnonzero((alive == 0) & (size[:nb] > 0))
+        if not len(emptied):
+            return live
+        # cascade over a worklist of emptied buckets, taken a batch at a
+        # time: each bucket empties once, so each atom is visited once
+        by_wanted = np.argsort(wanted, kind="stable")
+        starts = np.searchsorted(wanted[by_wanted], np.arange(nb + 1))
+        while len(emptied):
+            lo = starts[emptied]
+            counts = starts[emptied + 1] - lo
+            # the positions lo .. lo + count - 1 of every emptied bucket
+            first = np.cumsum(counts) - counts
+            demanders = by_wanted[np.arange(counts.sum())
+                                  + np.repeat(lo - first, counts)]
+            dying = demanders[live[demanders]]
+            live[dying] = False
+            hit, lost = np.unique(bucket[dying], return_counts=True)
+            alive[hit] -= lost
+            emptied = hit[alive[hit] == 0]
+        return live
+
+    def bucket(self, s: int) -> list[int]:
+        return self._flat[self._starts[s]:self._starts[s + 1]]
 
     def successors(self, a: int) -> list[int]:
-        if self.terminal[a]:
-            return []
-        return [b for b in self.buckets.get(self.tab.demand[a], ()) if self.alive[b]]
+        s = self.next_bucket[a]
+        return self.bucket(s) if s >= 0 else []
 
     def roots(self) -> list[int]:
-        tab = self.tab
-        return [a for a in self.ids if self.alive[a] and tab.origin_bit[a]]
+        live = self.live_ids
+        return live[self.tab.origin_bit[live]].tolist()
 
     # -- finite-class style search: shortest path to a terminal atom ---------
 
     def terminal_path(self) -> list[int] | None:
-        tab = self.tab
+        next_bucket = self.next_bucket
         parent: dict[int, int] = {}
         seen: set[int] = set()
-        seen_buckets: set[int] = set()
+        seen_buckets = [False] * (len(self._starts) - 1)
         queue: deque[int] = deque()
         for r in self.roots():
-            if self.terminal[r]:
+            if next_bucket[r] < 0:
                 return [r]
             seen.add(r)
             queue.append(r)
         while queue:
             a = queue.popleft()
-            s = tab.demand[a]
-            if s in seen_buckets:
+            s = next_bucket[a]
+            if seen_buckets[s]:
                 continue
-            seen_buckets.add(s)
-            for b in self.buckets.get(s, ()):
-                if not self.alive[b] or b in seen:
+            seen_buckets[s] = True
+            for b in self.bucket(s):
+                if b in seen:
                     continue
                 seen.add(b)
                 parent[b] = a
-                if self.terminal[b]:
+                if next_bucket[b] < 0:
                     path = [b]
                     while path[-1] in parent:
                         path.append(parent[path[-1]])
@@ -292,47 +340,42 @@ class _ClassGraph:
 
     # -- infinite-class style search: reachable self-fulfilling component ----
 
-    def _bipartite(self):
-        """Nodes: atom ids, then ('bucket', sig) for each bucket."""
-        bucket_keys = sorted(self.buckets)
-        bucket_node = {s: ("bucket", s) for s in bucket_keys}
-
-        def succ(node):
-            if isinstance(node, tuple):
-                return [b for b in self.buckets[node[1]] if self.alive[b]]
-            if self.terminal[node]:
-                return []
-            s = self.tab.demand[node]
-            return [bucket_node[s]] if s in bucket_node else []
-
-        order = [a for a in self.ids if self.alive[a]]
-        order += [bucket_node[s] for s in bucket_keys]
-        return succ, order
+    def _succ(self, node: int) -> list[int]:
+        """Bipartite successors: an atom id leads to its bucket node ~s, a
+        bucket node to the bucket's atoms."""
+        if node < 0:
+            return self.bucket(~node)
+        s = self.next_bucket[node]
+        return [~s] if s >= 0 else []
 
     def lasso_chain(self) -> tuple[list[int], list[int]] | None:
-        succ, order = self._bipartite()
+        succ = self._succ
         scc_of: dict = {}
         good: list[bool] = []
-        comps = _tarjan(succ, order)
-        tab = self.tab
+        # a component holding a node reachable from the roots is reachable
+        # whole, so the searches below never look past these components
+        roots = self.roots()
+        comps = _tarjan(succ, roots)
+        until_present = self.tab.until_present.tolist()
+        until_fulfill = self.tab.until_fulfill.tolist()
         for ci, comp in enumerate(comps):
             for node in comp:
                 scc_of[node] = ci
-            atoms = [n for n in comp if not isinstance(n, tuple)]
+            atoms = [n for n in comp if n >= 0]
             if len(comp) < 2 or not atoms:
                 good.append(False)
                 continue
             present = fulfilled = 0
             for a in atoms:
-                present |= tab.until_present[a]
-                fulfilled |= tab.until_fulfill[a]
+                present |= until_present[a]
+                fulfilled |= until_fulfill[a]
             good.append(present & ~fulfilled == 0)
 
         # breadth-first reachability from the origin atoms
         parent: dict = {}
         seen: set = set()
         queue: deque = deque()
-        for r in self.roots():
+        for r in roots:
             seen.add(r)
             queue.append(r)
         entry = None
@@ -347,7 +390,7 @@ class _ClassGraph:
                     continue
                 seen.add(nxt)
                 parent[nxt] = node
-                if not isinstance(nxt, tuple) and good[scc_of[nxt]]:
+                if nxt >= 0 and good[scc_of[nxt]]:
                     entry = nxt
                     break
                 queue.append(nxt)
@@ -358,7 +401,7 @@ class _ClassGraph:
         node = entry
         while node in parent:
             node = parent[node]
-            if not isinstance(node, tuple):
+            if node >= 0:
                 prefix.append(node)
         prefix.reverse()
 
@@ -376,11 +419,11 @@ class _ClassGraph:
                 for nxt in succ(nd):
                     if nxt not in comp:
                         continue
-                    if not isinstance(nxt, tuple) and nxt in targets:
+                    if nxt >= 0 and nxt in targets:
                         path = [nxt]
                         node = nd
                         while node != src:
-                            if not isinstance(node, tuple):
+                            if node >= 0:
                                 path.append(node)
                             node = par[node]
                         path.reverse()
@@ -393,17 +436,17 @@ class _ClassGraph:
             raise AssertionError("self-fulfilling component lost a target")
 
         needed = 0
-        comp_atoms = [n for n in comp if not isinstance(n, tuple)]
+        comp_atoms = [n for n in comp if n >= 0]
         for a in comp_atoms:
-            needed |= tab.until_present[a]
+            needed |= until_present[a]
         loop = [entry]
         current = entry
         for j in range(needed.bit_length()):
             if not (needed >> j) & 1:
                 continue
-            if any((tab.until_fulfill[a] >> j) & 1 for a in loop):
+            if any((until_fulfill[a] >> j) & 1 for a in loop):
                 continue
-            targets = {a for a in comp_atoms if (tab.until_fulfill[a] >> j) & 1}
+            targets = {a for a in comp_atoms if (until_fulfill[a] >> j) & 1}
             seg = scc_path(current, targets, allow_empty=False)
             loop.extend(seg)
             current = seg[-1]
@@ -476,7 +519,7 @@ def build_atom_graph(clo: ClosureSet, cls: str,
     successor lists per the biconditional edge law."""
     tab = _Tableau(clo, closure_cap)
     g = _ClassGraph(tab, cls)
-    kept = [a for a in g.ids if g.alive[a]]
+    kept = g.live_ids.tolist()
     local = {a: k for k, a in enumerate(kept)}
     nodes = tuple(tab.atom(a) for a in kept)
     succs = tuple(tuple(local[b] for b in g.successors(a)) for a in kept)
@@ -495,16 +538,14 @@ def decide_sat(f: Formula, cls: str,
     if not is_ltl(f):
         raise ValueError("decide_sat handles the ltl fragment only")
     tab = _Tableau(closure(f, "ltl"), closure_cap)
-
+    g = _ClassGraph(tab, cls)
     if cls in ("fin", "gen"):
-        g = _ClassGraph(tab, "fin" if cls == "fin" else "gen")
         path = g.terminal_path()
         if path is not None:
             atoms = tuple(tab.atom(a) for a in path)
             w = ChainWitness(kind="finite", atoms=atoms)
             return SatResult(True, w, extract_model(w))
     if cls in ("inf", "gen"):
-        g = _ClassGraph(tab, "inf" if cls == "inf" else "gen")
         chain = g.lasso_chain()
         if chain is not None:
             prefix, loop = chain

@@ -27,6 +27,9 @@ from caretkit.syntax import (
     parse_formula,
     print_formula,
 )
+from caretkit.syntax import _sort_keys
+
+from exhaustive_oracle import enumerate_formulas
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -311,3 +314,55 @@ def test_closure_ltl_mode_rejects_abstract():
         closure(AbsWeakNext(Prop("p")), "ltl")
     with pytest.raises(ValueError):
         closure(Prop("p"), "weird")
+
+
+# ---------------------------------------------------------------------------
+# Sort keys and deep nesting.  The closure prints each node once, bottom-up;
+# the reference below is the plain recursive printer it replaced.
+
+def _print_recursive(f):
+    if f == TRUE:
+        return "true"
+    if isinstance(f, Prop):
+        return f.name
+    if isinstance(f, Not):
+        return "!(" + _print_recursive(f.operand) + ")"
+    if isinstance(f, AbsWeakNext):
+        return "Xa " + _print_recursive(f.operand)
+    if isinstance(f, WeakNext):
+        return "X " + _print_recursive(f.operand)
+    op = {And: " & ", Until: " U ", AbsUntil: " Ua "}[type(f)]
+    return "(" + _print_recursive(f.left) + op + _print_recursive(f.right) + ")"
+
+
+def test_closure_sort_keys_match_recursive_printer():
+    by_size = enumerate_formulas(6)
+    for f in (g for n in sorted(by_size) for g in by_size[n]):
+        clo = closure(f)
+        keys = _sort_keys(clo.members)
+        for m in clo.members:
+            assert keys[m] == (formula_size(m), _print_recursive(m))
+        assert list(clo.members) == sorted(clo.members, key=keys.__getitem__)
+
+
+@settings(max_examples=100)
+@given(caret_formulas)
+def test_sort_key_matches_recursive_printer_caret(f):
+    assert formula_sort_key(f) == (formula_size(f), _print_recursive(f))
+
+
+@pytest.mark.parametrize("wrap, text", [
+    (WeakNext, lambda d: "X " * d + "p"),
+    (Not, lambda d: "!(" * d + "p" + ")" * d),
+])
+def test_deep_nesting_needs_no_recursion(wrap, text):
+    # far past the interpreter's recursion limit; the parser still recurses
+    depth = 5000
+    f = Prop("p")
+    for _ in range(depth):
+        f = wrap(f)
+    assert print_formula(f) == text(depth)
+    clo = closure(f)
+    assert clo.core[-1] is f
+    assert formula_sort_key(f) == (depth + 1, text(depth))
+    assert Prop("p") in clo and len(clo.core) > depth

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caretkit.proof import build_schema_instance
 from caretkit.semantics import eval_ltl
 from caretkit.syntax import (
     FALSE,
@@ -23,6 +26,7 @@ from caretkit.syntax import (
 )
 from caretkit.tableau import (
     CLASSES,
+    MAX_FREE_BITS,
     Atom,
     ClosureCapError,
     brute_force_sat,
@@ -32,8 +36,10 @@ from caretkit.tableau import (
     enumerate_atoms,
     extract_model,
 )
+from caretkit.tableau import _ClassGraph, _Tableau
 from caretkit.trace import FiniteTrace, LassoTrace
 
+from exhaustive_oracle import enumerate_formulas
 from test_syntax import ltl_formulas
 
 TERMINAL = WeakNext(FALSE)
@@ -345,9 +351,13 @@ def test_cap_value_respected():
 
 def test_free_bit_guard_is_absolute():
     # 19 propositions plus the weak-next bases exceed the enumeration width
+    assert MAX_FREE_BITS == 18
     f = parse_formula(" & ".join(f"x{i}" for i in range(19)))
-    with pytest.raises(ClosureCapError):
+    with pytest.raises(ClosureCapError) as err:
         decide_sat(f, "gen", closure_cap=None)
+    message = str(err.value)
+    assert "needs 23 free bits" in message
+    assert "limit is 18" in message and "--cap" in message
 
 
 def test_caret_closures_rejected():
@@ -356,3 +366,87 @@ def test_caret_closures_rejected():
         enumerate_atoms(clo, "gen")
     with pytest.raises(ValueError):
         decide_sat(parse_formula("p Ua q", mode="caret"), "gen")
+
+
+# ---------------------------------------------------------------------------
+# Fixed-width keys against the packing they replaced.  The reference packs
+# bool rows with packbits and int.from_bytes (any width, first column most
+# significant, zero-padded to whole bytes), orders atoms by that integer and
+# prunes round by round with buckets keyed by it.
+
+def _pack_rows(matrix):
+    if matrix.shape[1] == 0:
+        return [0] * matrix.shape[0]
+    packed = np.packbits(matrix, axis=1)
+    return [int.from_bytes(row.tobytes(), "big") for row in packed]
+
+
+def _check_against_packing(tab):
+    row = dict(zip(tab.core, tab.member_rows))
+
+    def packed(fs):
+        cols = np.stack([row[f] for f in fs], axis=1) if fs else \
+            np.zeros((tab.count, 0), dtype=bool)
+        pad = -len(fs) % 8
+        return [v >> pad for v in _pack_rows(cols)]
+
+    order = _pack_rows(np.array(tab.member_rows).T)
+    assert order == sorted(set(order))
+
+    nexts = [m for m in tab.core if type(m) is WeakNext]
+    untils = [m for m in tab.core if type(m) is Until]
+    demand = packed(nexts)
+    signature = packed([n.operand for n in nexts])
+    assert tab.demand.tolist() == demand
+    assert tab.signature.tolist() == signature
+    assert tab.until_present.tolist() == packed(untils)
+    assert tab.until_fulfill.tolist() == packed([u.right for u in untils])
+
+    terminal = row[TERMINAL].tolist()
+    in_class = {"gen": [True] * tab.count, "fin": row[FIN_MARK].tolist(),
+                "inf": [not t for t in terminal]}
+    for cls, admitted in in_class.items():
+        alive = {a for a in range(tab.count) if admitted[a]}
+        while True:
+            size = Counter(signature[a] for a in alive)
+            dead = {a for a in alive if not terminal[a] and size[demand[a]] == 0}
+            if not dead:
+                break
+            alive -= dead
+        members = {}
+        for a in sorted(alive):
+            members.setdefault(signature[a], []).append(a)
+
+        g = _ClassGraph(tab, cls)
+        assert g.live_ids.tolist() == sorted(alive)
+        key_of = {}
+        for a in alive:
+            s = g.next_bucket[a]
+            if terminal[a]:
+                assert s == -1
+            elif s in key_of:
+                assert key_of[s] == demand[a]
+            else:
+                key_of[s] = demand[a]
+                assert g.bucket(s) == members[demand[a]]
+        assert len(set(key_of.values())) == len(key_of)
+
+
+def test_keys_and_buckets_match_packing_small_formulas():
+    by_size = enumerate_formulas(5)
+    for f in (g for n in sorted(by_size) for g in by_size[n]):
+        _check_against_packing(_Tableau(closure(f), None))
+
+
+@pytest.mark.parametrize("name, bindings", [
+    ("T1", {"phi": "X p", "psi": "X (q U p)"}),
+    ("T2", {"phi": "X (p U q)", "psi": "X X r & (q U p)"}),
+    ("T3", {"phi": "(p U X q) & X X (r U p)"}),
+    ("T1", {"phi": "G (p -> X q)", "psi": "X (r U s)"}),
+])
+def test_keys_and_buckets_match_packing_axiom_instances(name, bindings):
+    f = build_schema_instance(
+        name, {}, {k: parse_formula(v) for k, v in bindings.items()})
+    tab = _Tableau(closure(Not(f)), None)
+    assert 12 <= len(tab.props) + sum(type(m) is WeakNext for m in tab.core) <= 16
+    _check_against_packing(tab)
