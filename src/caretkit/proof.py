@@ -9,6 +9,9 @@ axiom instance, a propositional tautology, modus ponens, next
 generalisation, or until induction (plus the abstract-operator variants of
 the last two, admissible under 'ax-cr' only).
 
+Every axiom schema except the C5/C6 call/return families is defined by its
+template text alone, compiled once at import; C5 and C6 are coded families.
+
 Tautology checking abstracts every maximal subformula whose head is not
 negation, conjunction or the constant true into a fresh letter and decides
 by exhaustive valuation, so temporal structure never leaks into the
@@ -18,12 +21,13 @@ propositional layer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .syntax import (
-    AbsUntil, AbsWeakNext, And, FALSE, Formula, Not, ParseError, Prop, TRUE,
-    TrueConst, Until, WeakNext, abs_strong_next, always, eventually, iff,
-    implies, is_ltl, lor, parse_formula, strong_next,
+    AbsUntil, AbsWeakNext, And, FALSE, Formula, Not, ParseError, Prop,
+    TrueConst, Until, WeakNext, abs_strong_next, always, implies, is_ltl, lor,
+    parse_formula, props_of,
 )
 
 __all__ = [
@@ -141,45 +145,6 @@ def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
 # ---------------------------------------------------------------------------
 # Axiom schemas.
 
-@dataclass(frozen=True)
-class Schema:
-    name: str
-    metavars: tuple[str, ...]
-    params: tuple[str, ...]
-    text: str
-
-    def build(self, params: dict[str, int], bindings: dict[str, Formula]) -> Formula:
-        for v in self.metavars:
-            if v not in bindings:
-                raise ProofError(f"missing binding {v} for schema {self.name}")
-        for v in bindings:
-            if v not in self.metavars:
-                raise ProofError(f"unexpected binding {v} for schema {self.name}")
-        for v in self.params:
-            if v not in params:
-                raise ProofError(f"missing parameter {v} for schema {self.name}")
-        for v in params:
-            if v not in self.params:
-                raise ProofError(f"unexpected parameter {v} for schema {self.name}")
-        return _BUILDERS[self.name](params, bindings)
-
-
-def _next_t1(nx):
-    return lambda p, b: implies(
-        And(nx(b["phi"]), nx(implies(b["phi"], b["psi"]))), nx(b["psi"]))
-
-
-def _unfold(until, nxt):
-    def make(p, b):
-        u = until(b["phi"], b["psi"])
-        return iff(u, lor(b["psi"], And(b["phi"], nxt(u))))
-    return make
-
-
-def _next_choice(nx, snx):
-    return lambda p, b: iff(nx(b["phi"]), lor(nx(FALSE), snx(b["phi"])))
-
-
 def _c5(p, b):
     n = p["n"]
     if n < 0:
@@ -196,71 +161,121 @@ def _c6(p, b):
     return implies(And(_CALL, WeakNext(body)), AbsWeakNext(FALSE))
 
 
-_C1_FORM = lor(
-    lor(And(And(_CALL, Not(_RET)), Not(_INT)),
-        And(And(Not(_CALL), _RET), Not(_INT))),
-    And(And(Not(_CALL), Not(_RET)), _INT))
+_FAMILIES = {"C5": _c5, "C6": _c6}
 
-_BUILDERS = {
-    "T1": _next_t1(WeakNext),
-    "T2": _unfold(Until, WeakNext),
-    "T3": lambda p, b: implies(WeakNext(Not(b["phi"])), Not(WeakNext(b["phi"]))),
-    "T2'": _unfold(Until, strong_next),
-    "T3'": _next_choice(WeakNext, strong_next),
-    "Inf": lambda p, b: Not(WeakNext(FALSE)),
-    "Fin": lambda p, b: eventually(WeakNext(FALSE)),
-    "G1": _next_t1(WeakNext),
-    "G2": _unfold(Until, strong_next),
-    "G3": _next_choice(WeakNext, strong_next),
-    "G4": lambda p, b: Not(WeakNext(FALSE)),
-    "A1": _next_t1(AbsWeakNext),
-    "A2": _unfold(AbsUntil, abs_strong_next),
-    "A3": _next_choice(AbsWeakNext, abs_strong_next),
-    "C1": lambda p, b: _C1_FORM,
-    "C2": lambda p, b: implies(And(Not(_CALL), WeakNext(Not(_RET))),
-                               iff(WeakNext(b["phi"]), abs_strong_next(b["phi"]))),
-    "C3": lambda p, b: implies(And(Not(_CALL), WeakNext(_RET)),
-                               AbsWeakNext(FALSE)),
-    "C4": lambda p, b: implies(abs_strong_next(b["phi"]), eventually(b["phi"])),
-    "C5": _c5,
-    "C6": _c6,
+
+def _compile(text: str, metavars: tuple[str, ...]):
+    """Compile a template, parsed in caret mode with the metavariables as
+    letters, into a builder running a straight-line program.  Its values
+    start with the bindings in metavars order; each distinct subtree holding
+    a metavariable adds a step (ctor, i, j), j None for a unary ctor, and
+    each maximal subtree without one adds a constant step (None, f, None)."""
+    slots: dict[Formula, int] = {Prop(v): k for k, v in enumerate(metavars)}
+    steps: list[tuple] = []
+
+    def emit(g: Formula) -> int:  # recursion is bounded by the template size
+        k = slots.get(g)
+        if k is not None:
+            return k
+        if props_of(g).isdisjoint(metavars):
+            steps.append((None, g, None))
+        elif type(g) in (Not, WeakNext, AbsWeakNext):
+            steps.append((type(g), emit(g.operand), None))
+        else:
+            steps.append((type(g), emit(g.left), emit(g.right)))
+        slots[g] = k = len(metavars) + len(steps) - 1
+        return k
+
+    root = emit(parse_formula(text, "caret"))
+    program = tuple(steps)
+
+    def build(params: dict[str, int], bindings: dict[str, Formula]) -> Formula:
+        vals = [bindings[v] for v in metavars]
+        for ctor, i, j in program:
+            vals.append(i if ctor is None else
+                        ctor(vals[i]) if j is None else ctor(vals[i], vals[j]))
+        return vals[root]
+
+    return build
+
+
+@dataclass(frozen=True)
+class Schema:
+    """An axiom schema.  ``make`` is compiled from the template text, which
+    is the definition, except for the C5/C6 families: their text documents
+    them and ``make`` is code built on expand_cr."""
+
+    name: str
+    metavars: tuple[str, ...]
+    params: tuple[str, ...]
+    text: str
+    make: Callable[[dict, dict], Formula] = field(repr=False, compare=False)
+
+    def build(self, params: dict[str, int], bindings: dict[str, Formula]) -> Formula:
+        for v in self.metavars:
+            if v not in bindings:
+                raise ProofError(f"missing binding {v} for schema {self.name}")
+        for v in bindings:
+            if v not in self.metavars:
+                raise ProofError(f"unexpected binding {v} for schema {self.name}")
+        for v in self.params:
+            if v not in params:
+                raise ProofError(f"missing parameter {v} for schema {self.name}")
+        for v in params:
+            if v not in self.params:
+                raise ProofError(f"unexpected parameter {v} for schema {self.name}")
+        return self.make(params, bindings)
+
+
+SCHEMAS: dict[str, Schema] = {
+    name: Schema(name, mv, pv, text, _FAMILIES.get(name) or _compile(text, mv))
+    for name, mv, pv, text in [
+        ("T1", ("phi", "psi"), (), "X phi & X (phi -> psi) -> X psi"),
+        ("T2", ("phi", "psi"), (), "(phi U psi) <-> (psi | (phi & X (phi U psi)))"),
+        ("T3", ("phi",), (), "X !phi -> !(X phi)"),
+        ("T2'", ("phi", "psi"), (), "(phi U psi) <-> (psi | (phi & N (phi U psi)))"),
+        ("T3'", ("phi",), (), "X phi <-> (X false | N phi)"),
+        ("Inf", (), (), "!(X false)"),
+        ("Fin", (), (), "F (X false)"),
+        ("G1", ("phi", "psi"), (), "X phi & X (phi -> psi) -> X psi"),
+        ("G2", ("phi", "psi"), (), "(phi U psi) <-> (psi | (phi & N (phi U psi)))"),
+        ("G3", ("phi",), (), "X phi <-> (X false | N phi)"),
+        ("G4", (), (), "!(X false)"),
+        ("A1", ("phi", "psi"), (), "Xa phi & Xa (phi -> psi) -> Xa psi"),
+        ("A2", ("phi", "psi"), (), "(phi Ua psi) <-> (psi | (phi & Na (phi Ua psi)))"),
+        ("A3", ("phi",), (), "Xa phi <-> (Xa false | Na phi)"),
+        ("C1", (), (), "(call & !ret & !int) | (!call & ret & !int) | (!call & !ret & int)"),
+        ("C2", ("phi",), (), "!call & X !ret -> (X phi <-> Na phi)"),
+        ("C3", (), (), "!call & X ret -> Xa false"),
+        ("C4", ("phi",), (), "Na phi -> F phi"),
+        ("C5", ("phi",), ("n",), "call & X CR[0,n,n](ret & phi) -> Na phi  (family, n >= 0)"),
+        ("C6", (), ("m", "n"), "call & X CR[0,m,n](G !ret) -> Xa false  (family, m > n >= 0)"),
+    ]
 }
 
-SCHEMAS: dict[str, Schema] = {}
-for _name, _mv, _pv, _text in [
-    ("T1", ("phi", "psi"), (), "X phi & X (phi -> psi) -> X psi"),
-    ("T2", ("phi", "psi"), (), "(phi U psi) <-> (psi | (phi & X (phi U psi)))"),
-    ("T3", ("phi",), (), "X !phi -> !(X phi)"),
-    ("T2'", ("phi", "psi"), (), "(phi U psi) <-> (psi | (phi & N (phi U psi)))"),
-    ("T3'", ("phi",), (), "X phi <-> (X false | N phi)"),
-    ("Inf", (), (), "!(X false)"),
-    ("Fin", (), (), "F (X false)"),
-    ("G1", ("phi", "psi"), (), "X phi & X (phi -> psi) -> X psi"),
-    ("G2", ("phi", "psi"), (), "(phi U psi) <-> (psi | (phi & N (phi U psi)))"),
-    ("G3", ("phi",), (), "X phi <-> (X false | N phi)"),
-    ("G4", (), (), "!(X false)"),
-    ("A1", ("phi", "psi"), (), "Xa phi & Xa (phi -> psi) -> Xa psi"),
-    ("A2", ("phi", "psi"), (), "(phi Ua psi) <-> (psi | (phi & Na (phi Ua psi)))"),
-    ("A3", ("phi",), (), "Xa phi <-> (Xa false | Na phi)"),
-    ("C1", (), (), "(call & !ret & !int) | (!call & ret & !int) | (!call & !ret & int)"),
-    ("C2", ("phi",), (), "!call & X !ret -> (X phi <-> Na phi)"),
-    ("C3", (), (), "!call & X ret -> Xa false"),
-    ("C4", ("phi",), (), "Na phi -> F phi"),
-    ("C5", ("phi",), ("n",), "call & X CR[0,n,n](ret & phi) -> Na phi  (family, n >= 0)"),
-    ("C6", (), ("m", "n"), "call & X CR[0,m,n](G !ret) -> Xa false  (family, m > n >= 0)"),
-]:
-    SCHEMAS[_name] = Schema(_name, _mv, _pv, _text)
-
-_SYSTEM_SCHEMAS: dict[str, tuple[str, ...]] = {
-    "ax": ("T1", "T2", "T3"),
-    "ax-gen": ("T1", "T2'", "T3'"),
-    "ax-inf": ("T1", "T2'", "T3'", "Inf"),
-    "ax-fin": ("T1", "T2'", "T3'", "Fin"),
-    "ax-cr": ("G1", "G2", "G3", "G4", "A1", "A2", "A3",
-              "C1", "C2", "C3", "C4", "C5", "C6"),
+_RULES = {
+    "Prop": "all instances of propositional tautologies",
+    "MP": "from phi and phi -> psi infer psi",
+    "RT1": "from phi infer X phi",
+    "RT2": "from phi' -> (!psi & X phi') infer phi' -> !(phi U psi)",
+    "RG1": "from phi infer X phi",
+    "RG2": "from phi' -> (!psi & X phi') infer phi' -> !(phi U psi)",
+    "RA1": "from phi infer Xa phi",
+    "RA2": "from phi' -> (!psi & Xa phi') infer phi' -> !(phi Ua psi)",
 }
 
-SYSTEM_IDS = tuple(_SYSTEM_SCHEMAS)
+# Each system's schemas and rules in display order.  Its axiom schemas are
+# the schema entries in the same order; fuzz seed streams are indexed by it.
+_SYSTEMS = {system: tuple(rows.split()) for system, rows in {
+    "ax": "Prop MP T1 T2 T3 RT1 RT2",
+    "ax-gen": "Prop MP T1 T2' T3' RT1 RT2",
+    "ax-inf": "Prop MP T1 T2' T3' RT1 RT2 Inf",
+    "ax-fin": "Prop MP T1 T2' T3' RT1 RT2 Fin",
+    "ax-cr": "Prop MP G1 G2 G3 G4 RG1 RG2 A1 A2 A3 RA1 RA2 C1 C2 C3 C4 C5 C6",
+}.items()}
+_SYSTEM_SCHEMAS = {system: tuple(n for n in rows if n in SCHEMAS)
+                   for system, rows in _SYSTEMS.items()}
+SYSTEM_IDS = tuple(_SYSTEMS)
 
 
 def axiom_schemas(system: str) -> tuple[str, ...]:
@@ -291,31 +306,10 @@ def check_axiom_instance(system: str, schema: str, params: dict[str, int],
 
 def list_axioms(system: str) -> tuple[tuple[str, str], ...]:
     """The admissible schemas and rules of a system, with template texts."""
-    if system not in _SYSTEM_SCHEMAS:
+    if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    out = [("Prop", "all instances of propositional tautologies"),
-           ("MP", "from phi and phi -> psi infer psi")]
-    if system == "ax-cr":
-        for s in ("G1", "G2", "G3", "G4"):
-            out.append((s, SCHEMAS[s].text))
-        out.append(("RG1", "from phi infer X phi"))
-        out.append(("RG2", "from phi' -> (!psi & X phi') infer phi' -> !(phi U psi)"))
-        for s in ("A1", "A2", "A3"):
-            out.append((s, SCHEMAS[s].text))
-        out.append(("RA1", "from phi infer Xa phi"))
-        out.append(("RA2", "from phi' -> (!psi & Xa phi') infer phi' -> !(phi Ua psi)"))
-        for s in ("C1", "C2", "C3", "C4", "C5", "C6"):
-            out.append((s, SCHEMAS[s].text))
-    else:
-        for s in _SYSTEM_SCHEMAS[system]:
-            if s not in ("Inf", "Fin"):
-                out.append((s, SCHEMAS[s].text))
-        out.append(("RT1", "from phi infer X phi"))
-        out.append(("RT2", "from phi' -> (!psi & X phi') infer phi' -> !(phi U psi)"))
-        for s in ("Inf", "Fin"):
-            if s in _SYSTEM_SCHEMAS[system]:
-                out.append((s, SCHEMAS[s].text))
-    return tuple(out)
+    return tuple((n, SCHEMAS[n].text if n in SCHEMAS else _RULES[n])
+                 for n in _SYSTEMS[system])
 
 
 # ---------------------------------------------------------------------------

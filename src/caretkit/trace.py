@@ -38,7 +38,7 @@ class StateTag(enum.Enum):
     INT = "int"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteTrace:
     """A nonempty finite sequence of proposition sets."""
 
@@ -60,7 +60,7 @@ class FiniteTrace:
         return self.states[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LassoTrace:
     """An infinite trace: finite prefix followed by a nonempty loop forever."""
 
@@ -93,7 +93,7 @@ class LassoTrace:
         return self.prefix[c] if c < p else self.loop[c - p]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructuredLassoTrace:
     """An infinite lasso whose states are (propositions, tag) pairs."""
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,8 @@ from caretkit.semantics import eval_ltl
 from caretkit.syntax import parse_formula
 from caretkit.trace import parse_trace
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -226,3 +230,30 @@ def test_input_errors_exit_three(capsys):
         "--pos", "5",
     )
     assert code == 3
+
+
+# Deep nesting overflows the recursive parser and evaluator; the CLI must
+# still end in exit 3 with one diagnostic line.  Run in a fresh interpreter,
+# so the recursion depth is the one a user's call sees.
+_EVAL = ["eval", "--trace", str(FIXTURES / "m1.trace"), "--formula"]
+DEEP_NESTING = {
+    "sat-1200-negations": ["sat", "--class", "gen", "--formula", "!" * 1200 + "p"],
+    "eval-400-parentheses": _EVAL + ["(" * 400 + "p" + ")" * 400],
+    "eval-400-implications": _EVAL + ["p -> " * 400 + "p"],
+    "eval-1200-conjuncts": _EVAL + [" & ".join(["p"] * 1200)],
+}
+
+
+@pytest.mark.parametrize("case", list(DEEP_NESTING))
+def test_deep_nesting_exits_three_without_traceback(case):
+    argv = DEEP_NESTING[case]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "caretkit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert "nesting depth" in proc.stderr

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caretkit.proof import (
@@ -17,7 +18,9 @@ from caretkit.proof import (
     ProofFormatError,
     ProofScript,
     ProofStep,
+    SCHEMAS,
     Taut,
+    axiom_schemas,
     build_schema_instance,
     check_axiom_instance,
     check_proof,
@@ -36,10 +39,11 @@ from caretkit.syntax import (
     Until,
     WeakNext,
     parse_formula,
+    print_formula,
 )
 from caretkit.tableau import decide_valid
 
-from test_syntax import caret_formulas, ltl_formulas
+from test_syntax import _extend_caret, caret_formulas, ltl_formulas
 from test_trace import finite_traces, lasso_traces
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -238,7 +242,95 @@ def test_abstract_axioms_mirror_plain_ones():
 
 
 # ---------------------------------------------------------------------------
+# Templates are the definitions.  The oracle substitutes the printed bindings
+# into the template text and parses the result, so it shares only the parser
+# with the compiled builders.  Bindings may use phi and psi as propositions,
+# which a substitution done one metavariable at a time would capture.
+
+TEMPLATES = [s for s in SCHEMAS.values() if not s.params]
+_METAVAR_RE = re.compile(r"\b(phi|psi)\b")
+_metavar_names = st.sampled_from(["p", "phi", "psi", "call"])
+metavar_formulas = st.recursive(
+    st.one_of(st.just(TRUE), _metavar_names.map(Prop)), _extend_caret,
+    max_leaves=8)
+
+
+def substituted_template(text, bindings):
+    return parse_formula(
+        _METAVAR_RE.sub(
+            lambda m: "(" + print_formula(bindings[m.group(1)]) + ")", text),
+        mode="caret")
+
+
+def test_every_family_free_schema_is_a_template():
+    assert sorted(s.name for s in TEMPLATES) == sorted(
+        set(SCHEMAS) - {"C5", "C6"})
+    for s in TEMPLATES:
+        assert set(_METAVAR_RE.findall(s.text)) == set(s.metavars), s.name
+
+
+@given(metavar_formulas, metavar_formulas)
+@example(Prop("psi"), And(Prop("phi"), Prop("psi")))
+@settings(max_examples=300)
+def test_templates_build_their_substituted_text(phi, psi):
+    b = {"phi": phi, "psi": psi}
+    for s in TEMPLATES:
+        bindings = {v: b[v] for v in s.metavars}
+        assert build_schema_instance(s.name, {}, bindings) == \
+            substituted_template(s.text, bindings), s.name
+
+
+# ---------------------------------------------------------------------------
 # Axiom listings
+
+_RULE_AND_SCHEMA_TEXT = {
+    "Prop": "all instances of propositional tautologies",
+    "MP": "from phi and phi -> psi infer psi",
+    "RT1": "from phi infer X phi",
+    "RT2": "from phi' -> (!psi & X phi') infer phi' -> !(phi U psi)",
+    "RG1": "from phi infer X phi",
+    "RG2": "from phi' -> (!psi & X phi') infer phi' -> !(phi U psi)",
+    "RA1": "from phi infer Xa phi",
+    "RA2": "from phi' -> (!psi & Xa phi') infer phi' -> !(phi Ua psi)",
+    "T1": "X phi & X (phi -> psi) -> X psi",
+    "T2": "(phi U psi) <-> (psi | (phi & X (phi U psi)))",
+    "T3": "X !phi -> !(X phi)",
+    "T2'": "(phi U psi) <-> (psi | (phi & N (phi U psi)))",
+    "T3'": "X phi <-> (X false | N phi)",
+    "Inf": "!(X false)",
+    "Fin": "F (X false)",
+    "G1": "X phi & X (phi -> psi) -> X psi",
+    "G2": "(phi U psi) <-> (psi | (phi & N (phi U psi)))",
+    "G3": "X phi <-> (X false | N phi)",
+    "G4": "!(X false)",
+    "A1": "Xa phi & Xa (phi -> psi) -> Xa psi",
+    "A2": "(phi Ua psi) <-> (psi | (phi & Na (phi Ua psi)))",
+    "A3": "Xa phi <-> (Xa false | Na phi)",
+    "C1": "(call & !ret & !int) | (!call & ret & !int) | (!call & !ret & int)",
+    "C2": "!call & X !ret -> (X phi <-> Na phi)",
+    "C3": "!call & X ret -> Xa false",
+    "C4": "Na phi -> F phi",
+    "C5": "call & X CR[0,n,n](ret & phi) -> Na phi  (family, n >= 0)",
+    "C6": "call & X CR[0,m,n](G !ret) -> Xa false  (family, m > n >= 0)",
+}
+
+# (listing order, axiom_schemas order) per system
+_LISTING_GOLDEN = {
+    "ax": ("Prop MP T1 T2 T3 RT1 RT2", "T1 T2 T3"),
+    "ax-gen": ("Prop MP T1 T2' T3' RT1 RT2", "T1 T2' T3'"),
+    "ax-inf": ("Prop MP T1 T2' T3' RT1 RT2 Inf", "T1 T2' T3' Inf"),
+    "ax-fin": ("Prop MP T1 T2' T3' RT1 RT2 Fin", "T1 T2' T3' Fin"),
+    "ax-cr": ("Prop MP G1 G2 G3 G4 RG1 RG2 A1 A2 A3 RA1 RA2 C1 C2 C3 C4 C5 C6",
+              "G1 G2 G3 G4 A1 A2 A3 C1 C2 C3 C4 C5 C6"),
+}
+
+
+def test_list_axioms_golden():
+    for system, (rows, schemas) in _LISTING_GOLDEN.items():
+        assert list_axioms(system) == tuple(
+            (n, _RULE_AND_SCHEMA_TEXT[n]) for n in rows.split()), system
+        assert axiom_schemas(system) == tuple(schemas.split()), system
+
 
 def test_list_axioms_membership():
     names = lambda sys: [s for s, _ in list_axioms(sys)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +186,14 @@ def test_empty_traces_rejected():
         LassoTrace((E,), ())
     with pytest.raises(ValueError):
         StructuredLassoTrace(((E, C),), ())
+
+
+def test_traces_carry_no_instance_dict():
+    # kept models are many; slots keep each one at its fields
+    for t in (FiniteTrace((E,)), LassoTrace((E,), (E,)), struct((C,), (I,))):
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, dataclasses.fields(t)[0].name, ())
 
 
 # ---------------------------------------------------------------------------
