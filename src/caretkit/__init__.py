@@ -9,8 +9,8 @@ from .syntax import (
 )
 from .trace import (
     FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace,
-    TraceFormatError, abstract_successor, matching_return, parse_trace,
-    trace_to_text,
+    TraceFormatError, abstract_successor, abstract_successor_map,
+    matching_return, parse_trace, trace_to_text,
 )
 from .semantics import (
     EvalContext, EvalError, eval_caret, eval_everywhere, eval_ltl,

@@ -7,10 +7,14 @@ least fixpoint of its strong-next unfolding, which converges within one pass
 per canonical position because any satisfied until has a witness at most one
 canonical round away.
 
-Abstract operators read the abstract successor map of a structured lasso.
-The map is computed once per context at canonical positions; this is sound
-because a suffix of the trace starting inside the loop recurs verbatim one
-loop later, so both truth and the abstract successor are periodic there.
+Abstract operators read the abstract successor map of a structured lasso,
+built once per context at canonical positions by one call/return stack pass
+(trace.abstract_successor_map); this is sound because a suffix of the trace
+starting inside the loop recurs verbatim one loop later, so both truth and
+the abstract successor are periodic there.  The map is a function, so an
+abstract until is settled by one memoised walk along it that visits every
+position once.  Masks go to and from per-position digit strings in one conversion
+each, so the abstract operators take time linear in the trace length.
 """
 
 from __future__ import annotations
@@ -18,8 +22,11 @@ from __future__ import annotations
 from .syntax import (
     AbsUntil, AbsWeakNext, And, Formula, Not, Prop, TrueConst, Until, WeakNext,
 )
+# abstract_successor stays bound here, unused, because the benchmark's
+# traced run (perfbench/tracer.py) wraps it under this name.
 from .trace import (
     FiniteTrace, LassoTrace, StructuredLassoTrace, abstract_successor,
+    abstract_successor_map,
 )
 
 __all__ = ["EvalContext", "EvalError", "eval_ltl", "eval_caret", "eval_everywhere"]
@@ -29,25 +36,34 @@ class EvalError(Exception):
     pass
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: list[bool]) -> int:
+    """The bitmask with bit i set where flags[i] is true."""
+    return int(bytes(flags[::-1]).translate(_DIGITS), 2)
+
+
 class EvalContext:
     """Truth-mask evaluator for one trace, memoised per subformula."""
 
     def __init__(self, trace):
         self.trace = trace
         if isinstance(trace, FiniteTrace):
-            self.n = trace.length
+            self._states = trace.states
             self.finite = True
             self.structured = False
         elif isinstance(trace, LassoTrace):
-            self.n = trace.prefix_len + trace.loop_len
+            self._states = trace.prefix + trace.loop
             self.finite = False
             self.structured = False
         elif isinstance(trace, StructuredLassoTrace):
-            self.n = trace.prefix_len + trace.loop_len
+            self._states = trace.prefix + trace.loop
             self.finite = False
             self.structured = True
         else:
             raise TypeError(f"not a trace: {trace!r}")
+        self.n = len(self._states)
         self.full = (1 << self.n) - 1
         self._memo: dict[Formula, int] = {}
         self._props: dict[str, int] = {}
@@ -67,43 +83,52 @@ class EvalContext:
         p = self.trace.prefix_len
         return (v >> 1) | (((v >> p) & 1) << (self.n - 1))
 
+    def _bits(self, v: int) -> str:
+        """Truth per canonical position as '0'/'1', position 0 first."""
+        return format(v, f"0{self.n}b")[::-1]
+
     def _abs_map(self) -> list[int | None]:
         if self._asucc is None:
-            t = self.trace
-            self._asucc = [
-                None if (j := abstract_successor(t, i)) is None else t.canonical(j)
-                for i in range(self.n)
-            ]
+            self._asucc = abstract_successor_map(self.trace)
         return self._asucc
 
     def _weak_abs_next(self, v: int) -> int:
-        out = 0
-        for i, j in enumerate(self._abs_map()):
-            if j is None or (v >> j) & 1:
-                out |= 1 << i
-        return out
+        bits = self._bits(v)
+        return _mask([j is None or bits[j] == "1" for j in self._abs_map()])
 
-    def _strong_abs_next(self, v: int) -> int:
-        out = 0
-        for i, j in enumerate(self._abs_map()):
-            if j is not None and (v >> j) & 1:
-                out |= 1 << i
-        return out
+    def _abs_until(self, a: int, b: int) -> int:
+        """Least fixpoint of u = b | (a & strong abstract next u).
+
+        From each undecided position the walk follows abstract successors
+        while they hold a and not b.  It stops at a decided position, at b
+        (true), at not a, an undefined successor or a position already on
+        its own path (false: a cycle without b), and the whole path takes
+        that value, so every position is visited once.
+        """
+        succ = self._abs_map()
+        # 1 true, 0 false, -1 undecided
+        val = [1 if y == "1" else -1 if x == "1" else 0
+               for x, y in zip(self._bits(a), self._bits(b))]
+        for i in range(self.n):
+            path = []
+            j = i
+            while j is not None and val[j] == -1:
+                val[j] = -2  # on the current path
+                path.append(j)
+                j = succ[j]
+            hit = int(j is not None and val[j] == 1)
+            for k in path:
+                val[k] = hit
+        return _mask([x == 1 for x in val])
 
     def _prop_mask(self, name: str) -> int:
         m = self._props.get(name)
         if m is None:
-            t = self.trace
-            m = 0
             if self.structured:
-                for i in range(self.n):
-                    props, tag = t.state_at(i)
-                    if name in props or name == tag.value:
-                        m |= 1 << i
+                m = _mask([name in props or name == tag.value
+                           for props, tag in self._states])
             else:
-                for i in range(self.n):
-                    if name in t.props_at(i):
-                        m |= 1 << i
+                m = _mask([name in props for props in self._states])
             self._props[name] = m
         return m
 
@@ -132,8 +157,8 @@ class EvalContext:
             m = self._weak_abs_next(self.truth_mask(f.operand))
         elif t is AbsUntil:
             self._need_structured()
-            m = self._lfp(self.truth_mask(f.left), self.truth_mask(f.right),
-                          self._strong_abs_next)
+            m = self._abs_until(self.truth_mask(f.left),
+                                self.truth_mask(f.right))
         else:
             raise TypeError(f"not a formula node: {f!r}")
         self._memo[f] = m

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 __all__ = [
     "StateTag", "FiniteTrace", "LassoTrace", "StructuredLassoTrace",
     "canonical_position", "matching_return", "abstract_successor",
-    "brute_matching_return", "INCONCLUSIVE",
+    "abstract_successor_map", "brute_matching_return", "INCONCLUSIVE",
     "parse_trace", "trace_to_text", "TraceFormatError",
 ]
 
@@ -189,6 +189,57 @@ def abstract_successor(t: StructuredLassoTrace, i: int) -> int | None:
     if t.tag_at(i + 1) is StateTag.RET:
         return None
     return i + 1
+
+
+def abstract_successor_map(t: StructuredLassoTrace) -> list[int | None]:
+    """Canonical abstract successor of every canonical position, or None.
+
+    Entry c equals canonical(abstract_successor(t, c)), found in one left to
+    right pass over prefix + loop that keeps a stack of open calls; a ret
+    pops the top call, which it matches.  Calls still open after the pass
+    are placed without unrolling.  Seen on its own the loop has d unmatched
+    rets, all before its u calls that stay open (a ret after such a call
+    would find a call to match).  So every later loop copy pops the same d
+    entries at the same offsets: first the u open calls of the copy before
+    it, topmost first, then d - u entries further down when d > u.  With
+    d <= u only the top d are ever matched, one copy later; with d > u,
+    entry m below the first copy's own calls is matched in copy
+    2 + m // (d - u) by unmatched ret u + m % (d - u).  A canonical
+    position needs only that ret's offset in the loop.
+    """
+    p = len(t.prefix)
+    tags = [tag for _, tag in t.prefix] + [tag for _, tag in t.loop]
+    n = len(tags)
+    succ: list[int | None] = [None] * n
+    stack: list[int] = []
+    for i, tag in enumerate(tags):
+        if tag is StateTag.CALL:
+            stack.append(i)
+            continue
+        nxt = i + 1 if i + 1 < n else p
+        if tags[nxt] is not StateTag.RET:
+            succ[i] = nxt
+        if tag is StateTag.RET and stack:
+            succ[stack.pop()] = i
+    rets: list[int] = []  # the loop's own unmatched rets
+    u = 0  # the loop's own open calls
+    for i in range(p, n):
+        if tags[i] is StateTag.CALL:
+            u += 1
+        elif tags[i] is StateTag.RET:
+            if u:
+                u -= 1
+            else:
+                rets.append(i)
+    d = len(rets)
+    for m, c in enumerate(reversed(stack)):
+        if m < min(u, d):
+            succ[c] = rets[m]
+        elif d > u:
+            succ[c] = rets[u + (m - u) % (d - u)]
+        else:
+            break
+    return succ
 
 
 INCONCLUSIVE = "inconclusive"

@@ -16,6 +16,7 @@ from caretkit.trace import (
     StructuredLassoTrace,
     TraceFormatError,
     abstract_successor,
+    abstract_successor_map,
     brute_matching_return,
     canonical_position,
     matching_return,
@@ -156,6 +157,62 @@ def test_abstract_successor_periodicity(t, i):
         assert b is None
     else:
         assert b == a + t.loop_len
+
+
+# ---------------------------------------------------------------------------
+# Abstract successor map: one stack pass against the per-position scans
+
+_tags = st.sampled_from([C, R, I])
+
+
+@st.composite
+def lassos_with_loop_balance(draw, sign):
+    """Structured lassos whose loop has net call/return balance of the given
+    sign, optionally ending in a call; rets or calls are inserted before
+    the last loop state until the sign is right."""
+    prefix = draw(st.lists(_tags, max_size=10))
+    loop = draw(st.lists(_tags, min_size=1, max_size=10))
+    if draw(st.booleans()):
+        loop[-1] = C
+    net = loop.count(C) - loop.count(R)
+    want = {-1: min(net, -1), 0: 0, 1: max(net, 1)}[sign]
+    while net != want:
+        at = draw(st.integers(0, len(loop) - 1))
+        loop.insert(at, R if net > want else C)
+        net += -1 if net > want else 1
+    return struct(prefix, loop)
+
+
+def _check_map_against_scans(t):
+    got = abstract_successor_map(t)
+    assert len(got) == t.prefix_len + t.loop_len
+    for c, j in enumerate(got):
+        slow = abstract_successor(t, c)
+        assert j == (None if slow is None else t.canonical(slow)), (t, c)
+        if t.tag_at(c) is C:
+            # no match here lies more than 12 loop copies out, far
+            # inside 1000 steps
+            br = brute_matching_return(t, c, 1000)
+            assert j == (None if br == INCONCLUSIVE else t.canonical(br)), (t, c)
+
+
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_abstract_successor_map_matches_scans(sign, data):
+    _check_map_against_scans(data.draw(lassos_with_loop_balance(sign)))
+
+
+@pytest.mark.parametrize("prefix, loop", [
+    ([C, C, C], [I]),                       # prefix-only calls, never matched
+    ([C, C, C, C, C], [R, R, C]),           # d=2 > u=1: prefix calls later
+    ([C, C, I, C, C, C, C], [R, R, R, C]),  # d=3 > u=1: two entries a copy
+    ([C], [C, R, R, C]),                    # d=u=1, call at the last state
+    ([], [C, I, C, R, I]),                  # positive balance
+    ([C, C], [R, C, C]),                    # d=1 < u=2
+])
+def test_abstract_successor_map_examples(prefix, loop):
+    _check_map_against_scans(struct(prefix, loop))
 
 
 # ---------------------------------------------------------------------------
