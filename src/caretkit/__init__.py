@@ -1,11 +1,18 @@
 """Temporal logic toolkit: LTL over finite, infinite and mixed trace
 classes, plus the call/return extension, with a tableau decision procedure,
-a Hilbert proof checker and randomized soundness campaigns."""
+a Hilbert proof checker and randomized soundness campaigns.
+
+Syntax, traces and evaluation load with the package.  The names below from
+``tableau`` (which loads numpy), ``proof`` and ``fuzz`` load their module on
+first use (PEP 562), so a caller that only evaluates never imports them.
+"""
+
+import importlib
 
 from .syntax import (
     AbsUntil, AbsWeakNext, And, FALSE, Formula, Not, ParseError, Prop, TRUE,
-    TrueConst, Until, WeakNext, closure, ClosureSet, formula_size, is_ltl,
-    parse_formula, print_formula, props_of,
+    TrueConst, Until, WeakNext, closure, ClosureCapError, ClosureSet,
+    formula_size, is_ltl, parse_formula, print_formula, props_of,
 )
 from .trace import (
     FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace,
@@ -15,18 +22,31 @@ from .trace import (
 from .semantics import (
     EvalContext, EvalError, eval_caret, eval_everywhere, eval_ltl,
 )
-from .tableau import (
-    Atom, AtomGraph, ChainWitness, ClosureCapError, SatResult,
-    brute_force_sat, build_atom_graph, decide_sat, decide_valid,
-    enumerate_atoms, extract_model,
-)
-from .proof import (
-    ProofError, ProofFormatError, ProofScript, Verdict, check_axiom_instance,
-    check_proof, check_tautology, expand_cr, list_axioms, parse_proof,
-)
-from .fuzz import (
-    CampaignReport, GenConfig, cross_check_campaign, gen_formula, gen_trace,
-    soundness_campaign,
-)
+
+_LAZY = {name: module for module, names in (
+    ("tableau", ("Atom", "AtomGraph", "ChainWitness", "SatResult",
+                 "brute_force_sat", "build_atom_graph", "decide_sat",
+                 "decide_valid", "enumerate_atoms", "extract_model")),
+    ("proof", ("ProofError", "ProofFormatError", "ProofScript", "Verdict",
+               "check_axiom_instance", "check_proof", "check_tautology",
+               "expand_cr", "list_axioms", "parse_proof")),
+    ("fuzz", ("CampaignReport", "GenConfig", "cross_check_campaign",
+              "gen_formula", "gen_trace", "soundness_campaign")),
+) for name in names}
+
+
+def __getattr__(name):
+    if name in ("tableau", "proof", "fuzz"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"

@@ -14,14 +14,15 @@ import argparse
 import json
 import sys
 
-from .fuzz import GenConfig, cross_check_campaign, soundness_campaign
 from .proof import (
     ProofError, ProofFormatError, SYSTEM_IDS, check_proof, list_axioms,
     parse_proof,
 )
 from .semantics import EvalError, eval_caret, eval_ltl
-from .syntax import Not, ParseError, parse_formula, print_formula
-from .tableau import CLASSES, DEFAULT_CLOSURE_CAP, ClosureCapError, decide_sat
+from .syntax import (
+    CLASSES, DEFAULT_CLOSURE_CAP, ClosureCapError, Not, ParseError,
+    parse_formula, print_formula,
+)
 from .trace import TraceFormatError, parse_trace, trace_to_text
 
 __all__ = ["main"]
@@ -32,6 +33,13 @@ def _emit(args, payload: dict, text: str) -> None:
         print(json.dumps(payload))
     elif text:
         print(text)
+
+
+def decide_sat(formula, cls, closure_cap):
+    """The decider, imported on first call: only sat, valid and the
+    cross-check campaign load numpy."""
+    from .tableau import decide_sat as decide
+    return decide(formula, cls, closure_cap=closure_cap)
 
 
 def _cap(args) -> int | None:
@@ -119,6 +127,7 @@ def _report_text(report) -> str:
 
 
 def _cmd_fuzz(args) -> int:
+    from .fuzz import GenConfig, cross_check_campaign, soundness_campaign
     cfg = GenConfig(seed=args.seed)
     if args.system == "cross-check":
         report = cross_check_campaign(args.instances, cfg)
@@ -140,6 +149,15 @@ def _cmd_axioms(args) -> int:
     return 0
 
 
+def _non_negative(text: str) -> int:
+    """The argparse type of --cap and --instances: anything else is a usage
+    error (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caretkit",
@@ -157,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sat", help="decide satisfiability, print a witness")
     p.add_argument("--formula", required=True)
     p.add_argument("--class", dest="cls", required=True, choices=CLASSES)
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_non_negative, default=None,
                    help="closure size cap (0 lifts the cap; default "
                    f"{DEFAULT_CLOSURE_CAP})")
     p.add_argument("--json", action="store_true")
@@ -166,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("valid", help="decide validity, print a countermodel")
     p.add_argument("--formula", required=True)
     p.add_argument("--class", dest="cls", required=True, choices=CLASSES)
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_non_negative, default=None,
                    help="closure size cap (0 lifts the cap; default "
                    f"{DEFAULT_CLOSURE_CAP})")
     p.add_argument("--json", action="store_true")
@@ -180,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="run a soundness or cross-check campaign")
     p.add_argument("--system", required=True,
                    choices=SYSTEM_IDS + ("cross-check",))
-    p.add_argument("--instances", type=int, default=1000)
+    p.add_argument("--instances", type=_non_negative, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fuzz)

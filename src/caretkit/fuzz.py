@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from .proof import SCHEMAS, SYSTEM_IDS, axiom_schemas, build_schema_instance
 from .semantics import EvalContext
 from .syntax import (
-    AbsUntil, AbsWeakNext, And, Formula, Not, Prop, TRUE, Until, WeakNext,
+    CLASSES, AbsUntil, AbsWeakNext, And, Formula, Not, Prop, TRUE, Until,
+    WeakNext,
 )
-from .tableau import CLASSES, brute_force_sat, decide_sat
 from .trace import FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace
 
 __all__ = [
@@ -262,6 +262,8 @@ def cross_check_campaign(samples: int, cfg: GenConfig, *,
         raise ValueError("cross-check needs an alphabet of at most 2 letters")
     if cfg.max_formula_size > 7:
         raise ValueError("cross-check needs formula size at most 7")
+    # the decider loads numpy, which nothing else in this module needs
+    from .tableau import brute_force_sat, decide_sat
     failures = 0
     first = None
     for k in range(samples):

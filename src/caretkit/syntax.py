@@ -17,6 +17,7 @@ __all__ = [
     "abs_eventually", "abs_always", "abs_strong_next",
     "negate", "formula_size", "formula_sort_key", "is_ltl", "props_of",
     "parse_formula", "print_formula", "closure", "ClosureSet", "ParseError",
+    "CLASSES", "DEFAULT_CLOSURE_CAP", "ClosureCapError",
 ]
 
 
@@ -489,6 +490,18 @@ def parse_formula(text: str, mode: str = "ltl") -> Formula:
 
 # ---------------------------------------------------------------------------
 # Closure sets.
+
+# The decider's trace classes, its default closure cap and its refusal live
+# here, beside the closure they bound, so that naming them (as the CLI's
+# parser does) does not import the numpy decider; ``tableau`` re-exports them.
+CLASSES = ("gen", "fin", "inf")
+DEFAULT_CLOSURE_CAP = 24
+
+
+class ClosureCapError(Exception):
+    """The closure exceeded the configured size cap, or its atoms need more
+    than ``tableau.MAX_FREE_BITS`` free bits."""
+
 
 class ClosureSet:
     """The signed closure of a formula.

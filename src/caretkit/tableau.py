@@ -31,8 +31,9 @@ import numpy as np
 
 from .semantics import EvalContext
 from .syntax import (
-    And, ClosureSet, FALSE, Formula, Not, Prop, TRUE, Until, WeakNext,
-    closure, is_ltl, negate, props_of,
+    CLASSES, DEFAULT_CLOSURE_CAP, And, ClosureCapError, ClosureSet, FALSE,
+    Formula, Not, Prop, TRUE, Until, WeakNext, closure, is_ltl, negate,
+    props_of,
 )
 from .trace import FiniteTrace, LassoTrace
 
@@ -43,8 +44,6 @@ __all__ = [
     "DEFAULT_CLOSURE_CAP", "MAX_FREE_BITS",
 ]
 
-CLASSES = ("gen", "fin", "inf")
-DEFAULT_CLOSURE_CAP = 24
 # Atoms are enumerated as every valuation of the free bits (propositions and
 # weak-next bases), so this bounds the table at 2 ** 18 rows whatever the
 # closure cap says.
@@ -52,11 +51,6 @@ MAX_FREE_BITS = 18
 
 _TERMINAL_MARK = WeakNext(FALSE)          # next of false: true exactly at last states
 _FIN_MARK = Until(TRUE, _TERMINAL_MARK)   # eventually a last state
-
-
-class ClosureCapError(Exception):
-    """The closure exceeded the configured size cap, or its atoms need more
-    than MAX_FREE_BITS free bits."""
 
 
 # One shared label per distinct set of true propositions, so models that

@@ -218,6 +218,22 @@ def test_usage_error_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["fuzz", "--system", "ax", "--instances", "-5"], "--instances"),
+    (["sat", "--formula", "p", "--class", "fin", "--cap", "-1"], "--cap"),
+    (["valid", "--formula", "p", "--class", "fin", "--cap", "-1"], "--cap"),
+])
+def test_negative_count_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {flag}: expected a non-negative integer, "
+        f"got '{argv[-1]}'")
+
+
 def test_input_errors_exit_three(capsys):
     code, _, err = run(capsys, "sat", "--formula", "p &", "--class", "gen")
     assert code == 3 and err

@@ -1,0 +1,130 @@
+"""The import graph follows the subcommand: only the decider loads numpy,
+and the package's public names are the ones it always exported."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import caretkit
+from caretkit import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+HEAVY = ("numpy", "caretkit.tableau", "caretkit.proof", "caretkit.fuzz")
+
+# Every name caretkit/__init__ exported when it imported all submodules
+# eagerly, by the submodule that defines it.
+PUBLIC = {
+    "syntax": ("AbsUntil", "AbsWeakNext", "And", "FALSE", "Formula", "Not",
+               "ParseError", "Prop", "TRUE", "TrueConst", "Until", "WeakNext",
+               "closure", "ClosureSet", "formula_size", "is_ltl",
+               "parse_formula", "print_formula", "props_of"),
+    "trace": ("FiniteTrace", "LassoTrace", "StateTag", "StructuredLassoTrace",
+              "TraceFormatError", "abstract_successor",
+              "abstract_successor_map", "matching_return", "parse_trace",
+              "trace_to_text"),
+    "semantics": ("EvalContext", "EvalError", "eval_caret", "eval_everywhere",
+                  "eval_ltl"),
+    "tableau": ("Atom", "AtomGraph", "ChainWitness", "ClosureCapError",
+                "SatResult", "brute_force_sat", "build_atom_graph",
+                "decide_sat", "decide_valid", "enumerate_atoms",
+                "extract_model"),
+    "proof": ("ProofError", "ProofFormatError", "ProofScript", "Verdict",
+              "check_axiom_instance", "check_proof", "check_tautology",
+              "expand_cr", "list_axioms", "parse_proof"),
+    "fuzz": ("CampaignReport", "GenConfig", "cross_check_campaign",
+             "gen_formula", "gen_trace", "soundness_campaign"),
+}
+
+
+def _loaded_after(code: str) -> dict:
+    """Run `code` in a fresh interpreter; which of HEAVY it left loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = (code + "\nimport json, sys\nprint(json.dumps({m: m in sys.modules"
+              f" for m in {HEAVY!r}}}))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _after_main(*calls) -> dict:
+    code = "from caretkit.cli import main\n" + "".join(
+        f"assert main({argv!r}) == {expected}, {argv!r}\n"
+        for argv, expected in calls)
+    return _loaded_after(code)
+
+
+def test_bare_import_loads_no_decider_proof_or_fuzz():
+    assert _loaded_after("import caretkit") == dict.fromkeys(HEAVY, False)
+    loaded = _loaded_after(
+        "import caretkit\nassert caretkit.tableau.decide_sat is caretkit.decide_sat")
+    assert loaded["numpy"] and loaded["caretkit.tableau"]
+    assert not loaded["caretkit.proof"] and not loaded["caretkit.fuzz"]
+
+
+def test_non_decider_subcommands_never_load_numpy(tmp_path):
+    caret = tmp_path / "call.trace"
+    caret.write_text("@call -\n@int p\n@ret -\nloop:\n@int -\n")
+    loaded = _after_main(
+        (["eval", "--formula", "p", "--trace", str(FIXTURES / "m1.trace")], 0),
+        (["eval", "--mode", "caret", "--formula", "Xa p",
+          "--trace", str(caret)], 1),
+        (["check-proof", str(FIXTURES / "derivation_caret.prf")], 0),
+        (["axioms", "--system", "ax"], 0),
+        (["fuzz", "--system", "ax", "--instances", "20"], 0),
+    )
+    assert not loaded["numpy"] and not loaded["caretkit.tableau"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["sat", "--formula", "p", "--class", "fin"], 0),
+    (["valid", "--formula", "p | !p", "--class", "inf"], 0),
+    (["fuzz", "--system", "cross-check", "--instances", "3"], 0),
+])
+def test_decider_subcommands_load_numpy(argv, expected):
+    loaded = _after_main((argv, expected))
+    assert loaded["numpy"] and loaded["caretkit.tableau"]
+
+
+def test_lazy_names_are_the_submodules_own():
+    names = dir(caretkit)
+    for module, attrs in PUBLIC.items():
+        owner = importlib.import_module(f"caretkit.{module}")
+        for name in attrs:
+            assert getattr(caretkit, name) is getattr(owner, name), name
+            assert name in names, name
+    from caretkit import tableau
+    assert tableau is sys.modules["caretkit.tableau"] is caretkit.tableau
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        caretkit.no_such_name
+
+
+def test_closure_cap_error_is_the_one_cli_catches(capsys, monkeypatch):
+    from caretkit import syntax, tableau
+
+    assert tableau.ClosureCapError is syntax.ClosureCapError is cli.ClosureCapError
+    assert (tableau.CLASSES, tableau.DEFAULT_CLOSURE_CAP) \
+        == (cli.CLASSES, cli.DEFAULT_CLOSURE_CAP)
+    code = cli.main(["sat", "--formula", "p", "--class", "fin", "--cap", "3"])
+    assert (code, capsys.readouterr().err) == (
+        3, "error: closure of size 14 exceeds the cap 3; "
+           "raise closure_cap to proceed\n")
+
+    def refuse(*args, **kwargs):
+        raise tableau.ClosureCapError("refused")
+    monkeypatch.setattr(tableau, "decide_sat", refuse)
+    code = cli.main(["valid", "--formula", "p", "--class", "gen"])
+    assert (code, capsys.readouterr().err) == (3, "error: refused\n")
