@@ -53,11 +53,22 @@ _TERMINAL_MARK = WeakNext(FALSE)          # next of false: true exactly at last 
 _FIN_MARK = Until(TRUE, _TERMINAL_MARK)   # eventually a last state
 
 
-# One shared label per distinct set of true propositions, so models that
-# outlive their decision do not each hold copies; weak values let a label go
-# once no model uses it.
+# One shared label per distinct set of true propositions, and one shared
+# model per distinct (prefix, loop) of labels (loop None for a finite
+# model), so models that outlive their decision do not each hold copies; weak
+# values let an entry go once nothing else uses it.
 _LABELS: weakref.WeakValueDictionary[tuple[str, ...], frozenset[str]] = \
     weakref.WeakValueDictionary()
+_MODELS: weakref.WeakValueDictionary[tuple, FiniteTrace | LassoTrace] = \
+    weakref.WeakValueDictionary()
+
+# The last formula decided and its table, so that deciding one formula in
+# several classes in a row builds its closure and table once.  Only tables
+# of at most _MEMO_ATOMS atoms are kept: the callers that decide larger
+# formulas ask one class each, and a larger table held between calls is
+# only resident memory.
+_MEMO_ATOMS = 1 << 12
+_memo: tuple[Formula, _Tableau] | None = None
 
 
 @dataclass(frozen=True)
@@ -125,10 +136,8 @@ class _Tableau:
     def __init__(self, clo: ClosureSet, cap: int | None):
         if clo.mode != "ltl":
             raise ValueError("the tableau works on the ltl fragment only")
-        if cap is not None and len(clo.members) > cap:
-            raise ClosureCapError(
-                f"closure of size {len(clo.members)} exceeds the cap {cap}; "
-                "raise closure_cap to proceed")
+        self.size = len(clo.members)
+        self.check_cap(cap)
         core = clo.core
 
         # every base (a member with its negations stripped) is an unnegated
@@ -206,6 +215,12 @@ class _Tableau:
         self.until_present = key([row(u) for u in untils])
         self.until_fulfill = key([row(u.right) for u in untils])
         self.prop_rows = [row(b) for b in props]
+
+    def check_cap(self, cap: int | None) -> None:
+        if cap is not None and self.size > cap:
+            raise ClosureCapError(
+                f"closure of size {self.size} exceeds the cap {cap}; "
+                "raise closure_cap to proceed")
 
     def class_indices(self, cls: str) -> np.ndarray:
         if cls == "gen":
@@ -531,7 +546,7 @@ def decide_sat(f: Formula, cls: str,
         raise ValueError(f"unknown trace class {cls!r}")
     if not is_ltl(f):
         raise ValueError("decide_sat handles the ltl fragment only")
-    tab = _Tableau(closure(f, "ltl"), closure_cap)
+    tab = _table(f, closure_cap)
     g = _ClassGraph(tab, cls)
     if cls in ("fin", "gen"):
         path = g.terminal_path()
@@ -550,6 +565,28 @@ def decide_sat(f: Formula, cls: str,
     return SatResult(False)
 
 
+def _table(f: Formula, cap: int | None) -> _Tableau:
+    """The table of f, from the memo when f was the last formula decided."""
+    global _memo
+    # read once: a formula and its table are replaced together, so a
+    # concurrent caller can at worst rebuild a table
+    memo = _memo
+    if memo is not None and _same(memo[0], f):
+        memo[1].check_cap(cap)
+        return memo[1]
+    tab = _Tableau(closure(f, "ltl"), cap)
+    _memo = (f, tab) if tab.count <= _MEMO_ATOMS else None
+    return tab
+
+
+def _same(f: Formula, g: Formula) -> bool:
+    # equality recurses once per level; past the recursion limit, rebuild
+    try:
+        return f == g
+    except RecursionError:
+        return False
+
+
 def decide_valid(f: Formula, cls: str,
                  closure_cap: int | None = DEFAULT_CLOSURE_CAP) -> bool:
     """Validity over the class: the negation has no model of that class."""
@@ -558,13 +595,20 @@ def decide_valid(f: Formula, cls: str,
 
 def extract_model(w: ChainWitness) -> FiniteTrace | LassoTrace:
     """The trace a chain witness denotes: states labelled by the positive
-    propositions of each atom."""
+    propositions of each atom.  Equal traces are one shared object while
+    any of them is alive."""
+    prefix = tuple(a.props for a in w.atoms)
     if w.kind == "finite":
-        return FiniteTrace(tuple(a.props for a in w.atoms))
-    if w.kind == "lasso":
-        return LassoTrace(tuple(a.props for a in w.atoms),
-                          tuple(a.props for a in w.loop))
-    raise ValueError(f"unknown witness kind {w.kind!r}")
+        key = (prefix, None)
+    elif w.kind == "lasso":
+        key = (prefix, tuple(a.props for a in w.loop))
+    else:
+        raise ValueError(f"unknown witness kind {w.kind!r}")
+    model = _MODELS.get(key)
+    if model is None:
+        model = FiniteTrace(prefix) if key[1] is None else LassoTrace(*key)
+        _MODELS[key] = model
+    return model
 
 
 def brute_force_sat(f: Formula, cls: str, max_total: int) -> str:

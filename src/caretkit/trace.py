@@ -38,7 +38,7 @@ class StateTag(enum.Enum):
     INT = "int"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class FiniteTrace:
     """A nonempty finite sequence of proposition sets."""
 
@@ -60,7 +60,7 @@ class FiniteTrace:
         return self.states[i]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class LassoTrace:
     """An infinite trace: finite prefix followed by a nonempty loop forever."""
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -37,6 +39,7 @@ from caretkit.tableau import (
     enumerate_atoms,
     extract_model,
 )
+from caretkit import tableau
 from caretkit.tableau import _ClassGraph, _Tableau
 from caretkit.trace import FiniteTrace, LassoTrace
 
@@ -453,3 +456,121 @@ def test_keys_and_buckets_match_packing_axiom_instances(name, bindings):
     tab = _Tableau(closure(Not(f)), None)
     assert 12 <= len(tab.props) + sum(type(m) is WeakNext for m in tab.core) <= 16
     _check_against_packing(tab)
+
+
+# ---------------------------------------------------------------------------
+# Build once per formula: the one-entry table memo of decide_sat, against
+# decisions that build a fresh table on every call
+
+def _fresh_decisions(monkeypatch, formulas):
+    with monkeypatch.context() as m:
+        m.setattr(tableau, "_table", lambda f, cap: _Tableau(closure(f), cap))
+        return {(f, cls): decide_sat(f, cls, closure_cap=None)
+                for f in formulas for cls in CLASSES}
+
+
+def _count_closures(monkeypatch):
+    calls = []
+
+    def counting(f, mode="ltl"):
+        calls.append(f)
+        return closure(f, mode)
+
+    monkeypatch.setattr(tableau, "_memo", None)
+    monkeypatch.setattr(tableau, "closure", counting)
+    return calls
+
+
+def test_memo_matches_fresh_tables_small_formulas(monkeypatch):
+    by_size = enumerate_formulas(5)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    expected = _fresh_decisions(monkeypatch, formulas)
+    monkeypatch.setattr(tableau, "_memo", None)
+    orders = [[(f, cls) for f in formulas for cls in ("gen", "fin", "inf")],
+              [(f, cls) for f in formulas for cls in ("inf", "gen", "fin")]]
+    # neighbours interleaved, so hits and misses alternate
+    orders.append([(f, cls) for f, g in zip(formulas, formulas[1:])
+                   for f, cls in ((f, "gen"), (g, "gen"), (g, "fin"),
+                                  (f, "fin"), (f, "inf"), (g, "inf"))])
+    for order in orders:
+        for f, cls in order:
+            assert decide_sat(f, cls, closure_cap=None) == expected[f, cls]
+
+
+def test_one_closure_per_formula_across_classes(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    for cls in CLASSES:
+        decide_sat(parse_formula("(p U q) & X X p"), cls, closure_cap=None)
+    # equal formulas hit, whether or not they are the same object
+    assert len(calls) == 1
+    decide_valid(parse_formula("F p"), "gen")
+    decide_valid(parse_formula("F p"), "fin")
+    assert len(calls) == 2
+
+
+def test_memo_hit_applies_its_own_cap(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    f = Prop("p")     # closure of size 14
+    decide_sat(f, "gen", closure_cap=None)
+    with pytest.raises(ClosureCapError, match="size 14 exceeds the cap 13"):
+        decide_sat(f, "fin", closure_cap=13)
+    assert decide_sat(f, "inf", closure_cap=14).satisfiable
+    assert len(calls) == 1
+
+
+def test_refusals_are_never_kept(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    f = parse_formula("G F p & G F q & G F r")     # 19 free bits
+    for cls in CLASSES:
+        with pytest.raises(ClosureCapError, match="needs 19 free bits"):
+            decide_sat(f, cls, closure_cap=None)
+    assert len(calls) == 3 and tableau._memo is None
+
+
+def test_large_tables_are_not_kept(monkeypatch):
+    _count_closures(monkeypatch)
+    decide_sat(Prop("p"), "gen")
+    assert tableau._memo is not None
+    f = parse_formula("G (p -> X q) & G (q -> X r)")
+    assert _Tableau(closure(f), None).count > tableau._MEMO_ATOMS
+    decide_sat(f, "inf", closure_cap=None)
+    assert tableau._memo is None
+
+
+def test_memo_compares_deep_formulas_without_recursing(monkeypatch):
+    def chain(n):
+        f = Prop("p")
+        for _ in range(n):
+            f = Not(f)
+        return f
+
+    monkeypatch.setattr(tableau, "_memo", None)
+    # equal but distinct: structural equality would recurse 3,000 deep
+    assert decide_sat(chain(3000), "fin", closure_cap=None).satisfiable
+    assert decide_sat(chain(3000), "inf", closure_cap=None).satisfiable
+
+
+# ---------------------------------------------------------------------------
+# Shared models
+
+def test_equal_models_are_one_object():
+    a = decide_sat(Prop("p"), "fin").model
+    b = decide_sat(And(Prop("p"), TERMINAL), "fin").model
+    direct = FiniteTrace((frozenset({"p"}),))
+    assert a is b and a == direct and hash(a) == hash(direct)
+    c = decide_sat(parse_formula("G p"), "inf", closure_cap=None).model
+    d = decide_sat(parse_formula("G p & F p"), "inf", closure_cap=None).model
+    direct = LassoTrace((), (frozenset({"p"}),))
+    assert c is d and c == direct and hash(c) == hash(direct)
+    res = decide_sat(parse_formula("p & X q"), "gen")
+    assert extract_model(res.witness) is res.model
+
+
+def test_shared_model_entry_is_weak():
+    res = decide_sat(parse_formula("zz1 & X zz2"), "fin")
+    ref = weakref.ref(res.model)
+    key = (res.model.states, None)
+    assert tableau._MODELS.get(key) is res.model
+    del res
+    gc.collect()
+    assert ref() is None and key not in tableau._MODELS
