@@ -150,11 +150,8 @@ def gen_trace(cfg: GenConfig) -> FiniteTrace | LassoTrace | StructuredLassoTrace
     """One random trace: structured lasso in caret mode, otherwise a finite
     trace or a lasso with equal probability."""
     rng = random.Random(_child_seed(cfg.seed, 2, 0))
-    if cfg.mode == "caret":
-        return _random_structured(rng, cfg)
-    if rng.random() < 0.5:
-        return _random_finite(rng, cfg)
-    return _random_lasso(rng, cfg)
+    kind = "structured" if cfg.mode == "caret" else "mixed"
+    return _campaign_trace(rng, cfg, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +240,6 @@ def soundness_campaign(system: str, instances: int, cfg: GenConfig, *,
     return CampaignReport(tuple(counts), failures, first)
 
 
-def _model_total(model) -> int:
-    if isinstance(model, FiniteTrace):
-        return len(model.states)
-    return len(model.prefix) + len(model.loop)
-
-
 def cross_check_campaign(samples: int, cfg: GenConfig, *,
                          max_total: int = 4) -> CampaignReport:
     """Compare the tableau against literal bounded enumeration.
@@ -281,7 +272,7 @@ def cross_check_campaign(samples: int, cfg: GenConfig, *,
             if r.satisfiable:
                 if not EvalContext(r.model).holds(f, 0):
                     bad = (f, r.model, 0)
-                elif (_model_total(r.model) <= max_total
+                elif (len(r.model.prefix) + len(r.model.loop) <= max_total
                       and brute_force_sat(f, cls, max_total) != "satisfiable"):
                     bad = (f, r.model, 0)
             elif brute_force_sat(f, cls, max_total) == "satisfiable":

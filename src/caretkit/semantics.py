@@ -25,7 +25,7 @@ from .syntax import (
 # abstract_successor stays bound here, unused, because the benchmark's
 # traced run (perfbench/tracer.py) wraps it under this name.
 from .trace import (
-    FiniteTrace, LassoTrace, StructuredLassoTrace, abstract_successor,
+    FiniteTrace, LassoTrace, StructuredLassoTrace, _Trace, abstract_successor,
     abstract_successor_map,
 )
 
@@ -48,21 +48,12 @@ class EvalContext:
     """Truth-mask evaluator for one trace, memoised per subformula."""
 
     def __init__(self, trace):
-        self.trace = trace
-        if isinstance(trace, FiniteTrace):
-            self._states = trace.states
-            self.finite = True
-            self.structured = False
-        elif isinstance(trace, LassoTrace):
-            self._states = trace.prefix + trace.loop
-            self.finite = False
-            self.structured = False
-        elif isinstance(trace, StructuredLassoTrace):
-            self._states = trace.prefix + trace.loop
-            self.finite = False
-            self.structured = True
-        else:
+        if not isinstance(trace, _Trace):
             raise TypeError(f"not a trace: {trace!r}")
+        self.trace = trace
+        self._states = trace.prefix + trace.loop
+        self.finite = not trace.loop
+        self.structured = isinstance(trace, StructuredLassoTrace)
         self.n = len(self._states)
         self.full = (1 << self.n) - 1
         self._memo: dict[Formula, int] = {}
@@ -178,15 +169,11 @@ class EvalContext:
             raise EvalError("abstract operators need a structured trace")
 
     def holds(self, f: Formula, i: int) -> bool:
-        if self.finite:
-            if not 0 <= i < self.n:
-                raise EvalError(f"position {i} outside finite trace of length {self.n}")
-            c = i
-        else:
-            if i < 0:
-                raise EvalError(f"negative position {i}")
-            c = self.trace.canonical(i)
-        return bool((self.truth_mask(f) >> c) & 1)
+        if self.finite and not 0 <= i < self.n:
+            raise EvalError(f"position {i} outside finite trace of length {self.n}")
+        if i < 0:
+            raise EvalError(f"negative position {i}")
+        return bool((self.truth_mask(f) >> self.trace.canonical(i)) & 1)
 
     def holds_everywhere(self, f: Formula) -> bool:
         return self.truth_mask(f) == self.full

@@ -72,6 +72,27 @@ class Prop(Formula):
         return f"Prop({self.name!r})"
 
 
+def _equal(f: Formula, g) -> bool:
+    """Structural equality over an explicit stack, so deep formulas compare
+    without recursing.  A pair settles at once when its nodes are identical,
+    or differ in type or cached hash."""
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or a._hash != b._hash:
+            return False
+        if isinstance(a, _Unary):
+            stack.append((a.operand, b.operand))
+        elif isinstance(a, _Binary):
+            stack.append((a.right, b.right))
+            stack.append((a.left, b.left))
+        elif a != b:
+            return False
+    return True
+
+
 class _Unary(Formula):
     __slots__ = ("operand",)
     __hash__ = Formula.__hash__
@@ -82,10 +103,7 @@ class _Unary(Formula):
         self._hash = hash((self._tag, operand._hash))
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is type(self) and other._hash == self._hash
-                and other.operand == self.operand)
+        return self is other or _equal(self, other)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.operand!r})"
@@ -101,11 +119,7 @@ class _Binary(Formula):
         self.right = right
         self._hash = hash((self._tag, left._hash, right._hash))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is type(self) and other._hash == self._hash
-                and other.left == self.left and other.right == self.right)
+    __eq__ = _Unary.__eq__
 
     def __repr__(self):
         return f"{type(self).__name__}({self.left!r}, {self.right!r})"

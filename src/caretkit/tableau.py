@@ -571,20 +571,12 @@ def _table(f: Formula, cap: int | None) -> _Tableau:
     # read once: a formula and its table are replaced together, so a
     # concurrent caller can at worst rebuild a table
     memo = _memo
-    if memo is not None and _same(memo[0], f):
+    if memo is not None and memo[0] == f:
         memo[1].check_cap(cap)
         return memo[1]
     tab = _Tableau(closure(f, "ltl"), cap)
     _memo = (f, tab) if tab.count <= _MEMO_ATOMS else None
     return tab
-
-
-def _same(f: Formula, g: Formula) -> bool:
-    # equality recurses once per level; past the recursion limit, rebuild
-    try:
-        return f == g
-    except RecursionError:
-        return False
 
 
 def decide_valid(f: Formula, cls: str,

@@ -1,9 +1,13 @@
 """Trace types and the call/return matching machinery.
 
-Three trace shapes: finite traces, lassos (infinite traces given as prefix +
-repeated loop) and structured lassos whose states additionally carry a
-call/ret/int tag.  Structured traces are always infinite; a finite structured
-trace is not a representable object here.
+Every trace has one shape: a prefix of states, then a loop repeated
+forever.  An empty loop means the trace is finite and ends after its
+prefix.  A state is a set of propositions, or on a structured lasso a
+(propositions, call/ret/int tag) pair.  FiniteTrace (empty loop), LassoTrace
+and StructuredLassoTrace (nonempty loop) are sibling types over that one
+shape: their constructors check which traces they accept, and positions are
+read the same way on all three.  A finite structured trace is not a
+representable object here.  Traces are immutable.
 
 Positions are 0-based.  On a lasso, position i beyond the prefix denotes the
 state at offset (i - prefix_len) mod loop_len inside the loop, and every
@@ -39,102 +43,91 @@ class StateTag(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True, weakref_slot=True)
-class FiniteTrace:
-    """A nonempty finite sequence of proposition sets."""
+class _Trace:
+    """A prefix of states, then a loop repeated forever; finite when the loop
+    is empty.  Equality holds within one trace type only."""
 
-    states: tuple[frozenset[str], ...]
+    prefix: tuple
+    loop: tuple
 
-    def __post_init__(self):
-        states = tuple(frozenset(s) for s in self.states)
+    @property
+    def prefix_len(self) -> int:
+        return len(self.prefix)
+
+    @property
+    def loop_len(self) -> int:
+        return len(self.loop)
+
+    def canonical(self, i: int) -> int:
+        p = len(self.prefix)
+        if 0 <= i < p:
+            return i
+        if i < 0:
+            raise IndexError(f"negative position {i}")
+        if not self.loop:
+            raise IndexError(f"position {i} outside trace of length {p}")
+        return p + (i - p) % len(self.loop)
+
+    def state_at(self, i: int):
+        c = self.canonical(i)
+        p = len(self.prefix)
+        return self.prefix[c] if c < p else self.loop[c - p]
+
+    def props_at(self, i: int) -> frozenset[str]:
+        s = self.state_at(i)
+        return s[0] if type(s) is tuple else s
+
+
+class FiniteTrace(_Trace):
+    """A nonempty finite sequence of proposition sets: an empty loop."""
+
+    __slots__ = ()
+
+    def __init__(self, states):
+        states = tuple(frozenset(s) for s in states)
         if not states:
             raise ValueError("a finite trace needs at least one state")
-        object.__setattr__(self, "states", states)
+        super().__init__(states, ())
+
+    @property
+    def states(self) -> tuple[frozenset[str], ...]:
+        return self.prefix
 
     @property
     def length(self) -> int:
-        return len(self.states)
-
-    def props_at(self, i: int) -> frozenset[str]:
-        if not 0 <= i < len(self.states):
-            raise IndexError(f"position {i} outside trace of length {len(self.states)}")
-        return self.states[i]
+        return len(self.prefix)
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
-class LassoTrace:
+class LassoTrace(_Trace):
     """An infinite trace: finite prefix followed by a nonempty loop forever."""
 
-    prefix: tuple[frozenset[str], ...]
-    loop: tuple[frozenset[str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        prefix = tuple(frozenset(s) for s in self.prefix)
-        loop = tuple(frozenset(s) for s in self.loop)
+    def __init__(self, prefix, loop):
+        prefix = tuple(frozenset(s) for s in prefix)
+        loop = tuple(frozenset(s) for s in loop)
         if not loop:
             raise ValueError("a lasso needs a nonempty loop")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "loop", loop)
-
-    @property
-    def prefix_len(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def loop_len(self) -> int:
-        return len(self.loop)
-
-    def canonical(self, i: int) -> int:
-        p = len(self.prefix)
-        return i if i < p else p + (i - p) % len(self.loop)
-
-    def props_at(self, i: int) -> frozenset[str]:
-        c = self.canonical(i)
-        p = len(self.prefix)
-        return self.prefix[c] if c < p else self.loop[c - p]
+        super().__init__(prefix, loop)
 
 
-@dataclass(frozen=True, slots=True)
-class StructuredLassoTrace:
+class StructuredLassoTrace(_Trace):
     """An infinite lasso whose states are (propositions, tag) pairs."""
 
-    prefix: tuple[tuple[frozenset[str], StateTag], ...]
-    loop: tuple[tuple[frozenset[str], StateTag], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        prefix = tuple((frozenset(p), StateTag(t)) for p, t in self.prefix)
-        loop = tuple((frozenset(p), StateTag(t)) for p, t in self.loop)
+    def __init__(self, prefix, loop):
+        prefix = tuple((frozenset(p), StateTag(t)) for p, t in prefix)
+        loop = tuple((frozenset(p), StateTag(t)) for p, t in loop)
         if not loop:
             raise ValueError("a structured lasso needs a nonempty loop")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "loop", loop)
-
-    @property
-    def prefix_len(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def loop_len(self) -> int:
-        return len(self.loop)
-
-    def canonical(self, i: int) -> int:
-        p = len(self.prefix)
-        return i if i < p else p + (i - p) % len(self.loop)
-
-    def state_at(self, i: int) -> tuple[frozenset[str], StateTag]:
-        c = self.canonical(i)
-        p = len(self.prefix)
-        return self.prefix[c] if c < p else self.loop[c - p]
-
-    def props_at(self, i: int) -> frozenset[str]:
-        return self.state_at(i)[0]
+        super().__init__(prefix, loop)
 
     def tag_at(self, i: int) -> StateTag:
         return self.state_at(i)[1]
 
 
 def canonical_position(t: LassoTrace | StructuredLassoTrace, i: int) -> int:
-    if i < 0:
-        raise IndexError(f"negative position {i}")
     return t.canonical(i)
 
 
@@ -335,24 +328,18 @@ def parse_trace(text: str) -> FiniteTrace | LassoTrace | StructuredLassoTrace:
     return FiniteTrace(tuple(p for p, _ in prefix))
 
 
-def _state_line(props: frozenset[str], tag: StateTag | None) -> str:
+def _state_line(state) -> str:
+    props, tag = state if type(state) is tuple else (state, None)
     body = " ".join(sorted(props)) if props else "-"
     return f"@{tag.value} {body}" if tag is not None else body
 
 
 def trace_to_text(t: FiniteTrace | LassoTrace | StructuredLassoTrace) -> str:
     """Inverse of parse_trace, with propositions in sorted order."""
-    lines = []
-    if isinstance(t, FiniteTrace):
-        lines.extend(_state_line(s, None) for s in t.states)
-    elif isinstance(t, LassoTrace):
-        lines.extend(_state_line(s, None) for s in t.prefix)
-        lines.append("loop:")
-        lines.extend(_state_line(s, None) for s in t.loop)
-    elif isinstance(t, StructuredLassoTrace):
-        lines.extend(_state_line(p, tag) for p, tag in t.prefix)
-        lines.append("loop:")
-        lines.extend(_state_line(p, tag) for p, tag in t.loop)
-    else:
+    if not isinstance(t, _Trace):
         raise TypeError(f"not a trace: {t!r}")
+    lines = [_state_line(s) for s in t.prefix]
+    if t.loop:
+        lines.append("loop:")
+        lines.extend(_state_line(s) for s in t.loop)
     return "\n".join(lines) + "\n"

@@ -180,6 +180,18 @@ def test_structural_equality_and_hash():
     assert a != Until(Prop("p"), And(TRUE, Prop("q")))
 
 
+def test_deep_equality_does_not_recurse():
+    def chain(n, name="p"):
+        f = Prop(name)
+        for k in range(n):
+            f = Not(f) if k % 2 else And(f, TRUE)
+        return f
+
+    # two distinct 3,000-deep formulas, far past the recursion limit
+    assert chain(3000) == chain(3000)
+    assert chain(3000) != chain(3000, "q")
+
+
 # ---------------------------------------------------------------------------
 # Sizes and negation
 

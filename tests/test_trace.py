@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caretkit.semantics import EvalError, eval_ltl
+from caretkit.syntax import TRUE
 from caretkit.trace import (
     INCONCLUSIVE,
     FiniteTrace,
@@ -251,6 +253,30 @@ def test_traces_carry_no_instance_dict():
         assert not hasattr(t, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(t, dataclasses.fields(t)[0].name, ())
+
+
+def test_trace_types_are_distinct_siblings():
+    # one shape, three types: none is an instance of another, and traces of
+    # different types are never equal
+    types = (FiniteTrace, LassoTrace, StructuredLassoTrace)
+    traces = (FiniteTrace((E,)), LassoTrace((), (E,)), struct((), (I,)))
+    for t in traces:
+        for cls in types:
+            assert isinstance(t, cls) == (type(t) is cls)
+        for u in traces:
+            assert (t == u) == (t is u)
+
+
+def test_finite_trace_positions_past_the_end_raise():
+    t = FiniteTrace((E, frozenset({"p"})))
+    assert t.canonical(1) == 1 and t.props_at(1) == {"p"}
+    for i in (2, 7, -1):
+        with pytest.raises(IndexError):
+            t.canonical(i)
+        with pytest.raises(IndexError):
+            t.props_at(i)
+    with pytest.raises(EvalError, match="position 2 outside finite trace of length 2"):
+        eval_ltl(t, 2, TRUE)
 
 
 # ---------------------------------------------------------------------------
