@@ -14,14 +14,10 @@ import argparse
 import json
 import sys
 
-from .proof import (
-    ProofError, ProofFormatError, SYSTEM_IDS, check_proof, list_axioms,
-    parse_proof,
-)
 from .semantics import EvalError, eval_caret, eval_ltl
 from .syntax import (
-    CLASSES, DEFAULT_CLOSURE_CAP, ClosureCapError, Not, ParseError,
-    parse_formula, print_formula,
+    CLASSES, DEFAULT_CLOSURE_CAP, SYSTEM_IDS, ClosureCapError, Not,
+    ParseError, ProofError, ProofFormatError, parse_formula, print_formula,
 )
 from .trace import TraceFormatError, parse_trace, trace_to_text
 
@@ -40,6 +36,13 @@ def decide_sat(formula, cls, closure_cap):
     cross-check campaign load numpy."""
     from .tableau import decide_sat as decide
     return decide(formula, cls, closure_cap=closure_cap)
+
+
+def check_proof(script):
+    """The proof checker, imported on first call: only check-proof, axioms
+    and fuzz load proof."""
+    from .proof import check_proof as check
+    return check(script)
 
 
 def _cap(args) -> int | None:
@@ -86,6 +89,7 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
+    from .proof import parse_proof
     with open(args.file, encoding="utf-8") as fh:
         script = parse_proof(fh.read())
     verdict = check_proof(script)
@@ -141,6 +145,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from .proof import list_axioms
     rows = list_axioms(args.system)
     text = "\n".join(f"{name}: {template}" for name, template in rows)
     _emit(args, {"command": "axioms", "verdict": "ok",

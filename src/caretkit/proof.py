@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .syntax import (
-    AbsUntil, AbsWeakNext, And, FALSE, Formula, Not, ParseError, Prop,
-    TrueConst, Until, WeakNext, abs_strong_next, always, implies, is_ltl, lor,
-    parse_formula, props_of,
+    SYSTEM_IDS, AbsUntil, AbsWeakNext, And, FALSE, Formula, Not, ParseError,
+    Prop, ProofError, ProofFormatError, TrueConst, Until, WeakNext,
+    abs_strong_next, always, implies, is_ltl, lor, parse_formula, props_of,
 )
 
 __all__ = [
@@ -44,18 +44,6 @@ _RET = Prop("ret")
 _INT = Prop("int")
 
 MAX_TAUT_LETTERS = 20
-
-
-class ProofError(Exception):
-    """A malformed proof obligation: bad schema, parameter or binding."""
-
-
-class ProofFormatError(Exception):
-    """A proof file that does not parse."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +252,18 @@ _RULES = {
     "RA2": "from phi' -> (!psi & Xa phi') infer phi' -> !(phi Ua psi)",
 }
 
-# Each system's schemas and rules in display order.  Its axiom schemas are
-# the schema entries in the same order; fuzz seed streams are indexed by it.
-_SYSTEMS = {system: tuple(rows.split()) for system, rows in {
-    "ax": "Prop MP T1 T2 T3 RT1 RT2",
-    "ax-gen": "Prop MP T1 T2' T3' RT1 RT2",
-    "ax-inf": "Prop MP T1 T2' T3' RT1 RT2 Inf",
-    "ax-fin": "Prop MP T1 T2' T3' RT1 RT2 Fin",
-    "ax-cr": "Prop MP G1 G2 G3 G4 RG1 RG2 A1 A2 A3 RA1 RA2 C1 C2 C3 C4 C5 C6",
-}.items()}
+# Each system's schemas and rules in display order, one row per system in
+# SYSTEM_IDS order.  Its axiom schemas are the schema entries in the same
+# order; fuzz seed streams are indexed by it.
+_SYSTEMS = {system: tuple(rows.split()) for system, rows in zip(SYSTEM_IDS, (
+    "Prop MP T1 T2 T3 RT1 RT2",                                      # ax
+    "Prop MP T1 T2' T3' RT1 RT2",                                    # ax-gen
+    "Prop MP T1 T2' T3' RT1 RT2 Inf",                                # ax-inf
+    "Prop MP T1 T2' T3' RT1 RT2 Fin",                                # ax-fin
+    "Prop MP G1 G2 G3 G4 RG1 RG2 A1 A2 A3 RA1 RA2 C1 C2 C3 C4 C5 C6",  # ax-cr
+), strict=True)}
 _SYSTEM_SCHEMAS = {system: tuple(n for n in rows if n in SCHEMAS)
                    for system, rows in _SYSTEMS.items()}
-SYSTEM_IDS = tuple(_SYSTEMS)
 
 
 def axiom_schemas(system: str) -> tuple[str, ...]:

@@ -18,6 +18,7 @@ __all__ = [
     "negate", "formula_size", "formula_sort_key", "is_ltl", "props_of",
     "parse_formula", "print_formula", "closure", "ClosureSet", "ParseError",
     "CLASSES", "DEFAULT_CLOSURE_CAP", "ClosureCapError",
+    "SYSTEM_IDS", "ProofError", "ProofFormatError",
 ]
 
 
@@ -515,6 +516,25 @@ DEFAULT_CLOSURE_CAP = 24
 class ClosureCapError(Exception):
     """The closure exceeded the configured size cap, or its atoms need more
     than ``tableau.MAX_FREE_BITS`` free bits."""
+
+
+# The proof systems' ids and the proof checker's two error types live here
+# for the same reason: naming them (as the CLI's parser and error handler
+# do) does not import ``proof``, which compiles every axiom template;
+# ``proof`` re-exports them.
+SYSTEM_IDS = ("ax", "ax-gen", "ax-inf", "ax-fin", "ax-cr")
+
+
+class ProofError(Exception):
+    """A malformed proof obligation: bad schema, parameter or binding."""
+
+
+class ProofFormatError(Exception):
+    """A proof file that does not parse."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
 
 
 class ClosureSet:

@@ -19,6 +19,13 @@ lacking the terminal marker) are eliminated to a fixpoint before searching;
 the searches are plain reachability to a terminal atom for the finite class,
 and reachability to a self-fulfilling strongly connected component for the
 infinite class.  The mixed class accepts either kind of witness.
+
+The table shared by the three classes keeps its atoms in the order their
+free-bit valuations are enumerated, which no search depends on.  Each
+class graph owns the order its searches follow, and so the witness they
+find: it prunes first, then sorts only the surviving atoms, a few percent
+of the table on large closures, lexicographically on their member
+bit-vectors.
 """
 
 from __future__ import annotations
@@ -126,11 +133,13 @@ def _strip(f: Formula) -> tuple[Formula, int]:
 class _Tableau:
     """Shared atom table for one closure: member rows, keys and per-atom data.
 
-    Atom a is entry a of every row in ``member_rows``; atoms are ordered
-    lexicographically on their member bit-vectors in closure order.
-    ``demand``, ``signature``, ``until_present`` and ``until_fulfill`` are
-    fixed-width keys with one bit per weak-next or until base, the first
-    base in the most significant bit.
+    Atom a is entry a of every row in ``member_rows``; the table keeps the
+    atoms in valuation order of their free bits, and ``lex_order`` puts any
+    subset of them in the lexicographic order on member bit-vectors (in
+    closure order) that the searches follow.  ``demand``, ``signature``,
+    ``until_present`` and ``until_fulfill`` are fixed-width keys with one
+    bit per weak-next or until base, the first base in the most significant
+    bit, so a key lies below ``key_space``.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
@@ -190,9 +199,6 @@ class _Tableau:
         for m in core:
             if type(m) is Not:
                 np.logical_not(row(m.operand), out=row(m))
-        order = np.lexsort(member_rows[::-1])
-        for r in member_rows:
-            r[:] = r[order]
 
         def key(bits: list[np.ndarray]) -> np.ndarray:
             # nexts <= MAX_FREE_BITS and untils <= nexts, so 32 bits suffice
@@ -207,6 +213,7 @@ class _Tableau:
         self.props = props
         self.member_rows = member_rows
         self.count = len(keep)
+        self.key_space = 1 << len(nexts)
         self.terminal = row(_TERMINAL_MARK)
         self.fin_viable = row(_FIN_MARK)
         self.origin_bit = row(clo.origin)
@@ -231,6 +238,10 @@ class _Tableau:
             return np.flatnonzero(~self.terminal)
         raise ValueError(f"unknown trace class {cls!r}")
 
+    def lex_order(self, ids: np.ndarray) -> np.ndarray:
+        """The atoms ``ids`` in lexicographic order on member bit-vectors."""
+        return ids[np.lexsort([r[ids] for r in reversed(self.member_rows)])]
+
     def atom(self, a: int) -> Atom:
         members = frozenset(
             m if v else negate(m)
@@ -244,35 +255,35 @@ class _Tableau:
 
 
 class _ClassGraph:
-    """Atoms of one class, bucketed by operand signature and pruned.
+    """Atoms of one class, bucketed by operand signature, pruned, then
+    ordered.
 
-    Buckets are numbered in ascending key order; ``bucket(s)`` lists the
-    live atoms of bucket s in ascending atom order.  ``next_bucket`` maps
-    each live atom to the bucket its successors form, or to -1 when the
-    atom is terminal: after pruning every live non-terminal atom has a
-    successor.
+    A bucket's number is its key: the operand signature its atoms carry.
+    The graph owns the search order: pruning runs first, and only the
+    atoms that survive it are sorted lexicographically on their member
+    bit-vectors, so ``live_ids``, ``roots()`` and every ``bucket(s)`` list
+    atoms in that order.  ``next_bucket`` maps each live atom to the
+    bucket its successors form, or to -1 when the atom is terminal: after
+    pruning every live non-terminal atom has a successor.
     """
 
     def __init__(self, tab: _Tableau, cls: str):
         self.tab = tab
         ids = tab.class_indices(cls)
-        n = len(ids)
-        terminal = tab.terminal[ids]
-        # demanded keys no atom carries get (empty) buckets of their own
-        keys, inv = np.unique(
-            np.concatenate((tab.signature[ids], tab.demand[ids])),
-            return_inverse=True)
-        bucket, wanted = inv[:n], inv[n:]
-        nb = len(keys)
-        live = self._prune(bucket, np.where(terminal, nb, wanted), nb)
+        nb = tab.key_space
+        alive = self._prune(tab.signature[ids],
+                            np.where(tab.terminal[ids], nb, tab.demand[ids]),
+                            nb)
 
-        self.live_ids = live_ids = ids[live]
-        live_bucket = bucket[live]
-        self._flat = live_ids[np.argsort(live_bucket, kind="stable")].tolist()
-        sizes = np.bincount(live_bucket, minlength=nb)
-        self._starts = [0] + np.cumsum(sizes).tolist()
-        next_bucket = np.where(terminal[live], -1, wanted[live])
-        self.next_bucket = dict(zip(live_ids.tolist(), next_bucket.tolist()))
+        self.live_ids = live_ids = tab.lex_order(ids[alive])
+        live = live_ids.tolist()
+        buckets: dict[int, list[int]] = {}
+        for a, s in zip(live, tab.signature[live_ids].tolist()):
+            buckets.setdefault(s, []).append(a)
+        self._buckets = buckets
+        next_bucket = tab.demand[live_ids].astype(np.int64)
+        next_bucket[tab.terminal[live_ids]] = -1
+        self.next_bucket = dict(zip(live, next_bucket.tolist()))
 
     @staticmethod
     def _prune(bucket: np.ndarray, wanted: np.ndarray, nb: int) -> np.ndarray:
@@ -304,7 +315,7 @@ class _ClassGraph:
         return live
 
     def bucket(self, s: int) -> list[int]:
-        return self._flat[self._starts[s]:self._starts[s + 1]]
+        return self._buckets[s]
 
     def successors(self, a: int) -> list[int]:
         s = self.next_bucket[a]
@@ -320,7 +331,7 @@ class _ClassGraph:
         next_bucket = self.next_bucket
         parent: dict[int, int] = {}
         seen: set[int] = set()
-        seen_buckets = [False] * (len(self._starts) - 1)
+        seen_buckets: set[int] = set()
         queue: deque[int] = deque()
         for r in self.roots():
             if next_bucket[r] < 0:
@@ -330,9 +341,9 @@ class _ClassGraph:
         while queue:
             a = queue.popleft()
             s = next_bucket[a]
-            if seen_buckets[s]:
+            if s in seen_buckets:
                 continue
-            seen_buckets[s] = True
+            seen_buckets.add(s)
             for b in self.bucket(s):
                 if b in seen:
                     continue
@@ -365,8 +376,10 @@ class _ClassGraph:
         # whole, so the searches below never look past these components
         roots = self.roots()
         comps = _tarjan(succ, roots)
-        until_present = self.tab.until_present.tolist()
-        until_fulfill = self.tab.until_fulfill.tolist()
+        live_ids, tab = self.live_ids, self.tab
+        live = live_ids.tolist()
+        until_present = dict(zip(live, tab.until_present[live_ids].tolist()))
+        until_fulfill = dict(zip(live, tab.until_fulfill[live_ids].tolist()))
         for ci, comp in enumerate(comps):
             for node in comp:
                 scc_of[node] = ci
@@ -388,7 +401,7 @@ class _ClassGraph:
             seen.add(r)
             queue.append(r)
         entry = None
-        for r in sorted(seen):
+        for r in roots:
             if good[scc_of[r]]:
                 entry = r
                 break
@@ -516,10 +529,10 @@ def _tarjan(succ, order):
 def enumerate_atoms(clo: ClosureSet, cls: str,
                     closure_cap: int | None = DEFAULT_CLOSURE_CAP) -> tuple[Atom, ...]:
     """All locally consistent atoms admissible for the class, in the fixed
-    lexicographic order on member bit-vectors.  Desk scale: materialises
-    every atom."""
+    lexicographic order on member bit-vectors.  Desk scale: materialises and
+    sorts every atom, which the decider never does."""
     tab = _Tableau(clo, closure_cap)
-    return tuple(tab.atom(a) for a in tab.class_indices(cls))
+    return tuple(tab.atom(a) for a in tab.lex_order(tab.class_indices(cls)))
 
 
 def build_atom_graph(clo: ClosureSet, cls: str,

@@ -1,5 +1,6 @@
 """The import graph follows the subcommand: only the decider loads numpy,
-and the package's public names are the ones it always exported."""
+only check-proof, axioms and fuzz load proof, and the package's public
+names are the ones it always exported."""
 
 from __future__ import annotations
 
@@ -84,6 +85,20 @@ def test_non_decider_subcommands_never_load_numpy(tmp_path):
         (["fuzz", "--system", "ax", "--instances", "20"], 0),
     )
     assert not loaded["numpy"] and not loaded["caretkit.tableau"]
+
+
+def test_eval_and_decider_subcommands_never_load_proof(tmp_path):
+    caret = tmp_path / "call.trace"
+    caret.write_text("@call -\n@int p\n@ret -\nloop:\n@int -\n")
+    loaded = _after_main(
+        (["eval", "--formula", "p", "--trace", str(FIXTURES / "m1.trace")], 0),
+        (["eval", "--mode", "caret", "--formula", "Xa p",
+          "--trace", str(caret)], 1),
+        (["sat", "--formula", "p", "--class", "fin"], 0),
+        (["valid", "--formula", "p | !p", "--class", "inf"], 0),
+    )
+    assert loaded["caretkit.tableau"]
+    assert not loaded["caretkit.proof"] and not loaded["caretkit.fuzz"]
 
 
 @pytest.mark.parametrize("argv, expected", [

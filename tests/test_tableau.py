@@ -378,7 +378,8 @@ def test_caret_closures_rejected():
 # Fixed-width keys against the packing they replaced.  The reference packs
 # bool rows with packbits and int.from_bytes (any width, first column most
 # significant, zero-padded to whole bytes), orders atoms by that integer and
-# prunes round by round with buckets keyed by it.
+# prunes round by round with buckets keyed by it.  The table keeps its rows
+# unordered; the class graph orders the survivors of pruning.
 
 def _pack_rows(matrix):
     if matrix.shape[1] == 0:
@@ -397,7 +398,7 @@ def _check_against_packing(tab):
         return [v >> pad for v in _pack_rows(cols)]
 
     order = _pack_rows(np.array(tab.member_rows).T)
-    assert order == sorted(set(order))
+    assert len(set(order)) == len(order)
 
     nexts = [m for m in tab.core if type(m) is WeakNext]
     untils = [m for m in tab.core if type(m) is Until]
@@ -419,12 +420,15 @@ def _check_against_packing(tab):
             if not dead:
                 break
             alive -= dead
+        # rows are distinct, so these lists are strictly increasing in the
+        # packed order
+        by_row = sorted(alive, key=order.__getitem__)
         members = {}
-        for a in sorted(alive):
+        for a in by_row:
             members.setdefault(signature[a], []).append(a)
 
         g = _ClassGraph(tab, cls)
-        assert g.live_ids.tolist() == sorted(alive)
+        assert g.live_ids.tolist() == by_row
         key_of = {}
         for a in alive:
             s = g.next_bucket[a]
@@ -444,18 +448,100 @@ def test_keys_and_buckets_match_packing_small_formulas():
         _check_against_packing(_Tableau(closure(f), None))
 
 
-@pytest.mark.parametrize("name, bindings", [
+# Negated axiom instances with 12 to 16 free bits
+HEAVY_INSTANCES = [
     ("T1", {"phi": "X p", "psi": "X (q U p)"}),
     ("T2", {"phi": "X (p U q)", "psi": "X X r & (q U p)"}),
     ("T3", {"phi": "(p U X q) & X X (r U p)"}),
     ("T1", {"phi": "G (p -> X q)", "psi": "X (r U s)"}),
-])
+]
+
+
+def _negated_instance(name, bindings):
+    return Not(build_schema_instance(
+        name, {}, {k: parse_formula(v) for k, v in bindings.items()}))
+
+
+@pytest.mark.parametrize("name, bindings", HEAVY_INSTANCES)
 def test_keys_and_buckets_match_packing_axiom_instances(name, bindings):
-    f = build_schema_instance(
-        name, {}, {k: parse_formula(v) for k, v in bindings.items()})
-    tab = _Tableau(closure(Not(f)), None)
+    tab = _Tableau(closure(_negated_instance(name, bindings)), None)
     assert 12 <= len(tab.props) + sum(type(m) is WeakNext for m in tab.core) <= 16
     _check_against_packing(tab)
+
+
+# ---------------------------------------------------------------------------
+# Ordering only the survivors, against the slow path it replaced: a table
+# whose rows (and keys) are all put in lexicographic order when it is built.
+
+CEILING = parse_formula("G (p -> X q) & G (q -> X r) & F (s & X X p)")
+
+
+class _SortedTableau(_Tableau):
+    def __init__(self, clo, cap):
+        super().__init__(clo, cap)
+        order = np.lexsort(self.member_rows[::-1])
+        for r in self.member_rows:
+            r[:] = r[order]
+        for name in ("demand", "signature", "until_present", "until_fulfill"):
+            setattr(self, name, getattr(self, name)[order])
+
+
+def _on_sorted_tables(monkeypatch, run):
+    with monkeypatch.context() as m:
+        m.setattr(tableau, "_Tableau", _SortedTableau)
+        m.setattr(tableau, "_table",
+                  lambda f, cap: _SortedTableau(closure(f), cap))
+        return run()
+
+
+def test_decisions_match_sorted_tables(monkeypatch):
+    by_size = enumerate_formulas(5)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
+    formulas.append(CEILING)
+
+    def decide_all():
+        return [decide_sat(f, cls, closure_cap=None)
+                for f in formulas for cls in CLASSES]
+
+    expected = _on_sorted_tables(monkeypatch, decide_all)
+    monkeypatch.setattr(tableau, "_memo", None)
+    assert decide_all() == expected
+
+
+def test_atoms_and_graphs_match_sorted_tables(monkeypatch):
+    # enumerate_atoms materialises every atom, so it gets the smaller set
+    by_size = enumerate_formulas(5)
+    heavy = closure(_negated_instance(*HEAVY_INSTANCES[0]))
+    graphs = [closure(g) for n in sorted(by_size) for g in by_size[n]]
+    atoms = graphs[:sum(len(by_size[n]) for n in by_size if n <= 4)]
+
+    def listing():
+        return ([enumerate_atoms(clo, cls, None)
+                 for clo in atoms + [heavy] for cls in CLASSES],
+                [build_atom_graph(clo, cls, None)
+                 for clo in graphs + [heavy] for cls in CLASSES])
+
+    assert listing() == _on_sorted_tables(monkeypatch, listing)
+
+
+def test_only_live_atoms_are_sorted(monkeypatch):
+    tab = _Tableau(closure(CEILING), None)
+    live = {cls: len(_ClassGraph(tab, cls).live_ids) for cls in CLASSES}
+    lengths = []
+    lexsort = np.lexsort
+
+    def recording(keys, *args, **kwargs):
+        lengths.append(len(keys[0]))
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", recording)
+    for cls in CLASSES:
+        monkeypatch.setattr(tableau, "_memo", None)
+        lengths.clear()
+        res = decide_sat(CEILING, cls, closure_cap=None)
+        assert res.satisfiable and eval_ltl(res.model, 0, CEILING) is True
+        assert lengths and max(lengths) <= live[cls] < tab.count
 
 
 # ---------------------------------------------------------------------------
