@@ -177,23 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sat", help="decide satisfiability, print a witness")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--class", dest="cls", required=True, choices=CLASSES)
-    p.add_argument("--cap", type=_non_negative, default=None,
-                   help="closure size cap (0 lifts the cap; default "
-                   f"{DEFAULT_CLOSURE_CAP})")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_sat)
-
-    p = sub.add_parser("valid", help="decide validity, print a countermodel")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--class", dest="cls", required=True, choices=CLASSES)
-    p.add_argument("--cap", type=_non_negative, default=None,
-                   help="closure size cap (0 lifts the cap; default "
-                   f"{DEFAULT_CLOSURE_CAP})")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_valid)
+    for name, summary, func in (
+            ("sat", "decide satisfiability, print a witness", _cmd_sat),
+            ("valid", "decide validity, print a countermodel", _cmd_valid)):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--formula", required=True)
+        p.add_argument("--class", dest="cls", required=True, choices=CLASSES)
+        p.add_argument("--cap", type=_non_negative, default=None,
+                       help="closure size cap (0 lifts the cap; default "
+                       f"{DEFAULT_CLOSURE_CAP})")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("check-proof", help="check a proof script file")
     p.add_argument("file")

@@ -3,9 +3,10 @@
 Truth values are computed bottom-up per subformula as integer bitmasks over
 the canonical positions of the trace (bit i = truth at canonical position i).
 Weak next on a finite trace is vacuously true at the last state; until is the
-least fixpoint of its strong-next unfolding, which converges within one pass
-per canonical position because any satisfied until has a witness at most one
-canonical round away.
+least fixpoint of its strong-next unfolding, settled for all positions at
+once by parallel-prefix doubling in about log2 n rounds of whole-mask
+operations.  A lasso needs only one extra copy of its loop for that, because
+any satisfied until has a witness at most one canonical round away.
 
 Abstract operators read the abstract successor map of a structured lasso,
 built once per context at canonical positions by one call/return stack pass
@@ -68,11 +69,29 @@ class EvalContext:
         p = self.trace.prefix_len
         return (v >> 1) | (((v >> p) & 1) << (self.n - 1))
 
-    def _strong_next(self, v: int) -> int:
-        if self.finite:
-            return v >> 1
-        p = self.trace.prefix_len
-        return (v >> 1) | (((v >> p) & 1) << (self.n - 1))
+    def _until(self, a: int, b: int) -> int:
+        """Least fixpoint of u = b | (a & strong next u), by parallel-prefix
+        doubling (Kogge & Stone, 1973).
+
+        Before the round with step k, b holds at i where some j in
+        [i, i + k) has b and a holds throughout [i, j), and a holds at i
+        where a holds throughout [i, i + k).  Positions past the end hold
+        neither, so a empties after about log2 n rounds; then every window
+        reaches a position without a, past which no witness counts, and b
+        is exact.  A lasso first gets one copy of its loop above the last
+        state: from a loop position the first witness, if any, lies within
+        one turn of the loop.
+        """
+        if not self.finite:
+            p, n = self.trace.prefix_len, self.n
+            a |= (a >> p) << n
+            b |= (b >> p) << n
+        k = 1
+        while a:
+            b |= a & (b >> k)
+            a &= a >> k
+            k <<= 1
+        return b & self.full
 
     def _bits(self, v: int) -> str:
         """Truth per canonical position as '0'/'1', position 0 first."""
@@ -141,8 +160,7 @@ class EvalContext:
         elif t is WeakNext:
             m = self._weak_next(self.truth_mask(f.operand))
         elif t is Until:
-            m = self._lfp(self.truth_mask(f.left), self.truth_mask(f.right),
-                          self._strong_next)
+            m = self._until(self.truth_mask(f.left), self.truth_mask(f.right))
         elif t is AbsWeakNext:
             self._need_structured()
             m = self._weak_abs_next(self.truth_mask(f.operand))
@@ -154,15 +172,6 @@ class EvalContext:
             raise TypeError(f"not a formula node: {f!r}")
         self._memo[f] = m
         return m
-
-    @staticmethod
-    def _lfp(a: int, b: int, step) -> int:
-        u = b
-        while True:
-            nu = b | (a & step(u))
-            if nu == u:
-                return u
-            u = nu
 
     def _need_structured(self):
         if not self.structured:

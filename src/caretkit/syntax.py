@@ -576,8 +576,6 @@ def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
     """
     if mode not in ("ltl", "caret"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "ltl" and not is_ltl(f):
-        raise ValueError("formula uses abstract operators; closure needs caret mode")
 
     core: set[Formula] = set()
     stack: list[Formula] = [f, Until(TRUE, WeakNext(FALSE))]
@@ -600,6 +598,9 @@ def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
             stack.append(g.left)
             stack.append(g.right)
             stack.append(Not(WeakNext(Not(g))))
+        elif mode == "ltl" and t in (AbsWeakNext, AbsUntil):
+            raise ValueError(
+                "formula uses abstract operators; closure needs caret mode")
         elif t is AbsWeakNext:
             stack.append(g.operand)
             if type(g.operand) is Not:

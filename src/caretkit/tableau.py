@@ -15,10 +15,13 @@ on V's weak-next bits, successors are whole buckets of atoms sharing an
 operand signature, which keeps the graph linear in the number of atoms.
 
 Locally consistent atoms that cannot head any model (no successor despite
-lacking the terminal marker) are eliminated to a fixpoint before searching;
-the searches are plain reachability to a terminal atom for the finite class,
-and reachability to a self-fulfilling strongly connected component for the
-infinite class.  The mixed class accepts either kind of witness.
+lacking the terminal marker) are eliminated to a fixpoint before searching.
+A finite witness is a shortest path from the origin atoms to a terminal
+atom; an infinite one is a shortest path into a self-fulfilling strongly
+connected component, then a loop through it made of shortest paths between
+atoms that fulfil its untils.  One breadth-first search finds every such
+path: the shortest path from given atoms to an atom with a given property.
+The mixed class accepts either kind of witness.
 
 The table shared by the three classes keeps its atoms in the order their
 free-bit valuations are enumerated, which no search depends on.  Each
@@ -39,8 +42,7 @@ import numpy as np
 from .semantics import EvalContext
 from .syntax import (
     CLASSES, DEFAULT_CLOSURE_CAP, And, ClosureCapError, ClosureSet, FALSE,
-    Formula, Not, Prop, TRUE, Until, WeakNext, closure, is_ltl, negate,
-    props_of,
+    Formula, Not, Prop, TRUE, Until, WeakNext, closure, negate, props_of,
 )
 from .trace import FiniteTrace, LassoTrace
 
@@ -165,8 +167,9 @@ class _Tableau:
         # valuations of the free bits, bit k for free[k]; a terminal atom
         # must assert every weak next
         rows = np.arange(1 << len(free), dtype=np.uint32)
-        nexts_mask = np.uint32(sum(1 << free.index(b) for b in nexts))
-        terminal_bit = np.uint32(1 << free.index(_TERMINAL_MARK))
+        nexts_mask = np.uint32(((1 << len(nexts)) - 1) << len(props))
+        terminal_bit = np.uint32(
+            1 << (len(props) + nexts.index(_TERMINAL_MARK)))
         keep = rows[((rows & terminal_bit) == 0)
                     | ((rows & nexts_mask) == nexts_mask)]
         del rows
@@ -264,7 +267,9 @@ class _ClassGraph:
     bit-vectors, so ``live_ids``, ``roots()`` and every ``bucket(s)`` list
     atoms in that order.  ``next_bucket`` maps each live atom to the
     bucket its successors form, or to -1 when the atom is terminal: after
-    pruning every live non-terminal atom has a successor.
+    pruning every live non-terminal atom has a successor.  Both witness
+    searches go through one routine, ``_path``, a breadth-first search
+    over atoms and their buckets.
     """
 
     def __init__(self, tab: _Tableau, cls: str):
@@ -325,41 +330,6 @@ class _ClassGraph:
         live = self.live_ids
         return live[self.tab.origin_bit[live]].tolist()
 
-    # -- finite-class style search: shortest path to a terminal atom ---------
-
-    def terminal_path(self) -> list[int] | None:
-        next_bucket = self.next_bucket
-        parent: dict[int, int] = {}
-        seen: set[int] = set()
-        seen_buckets: set[int] = set()
-        queue: deque[int] = deque()
-        for r in self.roots():
-            if next_bucket[r] < 0:
-                return [r]
-            seen.add(r)
-            queue.append(r)
-        while queue:
-            a = queue.popleft()
-            s = next_bucket[a]
-            if s in seen_buckets:
-                continue
-            seen_buckets.add(s)
-            for b in self.bucket(s):
-                if b in seen:
-                    continue
-                seen.add(b)
-                parent[b] = a
-                if next_bucket[b] < 0:
-                    path = [b]
-                    while path[-1] in parent:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(b)
-        return None
-
-    # -- infinite-class style search: reachable self-fulfilling component ----
-
     def _succ(self, node: int) -> list[int]:
         """Bipartite successors: an atom id leads to its bucket node ~s, a
         bucket node to the bucket's atoms."""
@@ -368,14 +338,54 @@ class _ClassGraph:
         s = self.next_bucket[node]
         return [~s] if s >= 0 else []
 
-    def lasso_chain(self) -> tuple[list[int], list[int]] | None:
+    def _path(self, sources: list[int], hit, within=None) -> list[int] | None:
+        """Shortest atom path from a source to the first atom satisfying
+        ``hit``, breadth-first over the bipartite graph of ``_succ`` and
+        inside the node set ``within`` when one is given; None when no atom
+        is hit.  ``hit`` is tested before the seen check, so the path can
+        return to its own source: a loop closing on itself."""
         succ = self._succ
+        # every node seen, with the node it was reached from (None for a source)
+        parent: dict[int, int | None] = dict.fromkeys(sources)
+        queue = deque(sources)
+        while queue:
+            node = queue.popleft()
+            for nxt in succ(node):
+                if within is not None and nxt not in within:
+                    continue
+                if nxt >= 0 and hit(nxt):
+                    path = [nxt]
+                    while node is not None:
+                        if node >= 0:
+                            path.append(node)
+                        node = parent[node]
+                    path.reverse()
+                    return path
+                if nxt in parent:
+                    continue
+                parent[nxt] = node
+                queue.append(nxt)
+        return None
+
+    # -- finite-class style search: shortest path to a terminal atom ---------
+
+    def terminal_path(self) -> list[int] | None:
+        next_bucket = self.next_bucket
+        roots = self.roots()
+        for r in roots:
+            if next_bucket[r] < 0:
+                return [r]
+        return self._path(roots, lambda a: next_bucket[a] < 0)
+
+    # -- infinite-class style search: reachable self-fulfilling component ----
+
+    def lasso_chain(self) -> tuple[list[int], list[int]] | None:
         scc_of: dict = {}
         good: list[bool] = []
         # a component holding a node reachable from the roots is reachable
         # whole, so the searches below never look past these components
         roots = self.roots()
-        comps = _tarjan(succ, roots)
+        comps = _tarjan(self._succ, roots)
         live_ids, tab = self.live_ids, self.tab
         live = live_ids.tolist()
         until_present = dict(zip(live, tab.until_present[live_ids].tolist()))
@@ -393,69 +403,25 @@ class _ClassGraph:
                 fulfilled |= until_fulfill[a]
             good.append(present & ~fulfilled == 0)
 
-        # breadth-first reachability from the origin atoms
-        parent: dict = {}
-        seen: set = set()
-        queue: deque = deque()
-        for r in roots:
-            seen.add(r)
-            queue.append(r)
-        entry = None
-        for r in roots:
-            if good[scc_of[r]]:
-                entry = r
-                break
-        while queue and entry is None:
-            node = queue.popleft()
-            for nxt in succ(node):
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                parent[nxt] = node
-                if nxt >= 0 and good[scc_of[nxt]]:
-                    entry = nxt
-                    break
-                queue.append(nxt)
-        if entry is None:
-            return None
+        def in_good(a: int) -> bool:
+            return good[scc_of[a]]
 
-        prefix = []
-        node = entry
-        while node in parent:
-            node = parent[node]
-            if node >= 0:
-                prefix.append(node)
-        prefix.reverse()
+        # the shortest path from the origin atoms into a good component
+        path = (next(([r] for r in roots if in_good(r)), None)
+                or self._path(roots, in_good))
+        if path is None:
+            return None
+        prefix, entry = path[:-1], path[-1]
 
         comp = set(comps[scc_of[entry]])
 
-        def scc_path(src: int, targets: set[int], allow_empty: bool) -> list[int]:
-            """Shortest atom path src -> target inside the component."""
-            if allow_empty and src in targets:
-                return []
-            par: dict = {}
-            seen2 = {src}
-            q: deque = deque([src])
-            while q:
-                nd = q.popleft()
-                for nxt in succ(nd):
-                    if nxt not in comp:
-                        continue
-                    if nxt >= 0 and nxt in targets:
-                        path = [nxt]
-                        node = nd
-                        while node != src:
-                            if node >= 0:
-                                path.append(node)
-                            node = par[node]
-                        path.reverse()
-                        return path
-                    if nxt in seen2:
-                        continue
-                    seen2.add(nxt)
-                    par[nxt] = nd
-                    q.append(nxt)
-            raise AssertionError("self-fulfilling component lost a target")
+        def scc_path(src: int, targets: set[int]) -> list[int]:
+            """Shortest non-empty atom path src -> target inside the
+            component, src excluded."""
+            path = self._path([src], targets.__contains__, comp)
+            if path is None:
+                raise AssertionError("self-fulfilling component lost a target")
+            return path[1:]
 
         needed = 0
         comp_atoms = [n for n in comp if n >= 0]
@@ -469,10 +435,10 @@ class _ClassGraph:
             if any((until_fulfill[a] >> j) & 1 for a in loop):
                 continue
             targets = {a for a in comp_atoms if (until_fulfill[a] >> j) & 1}
-            seg = scc_path(current, targets, allow_empty=False)
+            seg = scc_path(current, targets)
             loop.extend(seg)
             current = seg[-1]
-        closing = scc_path(current, {entry}, allow_empty=False)
+        closing = scc_path(current, {entry})
         loop.extend(closing[:-1])
         return prefix, loop
 
@@ -557,8 +523,6 @@ def decide_sat(f: Formula, cls: str,
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown trace class {cls!r}")
-    if not is_ltl(f):
-        raise ValueError("decide_sat handles the ltl fragment only")
     tab = _table(f, closure_cap)
     g = _ClassGraph(tab, cls)
     if cls in ("fin", "gen"):

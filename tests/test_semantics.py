@@ -196,6 +196,46 @@ def test_abs_until_matches_literal_walk(t, f, g, i):
 
 
 # ---------------------------------------------------------------------------
+# Until against the least fixpoint b | (a & strong next u), iterated a round
+# at a time: the reference for the doubling evaluation of U.
+
+def _until_fixpoint(ctx, a, b):
+    n, p = ctx.n, ctx.trace.prefix_len
+
+    def strong_next(v):
+        if ctx.finite:
+            return v >> 1
+        return (v >> 1) | (((v >> p) & 1) << (n - 1))
+
+    u = b
+    while True:
+        nu = b | (a & strong_next(u))
+        if nu == u:
+            return u
+        u = nu
+
+
+# plain traces of up to 30 states, beside the short ones of test_trace
+_long_traces = st.one_of(
+    st.builds(FiniteTrace, st.lists(st.just(E), min_size=1, max_size=30).map(tuple)),
+    st.builds(LassoTrace, st.lists(st.just(E), max_size=15).map(tuple),
+              st.lists(st.just(E), min_size=1, max_size=15).map(tuple)),
+)
+
+
+@settings(max_examples=400)
+@given(st.one_of(finite_traces, lasso_traces, structured_lassos, _long_traces),
+       ltl_formulas, ltl_formulas, st.data())
+def test_until_matches_round_by_round_fixpoint(t, f, g, data):
+    ctx = EvalContext(t)
+    a, b = ctx.truth_mask(f), ctx.truth_mask(g)
+    assert ctx.truth_mask(Until(f, g)) == _until_fixpoint(ctx, a, b)
+    a = data.draw(st.integers(0, ctx.full))
+    b = data.draw(st.integers(0, ctx.full))
+    assert ctx._until(a, b) == _until_fixpoint(ctx, a, b)
+
+
+# ---------------------------------------------------------------------------
 # Abstract operators against the literal fixpoint b | (a & strong abstract
 # next u), iterated a round at a time from per-position abstract_successor
 # calls: the reference for the one-walk evaluation of Ua.
@@ -292,6 +332,25 @@ def test_caret_eval_scales_to_100k_states(text, trace):
     assert 0 <= mask < 1 << n
     if trace == "all-int":
         assert mask == 0  # r holds nowhere
+
+
+# Scale: plain until settles every position by doubling in about 0.01 s
+# for both cases below; the round-by-round fixpoint took 1.0 s for `F q`
+# and 0.6 s for `p U q` (Python 3.11, shared 2-vCPU box).
+@pytest.mark.parametrize("text, trace", [("F q", "lasso"), ("p U q", "finite")])
+def test_until_scales_to_100k_states(text, trace):
+    n = 100_000
+    p, q = frozenset({"p"}), frozenset({"q"})
+    if trace == "lasso":
+        # q only at the last loop state: every position waits a whole turn
+        t = LassoTrace((E,) * (n // 4), (E,) * (n - n // 4 - 1) + (q,))
+    else:
+        t = FiniteTrace((p,) * (n - 1) + (q,))
+    f = parse_formula(text)
+    start = time.perf_counter()
+    mask = EvalContext(t).truth_mask(f)
+    assert time.perf_counter() - start < 10.0
+    assert mask == (1 << n) - 1
 
 
 @given(structured_lassos, caret_formulas, st.integers(0, 20))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import weakref
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -542,6 +542,172 @@ def test_only_live_atoms_are_sorted(monkeypatch):
         res = decide_sat(CEILING, cls, closure_cap=None)
         assert res.satisfiable and eval_ltl(res.model, 0, CEILING) is True
         assert lengths and max(lengths) <= live[cls] < tab.count
+
+
+# ---------------------------------------------------------------------------
+# One breadth-first search for both witness kinds, against the searches it
+# replaced: an atom-level BFS to a terminal atom, and a bipartite BFS into a
+# self-fulfilling component with its own BFS per loop segment.
+
+class _SeparateSearchGraph(_ClassGraph):
+    def terminal_path(self):
+        next_bucket = self.next_bucket
+        parent = {}
+        seen = set()
+        seen_buckets = set()
+        queue = deque()
+        for r in self.roots():
+            if next_bucket[r] < 0:
+                return [r]
+            seen.add(r)
+            queue.append(r)
+        while queue:
+            a = queue.popleft()
+            s = next_bucket[a]
+            if s in seen_buckets:
+                continue
+            seen_buckets.add(s)
+            for b in self.bucket(s):
+                if b in seen:
+                    continue
+                seen.add(b)
+                parent[b] = a
+                if next_bucket[b] < 0:
+                    path = [b]
+                    while path[-1] in parent:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
+                queue.append(b)
+        return None
+
+    def lasso_chain(self):
+        succ = self._succ
+        scc_of = {}
+        good = []
+        roots = self.roots()
+        comps = tableau._tarjan(succ, roots)
+        live_ids, tab = self.live_ids, self.tab
+        live = live_ids.tolist()
+        until_present = dict(zip(live, tab.until_present[live_ids].tolist()))
+        until_fulfill = dict(zip(live, tab.until_fulfill[live_ids].tolist()))
+        for ci, comp in enumerate(comps):
+            for node in comp:
+                scc_of[node] = ci
+            atoms = [n for n in comp if n >= 0]
+            if len(comp) < 2 or not atoms:
+                good.append(False)
+                continue
+            present = fulfilled = 0
+            for a in atoms:
+                present |= until_present[a]
+                fulfilled |= until_fulfill[a]
+            good.append(present & ~fulfilled == 0)
+
+        parent = {}
+        seen = set()
+        queue = deque()
+        for r in roots:
+            seen.add(r)
+            queue.append(r)
+        entry = None
+        for r in roots:
+            if good[scc_of[r]]:
+                entry = r
+                break
+        while queue and entry is None:
+            node = queue.popleft()
+            for nxt in succ(node):
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                parent[nxt] = node
+                if nxt >= 0 and good[scc_of[nxt]]:
+                    entry = nxt
+                    break
+                queue.append(nxt)
+        if entry is None:
+            return None
+
+        prefix = []
+        node = entry
+        while node in parent:
+            node = parent[node]
+            if node >= 0:
+                prefix.append(node)
+        prefix.reverse()
+
+        comp = set(comps[scc_of[entry]])
+
+        def scc_path(src, targets, allow_empty):
+            if allow_empty and src in targets:
+                return []
+            par = {}
+            seen2 = {src}
+            q = deque([src])
+            while q:
+                nd = q.popleft()
+                for nxt in succ(nd):
+                    if nxt not in comp:
+                        continue
+                    if nxt >= 0 and nxt in targets:
+                        path = [nxt]
+                        node = nd
+                        while node != src:
+                            if node >= 0:
+                                path.append(node)
+                            node = par[node]
+                        path.reverse()
+                        return path
+                    if nxt in seen2:
+                        continue
+                    seen2.add(nxt)
+                    par[nxt] = nd
+                    q.append(nxt)
+            raise AssertionError("self-fulfilling component lost a target")
+
+        needed = 0
+        comp_atoms = [n for n in comp if n >= 0]
+        for a in comp_atoms:
+            needed |= until_present[a]
+        loop = [entry]
+        current = entry
+        for j in range(needed.bit_length()):
+            if not (needed >> j) & 1:
+                continue
+            if any((until_fulfill[a] >> j) & 1 for a in loop):
+                continue
+            targets = {a for a in comp_atoms if (until_fulfill[a] >> j) & 1}
+            seg = scc_path(current, targets, allow_empty=False)
+            loop.extend(seg)
+            current = seg[-1]
+        closing = scc_path(current, {entry}, allow_empty=False)
+        loop.extend(closing[:-1])
+        return prefix, loop
+
+
+def test_decisions_match_separate_searches(monkeypatch):
+    by_size = enumerate_formulas(5)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
+    formulas.append(CEILING)
+
+    def decide_all():
+        return [decide_sat(f, cls, closure_cap=None)
+                for f in formulas for cls in CLASSES]
+
+    with monkeypatch.context() as m:
+        m.setattr(tableau, "_ClassGraph", _SeparateSearchGraph)
+        expected = decide_all()
+    assert decide_all() == expected
+
+
+def test_one_atom_loop_closes_on_itself():
+    # the loop search must be able to return to its own source: a search
+    # that tests seen before the target loses this witness
+    res = decide_sat(parse_formula("G p"), "inf", closure_cap=None)
+    assert res.witness.atoms == () and len(res.witness.loop) == 1
+    assert res.model == LassoTrace((), (frozenset({"p"}),))
 
 
 # ---------------------------------------------------------------------------
