@@ -52,23 +52,39 @@ MAX_TAUT_LETTERS = 20
 def expand_cr(c: int, m: int, n: int, f: Formula) -> Formula:
     """The counting formula: between here and the first f-state there are
     exactly m calls and n returns, never dipping more than c returns below
-    par.  Defined for c, m, n >= 0 with c + m >= n."""
+    par.  Defined for c, m, n >= 0 with c + m >= n.
+
+    The formula is built as a DAG: the branches reach each (c, m, n) by
+    many orders of calls and returns, and each is built once, so the build
+    is polynomial rather than exponential in m and n."""
     if c < 0 or m < 0 or n < 0 or c + m < n:
         raise ValueError(
             f"parameter violation: need c,m,n >= 0 and c+m >= n, got {(c, m, n)}")
-    if m == 0 and n == 0:
-        return Until(_INT, f)
-    call_branch = None
-    if m > 0:
-        call_branch = Until(
-            _INT, And(_CALL, WeakNext(expand_cr(c + 1, m - 1, n, f))))
-    if n == 0 or (m > 0 and c == 0):
-        return call_branch
-    ret_branch = Until(
-        _INT, And(_RET, WeakNext(expand_cr(c - 1, m, n - 1, f))))
-    if m == 0:
-        return ret_branch
-    return lor(call_branch, ret_branch)
+    # every recursive call below keeps the parameters valid
+    built: dict[tuple[int, int, int], Formula] = {}
+
+    def expand(c: int, m: int, n: int) -> Formula:
+        got = built.get((c, m, n))
+        if got is not None:
+            return got
+        if m == 0 and n == 0:
+            out = Until(_INT, f)
+        else:
+            call_branch = ret_branch = None
+            if m > 0:
+                call_branch = Until(
+                    _INT, And(_CALL, WeakNext(expand(c + 1, m - 1, n))))
+            if n > 0 and (m == 0 or c > 0):
+                ret_branch = Until(
+                    _INT, And(_RET, WeakNext(expand(c - 1, m, n - 1))))
+            if call_branch is None or ret_branch is None:
+                out = call_branch or ret_branch
+            else:
+                out = lor(call_branch, ret_branch)
+        built[c, m, n] = out
+        return out
+
+    return expand(c, m, n)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ marker and, for every weak-next formula in the closure, the formula is in V
 exactly when its operand is in W.  Since the requirement on W depends only
 on V's weak-next bits, successors are whole buckets of atoms sharing an
 operand signature, which keeps the graph linear in the number of atoms.
+The weak-next bits of a valuation, read as a number, are that demanded
+signature.
 
 Locally consistent atoms that cannot head any model (no successor despite
 lacking the terminal marker) are eliminated to a fixpoint before searching.
@@ -21,7 +23,10 @@ atom; an infinite one is a shortest path into a self-fulfilling strongly
 connected component, then a loop through it made of shortest paths between
 atoms that fulfil its untils.  One breadth-first search finds every such
 path: the shortest path from given atoms to an atom with a given property.
-The mixed class accepts either kind of witness.
+The mixed class accepts either kind of witness, and is answered from the
+other two: a finite witness when there is one, else an infinite one.  Only
+the infinite search reads the until keys, so they are built for the atoms
+that survive pruning.
 
 The table shared by the three classes keeps its atoms in the order their
 free-bit valuations are enumerated, which no search depends on.  Each
@@ -71,11 +76,11 @@ _LABELS: weakref.WeakValueDictionary[tuple[str, ...], frozenset[str]] = \
 _MODELS: weakref.WeakValueDictionary[tuple, FiniteTrace | LassoTrace] = \
     weakref.WeakValueDictionary()
 
-# The last formula decided and its table, so that deciding one formula in
-# several classes in a row builds its closure and table once.  Only tables
-# of at most _MEMO_ATOMS atoms are kept: the callers that decide larger
-# formulas ask one class each, and a larger table held between calls is
-# only resident memory.
+# The last formula decided and its table, with the witnesses found on it, so
+# that deciding one formula in several classes in a row builds its closure
+# and table once.  Only tables of at most _MEMO_ATOMS atoms are kept: the
+# callers that decide larger formulas ask one class each, and a larger table
+# held between calls is only resident memory.
 _MEMO_ATOMS = 1 << 12
 _memo: tuple[Formula, _Tableau] | None = None
 
@@ -132,16 +137,31 @@ def _strip(f: Formula) -> tuple[Formula, int]:
     return f, parity
 
 
+def _key(bits: list[np.ndarray], n: int) -> np.ndarray:
+    """Fixed-width keys of n atoms from bool rows, the first row in the most
+    significant bit."""
+    # nexts <= MAX_FREE_BITS and untils <= nexts, so 32 bits suffice
+    out = np.zeros(n, dtype=np.uint32)
+    for b in bits:
+        out <<= 1
+        out |= b
+    return out
+
+
 class _Tableau:
     """Shared atom table for one closure: member rows, keys and per-atom data.
 
     Atom a is entry a of every row in ``member_rows``; the table keeps the
     atoms in valuation order of their free bits, and ``lex_order`` puts any
     subset of them in the lexicographic order on member bit-vectors (in
-    closure order) that the searches follow.  ``demand``, ``signature``,
-    ``until_present`` and ``until_fulfill`` are fixed-width keys with one
-    bit per weak-next or until base, the first base in the most significant
-    bit, so a key lies below ``key_space``.
+    closure order) that the searches follow.  ``demand`` and ``signature``
+    are fixed-width keys with one bit per weak-next base, the first base in
+    the most significant bit, so a key lies below ``key_space``.  The
+    valuations hold the weak-next bits above the propositions and in
+    reverse, so ``demand`` is a valuation shifted right; ``until_keys``
+    builds the like keys over the until bases for the atoms asked.
+    ``witnesses`` remembers the witness of each class decided on the table,
+    and never its model, so models stay free to go.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
@@ -157,7 +177,9 @@ class _Tableau:
         props = [b for b in bases if type(b) is Prop]
         nexts = [b for b in bases if type(b) is WeakNext]
         derived = [b for b in bases if type(b) in (And, Until)]
-        free = props + nexts
+        # the weak nexts in reverse, so that shifting the propositions out of
+        # a valuation leaves its demand key
+        free = props + nexts[::-1]
         if len(free) > MAX_FREE_BITS:
             raise ClosureCapError(
                 f"atom enumeration needs {len(free)} free bits (propositions "
@@ -169,7 +191,7 @@ class _Tableau:
         rows = np.arange(1 << len(free), dtype=np.uint32)
         nexts_mask = np.uint32(((1 << len(nexts)) - 1) << len(props))
         terminal_bit = np.uint32(
-            1 << (len(props) + nexts.index(_TERMINAL_MARK)))
+            1 << (len(free) - 1 - nexts.index(_TERMINAL_MARK)))
         keep = rows[((rows & terminal_bit) == 0)
                     | ((rows & nexts_mask) == nexts_mask)]
         del rows
@@ -203,14 +225,6 @@ class _Tableau:
             if type(m) is Not:
                 np.logical_not(row(m.operand), out=row(m))
 
-        def key(bits: list[np.ndarray]) -> np.ndarray:
-            # nexts <= MAX_FREE_BITS and untils <= nexts, so 32 bits suffice
-            out = np.zeros(len(keep), dtype=np.uint32)
-            for b in bits:
-                out <<= 1
-                out |= b
-            return out
-
         untils = [b for b in derived if type(b) is Until]
         self.core = core
         self.props = props
@@ -220,11 +234,13 @@ class _Tableau:
         self.terminal = row(_TERMINAL_MARK)
         self.fin_viable = row(_FIN_MARK)
         self.origin_bit = row(clo.origin)
-        self.demand = key([row(b) for b in nexts])
-        self.signature = key([row(b.operand) for b in nexts])
-        self.until_present = key([row(u) for u in untils])
-        self.until_fulfill = key([row(u.right) for u in untils])
+        self.demand = keep >> np.uint32(len(props))
+        self.signature = _key([row(b.operand) for b in nexts], len(keep))
+        self._until_rows = ([row(u) for u in untils],
+                            [row(u.right) for u in untils])
         self.prop_rows = [row(b) for b in props]
+        # class -> its witness, or None when the class has no model
+        self.witnesses: dict[str, ChainWitness | None] = {}
 
     def check_cap(self, cap: int | None) -> None:
         if cap is not None and self.size > cap:
@@ -244,6 +260,56 @@ class _Tableau:
     def lex_order(self, ids: np.ndarray) -> np.ndarray:
         """The atoms ``ids`` in lexicographic order on member bit-vectors."""
         return ids[np.lexsort([r[ids] for r in reversed(self.member_rows)])]
+
+    def until_keys(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The until keys of the atoms ``ids``: one bit per until base, set
+        where the atom holds the until (present) or its right operand
+        (fulfil)."""
+        present, fulfill = self._until_rows
+        return (_key([r[ids] for r in present], len(ids)),
+                _key([r[ids] for r in fulfill], len(ids)))
+
+    def witness(self, cls: str) -> ChainWitness | None:
+        """The witness of the class, or None when it has no model.
+
+        gen takes fin's witness when there is one, else inf's.  The
+        signature carries the operand of the eventually-terminal marker's
+        unfolding, so every bucket agrees on that marker: the fin graph is
+        the part of the gen graph holding it, and without a finite model
+        the gen graph reachable from the roots is the inf graph's.  So gen
+        asked before fin and inf builds one graph, which answers fin, and
+        inf too when fin has no model.
+        """
+        known = self.witnesses
+        if cls in known:
+            return known[cls]
+        if cls == "gen":
+            if "fin" not in known and "inf" not in known:
+                g = _ClassGraph(self, cls)
+                known["fin"] = self._finite(g)
+                if known["fin"] is None:
+                    known["inf"] = self._lasso(g)
+            w = self.witness("fin") or self.witness("inf")
+        elif cls == "fin":
+            w = self._finite(_ClassGraph(self, cls))
+        else:
+            w = self._lasso(_ClassGraph(self, cls))
+        known[cls] = w
+        return w
+
+    def _finite(self, g: _ClassGraph) -> ChainWitness | None:
+        path = g.terminal_path()
+        if path is None:
+            return None
+        return ChainWitness(kind="finite", atoms=tuple(map(self.atom, path)))
+
+    def _lasso(self, g: _ClassGraph) -> ChainWitness | None:
+        chain = g.lasso_chain()
+        if chain is None:
+            return None
+        prefix, loop = chain
+        return ChainWitness(kind="lasso", atoms=tuple(map(self.atom, prefix)),
+                            loop=tuple(map(self.atom, loop)))
 
     def atom(self, a: int) -> Atom:
         members = frozenset(
@@ -302,9 +368,14 @@ class _ClassGraph:
         if not len(emptied):
             return live
         # cascade over a worklist of emptied buckets, taken a batch at a
-        # time: each bucket empties once, so each atom is visited once
-        by_wanted = np.argsort(wanted, kind="stable")
-        starts = np.searchsorted(wanted[by_wanted], np.arange(nb + 1))
+        # time: each bucket empties once, so each atom is visited once.
+        # Only atoms live and not terminal now can die, so only they are
+        # grouped by the bucket they want.
+        by_wanted = np.flatnonzero(live & (wanted != nb))
+        wants = wanted[by_wanted]
+        by_wanted = by_wanted[np.argsort(wants)]
+        starts = np.zeros(nb + 1, dtype=np.int64)
+        np.cumsum(np.bincount(wants, minlength=nb), out=starts[1:])
         while len(emptied):
             lo = starts[emptied]
             counts = starts[emptied + 1] - lo
@@ -386,10 +457,11 @@ class _ClassGraph:
         # whole, so the searches below never look past these components
         roots = self.roots()
         comps = _tarjan(self._succ, roots)
-        live_ids, tab = self.live_ids, self.tab
+        live_ids = self.live_ids
         live = live_ids.tolist()
-        until_present = dict(zip(live, tab.until_present[live_ids].tolist()))
-        until_fulfill = dict(zip(live, tab.until_fulfill[live_ids].tolist()))
+        present, fulfill = self.tab.until_keys(live_ids)
+        until_present = dict(zip(live, present.tolist()))
+        until_fulfill = dict(zip(live, fulfill.tolist()))
         for ci, comp in enumerate(comps):
             for node in comp:
                 scc_of[node] = ci
@@ -523,23 +595,10 @@ def decide_sat(f: Formula, cls: str,
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown trace class {cls!r}")
-    tab = _table(f, closure_cap)
-    g = _ClassGraph(tab, cls)
-    if cls in ("fin", "gen"):
-        path = g.terminal_path()
-        if path is not None:
-            atoms = tuple(tab.atom(a) for a in path)
-            w = ChainWitness(kind="finite", atoms=atoms)
-            return SatResult(True, w, extract_model(w))
-    if cls in ("inf", "gen"):
-        chain = g.lasso_chain()
-        if chain is not None:
-            prefix, loop = chain
-            w = ChainWitness(kind="lasso",
-                             atoms=tuple(tab.atom(a) for a in prefix),
-                             loop=tuple(tab.atom(a) for a in loop))
-            return SatResult(True, w, extract_model(w))
-    return SatResult(False)
+    w = _table(f, closure_cap).witness(cls)
+    if w is None:
+        return SatResult(False)
+    return SatResult(True, w, extract_model(w))
 
 
 def _table(f: Formula, cap: int | None) -> _Tableau:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,17 @@ def test_check_proof_failure_names_step(capsys, tmp_path):
     assert out.startswith("FAIL step 14:")
 
 
+def test_check_proof_of_a_deep_family_instance_is_quick(capsys, tmp_path):
+    # the C5 body has about 4 ** n paths; built as a DAG it takes
+    # milliseconds
+    script = tmp_path / "c5.prf"
+    script.write_text("system: ax-cr\n1. p ; axiom C5 n=13 bind phi=p\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check-proof", str(script))
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out == "FAIL step 1: formula is not an instance of C5\n"
+
+
 def test_check_proof_json(capsys, tmp_path):
     code, out, _ = run(
         capsys, "check-proof", str(FIXTURES / "derivation_caret.prf"), "--json"
@@ -187,6 +199,16 @@ def test_fuzz_json_stable_for_fixed_seed(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["command"] == "fuzz" and payload["verdict"] == "ok"
+
+
+def test_fuzz_ax_cr_json_frozen(capsys):
+    code, out, _ = run(capsys, "fuzz", "--system", "ax-cr", "--json")
+    counts = ", ".join(f'"{name}": 1000' for name in (
+        "G1", "G2", "G3", "G4", "A1", "A2", "A3",
+        "C1", "C2", "C3", "C4", "C5", "C6"))
+    assert code == 0
+    assert out == ('{"command": "fuzz", "verdict": "ok", "report": '
+                   f'{{"counts": {{{counts}}}, "failures": 0}}}}\n')
 
 
 def test_fuzz_cross_check(capsys):

@@ -31,13 +31,19 @@ from caretkit.proof import (
 )
 from caretkit.semantics import eval_everywhere, eval_ltl
 from caretkit.syntax import (
+    FALSE,
     TRUE,
+    AbsWeakNext,
     And,
     Not,
     Prop,
     TrueConst,
     Until,
     WeakNext,
+    abs_strong_next,
+    always,
+    implies,
+    lor,
     parse_formula,
     print_formula,
 )
@@ -99,6 +105,60 @@ def test_expand_cr_matches_oracle(c, m, n):
     assert expand_cr(c, m, n, f) == parse_formula(
         expand_cr_oracle(c, m, n, "q"), mode="caret"
     )
+
+
+# The tree the recursion used to build, one subformula per path of calls and
+# returns; expand_cr builds each (c, m, n) once and shares it.
+
+def _expand_cr_tree(c, m, n, f):
+    if m == 0 and n == 0:
+        return Until(Prop("int"), f)
+    call_branch = None
+    if m > 0:
+        call_branch = Until(Prop("int"), And(
+            Prop("call"), WeakNext(_expand_cr_tree(c + 1, m - 1, n, f))))
+    if n == 0 or (m > 0 and c == 0):
+        return call_branch
+    ret_branch = Until(Prop("int"), And(
+        Prop("ret"), WeakNext(_expand_cr_tree(c - 1, m, n - 1, f))))
+    if m == 0:
+        return ret_branch
+    return lor(call_branch, ret_branch)
+
+
+def _call_into(body):
+    return And(Prop("call"), WeakNext(body))
+
+
+def test_family_instances_match_tree_built_ones():
+    phi = parse_formula("p U X q", mode="caret")
+    for n in range(8):
+        tree = _expand_cr_tree(0, n, n, And(Prop("ret"), phi))
+        assert build_schema_instance("C5", {"n": n}, {"phi": phi}) == \
+            implies(_call_into(tree), abs_strong_next(phi))
+    for m in range(5):
+        for n in range(m):
+            tree = _expand_cr_tree(0, m, n, always(Not(Prop("ret"))))
+            assert build_schema_instance("C6", {"m": m, "n": n}, {}) == \
+                implies(_call_into(tree), AbsWeakNext(FALSE))
+    for c, m, n in itertools.product(range(4), range(6), range(6)):
+        if c + m >= n:
+            assert expand_cr(c, m, n, phi) == _expand_cr_tree(c, m, n, phi)
+
+
+def test_expand_cr_shares_subformulas():
+    # a tree would hold hundreds of thousands of nodes; the DAG holds a few
+    # per (c, m, n)
+    seen = set()
+    stack = [expand_cr(0, 10, 10, Prop("q"))]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        stack.extend(getattr(g, k) for k in ("operand", "left", "right")
+                     if hasattr(g, k))
+    assert len(seen) < 10 * 11 ** 2
 
 
 def test_expand_cr_rejects_negative_parameters():

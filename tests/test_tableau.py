@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import weakref
 from collections import Counter, deque
@@ -25,13 +26,16 @@ from caretkit.syntax import (
     closure,
     negate,
     parse_formula,
+    print_formula,
     props_of,
 )
 from caretkit.tableau import (
     CLASSES,
     MAX_FREE_BITS,
     Atom,
+    ChainWitness,
     ClosureCapError,
+    SatResult,
     brute_force_sat,
     build_atom_graph,
     decide_sat,
@@ -41,7 +45,7 @@ from caretkit.tableau import (
 )
 from caretkit import tableau
 from caretkit.tableau import _ClassGraph, _Tableau
-from caretkit.trace import FiniteTrace, LassoTrace
+from caretkit.trace import FiniteTrace, LassoTrace, trace_to_text
 
 from exhaustive_oracle import enumerate_formulas
 from test_syntax import ltl_formulas
@@ -406,8 +410,9 @@ def _check_against_packing(tab):
     signature = packed([n.operand for n in nexts])
     assert tab.demand.tolist() == demand
     assert tab.signature.tolist() == signature
-    assert tab.until_present.tolist() == packed(untils)
-    assert tab.until_fulfill.tolist() == packed([u.right for u in untils])
+    present, fulfill = tab.until_keys(np.arange(tab.count))
+    assert present.tolist() == packed(untils)
+    assert fulfill.tolist() == packed([u.right for u in untils])
 
     terminal = row[TERMINAL].tolist()
     in_class = {"gen": [True] * tab.count, "fin": row[FIN_MARK].tolist(),
@@ -482,7 +487,7 @@ class _SortedTableau(_Tableau):
         order = np.lexsort(self.member_rows[::-1])
         for r in self.member_rows:
             r[:] = r[order]
-        for name in ("demand", "signature", "until_present", "until_fulfill"):
+        for name in ("demand", "signature"):
             setattr(self, name, getattr(self, name)[order])
 
 
@@ -589,8 +594,9 @@ class _SeparateSearchGraph(_ClassGraph):
         comps = tableau._tarjan(succ, roots)
         live_ids, tab = self.live_ids, self.tab
         live = live_ids.tolist()
-        until_present = dict(zip(live, tab.until_present[live_ids].tolist()))
-        until_fulfill = dict(zip(live, tab.until_fulfill[live_ids].tolist()))
+        present, fulfill = tab.until_keys(live_ids)
+        until_present = dict(zip(live, present.tolist()))
+        until_fulfill = dict(zip(live, fulfill.tolist()))
         for ci, comp in enumerate(comps):
             for node in comp:
                 scc_of[node] = ci
@@ -826,3 +832,168 @@ def test_shared_model_entry_is_weak():
     del res
     gc.collect()
     assert ref() is None and key not in tableau._MODELS
+
+
+# ---------------------------------------------------------------------------
+# The mixed class answered from fin and inf, against the decision it
+# replaced: one search of the gen class graph for a finite witness, then
+# for a lasso.
+
+def _class_graph_decision(f, cls):
+    tab = _Tableau(closure(f), None)
+    g = _ClassGraph(tab, cls)
+    if cls in ("fin", "gen"):
+        path = g.terminal_path()
+        if path is not None:
+            w = ChainWitness(kind="finite", atoms=tuple(map(tab.atom, path)))
+            return SatResult(True, w, extract_model(w))
+    if cls in ("inf", "gen"):
+        chain = g.lasso_chain()
+        if chain is not None:
+            prefix, loop = chain
+            w = ChainWitness(kind="lasso", atoms=tuple(map(tab.atom, prefix)),
+                             loop=tuple(map(tab.atom, loop)))
+            return SatResult(True, w, extract_model(w))
+    return SatResult(False)
+
+
+def _count_class_graphs(monkeypatch):
+    built = []
+
+    class Counting(_ClassGraph):
+        def __init__(self, tab, cls):
+            built.append(cls)
+            super().__init__(tab, cls)
+
+    monkeypatch.setattr(tableau, "_ClassGraph", Counting)
+    return built
+
+
+@pytest.mark.parametrize("order", [("fin", "inf", "gen"),
+                                   ("gen", "fin", "inf"),
+                                   ("inf", "gen", "fin")])
+def test_mixed_class_matches_class_graph_decisions(monkeypatch, order):
+    by_size = enumerate_formulas(5)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
+    formulas.append(CEILING)
+    expected = {(f, cls): _class_graph_decision(f, cls)
+                for f in formulas for cls in CLASSES}
+    # keep every table between classes, so each later class is answered
+    # from the witnesses found before it
+    monkeypatch.setattr(tableau, "_MEMO_ATOMS", 1 << 20)
+    monkeypatch.setattr(tableau, "_memo", None)
+    built = _count_class_graphs(monkeypatch)
+    for f in formulas:
+        built.clear()
+        for cls in order:
+            assert decide_sat(f, cls, closure_cap=None) == expected[f, cls]
+        fin_sat = expected[f, "fin"].satisfiable
+        assert len(built) == (1 if order[0] == "gen" and not fin_sat else 2)
+
+
+def test_mixed_class_builds_one_graph_without_finite_models(monkeypatch):
+    built = _count_class_graphs(monkeypatch)
+    monkeypatch.setattr(tableau, "_memo", None)
+    for cls in ("fin", "inf", "gen"):
+        decide_sat(parse_formula("(p U q) & X X p"), cls, closure_cap=None)
+    assert built == ["fin", "inf"]
+    built.clear()
+    f = parse_formula("G !(X false) & G F p")     # no finite model
+    for cls in ("gen", "fin", "inf"):
+        decide_sat(f, cls, closure_cap=None)
+    assert built == ["gen"]
+    assert decide_sat(f, "gen", closure_cap=None).witness.kind == "lasso"
+
+
+# ---------------------------------------------------------------------------
+# The prune cascade against the round-by-round fixpoint it computes, on
+# synthetic buckets: each atom sits in a bucket and wants one (nb for a
+# terminal atom).  Chains of buckets whose last bucket is empty make
+# cascades as deep as the chain.
+
+def _prune_rounds(bucket, wanted, nb):
+    live = [True] * len(bucket)
+    while True:
+        size = Counter(b for b, a in zip(bucket, live) if a)
+        dead = [i for i, w in enumerate(wanted)
+                if live[i] and w != nb and size[w] == 0]
+        if not dead:
+            return live
+        for i in dead:
+            live[i] = False
+
+
+@st.composite
+def _prune_inputs(draw):
+    nb = draw(st.integers(2, 24))
+    bucket, wanted = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        # a chain b0 <- b1 <- ... : atoms of each link want the next link,
+        # and the last link holds no atoms of its own
+        links = draw(st.lists(st.integers(0, nb - 1), min_size=2,
+                              max_size=nb, unique=True))
+        for here, there in zip(links, links[1:]):
+            for _ in range(draw(st.integers(1, 3))):
+                bucket.append(here)
+                wanted.append(there)
+    extra = st.tuples(st.integers(0, nb - 1), st.integers(0, nb))
+    for b, w in draw(st.lists(extra, max_size=40)):
+        bucket.append(b)
+        wanted.append(w)
+    order = draw(st.permutations(range(len(bucket))))
+    return nb, [bucket[i] for i in order], [wanted[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prune_inputs())
+def test_prune_matches_round_by_round_fixpoint(inputs):
+    nb, bucket, wanted = inputs
+    live = _ClassGraph._prune(np.array(bucket, dtype=np.uint32),
+                              np.array(wanted, dtype=np.uint32), nb)
+    assert live.tolist() == _prune_rounds(bucket, wanted, nb)
+
+
+def test_prune_cascades_down_a_long_chain():
+    # bucket k wants bucket k + 1 and bucket 12 is empty: twelve rounds
+    nb = 16
+    bucket = list(range(12)) + [13, 14]
+    wanted = list(range(1, 13)) + [14, nb]
+    live = _ClassGraph._prune(np.array(bucket, dtype=np.uint32),
+                              np.array(wanted, dtype=np.uint32), nb)
+    assert live.tolist() == [False] * 12 + [True, True]
+
+
+# ---------------------------------------------------------------------------
+# Witnesses pinned.  The digest covers every formula of size at most 5 in
+# every class: the printed formula, the class, the verdict, the witness kind,
+# the sorted printed members of each witness atom and the model's text.  A
+# change that keeps verdicts but finds other witnesses changes it.
+
+WITNESS_DIGEST = (
+    "b8fd5e90327212e12960c095a45a6a60a28608c21ef106fabdc2af96401486b8")
+
+
+def _witness_digest(formulas):
+    h = hashlib.sha256()
+    for f in formulas:
+        for cls in CLASSES:
+            res = decide_sat(f, cls, closure_cap=None)
+            parts = [print_formula(f), cls, str(res.satisfiable)]
+            if res.satisfiable:
+                w = res.witness
+                parts.append(w.kind)
+                for atoms in (w.atoms, w.loop):
+                    parts.append(";".join(
+                        ",".join(sorted(print_formula(m) for m in a.members))
+                        for a in atoms))
+                parts.append(trace_to_text(res.model))
+            h.update("|".join(parts).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_witnesses_pinned_small_formulas():
+    by_size = enumerate_formulas(5)
+    assert _witness_digest(
+        g for n in sorted(by_size) for g in by_size[n]) == WITNESS_DIGEST
