@@ -2,7 +2,8 @@
 """Run the axiom soundness campaigns for every proof system.
 
 Fuzzes random instances of each axiom schema against random traces of the
-system's intended class and reports failure counts, then runs the two
+system's intended class and reports failure counts, time and instances per
+second, then runs the two
 negative controls (T2 and T3 over finite traces) that are expected to
 fail, as a check that the harness can detect unsoundness at all.
 
@@ -35,8 +36,10 @@ def main() -> int:
         t0 = time.perf_counter()
         rep = soundness_campaign(system, args.instances, cfg)
         dt = time.perf_counter() - t0
+        done = len(rep.counts) * args.instances
         print(f"{system:8s} {len(rep.counts):2d} schemas x {args.instances}"
-              f"  failures: {rep.failures}  ({dt:.1f}s)")
+              f"  failures: {rep.failures}  ({dt:.2f}s,"
+              f" {done / dt:,.0f} instances/s)")
         if rep.failures:
             ok = False
             f, tr, pos = rep.first_failure

@@ -4,12 +4,15 @@ Everything here is a pure function of a GenConfig: per-instance random
 streams are derived from (seed, stream, index) with integer arithmetic, so
 identical configs replay identical campaigns on any platform.
 
-Two campaign styles are provided.  A soundness campaign instantiates each
-axiom schema of a proof system with random metavariable bindings and
-evaluates the instance at every canonical position of a fresh random trace
-of the system's own trace class; failures are counted, never raised.  A
-cross-check campaign compares the tableau decision procedure against the
-literal bounded trace enumeration and the class decomposition identity.
+Two campaign styles are provided.  A soundness campaign draws random
+metavariable bindings for each axiom schema of a proof system and evaluates
+the instance at every canonical position of a fresh random trace of the
+system's own trace class; failures are counted, never raised.  It runs the
+schema's compiled program over truth masks (Schema.run with
+EvalContext.truth_mask and EvalContext.apply), so an instance is built as a
+formula only when it fails, to be reported.  A cross-check campaign compares
+the tableau decision procedure against the literal bounded trace
+enumeration and the class decomposition identity.
 
 Inference rules are deliberately not fuzzed: they preserve validity rather
 than pointwise truth, so per-trace evaluation is the wrong instrument for
@@ -182,15 +185,11 @@ def _campaign_trace(rng: random.Random, cfg: GenConfig, kind: str):
     raise ValueError(f"unknown trace kind {kind!r}")
 
 
-def _first_false_position(f: Formula, trace) -> int | None:
-    ctx = EvalContext(trace)
-    mask = ctx.truth_mask(f)
-    if mask == ctx.full:
-        return None
-    for i in range(ctx.n):
-        if not (mask >> i) & 1:
-            return i
-    raise AssertionError("mask disagreed with its own width")
+def _first_false(mask: int, full: int) -> int | None:
+    """The lowest position whose bit is set in full and clear in mask, or
+    None when there is none: the lowest set bit of full & ~mask."""
+    z = full & ~mask
+    return (z & -z).bit_length() - 1 if z else None
 
 
 def soundness_campaign(system: str, instances: int, cfg: GenConfig, *,
@@ -229,13 +228,16 @@ def soundness_campaign(system: str, instances: int, cfg: GenConfig, *,
                 params = _C5_PARAMS[k % len(_C5_PARAMS)]
             elif name == "C6":
                 params = _C6_PARAMS[k % len(_C6_PARAMS)]
-            inst = build_schema_instance(name, params, bindings)
             trace = _campaign_trace(rng, cfg, kind)
-            pos = _first_false_position(inst, trace)
+            ctx = EvalContext(trace)
+            pos = _first_false(
+                schema.run(params, bindings, ctx.truth_mask, ctx.apply),
+                ctx.full)
             if pos is not None:
                 failures += 1
                 if first is None:
-                    first = (inst, trace, pos)
+                    first = (build_schema_instance(name, params, bindings),
+                             trace, pos)
         counts.append((name, instances))
     return CampaignReport(tuple(counts), failures, first)
 

@@ -10,7 +10,10 @@ generalisation, or until induction (plus the abstract-operator variants of
 the last two, admissible under 'ax-cr' only).
 
 Every axiom schema except the C5/C6 call/return families is defined by its
-template text alone, compiled once at import; C5 and C6 are coded families.
+template text alone, compiled once at import into a straight-line program;
+C5 and C6 are coded families, with every parameter at most MAX_CR_PARAM.
+One runner serves both uses of a program: the checker runs it over formula
+nodes to build an instance, the soundness campaigns run it over truth masks.
 
 Tautology checking abstracts every maximal subformula whose head is not
 negation, conjunction or the constant true into a fresh letter and decides
@@ -31,7 +34,8 @@ from .syntax import (
 )
 
 __all__ = [
-    "SYSTEM_IDS", "ProofError", "ProofFormatError", "Schema",
+    "SYSTEM_IDS", "ProofError", "ProofFormatError", "ProofLimitError",
+    "Schema", "MAX_CR_PARAM",
     "AxiomInstance", "Taut", "MP", "GenNext", "IndUntil", "GenAbsNext",
     "IndAbsUntil", "ProofStep", "ProofScript", "Verdict",
     "expand_cr", "check_tautology", "build_schema_instance",
@@ -44,6 +48,15 @@ _RET = Prop("ret")
 _INT = Prop("int")
 
 MAX_TAUT_LETTERS = 20
+# C5/C6 parameters above this are refused: at the bound the counting formula
+# has about 200,000 distinct nodes and a cold check-proof answers in about
+# 0.6 s; from about 500 on, the build would outgrow the recursion limit.
+MAX_CR_PARAM = 200
+
+
+class ProofLimitError(ProofError):
+    """A step exceeds a documented size limit.  The checker refuses such a
+    step instead of failing it, so the CLI reports an error (exit 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +162,19 @@ def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
 # ---------------------------------------------------------------------------
 # Axiom schemas.
 
+def _within_bound(name: str, p: dict[str, int]) -> None:
+    for v, x in p.items():
+        if x > MAX_CR_PARAM:
+            raise ProofLimitError(
+                f"parameter bound: {name} needs {v} <= {MAX_CR_PARAM} "
+                f"(MAX_CR_PARAM), got {v}={x}")
+
+
 def _c5(p, b):
     n = p["n"]
     if n < 0:
         raise ProofError("parameter violation: C5 needs n >= 0")
+    _within_bound("C5", p)
     body = expand_cr(0, n, n, And(_RET, b["phi"]))
     return implies(And(_CALL, WeakNext(body)), abs_strong_next(b["phi"]))
 
@@ -161,6 +183,7 @@ def _c6(p, b):
     m, n = p["m"], p["n"]
     if not m > n >= 0:
         raise ProofError("parameter violation: C6 needs m > n >= 0")
+    _within_bound("C6", p)
     body = expand_cr(0, m, n, always(Not(_RET)))
     return implies(And(_CALL, WeakNext(body)), AbsWeakNext(FALSE))
 
@@ -168,12 +191,13 @@ def _c6(p, b):
 _FAMILIES = {"C5": _c5, "C6": _c6}
 
 
-def _compile(text: str, metavars: tuple[str, ...]):
+def _compile(text: str, metavars: tuple[str, ...]) -> tuple:
     """Compile a template, parsed in caret mode with the metavariables as
-    letters, into a builder running a straight-line program.  Its values
-    start with the bindings in metavars order; each distinct subtree holding
-    a metavariable adds a step (ctor, i, j), j None for a unary ctor, and
-    each maximal subtree without one adds a constant step (None, f, None)."""
+    letters, into a straight-line program.  Its values start with the
+    bindings in metavars order; each distinct subtree holding a metavariable
+    adds a step (ctor, i, j), j None for a unary ctor, and each maximal
+    subtree without one adds a constant step (None, f, None).  The root is
+    emitted last, so the program's result is its last value."""
     slots: dict[Formula, int] = {Prop(v): k for k, v in enumerate(metavars)}
     steps: list[tuple] = []
 
@@ -190,32 +214,38 @@ def _compile(text: str, metavars: tuple[str, ...]):
         slots[g] = k = len(metavars) + len(steps) - 1
         return k
 
-    root = emit(parse_formula(text, "caret"))
-    program = tuple(steps)
+    emit(parse_formula(text, "caret"))
+    return tuple(steps)
 
-    def build(params: dict[str, int], bindings: dict[str, Formula]) -> Formula:
-        vals = [bindings[v] for v in metavars]
-        for ctor, i, j in program:
-            vals.append(i if ctor is None else
-                        ctor(vals[i]) if j is None else ctor(vals[i], vals[j]))
-        return vals[root]
 
-    return build
+def _identity(f: Formula) -> Formula:
+    return f
+
+
+def _construct(ctor, a: Formula, b: Formula | None = None) -> Formula:
+    return ctor(a) if b is None else ctor(a, b)
 
 
 @dataclass(frozen=True)
 class Schema:
-    """An axiom schema.  ``make`` is compiled from the template text, which
-    is the definition, except for the C5/C6 families: their text documents
-    them and ``make`` is code built on expand_cr."""
+    """An axiom schema.  ``program`` is compiled from the template text,
+    which is the definition, except for the C5/C6 families: their text
+    documents them and ``family`` is code built on expand_cr."""
 
     name: str
     metavars: tuple[str, ...]
     params: tuple[str, ...]
     text: str
-    make: Callable[[dict, dict], Formula] = field(repr=False, compare=False)
+    program: tuple = field(default=(), repr=False, compare=False)
+    family: Callable[[dict, dict], Formula] | None = field(
+        default=None, repr=False, compare=False)
 
-    def build(self, params: dict[str, int], bindings: dict[str, Formula]) -> Formula:
+    def run(self, params: dict[str, int], bindings: dict[str, Formula],
+            leaf: Callable, apply: Callable):
+        """Run the program over values of any kind: ``leaf(f)`` gives the
+        value of a binding or of a constant subformula f, and
+        ``apply(ctor, a, b=None)`` the value of ctor over the values of its
+        operands.  A family's instance is built and passed to ``leaf``."""
         for v in self.metavars:
             if v not in bindings:
                 raise ProofError(f"missing binding {v} for schema {self.name}")
@@ -228,11 +258,24 @@ class Schema:
         for v in params:
             if v not in self.params:
                 raise ProofError(f"unexpected parameter {v} for schema {self.name}")
-        return self.make(params, bindings)
+        if self.family is not None:
+            return leaf(self.family(params, bindings))
+        vals = [leaf(bindings[v]) for v in self.metavars]
+        for ctor, i, j in self.program:
+            vals.append(leaf(i) if ctor is None else
+                        apply(ctor, vals[i]) if j is None else
+                        apply(ctor, vals[i], vals[j]))
+        return vals[-1]
+
+    def build(self, params: dict[str, int], bindings: dict[str, Formula]) -> Formula:
+        """The instance as a formula: the program run over nodes."""
+        return self.run(params, bindings, _identity, _construct)
 
 
 SCHEMAS: dict[str, Schema] = {
-    name: Schema(name, mv, pv, text, _FAMILIES.get(name) or _compile(text, mv))
+    name: Schema(name, mv, pv, text,
+                 () if name in _FAMILIES else _compile(text, mv),
+                 _FAMILIES.get(name))
     for name, mv, pv, text in [
         ("T1", ("phi", "psi"), (), "X phi & X (phi -> psi) -> X psi"),
         ("T2", ("phi", "psi"), (), "(phi U psi) <-> (psi | (phi & X (phi U psi)))"),
@@ -409,7 +452,8 @@ def _check_induction(premise: Formula, step: Formula, until_type, next_ctor):
 
 
 def check_proof(script: ProofScript) -> Verdict:
-    """Check every step; ok iff all steps are correct under the system."""
+    """Check every step; ok iff all steps are correct under the system.
+    A step beyond a documented size limit raises ProofLimitError."""
     system = script.system
     if system not in _SYSTEM_SCHEMAS:
         raise ValueError(f"unknown system {system!r}")
@@ -438,6 +482,8 @@ def _check_step(system: str, caret: bool, proved: dict[int, Formula],
         try:
             ok = check_axiom_instance(system, j.schema, dict(j.params),
                                       dict(j.bindings), st.formula)
+        except ProofLimitError:
+            raise
         except ProofError as e:
             return str(e)
         return None if ok else f"formula is not an instance of {j.schema}"

@@ -16,6 +16,11 @@ the abstract successor are periodic there.  The map is a function, so an
 abstract until is settled by one memoised walk along it that visits every
 position once.  Masks go to and from per-position digit strings in one conversion
 each, so the abstract operators take time linear in the trace length.
+
+Each operator's mask semantics is defined once, in EvalContext.apply, from
+the masks of its operands: truth_mask walks a formula through it, and the
+soundness campaigns call it on the steps of a compiled axiom schema, so
+they evaluate an instance without building it.
 """
 
 from __future__ import annotations
@@ -144,6 +149,25 @@ class EvalContext:
 
     # -- evaluation ----------------------------------------------------------
 
+    def apply(self, t: type, a: int, b: int | None = None) -> int:
+        """The mask of a node of type t whose operands have masks a (and b):
+        the one definition of each operator's semantics."""
+        if t is Not:
+            return self.full ^ a
+        if t is And:
+            return a & b
+        if t is WeakNext:
+            return self._weak_next(a)
+        if t is Until:
+            return self._until(a, b)
+        if t is AbsWeakNext:
+            self._need_structured()
+            return self._weak_abs_next(a)
+        if t is AbsUntil:
+            self._need_structured()
+            return self._abs_until(a, b)
+        raise TypeError(f"not an operator: {t!r}")
+
     def truth_mask(self, f: Formula) -> int:
         m = self._memo.get(f)
         if m is not None:
@@ -153,21 +177,10 @@ class EvalContext:
             m = self._prop_mask(f.name)
         elif t is TrueConst:
             m = self.full
-        elif t is Not:
-            m = self.full ^ self.truth_mask(f.operand)
-        elif t is And:
-            m = self.truth_mask(f.left) & self.truth_mask(f.right)
-        elif t is WeakNext:
-            m = self._weak_next(self.truth_mask(f.operand))
-        elif t is Until:
-            m = self._until(self.truth_mask(f.left), self.truth_mask(f.right))
-        elif t is AbsWeakNext:
-            self._need_structured()
-            m = self._weak_abs_next(self.truth_mask(f.operand))
-        elif t is AbsUntil:
-            self._need_structured()
-            m = self._abs_until(self.truth_mask(f.left),
-                                self.truth_mask(f.right))
+        elif t is Not or t is WeakNext or t is AbsWeakNext:
+            m = self.apply(t, self.truth_mask(f.operand))
+        elif t is And or t is Until or t is AbsUntil:
+            m = self.apply(t, self.truth_mask(f.left), self.truth_mask(f.right))
         else:
             raise TypeError(f"not a formula node: {f!r}")
         self._memo[f] = m

@@ -223,34 +223,34 @@ def formula_size(f: Formula) -> int:
     return n
 
 
-def is_ltl(f: Formula) -> bool:
-    """True when the formula uses no abstract operator."""
+def _distinct_nodes(f: Formula):
+    """Every node of f once, by identity, so a formula whose subterms are
+    shared (a DAG) is walked in time linear in its distinct nodes."""
+    seen = {id(f)}
     stack = [f]
     while stack:
         g = stack.pop()
-        if type(g) in (AbsWeakNext, AbsUntil):
-            return False
+        yield g
         if isinstance(g, _Unary):
-            stack.append(g.operand)
+            kids = (g.operand,)
         elif isinstance(g, _Binary):
-            stack.append(g.left)
-            stack.append(g.right)
-    return True
+            kids = (g.left, g.right)
+        else:
+            continue
+        for k in kids:
+            if id(k) not in seen:
+                seen.add(id(k))
+                stack.append(k)
+
+
+def is_ltl(f: Formula) -> bool:
+    """True when the formula uses no abstract operator."""
+    return not any(type(g) in (AbsWeakNext, AbsUntil)
+                   for g in _distinct_nodes(f))
 
 
 def props_of(f: Formula) -> frozenset[str]:
-    names = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is Prop:
-            names.add(g.name)
-        elif isinstance(g, _Unary):
-            stack.append(g.operand)
-        elif isinstance(g, _Binary):
-            stack.append(g.left)
-            stack.append(g.right)
-    return frozenset(names)
+    return frozenset(g.name for g in _distinct_nodes(f) if type(g) is Prop)
 
 
 def formula_sort_key(f: Formula) -> tuple[int, str]:

@@ -165,6 +165,31 @@ def test_check_proof_of_a_deep_family_instance_is_quick(capsys, tmp_path):
     assert code == 1 and out == "FAIL step 1: formula is not an instance of C5\n"
 
 
+@pytest.mark.parametrize("step", [
+    "axiom C5 n=200 bind phi=p", "axiom C6 m=200 n=199"])
+def test_check_proof_at_the_family_bound_answers(capsys, tmp_path, step):
+    script = tmp_path / "family.prf"
+    script.write_text(f"system: ax-cr\n1. p ; {step}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-proof", str(script))
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out.startswith("FAIL step 1: formula is not an instance")
+    assert err == ""
+
+
+@pytest.mark.parametrize("step, name", [
+    ("axiom C5 n=201 bind phi=p", "n=201"), ("axiom C5 n=520 bind phi=p", "n=520"),
+    ("axiom C6 m=201 n=3", "m=201")])
+def test_check_proof_above_the_family_bound_exits_three(capsys, tmp_path,
+                                                        step, name):
+    script = tmp_path / "family.prf"
+    script.write_text(f"system: ax-cr\n1. p ; {step}\n")
+    code, out, err = run(capsys, "check-proof", str(script))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert "MAX_CR_PARAM" in err and "<= 200" in err and name in err
+
+
 def test_check_proof_json(capsys, tmp_path):
     code, out, _ = run(
         capsys, "check-proof", str(FIXTURES / "derivation_caret.prf"), "--json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from caretkit.fuzz import (
@@ -12,6 +14,9 @@ from caretkit.fuzz import (
     gen_trace,
     soundness_campaign,
 )
+from caretkit.fuzz import _campaign_trace, _first_false, _random_formula
+from caretkit.proof import SCHEMAS, axiom_schemas
+from caretkit.semantics import EvalContext
 from caretkit.syntax import Prop, TrueConst, formula_size, is_ltl
 from caretkit.trace import FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace
 
@@ -143,6 +148,44 @@ def test_campaign_rejects_unknown_system():
         soundness_campaign("ax-zzz", 1, GenConfig())
 
 
+def test_first_false_matches_a_scan():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        n = rng.randint(1, 80)
+        full = (1 << n) - 1
+        mask = rng.choice((rng.getrandbits(n), full,
+                           full ^ (1 << rng.randrange(n)), 0))
+        scan = next((i for i in range(n) if not (mask >> i) & 1), None)
+        assert _first_false(mask, full) == scan, (mask, n)
+
+
+def test_schema_programs_over_masks_match_built_instances():
+    # the campaign runs each schema's program over truth masks; it must
+    # give the mask of the instance the checker builds, for every schema
+    caret_schemas = set(axiom_schemas("ax-cr"))
+    family_params = {"C5": [{"n": n} for n in range(5)],
+                     "C6": [{"m": m, "n": n}
+                            for m in range(1, 5) for n in range(m)]}
+    for si, (name, schema) in enumerate(SCHEMAS.items()):
+        caret = name in caret_schemas
+        mode = "caret" if caret else "ltl"
+        kinds = ("structured",) if caret else ("finite", "lasso", "structured")
+        cfg = GenConfig(seed=si, max_finite_len=12, max_lasso_total=12)
+        params = family_params.get(name, [{}])
+        for k in range(120):
+            rng = random.Random(1_000 * si + k)
+            bindings = {v: _random_formula(rng, rng.randint(1, 6),
+                                           cfg.alphabet, mode)
+                        for v in schema.metavars}
+            p = params[k % len(params)]
+            for kind in kinds:
+                ctx = EvalContext(_campaign_trace(rng, cfg, kind))
+                expected = EvalContext(ctx.trace).truth_mask(
+                    schema.build(p, bindings))
+                assert schema.run(p, bindings, ctx.truth_mask,
+                                  ctx.apply) == expected, (name, k, kind)
+
+
 # ---------------------------------------------------------------------------
 # Cross-check campaign
 
@@ -160,3 +203,42 @@ def test_cross_check_preconditions():
         cross_check_campaign(5, GenConfig(alphabet=("p", "q", "r")))
     with pytest.raises(ValueError):
         cross_check_campaign(5, GenConfig(max_formula_size=9))
+
+
+# ---------------------------------------------------------------------------
+# Pinned campaign outcomes
+
+def _campaign_digest() -> str:
+    """SHA-256 over the reports of seeded positive campaigns of every system
+    and of negative controls: counts, failure count, and the first failure's
+    printed formula, trace text and position."""
+    import hashlib
+
+    from caretkit.syntax import print_formula
+    from caretkit.trace import trace_to_text
+
+    runs = [(system, 300, seed, None, None)
+            for seed in (1, 20261017)
+            for system in ("ax", "ax-gen", "ax-inf", "ax-fin", "ax-cr")]
+    runs += [("ax", 2000, seed, "finite", (schema,))
+             for seed in (1, 20261017) for schema in ("T2", "T3")]
+    runs += [("ax-gen", 200, 1, "finite", ("Inf",)),
+             ("ax-fin", 200, 1, "lasso", ("Fin",)),
+             ("ax-cr", 200, 1, "lasso", ("C1",))]
+    h = hashlib.sha256()
+    for system, n, seed, kind, schemas in runs:
+        cfg = GenConfig(seed=seed, max_finite_len=12, max_lasso_total=12)
+        rep = soundness_campaign(system, n, cfg, trace_class=kind,
+                                 schemas=schemas)
+        first = None
+        if rep.first_failure is not None:
+            f, trace, pos = rep.first_failure
+            first = (print_formula(f), trace_to_text(trace), pos)
+        h.update(repr((system, n, seed, kind, schemas, rep.counts,
+                       rep.failures, first)).encode())
+    return h.hexdigest()
+
+
+def test_campaign_reports_are_pinned():
+    assert _campaign_digest() == (
+        "08300ade5a458571dcf0cab09d5d66c319c4164c9956a6473bcfa37ce551f3ac")

@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caretkit.proof import (
+    MAX_CR_PARAM,
     AxiomInstance,
     GenNext,
     MP,
     ProofError,
     ProofFormatError,
+    ProofLimitError,
     ProofScript,
     ProofStep,
     SCHEMAS,
@@ -289,6 +291,22 @@ def test_instance_errors():
         build_schema_instance("C5", {"n": -1}, {"phi": TRUE})
     with pytest.raises(ProofError):
         build_schema_instance("XX", {}, {})
+
+
+def test_family_parameters_are_bounded():
+    # at the bound the family is built; one above, the refusal names it
+    build_schema_instance("C5", {"n": MAX_CR_PARAM}, {"phi": TRUE})
+    build_schema_instance("C6", {"m": MAX_CR_PARAM, "n": 0}, {})
+    for name, params, bindings in (
+            ("C5", {"n": MAX_CR_PARAM + 1}, {"phi": TRUE}),
+            ("C6", {"m": MAX_CR_PARAM + 1, "n": 3}, {})):
+        with pytest.raises(ProofLimitError, match=f"<= {MAX_CR_PARAM}"):
+            build_schema_instance(name, params, bindings)
+    # the checker refuses such a step rather than failing the proof
+    script = parse_proof(
+        f"system: ax-cr\n1. p ; axiom C5 n={MAX_CR_PARAM + 1} bind phi=p\n")
+    with pytest.raises(ProofLimitError, match="MAX_CR_PARAM"):
+        check_proof(script)
 
 
 def test_abstract_axioms_mirror_plain_ones():

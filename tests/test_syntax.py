@@ -22,11 +22,14 @@ from caretkit.syntax import (
     formula_sort_key,
     iff,
     implies,
+    is_ltl,
     lor,
     negate,
     parse_formula,
     print_formula,
+    props_of,
 )
+from caretkit.proof import expand_cr
 from caretkit.syntax import _sort_keys
 
 from exhaustive_oracle import enumerate_formulas
@@ -378,3 +381,32 @@ def test_deep_nesting_needs_no_recursion(wrap, text):
     assert clo.core[-1] is f
     assert formula_sort_key(f) == (depth + 1, text(depth))
     assert Prop("p") in clo and len(clo.core) > depth
+
+
+# ---------------------------------------------------------------------------
+# Walks over shared subterms
+
+def test_props_and_ltl_walk_a_dag_once():
+    # expand_cr shares equal subterms: as a tree this instance has more
+    # than 3 ** 40 nodes, as a DAG a few thousand
+    dag = expand_cr(0, 40, 40, Prop("p"))
+    assert props_of(dag) == {"p", "call", "ret", "int"}
+    assert is_ltl(dag)
+    deep_abstract = expand_cr(0, 40, 40, AbsWeakNext(Prop("q")))
+    assert props_of(deep_abstract) == {"q", "call", "ret", "int"}
+    assert not is_ltl(deep_abstract)
+
+
+@given(caret_formulas)
+@settings(max_examples=200)
+def test_props_and_ltl_agree_with_a_tree_walk(f):
+    def nodes(g):
+        yield g
+        for k in (getattr(g, "operand", None), getattr(g, "left", None),
+                  getattr(g, "right", None)):
+            if k is not None:
+                yield from nodes(k)
+
+    assert props_of(f) == {g.name for g in nodes(f) if type(g) is Prop}
+    assert is_ltl(f) == all(type(g) not in (AbsWeakNext, AbsUntil)
+                            for g in nodes(f))
