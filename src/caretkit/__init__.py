@@ -3,8 +3,9 @@ classes, plus the call/return extension, with a tableau decision procedure,
 a Hilbert proof checker and randomized soundness campaigns.
 
 Syntax, traces and evaluation load with the package.  The names below from
-``tableau`` (which loads numpy), ``proof`` and ``fuzz`` load their module on
-first use (PEP 562), so a caller that only evaluates never imports them.
+``tableau``, ``proof`` and ``fuzz`` load their module on first use (PEP 562),
+so a caller that only evaluates never imports them.  The decider loads
+numpy only for tables above ``tableau.PYTHON_TABLE_BITS`` free bits.
 """
 
 import importlib

@@ -33,7 +33,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def decide_sat(formula, cls, closure_cap):
     """The decider, imported on first call: only sat, valid and the
-    cross-check campaign load numpy."""
+    cross-check campaign load it, and it loads numpy only for tables above
+    tableau.PYTHON_TABLE_BITS free bits."""
     from .tableau import decide_sat as decide
     return decide(formula, cls, closure_cap=closure_cap)
 

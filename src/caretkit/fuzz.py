@@ -255,7 +255,7 @@ def cross_check_campaign(samples: int, cfg: GenConfig, *,
         raise ValueError("cross-check needs an alphabet of at most 2 letters")
     if cfg.max_formula_size > 7:
         raise ValueError("cross-check needs formula size at most 7")
-    # the decider loads numpy, which nothing else in this module needs
+    # nothing else in this module needs the decider
     from .tableau import brute_force_sat, decide_sat
     failures = 0
     first = None

@@ -31,6 +31,7 @@ from .syntax import (
     SYSTEM_IDS, AbsUntil, AbsWeakNext, And, FALSE, Formula, Not, ParseError,
     Prop, ProofError, ProofFormatError, TrueConst, Until, WeakNext,
     abs_strong_next, always, implies, is_ltl, lor, parse_formula, props_of,
+    truth_columns,
 )
 
 __all__ = [
@@ -105,7 +106,8 @@ def expand_cr(c: int, m: int, n: int, f: Formula) -> Formula:
 
 def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
     """True iff f is a tautology once every maximal subformula not headed by
-    negation, conjunction or true is treated as an opaque letter."""
+    negation, conjunction or true is treated as an opaque letter.  More
+    than ``max_letters`` letters raise ProofLimitError."""
     letters: list[Formula] = []
     seen: set[Formula] = set()
     stack = [f]
@@ -121,22 +123,12 @@ def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
             seen.add(g)
             letters.append(g)
     if len(letters) > max_letters:
-        raise ProofError(
-            f"tautology check abstracts to {len(letters)} letters, "
-            f"the cap is {max_letters}")
+        raise ProofLimitError(
+            f"letter bound: tautology check abstracts to {len(letters)} "
+            f"letters, needs <= {max_letters} (MAX_TAUT_LETTERS)")
 
-    # truth table columns as bit masks over all valuations
-    n = 1 << len(letters)
-    full = (1 << n) - 1
-    masks: dict[Formula, int] = {}
-    for j, g in enumerate(letters):
-        block = 1 << j
-        rep = ((1 << block) - 1) << block
-        width = block * 2
-        while width < n:
-            rep |= rep << width
-            width *= 2
-        masks[g] = rep
+    full = (1 << (1 << len(letters))) - 1
+    masks = dict(zip(letters, truth_columns(len(letters))))
 
     memo: dict[Formula, int] = {}
 
@@ -488,11 +480,8 @@ def _check_step(system: str, caret: bool, proved: dict[int, Formula],
             return str(e)
         return None if ok else f"formula is not an instance of {j.schema}"
     if t is Taut:
-        try:
-            ok = check_tautology(st.formula)
-        except ProofError as e:
-            return str(e)
-        return None if ok else "not a propositional tautology"
+        return (None if check_tautology(st.formula)
+                else "not a propositional tautology")
 
     def premise(i: int) -> Formula | None:
         return proved.get(i)

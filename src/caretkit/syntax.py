@@ -16,6 +16,7 @@ __all__ = [
     "lor", "implies", "iff", "eventually", "always", "strong_next",
     "abs_eventually", "abs_always", "abs_strong_next",
     "negate", "formula_size", "formula_sort_key", "is_ltl", "props_of",
+    "truth_columns",
     "parse_formula", "print_formula", "closure", "ClosureSet", "ParseError",
     "CLASSES", "DEFAULT_CLOSURE_CAP", "ClosureCapError",
     "SYSTEM_IDS", "ProofError", "ProofFormatError",
@@ -209,18 +210,49 @@ def negate(f: Formula) -> Formula:
 
 
 def formula_size(f: Formula) -> int:
-    """Number of core AST nodes."""
-    n = 0
+    """Number of core AST nodes, counted as a tree: a subterm shared by two
+    parents counts under each.  The count is a post-order over distinct
+    nodes (by identity), so a DAG is sized in time linear in its distinct
+    nodes."""
+    size: dict[int, int] = {}
     stack = [f]
     while stack:
-        g = stack.pop()
-        n += 1
-        if isinstance(g, _Unary):
-            stack.append(g.operand)
-        elif isinstance(g, _Binary):
-            stack.append(g.left)
-            stack.append(g.right)
-    return n
+        g = stack[-1]
+        if id(g) in size:
+            stack.pop()
+            continue
+        kids = _kids(g)
+        pending = [k for k in kids if id(k) not in size]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        size[id(g)] = 1 + sum(size[id(k)] for k in kids)
+    return size[id(f)]
+
+
+def truth_columns(n: int) -> list[int]:
+    """Truth-table columns as bit masks over the 2 ** n valuations of n
+    letters: column k has bit v set where valuation v sets letter k."""
+    width = 1 << n
+    columns = []
+    for k in range(n):
+        block = 1 << k
+        rep = ((1 << block) - 1) << block
+        span = block * 2
+        while span < width:
+            rep |= rep << span
+            span *= 2
+        columns.append(rep)
+    return columns
+
+
+def _kids(g: Formula) -> tuple[Formula, ...]:
+    if isinstance(g, _Unary):
+        return (g.operand,)
+    if isinstance(g, _Binary):
+        return (g.left, g.right)
+    return ()
 
 
 def _distinct_nodes(f: Formula):
@@ -231,13 +263,7 @@ def _distinct_nodes(f: Formula):
     while stack:
         g = stack.pop()
         yield g
-        if isinstance(g, _Unary):
-            kids = (g.operand,)
-        elif isinstance(g, _Binary):
-            kids = (g.left, g.right)
-        else:
-            continue
-        for k in kids:
+        for k in _kids(g):
             if id(k) not in seen:
                 seen.add(id(k))
                 stack.append(k)

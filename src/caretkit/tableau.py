@@ -6,7 +6,10 @@ in, conjunctions agree with their conjuncts, an until agrees with its
 strong-next unfolding, and an atom containing the next-of-false marker is
 saturated with every weak-next member.  Because those rules determine every
 member from the propositions and the weak-next members, atoms are enumerated
-as bit-vector valuations of that free part, vectorised with numpy.
+as bit-vector valuations of that free part.  Two builders make the table:
+up to PYTHON_TABLE_BITS free bits each member is one Python int over the
+valuations, above it one numpy row, and numpy is imported only then.  Both
+hand the searches the same lists and dicts, so they find the same witnesses.
 
 Edges follow the biconditional law: V -> W iff V lacks the next-of-false
 marker and, for every weak-next formula in the closure, the formula is in V
@@ -26,9 +29,9 @@ path: the shortest path from given atoms to an atom with a given property.
 The mixed class accepts either kind of witness, and is answered from the
 other two: a finite witness when there is one, else an infinite one.  Only
 the infinite search reads the until keys, so they are built for the atoms
-that survive pruning.
+of the components reachable from the roots.
 
-The table shared by the three classes keeps its atoms in the order their
+The table shared by the three classes names its atoms in the order their
 free-bit valuations are enumerated, which no search depends on.  Each
 class graph owns the order its searches follow, and so the witness they
 find: it prunes first, then sorts only the surviving atoms, a few percent
@@ -38,16 +41,17 @@ bit-vectors.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import groupby
 
 from .semantics import EvalContext
 from .syntax import (
     CLASSES, DEFAULT_CLOSURE_CAP, And, ClosureCapError, ClosureSet, FALSE,
     Formula, Not, Prop, TRUE, Until, WeakNext, closure, negate, props_of,
+    truth_columns,
 )
 from .trace import FiniteTrace, LassoTrace
 
@@ -55,13 +59,21 @@ __all__ = [
     "CLASSES", "ClosureCapError", "Atom", "ChainWitness", "AtomGraph",
     "SatResult", "enumerate_atoms", "build_atom_graph", "decide_sat",
     "decide_valid", "extract_model", "brute_force_sat",
-    "DEFAULT_CLOSURE_CAP", "MAX_FREE_BITS",
+    "DEFAULT_CLOSURE_CAP", "MAX_FREE_BITS", "PYTHON_TABLE_BITS",
 ]
 
 # Atoms are enumerated as every valuation of the free bits (propositions and
 # weak-next bases), so this bounds the table at 2 ** 18 rows whatever the
 # closure cap says.
 MAX_FREE_BITS = 18
+
+# Tables of at most this many free bits are built with Python ints
+# (_IntTableau), larger ones with numpy (_Tableau), the only code here that
+# imports numpy.  On the formulas of size <= 7, deciding fin, inf and gen
+# from one int table takes 0.6-0.7 of the numpy time up to 7 free bits, 0.8
+# at 8 and 9, 0.9 at 10 and 1.0-1.1 at 11 (Python 3.11, numpy 2.4, a shared
+# 2-core x86-64 machine); from 11 bits on the int table's tail is slower.
+PYTHON_TABLE_BITS = 10
 
 _TERMINAL_MARK = WeakNext(FALSE)          # next of false: true exactly at last states
 _FIN_MARK = Until(TRUE, _TERMINAL_MARK)   # eventually a last state
@@ -82,7 +94,7 @@ _MODELS: weakref.WeakValueDictionary[tuple, FiniteTrace | LassoTrace] = \
 # callers that decide larger formulas ask one class each, and a larger table
 # held between calls is only resident memory.
 _MEMO_ATOMS = 1 << 12
-_memo: tuple[Formula, _Tableau] | None = None
+_memo: tuple[Formula, _Table] | None = None
 
 
 @dataclass(frozen=True)
@@ -137,31 +149,32 @@ def _strip(f: Formula) -> tuple[Formula, int]:
     return f, parity
 
 
-def _key(bits: list[np.ndarray], n: int) -> np.ndarray:
-    """Fixed-width keys of n atoms from bool rows, the first row in the most
-    significant bit."""
-    # nexts <= MAX_FREE_BITS and untils <= nexts, so 32 bits suffice
-    out = np.zeros(n, dtype=np.uint32)
-    for b in bits:
-        out <<= 1
-        out |= b
-    return out
+def _new_table(clo: ClosureSet, cap: int | None) -> _Table:
+    """The atom table of a closure, from the builder its free bits choose:
+    the one place the two builders are chosen between."""
+    free = sum(type(m) in (Prop, WeakNext) for m in clo.core)
+    return (_IntTableau if free <= PYTHON_TABLE_BITS else _Tableau)(clo, cap)
 
 
-class _Tableau:
-    """Shared atom table for one closure: member rows, keys and per-atom data.
+class _Table:
+    """What both atom tables share: the free-bit layout of the closure, the
+    caps, the witnesses of each class and the atoms they are made of.
 
-    Atom a is entry a of every row in ``member_rows``; the table keeps the
-    atoms in valuation order of their free bits, and ``lex_order`` puts any
-    subset of them in the lexicographic order on member bit-vectors (in
-    closure order) that the searches follow.  ``demand`` and ``signature``
-    are fixed-width keys with one bit per weak-next base, the first base in
-    the most significant bit, so a key lies below ``key_space``.  The
-    valuations hold the weak-next bits above the propositions and in
-    reverse, so ``demand`` is a valuation shifted right; ``until_keys``
-    builds the like keys over the until bases for the atoms asked.
-    ``witnesses`` remembers the witness of each class decided on the table,
-    and never its model, so models stay free to go.
+    Atoms are valuations of the free bits, bit k for ``free[k]``: the
+    propositions, then the weak nexts in reverse, so that shifting the
+    propositions out of a valuation leaves the atom's demand key, one bit
+    per weak next with the first in the most significant bit.  A builder
+    names each atom by an id and gives ``count``, the atoms built; one row
+    per core member in ``member_rows``, with ``terminal``, ``fin_viable``,
+    ``origin_bit`` and ``prop_rows`` among them; ``bits_at(rows, a)``, the
+    truth of each row at atom a; ``sorted_atoms(cls)``, the atoms of a
+    class in the lexicographic order on member bit-vectors (in closure
+    order) that the searches follow; ``class_graph(cls)``, what
+    ``_ClassGraph`` is made of; and ``until_keys(ids)``, one bit per until
+    base for each atom asked, set where it holds the until (present) or
+    its right operand (fulfil).  ``witnesses`` remembers the
+    witness of each class decided on the table, and never its model, so
+    models stay free to go.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
@@ -170,75 +183,34 @@ class _Tableau:
         self.size = len(clo.members)
         self.check_cap(cap)
         core = clo.core
-
         # every base (a member with its negations stripped) is an unnegated
         # core member, and the core is already in (size, text) order
         bases = [m for m in core if type(m) is not Not]
         props = [b for b in bases if type(b) is Prop]
         nexts = [b for b in bases if type(b) is WeakNext]
-        derived = [b for b in bases if type(b) in (And, Until)]
-        # the weak nexts in reverse, so that shifting the propositions out of
-        # a valuation leaves its demand key
-        free = props + nexts[::-1]
-        if len(free) > MAX_FREE_BITS:
+        self.free = props + nexts[::-1]
+        if len(self.free) > MAX_FREE_BITS:
             raise ClosureCapError(
-                f"atom enumeration needs {len(free)} free bits (propositions "
-                f"plus weak-next members); the limit is {MAX_FREE_BITS} and "
-                "no closure cap (--cap) value lifts it")
-
-        # valuations of the free bits, bit k for free[k]; a terminal atom
-        # must assert every weak next
-        rows = np.arange(1 << len(free), dtype=np.uint32)
-        nexts_mask = np.uint32(((1 << len(nexts)) - 1) << len(props))
-        terminal_bit = np.uint32(
-            1 << (len(free) - 1 - nexts.index(_TERMINAL_MARK)))
-        keep = rows[((rows & terminal_bit) == 0)
-                    | ((rows & nexts_mask) == nexts_mask)]
-        del rows
-
-        # one row per core member, indexed by atom; every per-atom datum
-        # below is a row, because every base is a core member and the
-        # closure holds the operands of its weak nexts and untils and both
-        # markers.  Separate rows rather than one matrix keep each
-        # allocation at one row's size, so the allocator does not go on
-        # holding a whole table's worth of heap after the largest formulas.
-        member_rows = [np.empty(len(keep), dtype=bool) for _ in core]
-        row = dict(zip(core, member_rows)).__getitem__
-
-        def val(f: Formula) -> np.ndarray:
-            b, parity = _strip(f)
-            return ~row(b) if parity else row(b)
-
-        row(TRUE)[:] = True
-        for k, b in enumerate(free):
-            np.not_equal(keep & np.uint32(1 << k), 0, out=row(b))
-        for b in derived:
+                f"atom enumeration needs {len(self.free)} free bits "
+                f"(propositions plus weak-next members); the limit is "
+                f"{MAX_FREE_BITS} and no closure cap (--cap) value lifts it")
+        # each derived base with its operands as (base, negated) pairs, and
+        # an until with its unfolding, so that the builders only evaluate
+        self.steps = []
+        for b in bases:
             if type(b) is And:
-                np.logical_and(val(b.left), val(b.right), out=row(b))
-            else:
+                self.steps.append((b, _strip(b.left), _strip(b.right), None))
+            elif type(b) is Until:
                 unfold = WeakNext(Not(b))
                 if unfold not in clo:
                     raise AssertionError("closure lost an until unfolding")
-                np.logical_or(val(b.right), val(b.left) & ~row(unfold),
-                              out=row(b))
-        for m in core:
-            if type(m) is Not:
-                np.logical_not(row(m.operand), out=row(m))
-
-        untils = [b for b in derived if type(b) is Until]
+                self.steps.append((b, _strip(b.left), _strip(b.right), unfold))
         self.core = core
+        self.origin = clo.origin
         self.props = props
-        self.member_rows = member_rows
-        self.count = len(keep)
+        self.nexts = nexts
+        self.untils = [b for b in bases if type(b) is Until]
         self.key_space = 1 << len(nexts)
-        self.terminal = row(_TERMINAL_MARK)
-        self.fin_viable = row(_FIN_MARK)
-        self.origin_bit = row(clo.origin)
-        self.demand = keep >> np.uint32(len(props))
-        self.signature = _key([row(b.operand) for b in nexts], len(keep))
-        self._until_rows = ([row(u) for u in untils],
-                            [row(u.right) for u in untils])
-        self.prop_rows = [row(b) for b in props]
         # class -> its witness, or None when the class has no model
         self.witnesses: dict[str, ChainWitness | None] = {}
 
@@ -247,27 +219,6 @@ class _Tableau:
             raise ClosureCapError(
                 f"closure of size {self.size} exceeds the cap {cap}; "
                 "raise closure_cap to proceed")
-
-    def class_indices(self, cls: str) -> np.ndarray:
-        if cls == "gen":
-            return np.arange(self.count)
-        if cls == "fin":
-            return np.flatnonzero(self.fin_viable)
-        if cls == "inf":
-            return np.flatnonzero(~self.terminal)
-        raise ValueError(f"unknown trace class {cls!r}")
-
-    def lex_order(self, ids: np.ndarray) -> np.ndarray:
-        """The atoms ``ids`` in lexicographic order on member bit-vectors."""
-        return ids[np.lexsort([r[ids] for r in reversed(self.member_rows)])]
-
-    def until_keys(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The until keys of the atoms ``ids``: one bit per until base, set
-        where the atom holds the until (present) or its right operand
-        (fulfil)."""
-        present, fulfill = self._until_rows
-        return (_key([r[ids] for r in present], len(ids)),
-                _key([r[ids] for r in fulfill], len(ids)))
 
     def witness(self, cls: str) -> ChainWitness | None:
         """The witness of the class, or None when it has no model.
@@ -312,54 +263,287 @@ class _Tableau:
                             loop=tuple(map(self.atom, loop)))
 
     def atom(self, a: int) -> Atom:
-        members = frozenset(
-            m if v else negate(m)
-            for m, v in zip(self.core, [r[a] for r in self.member_rows]))
-        names = tuple(b.name for b, r in zip(self.props, self.prop_rows) if r[a])
+        bits = self.bits_at
+        members = frozenset(m if v else negate(m) for m, v in
+                            zip(self.core, bits(self.member_rows, a)))
+        names = tuple(b.name for b, v in
+                      zip(self.props, bits(self.prop_rows, a)) if v)
         props = _LABELS.get(names)
         if props is None:
             props = _LABELS[names] = frozenset(names)
-        return Atom(members=members, terminal=bool(self.terminal[a]),
-                    fin_viable=bool(self.fin_viable[a]), props=props)
+        terminal, fin_viable = bits((self.terminal, self.fin_viable), a)
+        return Atom(members=members, terminal=bool(terminal),
+                    fin_viable=bool(fin_viable), props=props)
 
 
-class _ClassGraph:
-    """Atoms of one class, bucketed by operand signature, pruned, then
-    ordered.
+class _IntTableau(_Table):
+    """Atom table of Python ints, for small closures.
 
-    A bucket's number is its key: the operand signature its atoms carry.
-    The graph owns the search order: pruning runs first, and only the
-    atoms that survive it are sorted lexicographically on their member
-    bit-vectors, so ``live_ids``, ``roots()`` and every ``bucket(s)`` list
-    atoms in that order.  ``next_bucket`` maps each live atom to the
-    bucket its successors form, or to -1 when the atom is terminal: after
-    pruning every live non-terminal atom has a successor.  Both witness
-    searches go through one routine, ``_path``, a breadth-first search
-    over atoms and their buckets.
+    Atom a is valuation a of the free bits, and each row is an int over
+    the valuations with bit a set where atom a holds the member, built
+    with ``& | ^`` from ``truth_columns``, as ``proof.check_tautology``
+    builds its truth tables.  The valuations that break the terminal rule
+    are left out of every class mask, not removed.  A non-terminal atom
+    wants the bucket its valuation shifted right by the proposition count
+    names, so the atoms wanting one bucket form one block of consecutive
+    valuations and live or die together.  Whole-table work is a few int
+    operations per row or per bucket; Python loops run over buckets and
+    live atoms only.
     """
 
-    def __init__(self, tab: _Tableau, cls: str):
-        self.tab = tab
-        ids = tab.class_indices(cls)
-        nb = tab.key_space
-        alive = self._prune(tab.signature[ids],
-                            np.where(tab.terminal[ids], nb, tab.demand[ids]),
-                            nb)
+    def __init__(self, clo: ClosureSet, cap: int | None):
+        super().__init__(clo, cap)
+        free = self.free
+        full = (1 << (1 << len(free))) - 1
+        rows = dict(zip(free, truth_columns(len(free))))
+        rows[TRUE] = full
 
-        self.live_ids = live_ids = tab.lex_order(ids[alive])
-        live = live_ids.tolist()
-        buckets: dict[int, list[int]] = {}
-        for a, s in zip(live, tab.signature[live_ids].tolist()):
-            buckets.setdefault(s, []).append(a)
-        self._buckets = buckets
-        next_bucket = tab.demand[live_ids].astype(np.int64)
-        next_bucket[tab.terminal[live_ids]] = -1
-        self.next_bucket = dict(zip(live, next_bucket.tolist()))
+        def val(x: tuple[Formula, int]) -> int:
+            return rows[x[0]] ^ full if x[1] else rows[x[0]]
+
+        for b, left, right, unfold in self.steps:
+            rows[b] = (val(left) & val(right) if unfold is None
+                       else val(right) | val(left) & ~rows[unfold])
+        for m in self.core:
+            if type(m) is Not:
+                rows[m] = rows[m.operand] ^ full
+
+        self.shift = len(self.props)
+        self.member_rows = [rows[m] for m in self.core]
+        self.prop_rows = [rows[b] for b in self.props]
+        self.terminal = rows[_TERMINAL_MARK]
+        self.fin_viable = rows[_FIN_MARK]
+        self.origin_bit = rows[self.origin]
+        # a terminal atom must assert every weak next: the valid atoms are
+        # the non-terminal ones and the last block, where every weak-next
+        # bit is set
+        self._last = (self.key_space - 1) << self.shift
+        valid = (self.terminal ^ full) | full >> self._last << self._last
+        self.count = valid.bit_count()
+        self._classes = {"gen": valid, "fin": valid & self.fin_viable,
+                         "inf": self.terminal ^ full}
+        # bucket -> its valid atoms, for the buckets holding any: the
+        # atoms split by each weak next's operand row in turn, the first
+        # weak next in the most significant bit of the key
+        groups = [(0, valid)]
+        for r in (rows[b.operand] for b in self.nexts):
+            groups = [g for s, m in groups
+                      for g in ((s << 1, m & ~r), (s << 1 | 1, m & r)) if g[1]]
+        self._buckets = groups
+        # only the free bits and the untils can tell two atoms apart first:
+        # the constant, a conjunction or a negation is fixed by earlier
+        # rows, and after the last free bit every atom is told apart
+        telling = [m for m in self.core if type(m) in (Prop, WeakNext, Until)]
+        while type(telling[-1]) is Until:
+            telling.pop()
+        self._lex_rows = [rows[m] for m in telling]
+        self._lex_keys: dict[int, int] = {}
+        self._until_rows = ([rows[u] for u in self.untils],
+                            [rows[u.right] for u in self.untils])
 
     @staticmethod
-    def _prune(bucket: np.ndarray, wanted: np.ndarray, nb: int) -> np.ndarray:
+    def bits_at(rows, a: int) -> list[int]:
+        return [r >> a & 1 for r in rows]
+
+    def _class_mask(self, cls: str) -> int:
+        if cls not in self._classes:
+            raise ValueError(f"unknown trace class {cls!r}")
+        return self._classes[cls]
+
+    def _lex_order(self, ids: list[int]) -> list[int]:
+        """The atoms ``ids`` in lexicographic order on member bit-vectors."""
+        keys = self._lex_keys
+        new = [a for a in ids if a not in keys]
+        keys.update(zip(new, map(functools.partial(_key_at, self._lex_rows),
+                                 new)))
+        return sorted(ids, key=keys.__getitem__)
+
+    def sorted_atoms(self, cls: str) -> list[int]:
+        return self._lex_order(_set_bits(self._class_mask(cls)))
+
+    def class_graph(self, cls: str):
+        admitted = self._class_mask(cls)
+        shift, last = self.shift, self._last
+        block = (1 << (1 << shift)) - 1
+        terminal = admitted >> last << last
+        buckets = [(s, m & admitted) for s, m in self._buckets if m & admitted]
+        # a non-terminal atom lives while the bucket it wants holds a live
+        # atom, so each round keeps the blocks whose bucket still does
+        while True:
+            live = terminal
+            for s, m in buckets:
+                live |= admitted & block << (s << shift)
+            kept = [(s, m) for s, m in buckets if m & live]
+            if len(kept) == len(buckets):
+                break
+            buckets = kept
+
+        bucket_of = {a: s for s, m in buckets for a in _set_bits(m & live)}
+        live_ids = self._lex_order(list(bucket_of))
+        origin = self.origin_bit
+        roots = [a for a in live_ids if origin >> a & 1]
+        # a stable sort keeps each bucket in lexicographic order
+        key = bucket_of.__getitem__
+        grouped = {s: list(atoms)
+                   for s, atoms in groupby(sorted(live_ids, key=key), key)}
+        return live_ids, roots, grouped, _next_buckets(last, shift)
+
+    def until_keys(self, ids: list[int]) -> tuple[dict, dict]:
+        present, fulfill = self._until_rows
+        return ({a: _key_at(present, a) for a in ids},
+                {a: _key_at(fulfill, a) for a in ids})
+
+
+def _key_at(rows: list[int], a: int) -> int:
+    """The bits of the int rows at atom a, the first row most significant."""
+    k = 0
+    for r in rows:
+        k = k << 1 | r >> a & 1
+    return k
+
+
+@functools.cache
+def _next_buckets(last: int, shift: int) -> tuple[int, ...]:
+    """Entry a: the bucket atom a wants, its valuation shifted right, or -1
+    from ``last`` on, in the block of the terminal atoms."""
+    return tuple(a >> shift for a in range(last)) + (-1,) * (1 << shift)
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of the mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _key(bits: list, n: int):
+    """Fixed-width numpy keys of n atoms from bool rows, the first row in the
+    most significant bit."""
+    import numpy as np
+    # nexts <= MAX_FREE_BITS and untils <= nexts, so 32 bits suffice
+    out = np.zeros(n, dtype=np.uint32)
+    for b in bits:
+        out <<= 1
+        out |= b
+    return out
+
+
+class _Tableau(_Table):
+    """Atom table of numpy rows, for closures above ``PYTHON_TABLE_BITS``.
+
+    Atom a is entry a of every row in ``member_rows``; the table keeps the
+    atoms in valuation order of their free bits, and ``lex_order`` puts any
+    subset of them in the order the searches follow.  ``demand`` and
+    ``signature`` are fixed-width keys with one bit per weak-next base, the
+    first base in the most significant bit, so a key lies below
+    ``key_space``; ``demand`` is a valuation shifted right.
+    """
+
+    def __init__(self, clo: ClosureSet, cap: int | None):
+        import numpy as np
+        super().__init__(clo, cap)
+        core, free, nexts = self.core, self.free, self.nexts
+
+        # valuations of the free bits; a terminal atom must assert every
+        # weak next
+        rows = np.arange(1 << len(free), dtype=np.uint32)
+        nexts_mask = np.uint32(((1 << len(nexts)) - 1) << len(self.props))
+        terminal_bit = np.uint32(
+            1 << (len(free) - 1 - nexts.index(_TERMINAL_MARK)))
+        keep = rows[((rows & terminal_bit) == 0)
+                    | ((rows & nexts_mask) == nexts_mask)]
+        del rows
+
+        # one row per core member, indexed by atom; every per-atom datum
+        # below is a row, because every base is a core member and the
+        # closure holds the operands of its weak nexts and untils and both
+        # markers.  Separate rows rather than one matrix keep each
+        # allocation at one row's size, so the allocator does not go on
+        # holding a whole table's worth of heap after the largest formulas.
+        member_rows = [np.empty(len(keep), dtype=bool) for _ in core]
+        row = dict(zip(core, member_rows)).__getitem__
+
+        def val(x: tuple[Formula, int]) -> np.ndarray:
+            return ~row(x[0]) if x[1] else row(x[0])
+
+        row(TRUE)[:] = True
+        for k, b in enumerate(free):
+            np.not_equal(keep & np.uint32(1 << k), 0, out=row(b))
+        for b, left, right, unfold in self.steps:
+            if unfold is None:
+                np.logical_and(val(left), val(right), out=row(b))
+            else:
+                np.logical_or(val(right), val(left) & ~row(unfold),
+                              out=row(b))
+        for m in core:
+            if type(m) is Not:
+                np.logical_not(row(m.operand), out=row(m))
+
+        self.member_rows = member_rows
+        self.count = len(keep)
+        self.terminal = row(_TERMINAL_MARK)
+        self.fin_viable = row(_FIN_MARK)
+        self.origin_bit = row(self.origin)
+        self.demand = keep >> np.uint32(len(self.props))
+        self.signature = _key([row(b.operand) for b in nexts], len(keep))
+        self._until_rows = ([row(u) for u in self.untils],
+                            [row(u.right) for u in self.untils])
+        self.prop_rows = [row(b) for b in self.props]
+
+    @staticmethod
+    def bits_at(rows, a: int) -> list:
+        return [r[a] for r in rows]
+
+    def class_indices(self, cls: str):
+        import numpy as np
+        if cls == "gen":
+            return np.arange(self.count)
+        if cls == "fin":
+            return np.flatnonzero(self.fin_viable)
+        if cls == "inf":
+            return np.flatnonzero(~self.terminal)
+        raise ValueError(f"unknown trace class {cls!r}")
+
+    def lex_order(self, ids):
+        """The atoms ``ids`` in lexicographic order on member bit-vectors."""
+        import numpy as np
+        return ids[np.lexsort([r[ids] for r in reversed(self.member_rows)])]
+
+    def sorted_atoms(self, cls: str) -> list[int]:
+        return self.lex_order(self.class_indices(cls)).tolist()
+
+    def class_graph(self, cls: str):
+        import numpy as np
+        ids = self.class_indices(cls)
+        nb = self.key_space
+        alive = self._prune(self.signature[ids],
+                            np.where(self.terminal[ids], nb, self.demand[ids]),
+                            nb)
+        live_ids = self.lex_order(ids[alive])
+        live = live_ids.tolist()
+        buckets: dict[int, list[int]] = {}
+        for a, s in zip(live, self.signature[live_ids].tolist()):
+            buckets.setdefault(s, []).append(a)
+        next_bucket = self.demand[live_ids].astype(np.int64)
+        next_bucket[self.terminal[live_ids]] = -1
+        roots = live_ids[self.origin_bit[live_ids]].tolist()
+        return live, roots, buckets, dict(zip(live, next_bucket.tolist()))
+
+    def until_keys(self, ids: list[int]) -> tuple[dict, dict]:
+        import numpy as np
+        at = np.array(ids, dtype=np.intp)
+        present, fulfill = (_key([r[at] for r in rows], len(ids)).tolist()
+                            for rows in self._until_rows)
+        return dict(zip(ids, present)), dict(zip(ids, fulfill))
+
+    @staticmethod
+    def _prune(bucket, wanted, nb: int):
         """Live mask: the greatest set of atoms that are terminal or have a
         live successor.  ``wanted`` is nb for terminal atoms."""
+        import numpy as np
         size = np.bincount(bucket, minlength=nb + 1)
         live = size[wanted] > 0
         live[wanted == nb] = True
@@ -390,6 +574,27 @@ class _ClassGraph:
             emptied = hit[alive[hit] == 0]
         return live
 
+
+class _ClassGraph:
+    """Atoms of one class, bucketed by operand signature, pruned, then
+    ordered, from either table.
+
+    A bucket's number is its key: the operand signature its atoms carry.
+    The graph owns the search order: pruning runs first, and only the
+    atoms that survive it are sorted lexicographically on their member
+    bit-vectors, so ``live_ids``, ``roots()`` and every ``bucket(s)`` list
+    atoms in that order.  ``next_bucket`` maps each live atom to the
+    bucket its successors form, or to -1 when the atom is terminal: after
+    pruning every live non-terminal atom has a successor.  Both witness
+    searches go through one routine, ``_path``, a breadth-first search
+    over atoms and their buckets.
+    """
+
+    def __init__(self, tab: _Table, cls: str):
+        self.tab = tab
+        (self.live_ids, self._roots, self._buckets,
+         self.next_bucket) = tab.class_graph(cls)
+
     def bucket(self, s: int) -> list[int]:
         return self._buckets[s]
 
@@ -398,8 +603,7 @@ class _ClassGraph:
         return self.bucket(s) if s >= 0 else []
 
     def roots(self) -> list[int]:
-        live = self.live_ids
-        return live[self.tab.origin_bit[live]].tolist()
+        return self._roots
 
     def _succ(self, node: int) -> list[int]:
         """Bipartite successors: an atom id leads to its bucket node ~s, a
@@ -457,11 +661,8 @@ class _ClassGraph:
         # whole, so the searches below never look past these components
         roots = self.roots()
         comps = _tarjan(self._succ, roots)
-        live_ids = self.live_ids
-        live = live_ids.tolist()
-        present, fulfill = self.tab.until_keys(live_ids)
-        until_present = dict(zip(live, present.tolist()))
-        until_fulfill = dict(zip(live, fulfill.tolist()))
+        until_present, until_fulfill = self.tab.until_keys(
+            [n for comp in comps for n in comp if n >= 0])
         for ci, comp in enumerate(comps):
             for node in comp:
                 scc_of[node] = ci
@@ -569,17 +770,17 @@ def enumerate_atoms(clo: ClosureSet, cls: str,
     """All locally consistent atoms admissible for the class, in the fixed
     lexicographic order on member bit-vectors.  Desk scale: materialises and
     sorts every atom, which the decider never does."""
-    tab = _Tableau(clo, closure_cap)
-    return tuple(tab.atom(a) for a in tab.lex_order(tab.class_indices(cls)))
+    tab = _new_table(clo, closure_cap)
+    return tuple(map(tab.atom, tab.sorted_atoms(cls)))
 
 
 def build_atom_graph(clo: ClosureSet, cls: str,
                      closure_cap: int | None = DEFAULT_CLOSURE_CAP) -> AtomGraph:
     """The pruned atom graph: nodes that can head a chain of their class,
     successor lists per the biconditional edge law."""
-    tab = _Tableau(clo, closure_cap)
+    tab = _new_table(clo, closure_cap)
     g = _ClassGraph(tab, cls)
-    kept = g.live_ids.tolist()
+    kept = g.live_ids
     local = {a: k for k, a in enumerate(kept)}
     nodes = tuple(tab.atom(a) for a in kept)
     succs = tuple(tuple(local[b] for b in g.successors(a)) for a in kept)
@@ -601,7 +802,7 @@ def decide_sat(f: Formula, cls: str,
     return SatResult(True, w, extract_model(w))
 
 
-def _table(f: Formula, cap: int | None) -> _Tableau:
+def _table(f: Formula, cap: int | None) -> _Table:
     """The table of f, from the memo when f was the last formula decided."""
     global _memo
     # read once: a formula and its table are replaced together, so a
@@ -610,7 +811,7 @@ def _table(f: Formula, cap: int | None) -> _Tableau:
     if memo is not None and memo[0] == f:
         memo[1].check_cap(cap)
         return memo[1]
-    tab = _Tableau(closure(f, "ltl"), cap)
+    tab = _new_table(closure(f, "ltl"), cap)
     _memo = (f, tab) if tab.count <= _MEMO_ATOMS else None
     return tab
 

@@ -190,6 +190,27 @@ def test_check_proof_above_the_family_bound_exits_three(capsys, tmp_path,
     assert "MAX_CR_PARAM" in err and "<= 200" in err and name in err
 
 
+def _taut_script(tmp_path, letters):
+    conj = " & ".join(f"X p{i}" for i in range(letters))
+    script = tmp_path / "taut.prf"
+    script.write_text(f"system: ax\n1. ({conj}) -> X p0 ; taut\n")
+    return str(script)
+
+
+def test_check_proof_at_the_tautology_letter_bound_answers(capsys, tmp_path):
+    code, out, err = run(capsys, "check-proof", _taut_script(tmp_path, 20))
+    assert (code, out, err) == (0, "OK\n", "")
+
+
+def test_check_proof_above_the_tautology_letter_bound_exits_three(capsys,
+                                                                 tmp_path):
+    # a true tautology the checker refuses, so no FAIL verdict
+    code, out, err = run(capsys, "check-proof", _taut_script(tmp_path, 21))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert "MAX_TAUT_LETTERS" in err and "<= 20" in err and "21 letters" in err
+
+
 def test_check_proof_json(capsys, tmp_path):
     code, out, _ = run(
         capsys, "check-proof", str(FIXTURES / "derivation_caret.prf"), "--json"

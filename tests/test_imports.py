@@ -1,6 +1,7 @@
 """The import graph follows the subcommand: only the decider loads numpy,
-only check-proof, axioms and fuzz load proof, and the package's public
-names are the ones it always exported."""
+and only for tables above the int builder's free bits; only check-proof,
+axioms and fuzz load proof; and the package's public names are the ones it
+always exported."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 
 import caretkit
 from caretkit import cli
+from caretkit.syntax import Prop, WeakNext, closure, parse_formula
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -69,7 +71,8 @@ def test_bare_import_loads_no_decider_proof_or_fuzz():
     assert _loaded_after("import caretkit") == dict.fromkeys(HEAVY, False)
     loaded = _loaded_after(
         "import caretkit\nassert caretkit.tableau.decide_sat is caretkit.decide_sat")
-    assert loaded["numpy"] and loaded["caretkit.tableau"]
+    assert loaded["caretkit.tableau"]
+    assert not loaded["numpy"]
     assert not loaded["caretkit.proof"] and not loaded["caretkit.fuzz"]
 
 
@@ -101,14 +104,51 @@ def test_eval_and_decider_subcommands_never_load_proof(tmp_path):
     assert not loaded["caretkit.proof"] and not loaded["caretkit.fuzz"]
 
 
+def _letters_above_the_int_tables() -> str:
+    """A conjunction of letters one free bit above PYTHON_TABLE_BITS: each
+    letter is a bit, and every closure has four weak nexts."""
+    from caretkit.tableau import PYTHON_TABLE_BITS
+    text = " & ".join(f"x{i}" for i in range(PYTHON_TABLE_BITS - 3))
+    core = closure(parse_formula(text)).core
+    assert sum(type(m) in (Prop, WeakNext) for m in core) \
+        == PYTHON_TABLE_BITS + 1
+    return text
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["sat", "--formula", "p", "--class", "fin"], 0),
     (["valid", "--formula", "p | !p", "--class", "inf"], 0),
-    (["fuzz", "--system", "cross-check", "--instances", "3"], 0),
 ])
-def test_decider_subcommands_load_numpy(argv, expected):
+def test_small_decisions_load_the_decider_but_not_numpy(argv, expected):
+    loaded = _after_main((argv, expected))
+    assert loaded["caretkit.tableau"] and not loaded["numpy"]
+
+
+@pytest.mark.parametrize("command, expected", [("sat", 0), ("valid", 1)])
+def test_decisions_above_the_int_tables_load_numpy(command, expected):
+    text = _letters_above_the_int_tables()
+    argv = [command, "--formula", text, "--class", "gen", "--cap", "0"]
     loaded = _after_main((argv, expected))
     assert loaded["numpy"] and loaded["caretkit.tableau"]
+
+
+def test_cross_check_loads_numpy_only_for_tables_above_the_int_builder():
+    # every table the campaign builds is recorded by its free bits
+    loaded = _loaded_after(
+        "from caretkit import tableau\n"
+        "from caretkit.cli import main\n"
+        "bits = []\n"
+        "new_table = tableau._new_table\n"
+        "def recording(clo, cap):\n"
+        "    bits.append(sum(type(m).__name__ in ('Prop', 'WeakNext')\n"
+        "                    for m in clo.core))\n"
+        "    return new_table(clo, cap)\n"
+        "tableau._new_table = recording\n"
+        "argv = ['fuzz', '--system', 'cross-check', '--instances', '3']\n"
+        "assert main(argv) == 0\n"
+        "assert bits and max(bits) <= tableau.PYTHON_TABLE_BITS, bits\n")
+    assert loaded["caretkit.tableau"] and loaded["caretkit.fuzz"]
+    assert not loaded["numpy"]
 
 
 def test_lazy_names_are_the_submodules_own():

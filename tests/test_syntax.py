@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ from caretkit.syntax import (
     print_formula,
     props_of,
 )
-from caretkit.proof import expand_cr
+from caretkit.proof import build_schema_instance, expand_cr
 from caretkit.syntax import _sort_keys
 
 from exhaustive_oracle import enumerate_formulas
@@ -203,6 +205,41 @@ def test_size_goldens():
     assert formula_size(p) == 1
     assert formula_size(Until(p, q)) == 3
     assert formula_size(Not(WeakNext(Not(p)))) == 4
+
+
+def _tree_size(f):
+    # the tree walk formula_size replaced: one count per path to a node
+    n, stack = 0, [f]
+    while stack:
+        g = stack.pop()
+        n += 1
+        if isinstance(g, (Not, WeakNext, AbsWeakNext)):
+            stack.append(g.operand)
+        elif isinstance(g, (And, Until, AbsUntil)):
+            stack += [g.left, g.right]
+    return n
+
+
+def test_size_matches_the_tree_walk():
+    for n, formulas in enumerate_formulas(5).items():
+        for f in formulas:
+            assert formula_size(f) == _tree_size(f) == n
+    phi = parse_formula("p U X q", mode="caret")
+    instances = [build_schema_instance("C5", {"n": n}, {"phi": phi})
+                 for n in range(7)]
+    instances += [build_schema_instance("C6", {"m": m, "n": n}, {})
+                  for m in range(5) for n in range(m)]
+    for f in instances:
+        assert formula_size(f) == _tree_size(f)
+
+
+def test_size_of_a_deep_family_instance_is_quick():
+    f = expand_cr(0, 40, 40, Prop("p"))
+    start = time.perf_counter()
+    size = formula_size(f)
+    assert time.perf_counter() - start < 1.0
+    # a tree of that size would not fit in memory
+    assert size > 2 ** 64
 
 
 def test_negate_collapses_single_negation():

@@ -54,6 +54,19 @@ TERMINAL = WeakNext(FALSE)
 FIN_MARK = Until(TRUE, TERMINAL)
 
 
+def _on_each_builder(monkeypatch, run):
+    """run() with every table from the int builder, which takes every
+    closure when PYTHON_TABLE_BITS is MAX_FREE_BITS, then from the numpy
+    builder, which takes every closure when it is 0."""
+    results = []
+    for bits in (MAX_FREE_BITS, 0):
+        with monkeypatch.context() as m:
+            m.setattr(tableau, "PYTHON_TABLE_BITS", bits)
+            m.setattr(tableau, "_memo", None)
+            results.append(run())
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Independent atom oracle.  Enumerates truth assignments over the stripped
 # bases of the closure and keeps those passing a second transcription of the
@@ -410,9 +423,10 @@ def _check_against_packing(tab):
     signature = packed([n.operand for n in nexts])
     assert tab.demand.tolist() == demand
     assert tab.signature.tolist() == signature
-    present, fulfill = tab.until_keys(np.arange(tab.count))
-    assert present.tolist() == packed(untils)
-    assert fulfill.tolist() == packed([u.right for u in untils])
+    every = list(range(tab.count))
+    present, fulfill = tab.until_keys(every)
+    assert [present[a] for a in every] == packed(untils)
+    assert [fulfill[a] for a in every] == packed([u.right for u in untils])
 
     terminal = row[TERMINAL].tolist()
     in_class = {"gen": [True] * tab.count, "fin": row[FIN_MARK].tolist(),
@@ -433,7 +447,7 @@ def _check_against_packing(tab):
             members.setdefault(signature[a], []).append(a)
 
         g = _ClassGraph(tab, cls)
-        assert g.live_ids.tolist() == by_row
+        assert g.live_ids == by_row
         key_of = {}
         for a in alive:
             s = g.next_bucket[a]
@@ -493,6 +507,7 @@ class _SortedTableau(_Tableau):
 
 def _on_sorted_tables(monkeypatch, run):
     with monkeypatch.context() as m:
+        m.setattr(tableau, "PYTHON_TABLE_BITS", 0)
         m.setattr(tableau, "_Tableau", _SortedTableau)
         m.setattr(tableau, "_table",
                   lambda f, cap: _SortedTableau(closure(f), cap))
@@ -592,11 +607,7 @@ class _SeparateSearchGraph(_ClassGraph):
         good = []
         roots = self.roots()
         comps = tableau._tarjan(succ, roots)
-        live_ids, tab = self.live_ids, self.tab
-        live = live_ids.tolist()
-        present, fulfill = tab.until_keys(live_ids)
-        until_present = dict(zip(live, present.tolist()))
-        until_fulfill = dict(zip(live, fulfill.tolist()))
+        until_present, until_fulfill = self.tab.until_keys(self.live_ids)
         for ci, comp in enumerate(comps):
             for node in comp:
                 scc_of[node] = ci
@@ -722,7 +733,8 @@ def test_one_atom_loop_closes_on_itself():
 
 def _fresh_decisions(monkeypatch, formulas):
     with monkeypatch.context() as m:
-        m.setattr(tableau, "_table", lambda f, cap: _Tableau(closure(f), cap))
+        m.setattr(tableau, "_table",
+                  lambda f, cap: tableau._new_table(closure(f), cap))
         return {(f, cls): decide_sat(f, cls, closure_cap=None)
                 for f in formulas for cls in CLASSES}
 
@@ -742,17 +754,21 @@ def _count_closures(monkeypatch):
 def test_memo_matches_fresh_tables_small_formulas(monkeypatch):
     by_size = enumerate_formulas(5)
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
-    expected = _fresh_decisions(monkeypatch, formulas)
-    monkeypatch.setattr(tableau, "_memo", None)
     orders = [[(f, cls) for f in formulas for cls in ("gen", "fin", "inf")],
               [(f, cls) for f in formulas for cls in ("inf", "gen", "fin")]]
     # neighbours interleaved, so hits and misses alternate
     orders.append([(f, cls) for f, g in zip(formulas, formulas[1:])
                    for f, cls in ((f, "gen"), (g, "gen"), (g, "fin"),
                                   (f, "fin"), (f, "inf"), (g, "inf"))])
-    for order in orders:
-        for f, cls in order:
-            assert decide_sat(f, cls, closure_cap=None) == expected[f, cls]
+
+    def check():
+        expected = _fresh_decisions(monkeypatch, formulas)
+        monkeypatch.setattr(tableau, "_memo", None)
+        for order in orders:
+            for f, cls in order:
+                assert decide_sat(f, cls, closure_cap=None) == expected[f, cls]
+
+    _on_each_builder(monkeypatch, check)
 
 
 def test_one_closure_per_formula_across_classes(monkeypatch):
@@ -894,16 +910,21 @@ def test_mixed_class_matches_class_graph_decisions(monkeypatch, order):
 
 def test_mixed_class_builds_one_graph_without_finite_models(monkeypatch):
     built = _count_class_graphs(monkeypatch)
-    monkeypatch.setattr(tableau, "_memo", None)
-    for cls in ("fin", "inf", "gen"):
-        decide_sat(parse_formula("(p U q) & X X p"), cls, closure_cap=None)
-    assert built == ["fin", "inf"]
-    built.clear()
-    f = parse_formula("G !(X false) & G F p")     # no finite model
-    for cls in ("gen", "fin", "inf"):
-        decide_sat(f, cls, closure_cap=None)
-    assert built == ["gen"]
-    assert decide_sat(f, "gen", closure_cap=None).witness.kind == "lasso"
+
+    def check():
+        built.clear()
+        for cls in ("fin", "inf", "gen"):
+            decide_sat(parse_formula("(p U q) & X X p"), cls,
+                       closure_cap=None)
+        assert built == ["fin", "inf"]
+        built.clear()
+        f = parse_formula("G !(X false) & G F p")     # no finite model
+        for cls in ("gen", "fin", "inf"):
+            decide_sat(f, cls, closure_cap=None)
+        assert built == ["gen"]
+        assert decide_sat(f, "gen", closure_cap=None).witness.kind == "lasso"
+
+    _on_each_builder(monkeypatch, check)
 
 
 # ---------------------------------------------------------------------------
@@ -949,8 +970,8 @@ def _prune_inputs(draw):
 @given(_prune_inputs())
 def test_prune_matches_round_by_round_fixpoint(inputs):
     nb, bucket, wanted = inputs
-    live = _ClassGraph._prune(np.array(bucket, dtype=np.uint32),
-                              np.array(wanted, dtype=np.uint32), nb)
+    live = _Tableau._prune(np.array(bucket, dtype=np.uint32),
+                           np.array(wanted, dtype=np.uint32), nb)
     assert live.tolist() == _prune_rounds(bucket, wanted, nb)
 
 
@@ -959,9 +980,61 @@ def test_prune_cascades_down_a_long_chain():
     nb = 16
     bucket = list(range(12)) + [13, 14]
     wanted = list(range(1, 13)) + [14, nb]
-    live = _ClassGraph._prune(np.array(bucket, dtype=np.uint32),
-                              np.array(wanted, dtype=np.uint32), nb)
+    live = _Tableau._prune(np.array(bucket, dtype=np.uint32),
+                           np.array(wanted, dtype=np.uint32), nb)
     assert live.tolist() == [False] * 12 + [True, True]
+
+
+# ---------------------------------------------------------------------------
+# The two builders against each other: every formula decided, listed and
+# graphed on the int table and on the numpy table, the heavy instances and
+# the ceiling formula included, so each builder runs on both sides of the
+# free-bit count that chooses between them.
+
+def _free_bits(f):
+    return sum(type(m) in (Prop, WeakNext) for m in closure(f).core)
+
+
+@pytest.mark.parametrize("order", [("fin", "inf", "gen"),
+                                   ("gen", "fin", "inf"),
+                                   ("inf", "gen", "fin")])
+def test_builders_find_the_same_witnesses(monkeypatch, order):
+    by_size = enumerate_formulas(5)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
+    formulas.append(CEILING)
+    bits = {_free_bits(f) for f in formulas}
+    assert min(bits) <= tableau.PYTHON_TABLE_BITS < max(bits)
+    # keep every table between classes, so each later class is answered
+    # from the witnesses found before it
+    monkeypatch.setattr(tableau, "_MEMO_ATOMS", 1 << 20)
+
+    def decide_all():
+        return [decide_sat(f, cls, closure_cap=None)
+                for f in formulas for cls in order]
+
+    on_int, on_numpy = _on_each_builder(monkeypatch, decide_all)
+    assert on_int == on_numpy
+
+
+def test_builders_list_the_same_atoms_and_graphs(monkeypatch):
+    # enumerate_atoms materialises every atom, so it gets the smaller set;
+    # the ceiling formula's graphs hold about 4,000 atoms each, which the
+    # int table, built for small closures, lists in seconds, so only its
+    # decisions are compared above
+    by_size = enumerate_formulas(5)
+    heavy = [closure(_negated_instance(*inst)) for inst in HEAVY_INSTANCES]
+    graphs = [closure(g) for n in sorted(by_size) for g in by_size[n]]
+    atoms = graphs[:sum(len(by_size[n]) for n in by_size if n <= 4)]
+
+    def listing():
+        return ([enumerate_atoms(clo, cls, None)
+                 for clo in atoms + heavy[:1] for cls in CLASSES],
+                [build_atom_graph(clo, cls, None)
+                 for clo in graphs + heavy for cls in CLASSES])
+
+    on_int, on_numpy = _on_each_builder(monkeypatch, listing)
+    assert on_int == on_numpy
 
 
 # ---------------------------------------------------------------------------
