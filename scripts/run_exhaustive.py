@@ -24,11 +24,20 @@ from caretkit.tableau import decide_sat
 from exhaustive_oracle import ExhaustiveOracle, enumerate_formulas
 
 
+def _positive(text: str) -> int:
+    """The argparse type of --max-size and --bound: below 1 there is no
+    formula to check, or no trace to check it on."""
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-size", type=int, default=5,
+    ap.add_argument("--max-size", type=_positive, default=5,
                     help="largest formula core size to enumerate (default 5)")
-    ap.add_argument("--bound", type=int, default=6,
+    ap.add_argument("--bound", type=_positive, default=6,
                     help="trace space size bound (default 6)")
     ap.add_argument("--cache-max-size", type=int, default=None,
                     help="only cache profiles of formulas up to this size")

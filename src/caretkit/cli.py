@@ -156,9 +156,10 @@ def _cmd_axioms(args) -> int:
 
 
 def _non_negative(text: str) -> int:
-    """The argparse type of --cap and --instances: anything else is a usage
+    """The argparse type of --cap and --instances: ASCII digits only (str
+    digit tests admit other scripts' digits); anything else is a usage
     error (exit 2)."""
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
     return int(text)

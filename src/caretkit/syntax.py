@@ -285,7 +285,8 @@ def formula_sort_key(f: Formula) -> tuple[int, str]:
     The printed text pins the order independently of hash randomisation, so
     anything sorted with this key is stable across runs.
     """
-    return _sort_keys((f,))[f]
+    nodes = _Nodes()
+    return nodes.keys[nodes.add(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,50 +304,115 @@ _PRINT_PARTS = {
 }
 
 
-def _sort_keys(roots) -> dict[Formula, tuple[int, str]]:
-    """(size, printed text) of every node under the roots.
+class _Nodes:
+    """Distinct nodes numbered by structure, each with its sort key.
 
-    Each distinct node is printed once, from its children's entries, in an
-    explicit post-order walk, so nesting depth is bounded by memory rather
-    than by the interpreter's recursion limit.
+    A node's signature is its type and its kids' numbers (a proposition's
+    is ``(Prop, name)``), and interning the signature gives the number, so
+    structurally equal subterms share a number even when they are distinct
+    objects.  Input objects are looked up by ``id()``: numbering makes no
+    ``Formula.__hash__`` or ``_equal`` call.  Each number keeps its
+    signature, one node of that structure and its (size, printed text) key,
+    computed once from the kids' keys as the node gets its number; that is
+    the one place ``_PRINT_PARTS`` becomes text.  The walk is an explicit
+    post-order, so nesting depth is bounded by memory rather than by the
+    interpreter's recursion limit.
     """
-    keys: dict[Formula, tuple[int, str]] = {}
-    stack = list(roots)
-    while stack:
-        g = stack[-1]
-        if g in keys:
+
+    __slots__ = ("by_id", "index", "sigs", "nodes", "keys")
+
+    def __init__(self):
+        self.by_id: dict[int, int] = {}
+        self.index: dict[tuple, int] = {}
+        self.sigs: list[tuple] = []
+        self.nodes: list[Formula] = []
+        self.keys: list[tuple[int, str]] = []
+
+    def copy(self) -> _Nodes:
+        new = _Nodes.__new__(_Nodes)
+        new.by_id = self.by_id.copy()
+        new.index = self.index.copy()
+        new.sigs = self.sigs.copy()
+        new.nodes = self.nodes.copy()
+        new.keys = self.keys.copy()
+        return new
+
+    def add(self, f: Formula) -> int:
+        """The number of f, numbering every node under it not seen yet."""
+        by_id = self.by_id
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if id(g) in by_id:
+                stack.pop()
+                continue
+            t = type(g)
+            if t is Prop:
+                n = self._leaf((Prop, g.name), g, g.name)
+            elif t is TrueConst:
+                n = self._leaf((TrueConst,), g, "true")
+            elif t not in _PRINT_PARTS:
+                raise TypeError(f"not a formula node: {g!r}")
+            elif isinstance(g, _Unary):
+                k = by_id.get(id(g.operand))
+                if k is None:
+                    stack.append(g.operand)
+                    continue
+                n = self.unary(t, k, g)
+            else:
+                left = by_id.get(id(g.left))
+                right = by_id.get(id(g.right))
+                if left is None or right is None:
+                    stack.append(g.left)
+                    stack.append(g.right)
+                    continue
+                n = self.binary(t, left, right, g)
+            by_id[id(g)] = n
             stack.pop()
-            continue
-        t = type(g)
-        if t is TrueConst:
-            keys[g] = (1, "true")
-        elif t is Prop:
-            keys[g] = (1, g.name)
-        elif t not in _PRINT_PARTS:
-            raise TypeError(f"not a formula node: {g!r}")
-        elif isinstance(g, _Unary):
-            sub = keys.get(g.operand)
-            if sub is None:
-                stack.append(g.operand)
-                continue
+        return by_id[id(f)]
+
+    # Each constructor below returns the number of the node of its type
+    # over the numbered kids.  ``node`` is an object of that structure when
+    # the caller holds one; otherwise one is built if the structure is new.
+
+    def _leaf(self, sig: tuple, node: Formula, text: str) -> int:
+        n = self.index.get(sig)
+        if n is None:
+            n = self.index[sig] = len(self.sigs)
+            self.sigs.append(sig)
+            self.nodes.append(node)
+            self.keys.append((1, text))
+        return n
+
+    def unary(self, t: type, k: int, node: Formula | None = None) -> int:
+        sig = (t, k)
+        n = self.index.get(sig)
+        if n is None:
+            size, text = self.keys[k]
             before, _, after = _PRINT_PARTS[t]
-            keys[g] = (sub[0] + 1, before + sub[1] + after)
-        else:
-            left = keys.get(g.left)
-            right = keys.get(g.right)
-            if left is None or right is None:
-                stack.append(g.left)
-                stack.append(g.right)
-                continue
+            n = self.index[sig] = len(self.sigs)
+            self.sigs.append(sig)
+            self.nodes.append(t(self.nodes[k]) if node is None else node)
+            self.keys.append((size + 1, before + text + after))
+        return n
+
+    def binary(self, t: type, left: int, right: int, node: Formula) -> int:
+        sig = (t, left, right)
+        n = self.index.get(sig)
+        if n is None:
+            lsize, ltext = self.keys[left]
+            rsize, rtext = self.keys[right]
             before, mid, after = _PRINT_PARTS[t]
-            keys[g] = (left[0] + right[0] + 1,
-                       before + left[1] + mid + right[1] + after)
-        stack.pop()
-    return keys
+            n = self.index[sig] = len(self.sigs)
+            self.sigs.append(sig)
+            self.nodes.append(node)
+            self.keys.append((lsize + rsize + 1,
+                              before + ltext + mid + rtext + after))
+        return n
 
 
 def print_formula(f: Formula) -> str:
-    return _sort_keys((f,))[f][1]
+    return formula_sort_key(f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +634,11 @@ class ClosureSet:
 
     ``core`` is the closure proper; ``members`` is core plus the negation of
     every core member, with single-negation collapse when pairing.  Both are
-    tuples in deterministic (size, text) order.  ``size_bound`` records the
-    linear bound on len(members) guaranteed at construction.
+    tuples in deterministic (size, text) order.  Members are interned by
+    structure: structurally equal subterms of the origin are one member,
+    and each member's sort key was computed once, as it was numbered.
+    ``size_bound`` records the linear bound on len(members) guaranteed at
+    construction.
     """
 
     __slots__ = ("origin", "mode", "core", "members", "member_set", "size_bound")
@@ -590,6 +659,63 @@ class ClosureSet:
                 f"mode={self.mode!r}, members={len(self.members)})")
 
 
+def _close(nodes: _Nodes, core: set[int], stack: list[int], mode: str) -> None:
+    """Grow core, a set of node numbers, by the closure of the stack's
+    nodes: the rules run on numbers, and ``nodes`` builds a node only for a
+    structure it does not hold yet."""
+    sigs, make = nodes.sigs, nodes.unary
+    while stack:
+        n = stack.pop()
+        if n in core:
+            continue
+        core.add(n)
+        sig = sigs[n]
+        t = sig[0]
+        if t is Not:
+            stack.append(sig[1])
+        elif t is And:
+            stack.append(sig[1])
+            stack.append(sig[2])
+        elif t is WeakNext:
+            stack.append(sig[1])
+            if sigs[sig[1]][0] is Not:
+                stack.append(make(WeakNext, sigs[sig[1]][1]))
+        elif t is Until:
+            stack.append(sig[1])
+            stack.append(sig[2])
+            stack.append(make(Not, make(WeakNext, make(Not, n))))
+        elif mode == "ltl" and t in (AbsWeakNext, AbsUntil):
+            raise ValueError(
+                "formula uses abstract operators; closure needs caret mode")
+        elif t is AbsWeakNext:
+            stack.append(sig[1])
+            if sigs[sig[1]][0] is Not:
+                stack.append(make(AbsWeakNext, sigs[sig[1]][1]))
+        elif t is AbsUntil:
+            stack.append(sig[1])
+            stack.append(sig[2])
+            stack.append(make(Not, make(AbsWeakNext, make(Not, n))))
+
+
+def _signed(nodes: _Nodes, core: set[int]) -> set[int]:
+    """Core and the negation of each member; the negation of a Not is its
+    operand, which the core holds."""
+    sigs, make = nodes.sigs, nodes.unary
+    return core | {make(Not, n) for n in core if sigs[n][0] is not Not}
+
+
+# Every closure holds the closure of its seed, the finiteness until over the
+# terminal marker, so that part is numbered once, here, and each closure
+# starts from a copy of these nodes.  Each seed object it knows by id() is
+# also the node it keeps for its structure, so no id can be reused while
+# the copies look it up.
+_SEED_NODES = _Nodes()
+_SEED_CORE: set[int] = set()
+_close(_SEED_NODES, _SEED_CORE,
+       [_SEED_NODES.add(Until(TRUE, WeakNext(FALSE)))], "ltl")
+_SEED_MEMBERS = frozenset(_signed(_SEED_NODES, _SEED_CORE))
+
+
 def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
     """Smallest set containing f that is closed under the closure rules.
 
@@ -599,47 +725,24 @@ def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
     the unnegated operand; an until yields both operands plus its own
     strong-next unfolding (stored desugared).  In caret mode the last two
     rules are mirrored for the abstract operators.
+
+    One post-order walk interns every distinct node of f by structure
+    (``_Nodes``), keying each once, on a copy of the seed's numbered
+    closure.  The rules and the negation pass then run on node numbers, and
+    build a node only for a member neither f nor the seed's closure holds;
+    one sort by key gives the members, and the core is their core
+    subsequence.
     """
     if mode not in ("ltl", "caret"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    core: set[Formula] = set()
-    stack: list[Formula] = [f, Until(TRUE, WeakNext(FALSE))]
-    while stack:
-        g = stack.pop()
-        if g in core:
-            continue
-        core.add(g)
-        t = type(g)
-        if t is Not:
-            stack.append(g.operand)
-        elif t is And:
-            stack.append(g.left)
-            stack.append(g.right)
-        elif t is WeakNext:
-            stack.append(g.operand)
-            if type(g.operand) is Not:
-                stack.append(WeakNext(g.operand.operand))
-        elif t is Until:
-            stack.append(g.left)
-            stack.append(g.right)
-            stack.append(Not(WeakNext(Not(g))))
-        elif mode == "ltl" and t in (AbsWeakNext, AbsUntil):
-            raise ValueError(
-                "formula uses abstract operators; closure needs caret mode")
-        elif t is AbsWeakNext:
-            stack.append(g.operand)
-            if type(g.operand) is Not:
-                stack.append(AbsWeakNext(g.operand.operand))
-        elif t is AbsUntil:
-            stack.append(g.left)
-            stack.append(g.right)
-            stack.append(Not(AbsWeakNext(Not(g))))
-
-    members = set(core)
-    members.update(negate(g) for g in core)
-    key = _sort_keys(members).__getitem__
-    core_sorted = tuple(sorted(core, key=key))
-    members_sorted = tuple(sorted(members, key=key))
-    bound = 8 * key(f)[0] + 20
-    return ClosureSet(f, mode, core_sorted, members_sorted, bound)
+    nodes = _SEED_NODES.copy()
+    root = nodes.add(f)
+    core = _SEED_CORE.copy()
+    _close(nodes, core, [root], mode)
+    members = _SEED_MEMBERS | _signed(nodes, core - _SEED_CORE)
+    order = sorted(members, key=nodes.keys.__getitem__)
+    at = nodes.nodes
+    return ClosureSet(f, mode, tuple(at[n] for n in order if n in core),
+                      tuple(at[n] for n in order),
+                      8 * nodes.keys[root][0] + 20)

@@ -302,6 +302,23 @@ def test_negative_count_is_usage_error(capsys, argv, flag):
         f"got '{argv[-1]}'")
 
 
+# str.isdecimal admits the digits of other scripts, which int() reads
+@pytest.mark.parametrize("argv, flag", [
+    (["sat", "--class", "gen", "--cap", "\u0663", "--formula", "p"], "--cap"),
+    (["fuzz", "--system", "ax", "--instances", "\uff13"], "--instances"),
+])
+def test_non_ascii_count_is_usage_error(capsys, argv, flag):
+    value = argv[argv.index(flag) + 1]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {flag}: expected a non-negative integer, "
+        f"got '{value}'")
+
+
 def test_input_errors_exit_three(capsys):
     code, _, err = run(capsys, "sat", "--formula", "p &", "--class", "gen")
     assert code == 3 and err

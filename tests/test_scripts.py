@@ -12,14 +12,31 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
 @pytest.mark.parametrize("argv", [
     ["scripts/run_campaigns.py", "--instances", "200"],
     ["scripts/run_exhaustive.py", "--max-size", "4", "--bound", "4"],
 ])
 def test_script_runs_clean(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = _run(argv)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# below 1, the sweep checks no formula (--max-size) or no unsat verdict
+# (--bound 0), or the oracle fails to build its spaces (--bound -2)
+@pytest.mark.parametrize("flag, value", [
+    ("--max-size", "-1"), ("--bound", "0"), ("--bound", "-2"),
+])
+def test_exhaustive_refuses_sizes_below_one(flag, value):
+    proc = _run(["scripts/run_exhaustive.py", flag, value])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"error: argument {flag}: expected a positive integer, got '{value}'")

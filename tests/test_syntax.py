@@ -14,11 +14,14 @@ from caretkit.syntax import (
     AbsUntil,
     AbsWeakNext,
     And,
+    ClosureSet,
     Not,
     ParseError,
     Prop,
+    TrueConst,
     Until,
     WeakNext,
+    _Unary,
     closure,
     formula_size,
     formula_sort_key,
@@ -32,7 +35,6 @@ from caretkit.syntax import (
     props_of,
 )
 from caretkit.proof import build_schema_instance, expand_cr
-from caretkit.syntax import _sort_keys
 
 from exhaustive_oracle import enumerate_formulas
 
@@ -391,10 +393,10 @@ def test_closure_sort_keys_match_recursive_printer():
     by_size = enumerate_formulas(6)
     for f in (g for n in sorted(by_size) for g in by_size[n]):
         clo = closure(f)
-        keys = _sort_keys(clo.members)
-        for m in clo.members:
-            assert keys[m] == (formula_size(m), _print_recursive(m))
-        assert list(clo.members) == sorted(clo.members, key=keys.__getitem__)
+        keys = [formula_sort_key(m) for m in clo.members]
+        assert keys == [(formula_size(m), _print_recursive(m))
+                         for m in clo.members]
+        assert keys == sorted(keys)
 
 
 @settings(max_examples=100)
@@ -418,6 +420,195 @@ def test_deep_nesting_needs_no_recursion(wrap, text):
     assert clo.core[-1] is f
     assert formula_sort_key(f) == (depth + 1, text(depth))
     assert Prop("p") in clo and len(clo.core) > depth
+
+
+def test_non_formula_is_a_type_error():
+    for run in (closure, print_formula, formula_sort_key):
+        with pytest.raises(TypeError, match="not a formula node: 42"):
+            run(42)
+
+
+# ---------------------------------------------------------------------------
+# The closure against the one it replaced: a walk over Formula objects that
+# hashes and compares every node, then a second walk that prints every
+# member to sort.  Both are kept verbatim, with a copy of their print table.
+
+_REFERENCE_PARTS = {
+    Not: ("!(", "", ")"),
+    WeakNext: ("X ", "", ""),
+    AbsWeakNext: ("Xa ", "", ""),
+    And: ("(", " & ", ")"),
+    Until: ("(", " U ", ")"),
+    AbsUntil: ("(", " Ua ", ")"),
+}
+
+
+def _reference_sort_keys(roots):
+    keys = {}
+    stack = list(roots)
+    while stack:
+        g = stack[-1]
+        if g in keys:
+            stack.pop()
+            continue
+        t = type(g)
+        if t is TrueConst:
+            keys[g] = (1, "true")
+        elif t is Prop:
+            keys[g] = (1, g.name)
+        elif t not in _REFERENCE_PARTS:
+            raise TypeError(f"not a formula node: {g!r}")
+        elif isinstance(g, _Unary):
+            sub = keys.get(g.operand)
+            if sub is None:
+                stack.append(g.operand)
+                continue
+            before, _, after = _REFERENCE_PARTS[t]
+            keys[g] = (sub[0] + 1, before + sub[1] + after)
+        else:
+            left = keys.get(g.left)
+            right = keys.get(g.right)
+            if left is None or right is None:
+                stack.append(g.left)
+                stack.append(g.right)
+                continue
+            before, mid, after = _REFERENCE_PARTS[t]
+            keys[g] = (left[0] + right[0] + 1,
+                       before + left[1] + mid + right[1] + after)
+        stack.pop()
+    return keys
+
+
+def _reference_closure(f, mode="ltl"):
+    if mode not in ("ltl", "caret"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+    core = set()
+    stack = [f, Until(TRUE, WeakNext(FALSE))]
+    while stack:
+        g = stack.pop()
+        if g in core:
+            continue
+        core.add(g)
+        t = type(g)
+        if t is Not:
+            stack.append(g.operand)
+        elif t is And:
+            stack.append(g.left)
+            stack.append(g.right)
+        elif t is WeakNext:
+            stack.append(g.operand)
+            if type(g.operand) is Not:
+                stack.append(WeakNext(g.operand.operand))
+        elif t is Until:
+            stack.append(g.left)
+            stack.append(g.right)
+            stack.append(Not(WeakNext(Not(g))))
+        elif mode == "ltl" and t in (AbsWeakNext, AbsUntil):
+            raise ValueError(
+                "formula uses abstract operators; closure needs caret mode")
+        elif t is AbsWeakNext:
+            stack.append(g.operand)
+            if type(g.operand) is Not:
+                stack.append(AbsWeakNext(g.operand.operand))
+        elif t is AbsUntil:
+            stack.append(g.left)
+            stack.append(g.right)
+            stack.append(Not(AbsWeakNext(Not(g))))
+
+    members = set(core)
+    members.update(negate(g) for g in core)
+    key = _reference_sort_keys(members).__getitem__
+    core_sorted = tuple(sorted(core, key=key))
+    members_sorted = tuple(sorted(members, key=key))
+    bound = 8 * key(f)[0] + 20
+    return ClosureSet(f, mode, core_sorted, members_sorted, bound)
+
+
+def _assert_reference_closure(f, mode="ltl"):
+    want, got = _reference_closure(f, mode), closure(f, mode)
+    # tuple equality compares element by element, in order
+    assert got.core == want.core
+    assert got.members == want.members
+    assert got.size_bound == want.size_bound
+
+
+def test_closure_matches_reference_small_formulas():
+    by_size = enumerate_formulas(6)
+    for f in (g for n in sorted(by_size) for g in by_size[n]):
+        _assert_reference_closure(f)
+
+
+@settings(max_examples=200)
+@given(ltl_formulas)
+def test_closure_matches_reference_ltl(f):
+    _assert_reference_closure(f)
+    _assert_reference_closure(f, "caret")
+
+
+@settings(max_examples=200)
+@given(caret_formulas)
+def test_closure_matches_reference_caret(f):
+    _assert_reference_closure(f, "caret")
+
+
+@pytest.mark.parametrize("text", [
+    "(p U q) & (p U q)",
+    "X (p U q) & !(p U q) & X !(p U q)",
+    "G (p -> X q) & F (p -> X q) & (X q U X q)",
+    "(p <-> q) U (q <-> p)",
+])
+def test_closure_matches_reference_equal_distinct_subterms(text):
+    _assert_reference_closure(parse_formula(text))
+
+
+def test_equal_distinct_subterms_are_one_member():
+    # two objects for p U q, which the closure interns as one member
+    twice = parse_formula("(p U q) & (p U q)")
+    assert twice.left is not twice.right and twice.left == twice.right
+    once = closure(twice.left)
+    assert len(closure(twice).members) == len(once.members) + 2
+
+
+@pytest.mark.parametrize("cmn", [
+    (c, m, n) for c in range(3) for m in range(3) for n in range(3)
+    if c + m >= n])
+def test_closure_matches_reference_counting_formulas(cmn):
+    _assert_reference_closure(expand_cr(*cmn, Prop("p")))
+    _assert_reference_closure(expand_cr(*cmn, AbsWeakNext(Not(Prop("q")))),
+                              "caret")
+
+
+@pytest.mark.parametrize("name, params", [
+    ("C5", {"n": 0}), ("C5", {"n": 2}),
+    ("C6", {"m": 1, "n": 0}), ("C6", {"m": 3, "n": 2}),
+])
+def test_closure_matches_reference_cr_families(name, params):
+    bindings = {"phi": parse_formula("p U X q")} if name == "C5" else {}
+    instance = build_schema_instance(name, params, bindings)
+    _assert_reference_closure(instance, "caret")
+    _assert_reference_closure(Not(instance), "caret")
+
+
+def test_closure_matches_reference_heavy_instances():
+    from test_tableau import CEILING, HEAVY_INSTANCES, _negated_instance
+    for inst in HEAVY_INSTANCES:
+        _assert_reference_closure(_negated_instance(*inst))
+    _assert_reference_closure(CEILING)
+
+
+def test_deep_members_of_equal_size_sort_without_recursion():
+    # X^1500 p and X^1500 q have equal sizes: a key of nested tuples would
+    # compare them recursively, past the recursion limit
+    depth = 1500
+    deep_p, deep_q = Prop("p"), Prop("q")
+    for _ in range(depth):
+        deep_p, deep_q = WeakNext(deep_p), WeakNext(deep_q)
+    f = And(deep_p, deep_q)
+    clo = closure(f)
+    assert clo.core[-1] is f
+    assert deep_p in clo and Not(deep_q) in clo
+    _assert_reference_closure(f)
 
 
 # ---------------------------------------------------------------------------
