@@ -20,13 +20,22 @@ from caretkit.syntax import print_formula
 from caretkit.trace import trace_to_text
 
 
+def _positive(text: str) -> int:
+    """The argparse type of --instances and the trace bounds: below 1 there
+    is no instance to run, or no trace to run it on."""
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--instances", type=int, default=1000,
+    ap.add_argument("--instances", type=_positive, default=1000,
                     help="instances per schema (default 1000)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-finite-len", type=int, default=12)
-    ap.add_argument("--max-lasso-total", type=int, default=12)
+    ap.add_argument("--max-finite-len", type=_positive, default=12)
+    ap.add_argument("--max-lasso-total", type=_positive, default=12)
     args = ap.parse_args()
 
     cfg = GenConfig(seed=args.seed, max_finite_len=args.max_finite_len,

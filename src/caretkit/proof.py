@@ -110,9 +110,11 @@ def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
     than ``max_letters`` letters raise ProofLimitError."""
     letters: list[Formula] = []
     seen: set[Formula] = set()
+    order: list[Formula] = []  # every node after its parent
     stack = [f]
     while stack:
         g = stack.pop()
+        order.append(g)
         t = type(g)
         if t is Not:
             stack.append(g.operand)
@@ -129,26 +131,18 @@ def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
 
     full = (1 << (1 << len(letters))) - 1
     masks = dict(zip(letters, truth_columns(len(letters))))
-
-    memo: dict[Formula, int] = {}
-
-    def column(g: Formula) -> int:
-        got = memo.get(g)
-        if got is not None:
-            return got
+    # kids before parents, without recursion, so deep formulas check
+    column: dict[int, int] = {}
+    for g in reversed(order):
         t = type(g)
-        if t is TrueConst:
-            v = full
-        elif t is Not:
-            v = full ^ column(g.operand)
+        if t is Not:
+            v = full ^ column[id(g.operand)]
         elif t is And:
-            v = column(g.left) & column(g.right)
+            v = column[id(g.left)] & column[id(g.right)]
         else:
-            v = masks[g]
-        memo[g] = v
-        return v
-
-    return column(f) == full
+            v = full if t is TrueConst else masks[g]
+        column[id(g)] = v
+    return column[id(f)] == full
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ operations.  A lasso needs only one extra copy of its loop for that, because
 any satisfied until has a witness at most one canonical round away.
 
 Abstract operators read the abstract successor map of a structured lasso,
-built once per context at canonical positions by one call/return stack pass
+built once per context at canonical positions by the one call/return pass
+that also gives trace.matching_return its distances
 (trace.abstract_successor_map); this is sound because a suffix of the trace
 starting inside the loop recurs verbatim one loop later, so both truth and
 the abstract successor are periodic there.  The map is a function, so an

@@ -12,6 +12,10 @@ representable object here.  Traces are immutable.
 Positions are 0-based.  On a lasso, position i beyond the prefix denotes the
 state at offset (i - prefix_len) mod loop_len inside the loop, and every
 question about position i can be answered at its canonical position.
+
+On a structured lasso, matching_return, abstract_successor and the
+evaluator's abstract_successor_map read one pass over the canonical
+positions; brute_matching_return is the literal scan that checks it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ class StateTag(enum.Enum):
     CALL = "call"
     RET = "ret"
     INT = "int"
+
+
+# read per position by _return_pass: a global loads faster than an enum member
+_CALL, _RET = StateTag.CALL, StateTag.RET
 
 
 @dataclass(frozen=True, slots=True, weakref_slot=True)
@@ -131,53 +139,94 @@ def canonical_position(t: LassoTrace | StructuredLassoTrace, i: int) -> int:
     return t.canonical(i)
 
 
-def matching_return(t: StructuredLassoTrace, i: int) -> int | None:
-    """First unmatched return after i, or None when every return is matched.
+def _need_structured(t) -> None:
+    if not isinstance(t, StructuredLassoTrace):
+        raise TypeError(f"not a structured lasso: {type(t).__name__}")
 
-    The matching return of position i is the smallest j > i tagged ret such
-    that the positions strictly between i and j contain equally many calls
-    and returns.  The scan tracks the running call/return balance; once it
-    has covered one full loop period whose net balance change is >= 0 without
-    a hit, later periods repeat the same tags at balances at least as high,
-    so no hit can occur and the answer is None.  A negative net change per
-    period forces the balance (which never goes below zero before a hit)
-    down to a hit within a bounded number of periods.
+
+def _return_pass(t: StructuredLassoTrace) -> tuple[list, list]:
+    """Distance to the matching return, and canonical abstract successor,
+    of every canonical position; None where there is none.
+
+    With H(j) the number of calls minus rets at positions 0..j, the
+    matching return of i is the first j > i with H(j) < H(i).  One left to
+    right pass over prefix + loop keeps the positions still waiting for it
+    in one group per height, the current height on top; only a group's
+    first member can be a call.  A ret settles the top group.
+
+    Groups still open after the pass wait for later loop copies.  Seen on
+    its own, the loop first reaches depths 1..d below its start at offsets
+    r_1..r_d, and its net balance is u - d.  The group k levels from the
+    top is settled in loop copy 2 at r_k when k <= d.  Each later copy
+    starts d - u lower, so it first reaches only its depths u+1..d: when
+    k > d and d > u the group is settled at r_s in copy
+    2 + (k - s) / (d - u), with s = u + 1 + (k - d - 1) mod (d - u).
+    Otherwise it never is.  Distances keep the copy, which a canonical
+    position would lose, and are periodic past the prefix.
     """
-    if i < 0:
-        raise IndexError(f"negative position {i}")
-    loop_net = 0
-    for _, tag in t.loop:
-        if tag is StateTag.CALL:
-            loop_net += 1
-        elif tag is StateTag.RET:
-            loop_net -= 1
+    _need_structured(t)
+    p = len(t.prefix)
+    tags = [tag for _, tag in t.prefix] + [tag for _, tag in t.loop]
+    n = len(tags)
+    dist: list[int | None] = [None] * n
+    succ: list[int | None] = [None] * n
+    groups: list[list[int]] = []
+    for i, tag in enumerate(tags):
+        if tag is _CALL:
+            groups.append([i])
+            continue
+        nxt = i + 1 if i + 1 < n else p
+        if tags[nxt] is not _RET:
+            succ[i] = nxt
+        if tag is _RET and groups:
+            g = groups.pop()
+            for m in g:
+                dist[m] = i - m
+            if tags[g[0]] is _CALL:
+                succ[g[0]] = i
+        if groups:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    r: list[int] = []  # r[k - 1] is the loop's own r_k
+    h = 0
+    for off, tag in enumerate(tags[p:]):
+        if tag is _CALL:
+            h += 1
+        elif tag is _RET:
+            h -= 1
+            if -h > len(r):
+                r.append(off)
+    d = len(r)
+    u = h + d
+    for k, g in enumerate(reversed(groups), 1):
+        if k <= d:
+            s, copies = k, 0
+        elif d > u:
+            s = u + 1 + (k - d - 1) % (d - u)
+            copies = (k - s) // (d - u)
+        else:
+            break
+        j = n + copies * (n - p) + r[s - 1]
+        for m in g:
+            dist[m] = j - m
+        if tags[g[0]] is _CALL:
+            succ[g[0]] = p + r[s - 1]
+    return dist, succ
 
-    p0 = max(i + 1, t.prefix_len)  # first position of a fully in-loop period
-    limit = p0 + t.loop_len if loop_net >= 0 else None
-    guard = p0 + t.loop_len * (p0 - i + 2)
-    j, bal = i + 1, 0
-    while True:
-        if limit is not None and j >= limit:
-            return None
-        if j > guard:
-            raise AssertionError("matching_return failed to terminate")
-        tag = t.tag_at(j)
-        if tag is StateTag.RET:
-            if bal == 0:
-                return j
-            bal -= 1
-        elif tag is StateTag.CALL:
-            bal += 1
-        j += 1
+
+def matching_return(t: StructuredLassoTrace, i: int) -> int | None:
+    """The first j > i tagged ret such that the positions strictly between
+    i and j hold equally many calls and returns, or None."""
+    dist = _return_pass(t)[0][t.canonical(i)]
+    return None if dist is None else i + dist
 
 
 def abstract_successor(t: StructuredLassoTrace, i: int) -> int | None:
     """The abstract successor: the matching return at a call, undefined just
     before a return, the ordinary successor otherwise."""
-    if i < 0:
-        raise IndexError(f"negative position {i}")
-    tag = t.tag_at(i)
-    if tag is StateTag.CALL:
+    _need_structured(t)
+    if t.tag_at(i) is StateTag.CALL:
         return matching_return(t, i)
     if t.tag_at(i + 1) is StateTag.RET:
         return None
@@ -185,54 +234,9 @@ def abstract_successor(t: StructuredLassoTrace, i: int) -> int | None:
 
 
 def abstract_successor_map(t: StructuredLassoTrace) -> list[int | None]:
-    """Canonical abstract successor of every canonical position, or None.
-
-    Entry c equals canonical(abstract_successor(t, c)), found in one left to
-    right pass over prefix + loop that keeps a stack of open calls; a ret
-    pops the top call, which it matches.  Calls still open after the pass
-    are placed without unrolling.  Seen on its own the loop has d unmatched
-    rets, all before its u calls that stay open (a ret after such a call
-    would find a call to match).  So every later loop copy pops the same d
-    entries at the same offsets: first the u open calls of the copy before
-    it, topmost first, then d - u entries further down when d > u.  With
-    d <= u only the top d are ever matched, one copy later; with d > u,
-    entry m below the first copy's own calls is matched in copy
-    2 + m // (d - u) by unmatched ret u + m % (d - u).  A canonical
-    position needs only that ret's offset in the loop.
-    """
-    p = len(t.prefix)
-    tags = [tag for _, tag in t.prefix] + [tag for _, tag in t.loop]
-    n = len(tags)
-    succ: list[int | None] = [None] * n
-    stack: list[int] = []
-    for i, tag in enumerate(tags):
-        if tag is StateTag.CALL:
-            stack.append(i)
-            continue
-        nxt = i + 1 if i + 1 < n else p
-        if tags[nxt] is not StateTag.RET:
-            succ[i] = nxt
-        if tag is StateTag.RET and stack:
-            succ[stack.pop()] = i
-    rets: list[int] = []  # the loop's own unmatched rets
-    u = 0  # the loop's own open calls
-    for i in range(p, n):
-        if tags[i] is StateTag.CALL:
-            u += 1
-        elif tags[i] is StateTag.RET:
-            if u:
-                u -= 1
-            else:
-                rets.append(i)
-    d = len(rets)
-    for m, c in enumerate(reversed(stack)):
-        if m < min(u, d):
-            succ[c] = rets[m]
-        elif d > u:
-            succ[c] = rets[u + (m - u) % (d - u)]
-        else:
-            break
-    return succ
+    """Canonical abstract successor of every canonical position, or None:
+    entry c equals canonical(abstract_successor(t, c))."""
+    return _return_pass(t)[1]
 
 
 INCONCLUSIVE = "inconclusive"
@@ -242,10 +246,10 @@ def brute_matching_return(t: StructuredLassoTrace, i: int, bound: int):
     """Literal bounded scan for the matching return.
 
     Walks positions i+1 .. i+bound left to right applying the definition
-    directly, with none of the loop-periodicity reasoning of
-    matching_return; returns the position, or INCONCLUSIVE when the bound
-    is exhausted.  Kept deliberately naive: it is the oracle the clever
-    implementation is tested against.
+    directly, with none of the loop reasoning of the return pass; returns
+    the position, or INCONCLUSIVE when the bound is exhausted.  Kept
+    deliberately naive: it is the oracle the return pass is tested
+    against.
     """
     if i < 0:
         raise IndexError(f"negative position {i}")

@@ -239,6 +239,17 @@ def test_tautology_letter_cap():
     check_tautology(parse_formula(" & ".join(f"x{i}" for i in range(20))))
 
 
+def test_tautology_of_a_deep_negation_chain():
+    # built in code, past the parser's nesting limit: the columns are
+    # computed without recursion
+    f = Prop("p")
+    for _ in range(3000):
+        f = Not(f)
+    assert check_tautology(And(f, Not(f))) is False
+    assert check_tautology(lor(f, Not(f))) is True
+    assert check_tautology(f) is False
+
+
 # ---------------------------------------------------------------------------
 # Axiom instances
 

@@ -40,3 +40,17 @@ def test_exhaustive_refuses_sizes_below_one(flag, value):
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1].endswith(
         f"error: argument {flag}: expected a positive integer, got '{value}'")
+
+
+# below 1, a campaign runs no instance (--instances 0 or -1, which read as
+# "0/-1 failures: NOT DETECTED") or cannot draw a trace (the two bounds)
+@pytest.mark.parametrize("flag, value", [
+    ("--instances", "0"), ("--instances", "-1"),
+    ("--max-finite-len", "0"), ("--max-lasso-total", "-3"),
+])
+def test_campaigns_refuse_sizes_below_one(flag, value):
+    proc = _run(["scripts/run_campaigns.py", flag, value])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"error: argument {flag}: expected a positive integer, got '{value}'")

@@ -420,3 +420,63 @@ def test_context_memoization_is_consistent():
     first = [ctx.holds(f, i) for i in range(3)]
     second = [ctx.holds(f, i) for i in range(3)]
     assert first == second == [eval_ltl(t, i, f) for i in range(3)]
+
+
+# ---------------------------------------------------------------------------
+# Pinned caret truth masks: every subformula of seeded instances of each
+# ax-cr schema with an abstract operator, on seeded structured lassos of up
+# to 12 and up to 40 states (the longer ones reach matches several loop
+# copies out).
+
+_ABSTRACT_SCHEMAS = ("A1", "A2", "A3", "C2", "C3", "C4", "C5", "C6")
+
+
+def _subformulas(f):
+    seen, out, stack = set(), [], [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        out.append(g)
+        if isinstance(g, (Not, WeakNext, AbsWeakNext)):
+            stack.append(g.operand)
+        elif isinstance(g, (And, Until, AbsUntil)):
+            stack += (g.right, g.left)
+    return out
+
+
+def _caret_mask_digest() -> str:
+    import hashlib
+    import random
+
+    from caretkit.fuzz import (
+        _C5_PARAMS, _C6_PARAMS, GenConfig, _child_seed, _random_formula,
+        _random_structured,
+    )
+    from caretkit.proof import SCHEMAS, build_schema_instance
+    from caretkit.syntax import print_formula
+    from caretkit.trace import trace_to_text
+
+    h = hashlib.sha256()
+    for seed, total in ((1, 12), (20261017, 40)):
+        cfg = GenConfig(seed=seed, max_lasso_total=total, mode="caret")
+        for si, name in enumerate(_ABSTRACT_SCHEMAS):
+            for k in range(80):
+                rng = random.Random(_child_seed(seed, 16 + si, k))
+                bindings = {v: _random_formula(rng, rng.randint(1, 6),
+                                               cfg.alphabet, "caret")
+                            for v in SCHEMAS[name].metavars}
+                params = ({} if name not in ("C5", "C6") else
+                          (_C5_PARAMS if name == "C5" else _C6_PARAMS)[k % 3])
+                t = _random_structured(rng, cfg)
+                ctx = EvalContext(t)
+                h.update(trace_to_text(t).encode())
+                for g in _subformulas(build_schema_instance(name, params, bindings)):
+                    h.update(f"{print_formula(g)}\t{ctx.truth_mask(g)}\n".encode())
+    return h.hexdigest()
+
+
+def test_caret_truth_masks_are_pinned():
+    assert _caret_mask_digest() == (
+        "f539fdbc1125cb3913ed72dc020b1012999fffd05f2c7c7c61a13cc67bf7881f")

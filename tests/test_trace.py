@@ -17,6 +17,7 @@ from caretkit.trace import (
     StateTag,
     StructuredLassoTrace,
     TraceFormatError,
+    _return_pass,
     abstract_successor,
     abstract_successor_map,
     brute_matching_return,
@@ -215,6 +216,42 @@ def test_abstract_successor_map_matches_scans(sign, data):
 ])
 def test_abstract_successor_map_examples(prefix, loop):
     _check_map_against_scans(struct(prefix, loop))
+
+
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_return_distances_match_brute_scan_everywhere(sign, data):
+    # every canonical position, whatever its tag, and its copy one loop
+    # on, where matching_return reads the same distance
+    t = data.draw(lassos_with_loop_balance(sign))
+    dist = _return_pass(t)[0]
+    for c, d in enumerate(dist):
+        br = brute_matching_return(t, c, 1000)
+        assert d == (None if br == INCONCLUSIVE else br - c), (t, c)
+        if c >= t.prefix_len:
+            i = c + t.loop_len
+            br = brute_matching_return(t, i, 1000)
+            assert matching_return(t, i) == (
+                None if br == INCONCLUSIVE else br), (t, i)
+
+
+@pytest.mark.parametrize("t", [
+    LassoTrace([{"p", "q"}], [{"p", "q"}, {"p", "q"}]),
+    LassoTrace((), (E,)),
+    FiniteTrace((E, E)),
+    ((E, C),),
+])
+def test_call_return_functions_need_a_structured_lasso(t):
+    # a plain lasso once got a silent map [1, 2, 1] from
+    # abstract_successor_map, and AttributeErrors or unpacking errors from
+    # the other two
+    name = type(t).__name__
+    for call in (lambda: matching_return(t, 0),
+                 lambda: abstract_successor(t, 0),
+                 lambda: abstract_successor_map(t)):
+        with pytest.raises(TypeError, match=f"not a structured lasso: {name}$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
