@@ -5,16 +5,20 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+import random
 import weakref
 from collections import Counter, deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from caretkit import fuzz
+from caretkit.fuzz import GenConfig, gen_formula
 from caretkit.proof import build_schema_instance
-from caretkit.semantics import eval_ltl
+from caretkit.semantics import EvalContext, eval_ltl
 from caretkit.syntax import (
     FALSE,
     TRUE,
@@ -1070,3 +1074,40 @@ def test_witnesses_pinned_small_formulas():
     by_size = enumerate_formulas(5)
     assert _witness_digest(
         g for n in sorted(by_size) for g in by_size[n]) == WITNESS_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Verdicts checked past the oracle's reach: path checks (Tauriainen &
+# Heljanko, STTT 2002).  Each UNSAT verdict in fin or inf on a seeded fuzz
+# formula, and each VALID verdict through the negation, is checked by the
+# evaluator, which shares no code with the tableau, on random traces of the
+# class: one trace satisfying the formula at position 0 refutes the verdict.
+# gen is covered by the identity gen = fin or inf, asserted on every formula.
+# The formulas have 4 to 18 free bits (median 9), so both builders answer.
+
+PATH_CHECK = GenConfig(max_formula_size=14, alphabet=("p", "q", "r"),
+                       max_finite_len=10, max_lasso_total=10)
+PATH_CHECK_TRACES = 200
+
+
+def test_unsat_and_valid_verdicts_survive_path_checks():
+    checked = 0
+    for seed in range(1000):
+        f = gen_formula(replace(PATH_CHECK, seed=seed))
+        sat = {cls: decide_sat(f, cls, closure_cap=None).satisfiable
+               for cls in CLASSES}
+        valid = {cls: decide_valid(f, cls, closure_cap=None)
+                 for cls in CLASSES}
+        assert sat["gen"] == (sat["fin"] or sat["inf"]), f
+        assert valid["gen"] == (valid["fin"] and valid["inf"]), f
+        rng = random.Random(seed)
+        for cls, kind in (("fin", "finite"), ("inf", "lasso")):
+            for g, unsat in ((f, not sat[cls]), (Not(f), valid[cls])):
+                if not unsat:
+                    continue
+                checked += 1
+                for _ in range(PATH_CHECK_TRACES):
+                    t = fuzz._campaign_trace(rng, PATH_CHECK, kind)
+                    assert not EvalContext(t).holds(g, 0), (g, cls, t)
+    # pinned: a verdict that flips changes the count
+    assert checked == 425
