@@ -9,14 +9,15 @@ operations.  A lasso needs only one extra copy of its loop for that, because
 any satisfied until has a witness at most one canonical round away.
 
 Abstract operators read the abstract successor map of a structured lasso,
-built once per context at canonical positions by the one call/return pass
-that also gives trace.matching_return its distances
-(trace.abstract_successor_map); this is sound because a suffix of the trace
-starting inside the loop recurs verbatim one loop later, so both truth and
-the abstract successor are periodic there.  The map is a function, so an
-abstract until is settled by one memoised walk along it that visits every
-position once.  Masks go to and from per-position digit strings in one conversion
-each, so the abstract operators take time linear in the trace length.
+built at canonical positions by the one call/return pass that also gives
+trace.matching_return its distances, and kept for the last trace asked
+about (trace.abstract_successor_map); this is sound because a suffix of
+the trace starting inside the loop recurs verbatim one loop later, so both
+truth and the abstract successor are periodic there.  The map is a
+function, so an abstract until is settled by one memoised walk along it
+that visits every position once.  Masks go to and from per-position digit
+strings in one conversion each, so the abstract operators take time linear
+in the trace length.
 
 Each operator's mask semantics is defined once, in EvalContext.apply, from
 the masks of its operands: truth_mask walks a formula through it, and the
@@ -65,7 +66,6 @@ class EvalContext:
         self.full = (1 << self.n) - 1
         self._memo: dict[Formula, int] = {}
         self._props: dict[str, int] = {}
-        self._asucc: list[int | None] | None = None
 
     # -- successor plumbing --------------------------------------------------
 
@@ -103,14 +103,10 @@ class EvalContext:
         """Truth per canonical position as '0'/'1', position 0 first."""
         return format(v, f"0{self.n}b")[::-1]
 
-    def _abs_map(self) -> list[int | None]:
-        if self._asucc is None:
-            self._asucc = abstract_successor_map(self.trace)
-        return self._asucc
-
     def _weak_abs_next(self, v: int) -> int:
         bits = self._bits(v)
-        return _mask([j is None or bits[j] == "1" for j in self._abs_map()])
+        return _mask([j is None or bits[j] == "1"
+                      for j in abstract_successor_map(self.trace)])
 
     def _abs_until(self, a: int, b: int) -> int:
         """Least fixpoint of u = b | (a & strong abstract next u).
@@ -121,7 +117,7 @@ class EvalContext:
         its own path (false: a cycle without b), and the whole path takes
         that value, so every position is visited once.
         """
-        succ = self._abs_map()
+        succ = abstract_successor_map(self.trace)
         # 1 true, 0 false, -1 undecided
         val = [1 if y == "1" else -1 if x == "1" else 0
                for x, y in zip(self._bits(a), self._bits(b))]

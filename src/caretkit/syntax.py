@@ -638,18 +638,42 @@ class ClosureSet:
     structure: structurally equal subterms of the origin are one member,
     and each member's sort key was computed once, as it was numbered.
     ``size_bound`` records the linear bound on len(members) guaranteed at
-    construction.
+    construction.  ``member_set`` is built on first use.
+
+    ``numbering`` is the core's numbering, which the decider runs on: the
+    signature of each ``core[i]``, its type and its kids' core positions (a
+    proposition's is ``(Prop, name)``), and the origin's position.  Kids are
+    core members and come first.  ``closure`` reads it off its own walk; a
+    closure built by hand is numbered on first use.
     """
 
-    __slots__ = ("origin", "mode", "core", "members", "member_set", "size_bound")
+    __slots__ = ("origin", "mode", "core", "members", "size_bound",
+                 "_member_set", "_numbering")
 
-    def __init__(self, origin, mode, core, members, size_bound):
+    def __init__(self, origin, mode, core, members, size_bound,
+                 numbering=None):
         self.origin = origin
         self.mode = mode
         self.core = core
         self.members = members
-        self.member_set = frozenset(members)
         self.size_bound = size_bound
+        self._member_set = None
+        self._numbering = numbering
+
+    @property
+    def member_set(self) -> frozenset[Formula]:
+        if self._member_set is None:
+            self._member_set = frozenset(self.members)
+        return self._member_set
+
+    @property
+    def numbering(self) -> tuple[tuple[tuple, ...], int]:
+        if self._numbering is None:
+            nodes = _Nodes()
+            self._numbering = _core_numbering(
+                nodes.sigs, [nodes.add(m) for m in self.core],
+                nodes.add(self.origin))
+        return self._numbering
 
     def __contains__(self, f: Formula) -> bool:
         return f in self.member_set
@@ -657,6 +681,20 @@ class ClosureSet:
     def __repr__(self):
         return (f"ClosureSet(origin={print_formula(self.origin)!r}, "
                 f"mode={self.mode!r}, members={len(self.members)})")
+
+
+def _core_numbering(sigs: list[tuple], core: list[int], root: int):
+    """The signatures of the core's nodes, in core order, with their kids'
+    node numbers turned into core positions, and the root's position."""
+    at = dict(zip(core, range(len(core))))
+    out = []
+    for s in map(sigs.__getitem__, core):
+        if len(s) == 3:
+            s = (s[0], at[s[1]], at[s[2]])
+        elif len(s) == 2 and s[0] is not Prop:
+            s = (s[0], at[s[1]])
+        out.append(s)
+    return tuple(out), at[root]
 
 
 def _close(nodes: _Nodes, core: set[int], stack: list[int], mode: str) -> None:
@@ -731,7 +769,7 @@ def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
     closure.  The rules and the negation pass then run on node numbers, and
     build a node only for a member neither f nor the seed's closure holds;
     one sort by key gives the members, and the core is their core
-    subsequence.
+    subsequence, numbered from the walk's signatures.
     """
     if mode not in ("ltl", "caret"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -742,7 +780,9 @@ def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
     _close(nodes, core, [root], mode)
     members = _SEED_MEMBERS | _signed(nodes, core - _SEED_CORE)
     order = sorted(members, key=nodes.keys.__getitem__)
+    core_order = [n for n in order if n in core]
     at = nodes.nodes
-    return ClosureSet(f, mode, tuple(at[n] for n in order if n in core),
-                      tuple(at[n] for n in order),
-                      8 * nodes.keys[root][0] + 20)
+    return ClosureSet(f, mode, tuple(map(at.__getitem__, core_order)),
+                      tuple(map(at.__getitem__, order)),
+                      8 * nodes.keys[root][0] + 20,
+                      _core_numbering(nodes.sigs, core_order, root))

@@ -31,6 +31,11 @@ other two: a finite witness when there is one, else an infinite one.  Only
 the infinite search reads the until keys, so they are built for the atoms
 of the components reachable from the roots.
 
+The table runs on the closure's numbering of its core: every row is
+indexed by core position and made from its kids' rows, so no formula is
+hashed or compared past the closure.  A witness atom keeps the core and its
+member bits, and builds its member set only when read.
+
 The table shared by the three classes names its atoms in the order their
 free-bit valuations are enumerated, which no search depends on.  Each
 class graph owns the order its searches follow, and so the witness they
@@ -49,8 +54,8 @@ from itertools import groupby
 
 from .semantics import EvalContext
 from .syntax import (
-    CLASSES, DEFAULT_CLOSURE_CAP, And, ClosureCapError, ClosureSet, FALSE,
-    Formula, Not, Prop, TRUE, Until, WeakNext, closure, negate, props_of,
+    CLASSES, DEFAULT_CLOSURE_CAP, And, ClosureCapError, ClosureSet, Formula,
+    Not, Prop, TrueConst, Until, WeakNext, closure, negate, props_of,
     truth_columns,
 )
 from .trace import FiniteTrace, LassoTrace
@@ -74,10 +79,8 @@ MAX_FREE_BITS = 18
 # at 8 and 9, 0.9 at 10 and 1.0-1.1 at 11 (Python 3.11, numpy 2.4, a shared
 # 2-core x86-64 machine); from 11 bits on the int table's tail is slower.
 PYTHON_TABLE_BITS = 10
-
-_TERMINAL_MARK = WeakNext(FALSE)          # next of false: true exactly at last states
-_FIN_MARK = Until(TRUE, _TERMINAL_MARK)   # eventually a last state
-
+# the free-bit rows of an int table, made once per width and only read
+_columns = functools.cache(truth_columns)
 
 # One shared label per distinct set of true propositions, and one shared
 # model per distinct (prefix, loop) of labels (loop None for a finite
@@ -97,18 +100,45 @@ _MEMO_ATOMS = 1 << 12
 _memo: tuple[Formula, _Table] | None = None
 
 
-@dataclass(frozen=True)
 class Atom:
-    """A maximal locally consistent subset of a signed closure."""
+    """A maximal locally consistent subset of a signed closure.
 
-    members: frozenset[Formula]
-    terminal: bool      # contains the next-of-false marker
-    fin_viable: bool    # contains the eventually-terminal marker
-    props: frozenset[str]
+    An atom keeps its table's core and the truth of each core member in it,
+    and builds ``members`` on first read.  It compares, hashes and prints as
+    the record (members, terminal, fin_viable, props).
+    """
+
+    __slots__ = ("_core", "_bits", "_members", "terminal", "fin_viable",
+                 "props")
+
+    def __init__(self, core: tuple[Formula, ...], bits: list, terminal: bool,
+                 fin_viable: bool, props: frozenset[str]):
+        self._core, self._bits, self._members = core, bits, None
+        self.terminal = terminal        # holds the next-of-false marker
+        self.fin_viable = fin_viable    # holds the eventually-terminal marker
+        self.props = props
 
     @property
-    def inf_viable(self) -> bool:
-        return not self.terminal
+    def members(self) -> frozenset[Formula]:
+        if self._members is None:
+            self._members = frozenset(m if v else negate(m)
+                                      for m, v in zip(self._core, self._bits))
+        return self._members
+
+    def _record(self) -> tuple:
+        return self.members, self.terminal, self.fin_viable, self.props
+
+    def __eq__(self, other):
+        if type(other) is not Atom:
+            return NotImplemented
+        return self._record() == other._record()
+
+    def __hash__(self):
+        return hash(self._record())
+
+    def __repr__(self):
+        return ("Atom(members={!r}, terminal={!r}, fin_viable={!r}, "
+                "props={!r})".format(*self._record()))
 
 
 @dataclass(frozen=True)
@@ -141,14 +171,6 @@ class SatResult:
     model: FiniteTrace | LassoTrace | None = None
 
 
-def _strip(f: Formula) -> tuple[Formula, int]:
-    parity = 0
-    while type(f) is Not:
-        f = f.operand
-        parity ^= 1
-    return f, parity
-
-
 def _new_table(clo: ClosureSet, cap: int | None) -> _Table:
     """The atom table of a closure, from the builder its free bits choose:
     the one place the two builders are chosen between."""
@@ -160,19 +182,22 @@ class _Table:
     """What both atom tables share: the free-bit layout of the closure, the
     caps, the witnesses of each class and the atoms they are made of.
 
-    Atoms are valuations of the free bits, bit k for ``free[k]``: the
-    propositions, then the weak nexts in reverse, so that shifting the
-    propositions out of a valuation leaves the atom's demand key, one bit
-    per weak next with the first in the most significant bit.  A builder
-    names each atom by an id and gives ``count``, the atoms built; one row
-    per core member in ``member_rows``, with ``terminal``, ``fin_viable``,
-    ``origin_bit`` and ``prop_rows`` among them; ``bits_at(rows, a)``, the
-    truth of each row at atom a; ``sorted_atoms(cls)``, the atoms of a
-    class in the lexicographic order on member bit-vectors (in closure
-    order) that the searches follow; ``class_graph(cls)``, what
-    ``_ClassGraph`` is made of; and ``until_keys(ids)``, one bit per until
-    base for each atom asked, set where it holds the until (present) or
-    its right operand (fulfil).  ``witnesses`` remembers the
+    The table runs on the closure's numbering: ``sigs[i]`` is the type of
+    ``core[i]`` and its kids' positions, and every list below holds core
+    positions.  Atoms are valuations of the free bits, bit k for
+    ``free[k]``: the propositions, then the weak nexts in reverse, so that
+    shifting the propositions out of a valuation leaves the atom's demand
+    key, one bit per weak next with the first in the most significant bit.
+    A builder names each atom by an id and gives ``count``, the atoms
+    built; ``member_rows``, from ``derive_rows``, the row of each member by
+    position, with ``terminal``, ``fin_viable`` and ``origin_bit`` among
+    them; ``bits_at(rows, a)``, the truth of each row at atom a;
+    ``sorted_atoms(cls)``, the atoms of a class in the lexicographic order
+    on member bit-vectors (in closure order) that the searches follow;
+    ``class_graph(cls)``, what ``_ClassGraph`` is made of; and
+    ``until_keys(ids)``, one bit per until for each atom asked, set where
+    it holds the until (present) or its right operand (fulfil).  An atom
+    keeps the core and its member bits.  ``witnesses`` remembers the
     witness of each class decided on the table, and never its model, so
     models stay free to go.
     """
@@ -182,37 +207,46 @@ class _Table:
             raise ValueError("the tableau works on the ltl fragment only")
         self.size = len(clo.members)
         self.check_cap(cap)
-        core = clo.core
-        # every base (a member with its negations stripped) is an unnegated
-        # core member, and the core is already in (size, text) order
-        bases = [m for m in core if type(m) is not Not]
-        props = [b for b in bases if type(b) is Prop]
-        nexts = [b for b in bases if type(b) is WeakNext]
-        self.free = props + nexts[::-1]
+        self.core = clo.core
+        self.sigs, self.root = clo.numbering
+        kinds = [sig[0] for sig in self.sigs]
+        self.props, self.nexts, self.untils = (
+            [i for i, t in enumerate(kinds) if t is k]
+            for k in (Prop, WeakNext, Until))
+        self.free = self.props + self.nexts[::-1]
         if len(self.free) > MAX_FREE_BITS:
             raise ClosureCapError(
                 f"atom enumeration needs {len(self.free)} free bits "
                 f"(propositions plus weak-next members); the limit is "
                 f"{MAX_FREE_BITS} and no closure cap (--cap) value lifts it")
-        # each derived base with its operands as (base, negated) pairs, and
-        # an until with its unfolding, so that the builders only evaluate
-        self.steps = []
-        for b in bases:
-            if type(b) is And:
-                self.steps.append((b, _strip(b.left), _strip(b.right), None))
-            elif type(b) is Until:
-                unfold = WeakNext(Not(b))
-                if unfold not in clo:
-                    raise AssertionError("closure lost an until unfolding")
-                self.steps.append((b, _strip(b.left), _strip(b.right), unfold))
-        self.core = core
-        self.origin = clo.origin
-        self.props = props
-        self.nexts = nexts
-        self.untils = [b for b in bases if type(b) is Until]
-        self.key_space = 1 << len(nexts)
+        at = {sig: i for i, sig in enumerate(self.sigs)}.__getitem__
+        # an until's unfolding is the negation of X !u, which is free
+        self.unfold = {u: at((WeakNext, at((Not, u)))) for u in self.untils}
+        true = at((TrueConst,))
+        # the markers: next of false, true exactly at last states, and
+        # eventually a last state
+        self.terminal_at = at((WeakNext, at((Not, true))))
+        self.fin_at = at((Until, true, self.terminal_at))
+        self.key_space = 1 << len(self.nexts)
         # class -> its witness, or None when the class has no model
         self.witnesses: dict[str, ChainWitness | None] = {}
+
+    def derive_rows(self, free_rows: list, full) -> list:
+        """The row of each member by position, from the free bits' rows and
+        ``full``, the constant true's: the others in core order, so after
+        their kids'.  Int and numpy bool rows take the same operators."""
+        rows = [full] * len(self.sigs)
+        for i, r in zip(self.free, free_rows):
+            rows[i] = r
+        for i, sig in enumerate(self.sigs):
+            t = sig[0]
+            if t is Not:
+                rows[i] = rows[sig[1]] ^ full
+            elif t is And:
+                rows[i] = rows[sig[1]] & rows[sig[2]]
+            elif t is Until:
+                rows[i] = rows[sig[2]] | rows[sig[1]] & ~rows[self.unfold[i]]
+        return rows
 
     def check_cap(self, cap: int | None) -> None:
         if cap is not None and self.size > cap:
@@ -263,25 +297,23 @@ class _Table:
                             loop=tuple(map(self.atom, loop)))
 
     def atom(self, a: int) -> Atom:
-        bits = self.bits_at
-        members = frozenset(m if v else negate(m) for m, v in
-                            zip(self.core, bits(self.member_rows, a)))
-        names = tuple(b.name for b, v in
-                      zip(self.props, bits(self.prop_rows, a)) if v)
+        bits = self.bits_at(self.member_rows, a)
+        sigs = self.sigs
+        names = tuple(sigs[i][1] for i in self.props if bits[i])
         props = _LABELS.get(names)
         if props is None:
             props = _LABELS[names] = frozenset(names)
-        terminal, fin_viable = bits((self.terminal, self.fin_viable), a)
-        return Atom(members=members, terminal=bool(terminal),
-                    fin_viable=bool(fin_viable), props=props)
+        return Atom(self.core, bits, bool(bits[self.terminal_at]),
+                    bool(bits[self.fin_at]), props)
 
 
 class _IntTableau(_Table):
     """Atom table of Python ints, for small closures.
 
-    Atom a is valuation a of the free bits, and each row is an int over
-    the valuations with bit a set where atom a holds the member, built
-    with ``& | ^`` from ``truth_columns``, as ``proof.check_tautology``
+    Atom a is valuation a of the free bits, and ``member_rows[i]`` is an
+    int over the valuations with bit a set where atom a holds ``core[i]``:
+    ``truth_columns`` for the free bits, made once per width, and
+    ``derive_rows`` with ``& | ^`` for the rest, as ``proof.check_tautology``
     builds its truth tables.  The valuations that break the terminal rule
     are left out of every class mask, not removed.  A non-terminal atom
     wants the bucket its valuation shifted right by the proposition count
@@ -293,27 +325,13 @@ class _IntTableau(_Table):
 
     def __init__(self, clo: ClosureSet, cap: int | None):
         super().__init__(clo, cap)
-        free = self.free
+        sigs, free = self.sigs, self.free
         full = (1 << (1 << len(free))) - 1
-        rows = dict(zip(free, truth_columns(len(free))))
-        rows[TRUE] = full
-
-        def val(x: tuple[Formula, int]) -> int:
-            return rows[x[0]] ^ full if x[1] else rows[x[0]]
-
-        for b, left, right, unfold in self.steps:
-            rows[b] = (val(left) & val(right) if unfold is None
-                       else val(right) | val(left) & ~rows[unfold])
-        for m in self.core:
-            if type(m) is Not:
-                rows[m] = rows[m.operand] ^ full
-
+        self.member_rows = rows = self.derive_rows(_columns(len(free)), full)
         self.shift = len(self.props)
-        self.member_rows = [rows[m] for m in self.core]
-        self.prop_rows = [rows[b] for b in self.props]
-        self.terminal = rows[_TERMINAL_MARK]
-        self.fin_viable = rows[_FIN_MARK]
-        self.origin_bit = rows[self.origin]
+        self.terminal = rows[self.terminal_at]
+        self.fin_viable = rows[self.fin_at]
+        self.origin_bit = rows[self.root]
         # a terminal atom must assert every weak next: the valid atoms are
         # the non-terminal ones and the last block, where every weak-next
         # bit is set
@@ -326,20 +344,21 @@ class _IntTableau(_Table):
         # atoms split by each weak next's operand row in turn, the first
         # weak next in the most significant bit of the key
         groups = [(0, valid)]
-        for r in (rows[b.operand] for b in self.nexts):
+        for r in (rows[sigs[b][1]] for b in self.nexts):
             groups = [g for s, m in groups
                       for g in ((s << 1, m & ~r), (s << 1 | 1, m & r)) if g[1]]
         self._buckets = groups
         # only the free bits and the untils can tell two atoms apart first:
         # the constant, a conjunction or a negation is fixed by earlier
         # rows, and after the last free bit every atom is told apart
-        telling = [m for m in self.core if type(m) in (Prop, WeakNext, Until)]
-        while type(telling[-1]) is Until:
+        telling = [i for i, sig in enumerate(sigs)
+                   if sig[0] in (Prop, WeakNext, Until)]
+        while sigs[telling[-1]][0] is Until:
             telling.pop()
-        self._lex_rows = [rows[m] for m in telling]
+        self._lex_rows = [rows[i] for i in telling]
         self._lex_keys: dict[int, int] = {}
         self._until_rows = ([rows[u] for u in self.untils],
-                            [rows[u.right] for u in self.untils])
+                            [rows[sigs[u][2]] for u in self.untils])
 
     @staticmethod
     def bits_at(rows, a: int) -> list[int]:
@@ -437,65 +456,45 @@ class _Tableau(_Table):
     Atom a is entry a of every row in ``member_rows``; the table keeps the
     atoms in valuation order of their free bits, and ``lex_order`` puts any
     subset of them in the order the searches follow.  ``demand`` and
-    ``signature`` are fixed-width keys with one bit per weak-next base, the
-    first base in the most significant bit, so a key lies below
-    ``key_space``; ``demand`` is a valuation shifted right.
+    ``signature`` are fixed-width keys with one bit per weak next, the
+    first in the most significant bit, so a key lies below ``key_space``;
+    ``demand`` is a valuation shifted right.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
         import numpy as np
         super().__init__(clo, cap)
-        core, free, nexts = self.core, self.free, self.nexts
+        sigs, free, nexts = self.sigs, self.free, self.nexts
 
         # valuations of the free bits; a terminal atom must assert every
         # weak next
         rows = np.arange(1 << len(free), dtype=np.uint32)
         nexts_mask = np.uint32(((1 << len(nexts)) - 1) << len(self.props))
         terminal_bit = np.uint32(
-            1 << (len(free) - 1 - nexts.index(_TERMINAL_MARK)))
+            1 << (len(free) - 1 - nexts.index(self.terminal_at)))
         keep = rows[((rows & terminal_bit) == 0)
                     | ((rows & nexts_mask) == nexts_mask)]
         del rows
 
-        # one row per core member, indexed by atom; every per-atom datum
-        # below is a row, because every base is a core member and the
-        # closure holds the operands of its weak nexts and untils and both
-        # markers.  Separate rows rather than one matrix keep each
-        # allocation at one row's size, so the allocator does not go on
-        # holding a whole table's worth of heap after the largest formulas.
-        member_rows = [np.empty(len(keep), dtype=bool) for _ in core]
-        row = dict(zip(core, member_rows)).__getitem__
-
-        def val(x: tuple[Formula, int]) -> np.ndarray:
-            return ~row(x[0]) if x[1] else row(x[0])
-
-        row(TRUE)[:] = True
-        for k, b in enumerate(free):
-            np.not_equal(keep & np.uint32(1 << k), 0, out=row(b))
-        for b, left, right, unfold in self.steps:
-            if unfold is None:
-                np.logical_and(val(left), val(right), out=row(b))
-            else:
-                np.logical_or(val(right), val(left) & ~row(unfold),
-                              out=row(b))
-        for m in core:
-            if type(m) is Not:
-                np.logical_not(row(m.operand), out=row(m))
-
-        self.member_rows = member_rows
+        # one row per core member, indexed by atom.  Separate rows rather
+        # than one matrix keep each allocation at one row's size, so the
+        # allocator does not go on holding a whole table's worth of heap
+        # after the largest formulas.
+        self.member_rows = row = self.derive_rows(
+            [(keep & np.uint32(1 << k)) != 0 for k in range(len(free))],
+            np.ones(len(keep), dtype=bool))
         self.count = len(keep)
-        self.terminal = row(_TERMINAL_MARK)
-        self.fin_viable = row(_FIN_MARK)
-        self.origin_bit = row(self.origin)
+        self.terminal = row[self.terminal_at]
+        self.fin_viable = row[self.fin_at]
+        self.origin_bit = row[self.root]
         self.demand = keep >> np.uint32(len(self.props))
-        self.signature = _key([row(b.operand) for b in nexts], len(keep))
-        self._until_rows = ([row(u) for u in self.untils],
-                            [row(u.right) for u in self.untils])
-        self.prop_rows = [row(b) for b in self.props]
+        self.signature = _key([row[sigs[b][1]] for b in nexts], len(keep))
+        self._until_rows = ([row[u] for u in self.untils],
+                            [row[sigs[u][2]] for u in self.untils])
 
     @staticmethod
-    def bits_at(rows, a: int) -> list:
-        return [r[a] for r in rows]
+    def bits_at(rows, a: int) -> list[bool]:
+        return [r.item(a) for r in rows]
 
     def class_indices(self, cls: str):
         import numpy as np
@@ -806,9 +805,10 @@ def _table(f: Formula, cap: int | None) -> _Table:
     """The table of f, from the memo when f was the last formula decided."""
     global _memo
     # read once: a formula and its table are replaced together, so a
-    # concurrent caller can at worst rebuild a table
+    # concurrent caller can at worst rebuild a table.  Cached hashes are
+    # compared first, so a miss compares no structure.
     memo = _memo
-    if memo is not None and memo[0] == f:
+    if memo is not None and memo[0]._hash == f._hash and memo[0] == f:
         memo[1].check_cap(cap)
         return memo[1]
     tab = _new_table(closure(f, "ltl"), cap)

@@ -15,13 +15,15 @@ question about position i can be answered at its canonical position.
 
 On a structured lasso, matching_return, abstract_successor and the
 evaluator's abstract_successor_map read one pass over the canonical
-positions; brute_matching_return is the literal scan that checks it.
+positions, made once for the last trace asked about; brute_matching_return
+is the literal scan that checks it.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import weakref
 from dataclasses import dataclass
 
 __all__ = [
@@ -144,9 +146,15 @@ def _need_structured(t) -> None:
         raise TypeError(f"not a structured lasso: {type(t).__name__}")
 
 
-def _return_pass(t: StructuredLassoTrace) -> tuple[list, list]:
+# The last trace _return_pass ran on, by weak reference, and its result:
+# queries come in runs on one trace, and a trace is immutable.
+_last_pass: tuple[weakref.ref, tuple[tuple, tuple]] | None = None
+
+
+def _return_pass(t: StructuredLassoTrace) -> tuple[tuple, tuple]:
     """Distance to the matching return, and canonical abstract successor,
-    of every canonical position; None where there is none.
+    of every canonical position; None where there is none.  The result for
+    the last trace asked about is kept.
 
     With H(j) the number of calls minus rets at positions 0..j, the
     matching return of i is the first j > i with H(j) < H(i).  One left to
@@ -164,6 +172,11 @@ def _return_pass(t: StructuredLassoTrace) -> tuple[list, list]:
     Otherwise it never is.  Distances keep the copy, which a canonical
     position would lose, and are periodic past the prefix.
     """
+    global _last_pass
+    # read once: a trace and its result are replaced together
+    last = _last_pass
+    if last is not None and last[0]() is t:
+        return last[1]
     _need_structured(t)
     p = len(t.prefix)
     tags = [tag for _, tag in t.prefix] + [tag for _, tag in t.loop]
@@ -212,7 +225,9 @@ def _return_pass(t: StructuredLassoTrace) -> tuple[list, list]:
             dist[m] = j - m
         if tags[g[0]] is _CALL:
             succ[g[0]] = p + r[s - 1]
-    return dist, succ
+    result = tuple(dist), tuple(succ)
+    _last_pass = (weakref.ref(t), result)
+    return result
 
 
 def matching_return(t: StructuredLassoTrace, i: int) -> int | None:
@@ -233,7 +248,7 @@ def abstract_successor(t: StructuredLassoTrace, i: int) -> int | None:
     return i + 1
 
 
-def abstract_successor_map(t: StructuredLassoTrace) -> list[int | None]:
+def abstract_successor_map(t: StructuredLassoTrace) -> tuple[int | None, ...]:
     """Canonical abstract successor of every canonical position, or None:
     entry c equals canonical(abstract_successor(t, c))."""
     return _return_pass(t)[1]

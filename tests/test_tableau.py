@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 import weakref
 from collections import Counter, deque
 from dataclasses import replace
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from caretkit import fuzz
+from caretkit import fuzz, syntax
 from caretkit.fuzz import GenConfig, gen_formula
 from caretkit.proof import build_schema_instance
 from caretkit.semantics import EvalContext, eval_ltl
@@ -23,6 +24,7 @@ from caretkit.syntax import (
     FALSE,
     TRUE,
     And,
+    Formula,
     Not,
     Prop,
     Until,
@@ -1039,6 +1041,53 @@ def test_builders_list_the_same_atoms_and_graphs(monkeypatch):
 
     on_int, on_numpy = _on_each_builder(monkeypatch, listing)
     assert on_int == on_numpy
+
+
+# ---------------------------------------------------------------------------
+# The decider on the closure's numbering: rows are indexed by core position
+# and witness atoms build their members only when read, so deciding makes
+# no Formula.__hash__ call and no structural comparison, counted by a
+# profile hook.  The closure numbers nodes by id() and signature, and the
+# memo compares cached hashes before structure, so they make none either.
+
+def _hashes_and_comparisons(run) -> Counter:
+    counted = {Formula.__hash__.__code__: "hash",
+               syntax._equal.__code__: "equal"}
+    counts = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            counts[counted[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_deciding_hashes_and_compares_no_formula(monkeypatch):
+    p = Prop("p")
+    # the hook sees both kinds of call
+    assert _hashes_and_comparisons(
+        lambda: {And(p, p)} and Not(p) == Not(p)) == {"hash": 1, "equal": 1}
+    by_size = enumerate_formulas(5)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    formulas += [_negated_instance(*HEAVY_INSTANCES[0]), CEILING]
+    results = []
+
+    def decide_all():
+        for f in formulas:
+            for cls in CLASSES:
+                results.append(decide_sat(f, cls, closure_cap=None))
+
+    monkeypatch.setattr(tableau, "_memo", None)
+    assert _hashes_and_comparisons(decide_all) == {}
+    assert sum(r.satisfiable for r in results) > len(formulas)
+    # reading a witness atom's members is what hashes them
+    atom = results[-1].witness.loop[0]
+    assert _hashes_and_comparisons(lambda: atom.members)["hash"] > 0
 
 
 # ---------------------------------------------------------------------------

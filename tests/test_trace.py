@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caretkit.semantics import EvalError, eval_ltl
-from caretkit.syntax import TRUE
+from caretkit.semantics import EvalContext, EvalError, eval_ltl
+from caretkit.syntax import TRUE, AbsWeakNext
 from caretkit.trace import (
     INCONCLUSIVE,
     FiniteTrace,
@@ -252,6 +252,24 @@ def test_call_return_functions_need_a_structured_lasso(t):
                  lambda: abstract_successor_map(t)):
         with pytest.raises(TypeError, match=f"not a structured lasso: {name}$"):
             call()
+
+
+def test_queries_on_one_trace_share_one_return_pass():
+    # the pass is kept for the last trace asked about: queries read the one
+    # result, which a second pass would have replaced
+    t = struct([C, I], [C, R, R, I])
+    kept = _return_pass(t)
+    assert matching_return(t, 0) == brute_matching_return(t, 0, 100)
+    assert abstract_successor(t, 2) == brute_matching_return(t, 2, 100)
+    assert EvalContext(t).holds(AbsWeakNext(TRUE), 0)
+    assert abstract_successor_map(t) is kept[1]
+    assert _return_pass(t) is kept
+    # kept by identity, not by the trace's O(n) hash: an equal trace is
+    # another object, with its own pass
+    u = struct([C, I], [C, R, R, I])
+    assert _return_pass(u) == kept and _return_pass(u) is not kept
+    # tuples, so that no caller can change what is kept
+    assert all(type(x) is tuple for x in kept)
 
 
 # ---------------------------------------------------------------------------
