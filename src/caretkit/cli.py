@@ -156,12 +156,21 @@ def _cmd_axioms(args) -> int:
 
 
 def _non_negative(text: str) -> int:
-    """The argparse type of --cap and --instances: ASCII digits only (str
-    digit tests admit other scripts' digits); anything else is a usage
-    error (exit 2)."""
+    """The argparse type of --cap, --instances and --pos: ASCII digits only
+    (str digit tests admit other scripts' digits, and int also reads
+    underscores); anything else is a usage error (exit 2)."""
     if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _integer(text: str) -> int:
+    """The argparse type of --seed: ASCII digits after an optional minus
+    sign; anything else is a usage error (exit 2)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
 
 
@@ -174,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a formula on a trace file")
     p.add_argument("--formula", required=True)
     p.add_argument("--trace", required=True, help="trace file path")
-    p.add_argument("--pos", type=int, default=0)
+    p.add_argument("--pos", type=_non_negative, default=0)
     p.add_argument("--mode", choices=("ltl", "caret"), default="ltl")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
@@ -200,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True,
                    choices=SYSTEM_IDS + ("cross-check",))
     p.add_argument("--instances", type=_non_negative, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fuzz)
 

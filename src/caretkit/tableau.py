@@ -27,9 +27,13 @@ connected component, then a loop through it made of shortest paths between
 atoms that fulfil its untils.  One breadth-first search finds every such
 path: the shortest path from given atoms to an atom with a given property.
 The mixed class accepts either kind of witness, and is answered from the
-other two: a finite witness when there is one, else an infinite one.  Only
-the infinite search reads the until keys, so they are built for the atoms
-of the components reachable from the roots.
+other two: a finite witness when there is one, else an infinite one.  The
+components are those of the quotient graph of buckets (Tarjan, SIAM J.
+Comput. 1972), taken from the buckets the roots want: an atom belongs to
+its bucket's component exactly when the bucket it wants is in it too.  A
+component is self-fulfilling when every until row that meets its atoms has
+a right-operand row that meets them (the emptiness check of generalized
+Buchi conditions, Couvreur, FM 1999), so no per-atom until key is built.
 
 The table runs on the closure's numbering of its core: every row is
 indexed by core position and made from its kids' rows, so no formula is
@@ -37,11 +41,12 @@ hashed or compared past the closure.  A witness atom keeps the core and its
 member bits, and builds its member set only when read.
 
 The table shared by the three classes names its atoms in the order their
-free-bit valuations are enumerated, which no search depends on.  Each
-class graph owns the order its searches follow, and so the witness they
-find: it prunes first, then sorts only the surviving atoms, a few percent
-of the table on large closures, lexicographically on their member
-bit-vectors.
+free-bit valuations are enumerated, which no search depends on.  The
+searches follow the lexicographic order on member bit-vectors, and so
+find one witness, but order only what they read: the roots when a search
+starts from them, and a bucket when it is first expanded.  A witness that
+starts at a root takes the least such root without ordering the roots,
+and a class with no live root orders nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ import functools
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
 
 from .semantics import EvalContext
 from .syntax import (
@@ -192,12 +196,14 @@ class _Table:
     built; ``member_rows``, from ``derive_rows``, the row of each member by
     position, with ``terminal``, ``fin_viable`` and ``origin_bit`` among
     them; ``bits_at(rows, a)``, the truth of each row at atom a;
-    ``sorted_atoms(cls)``, the atoms of a class in the lexicographic order
-    on member bit-vectors (in closure order) that the searches follow;
-    ``class_graph(cls)``, what ``_ClassGraph`` is made of; and
-    ``until_keys(ids)``, one bit per until for each atom asked, set where
-    it holds the until (present) or its right operand (fulfil).  An atom
-    keeps the core and its member bits.  ``witnesses`` remembers the
+    ``atoms_where(ids, row)``, the atoms of a list where a row holds;
+    ``lex_order(ids)``, a list of atoms in the lexicographic order on
+    member bit-vectors (in closure order) that the searches follow, and
+    ``least(ids)``, the first of them in that order; ``sorted_atoms(cls)``,
+    the atoms of a class in that order; and ``class_graph(cls)``, what
+    ``_ClassGraph`` is made of.  Only the ``telling`` rows can decide that
+    order, so both builders read only those.  An atom keeps the core and
+    its member bits.  ``witnesses`` remembers the
     witness of each class decided on the table, and never its model, so
     models stay free to go.
     """
@@ -228,6 +234,13 @@ class _Table:
         self.terminal_at = at((WeakNext, at((Not, true))))
         self.fin_at = at((Until, true, self.terminal_at))
         self.key_space = 1 << len(self.nexts)
+        # only the free bits and the untils can tell two atoms apart first:
+        # the constant, a conjunction or a negation is fixed by earlier
+        # rows, and after the last free bit every atom is told apart
+        self.telling = [i for i, t in enumerate(kinds)
+                        if t in (Prop, WeakNext, Until)]
+        while kinds[self.telling[-1]] is Until:
+            self.telling.pop()
         # class -> its witness, or None when the class has no model
         self.witnesses: dict[str, ChainWitness | None] = {}
 
@@ -320,7 +333,8 @@ class _IntTableau(_Table):
     names, so the atoms wanting one bucket form one block of consecutive
     valuations and live or die together.  Whole-table work is a few int
     operations per row or per bucket; Python loops run over buckets and
-    live atoms only.
+    live atoms only, and an atom gets its lexicographic key, cached for the
+    table, only when a search sorts it.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
@@ -348,17 +362,8 @@ class _IntTableau(_Table):
             groups = [g for s, m in groups
                       for g in ((s << 1, m & ~r), (s << 1 | 1, m & r)) if g[1]]
         self._buckets = groups
-        # only the free bits and the untils can tell two atoms apart first:
-        # the constant, a conjunction or a negation is fixed by earlier
-        # rows, and after the last free bit every atom is told apart
-        telling = [i for i, sig in enumerate(sigs)
-                   if sig[0] in (Prop, WeakNext, Until)]
-        while sigs[telling[-1]][0] is Until:
-            telling.pop()
-        self._lex_rows = [rows[i] for i in telling]
+        self._lex_rows = [rows[i] for i in self.telling]
         self._lex_keys: dict[int, int] = {}
-        self._until_rows = ([rows[u] for u in self.untils],
-                            [rows[sigs[u][2]] for u in self.untils])
 
     @staticmethod
     def bits_at(rows, a: int) -> list[int]:
@@ -369,7 +374,7 @@ class _IntTableau(_Table):
             raise ValueError(f"unknown trace class {cls!r}")
         return self._classes[cls]
 
-    def _lex_order(self, ids: list[int]) -> list[int]:
+    def lex_order(self, ids: list[int]) -> list[int]:
         """The atoms ``ids`` in lexicographic order on member bit-vectors."""
         keys = self._lex_keys
         new = [a for a in ids if a not in keys]
@@ -377,8 +382,16 @@ class _IntTableau(_Table):
                                  new)))
         return sorted(ids, key=keys.__getitem__)
 
+    def least(self, ids: list[int]) -> int:
+        """The lexicographically least of the atoms ``ids``, without a key:
+        row by row, the atoms left that lack the row, whenever any do."""
+        mask = sum(1 << a for a in ids)
+        for r in self._lex_rows:
+            mask = mask & ~r or mask
+        return mask.bit_length() - 1
+
     def sorted_atoms(self, cls: str) -> list[int]:
-        return self._lex_order(_set_bits(self._class_mask(cls)))
+        return self.lex_order(_set_bits(self._class_mask(cls)))
 
     def class_graph(self, cls: str):
         admitted = self._class_mask(cls)
@@ -396,21 +409,13 @@ class _IntTableau(_Table):
             if len(kept) == len(buckets):
                 break
             buckets = kept
+        return ({s: _set_bits(m & live) for s, m in buckets},
+                _set_bits(live & self.origin_bit), {},
+                _next_buckets(last, shift))
 
-        bucket_of = {a: s for s, m in buckets for a in _set_bits(m & live)}
-        live_ids = self._lex_order(list(bucket_of))
-        origin = self.origin_bit
-        roots = [a for a in live_ids if origin >> a & 1]
-        # a stable sort keeps each bucket in lexicographic order
-        key = bucket_of.__getitem__
-        grouped = {s: list(atoms)
-                   for s, atoms in groupby(sorted(live_ids, key=key), key)}
-        return live_ids, roots, grouped, _next_buckets(last, shift)
-
-    def until_keys(self, ids: list[int]) -> tuple[dict, dict]:
-        present, fulfill = self._until_rows
-        return ({a: _key_at(present, a) for a in ids},
-                {a: _key_at(fulfill, a) for a in ids})
+    @staticmethod
+    def atoms_where(atoms: list[int], row: int) -> list[int]:
+        return [a for a in atoms if row >> a & 1]
 
 
 def _key_at(rows: list[int], a: int) -> int:
@@ -455,7 +460,9 @@ class _Tableau(_Table):
 
     Atom a is entry a of every row in ``member_rows``; the table keeps the
     atoms in valuation order of their free bits, and ``lex_order`` puts any
-    subset of them in the order the searches follow.  ``demand`` and
+    subset of them in the order the searches follow.  A class graph with a
+    live root is sorted whole, in one ``lexsort`` of its live atoms, since
+    numpy pays per call and not per atom.  ``demand`` and
     ``signature`` are fixed-width keys with one bit per weak next, the
     first in the most significant bit, so a key lies below ``key_space``;
     ``demand`` is a valuation shifted right.
@@ -489,8 +496,6 @@ class _Tableau(_Table):
         self.origin_bit = row[self.root]
         self.demand = keep >> np.uint32(len(self.props))
         self.signature = _key([row[sigs[b][1]] for b in nexts], len(keep))
-        self._until_rows = ([row[u] for u in self.untils],
-                            [row[sigs[u][2]] for u in self.untils])
 
     @staticmethod
     def bits_at(rows, a: int) -> list[bool]:
@@ -506,37 +511,47 @@ class _Tableau(_Table):
             return np.flatnonzero(~self.terminal)
         raise ValueError(f"unknown trace class {cls!r}")
 
-    def lex_order(self, ids):
+    def _lex_sorted(self, ids):
+        import numpy as np
+        rows = self.member_rows
+        return ids[np.lexsort([rows[i][ids] for i in reversed(self.telling)])]
+
+    def lex_order(self, ids) -> list[int]:
         """The atoms ``ids`` in lexicographic order on member bit-vectors."""
         import numpy as np
-        return ids[np.lexsort([r[ids] for r in reversed(self.member_rows)])]
+        return self._lex_sorted(np.asarray(ids, dtype=np.intp)).tolist()
+
+    def least(self, ids: list[int]) -> int:
+        return self.lex_order(ids)[0] if len(ids) > 1 else ids[0]
 
     def sorted_atoms(self, cls: str) -> list[int]:
-        return self.lex_order(self.class_indices(cls)).tolist()
+        return self.lex_order(self.class_indices(cls))
 
     def class_graph(self, cls: str):
         import numpy as np
         ids = self.class_indices(cls)
         nb = self.key_space
-        alive = self._prune(self.signature[ids],
-                            np.where(self.terminal[ids], nb, self.demand[ids]),
-                            nb)
-        live_ids = self.lex_order(ids[alive])
-        live = live_ids.tolist()
+        live = ids[self._prune(
+            self.signature[ids],
+            np.where(self.terminal[ids], nb, self.demand[ids]), nb)]
+        searched = bool(self.origin_bit[live].any())
+        if searched:
+            # a search reads the buckets: one sort of the live atoms orders
+            # every bucket list
+            live = self._lex_sorted(live)
+        atoms = live.tolist()
         buckets: dict[int, list[int]] = {}
-        for a, s in zip(live, self.signature[live_ids].tolist()):
+        for a, s in zip(atoms, self.signature[live].tolist()):
             buckets.setdefault(s, []).append(a)
-        next_bucket = self.demand[live_ids].astype(np.int64)
-        next_bucket[self.terminal[live_ids]] = -1
-        roots = live_ids[self.origin_bit[live_ids]].tolist()
-        return live, roots, buckets, dict(zip(live, next_bucket.tolist()))
+        next_bucket = self.demand[live].astype(np.int64)
+        next_bucket[self.terminal[live]] = -1
+        return (buckets, live[self.origin_bit[live]].tolist(),
+                buckets if searched else {},
+                dict(zip(atoms, next_bucket.tolist())))
 
-    def until_keys(self, ids: list[int]) -> tuple[dict, dict]:
-        import numpy as np
-        at = np.array(ids, dtype=np.intp)
-        present, fulfill = (_key([r[at] for r in rows], len(ids)).tolist()
-                            for rows in self._until_rows)
-        return dict(zip(ids, present)), dict(zip(ids, fulfill))
+    @staticmethod
+    def atoms_where(atoms: list[int], row) -> list[int]:
+        return [a for a, b in zip(atoms, row[atoms].tolist()) if b]
 
     @staticmethod
     def _prune(bucket, wanted, nb: int):
@@ -575,34 +590,45 @@ class _Tableau(_Table):
 
 
 class _ClassGraph:
-    """Atoms of one class, bucketed by operand signature, pruned, then
-    ordered, from either table.
+    """Atoms of one class, bucketed by operand signature and pruned, from
+    either table; ordered only where a search reads them.
 
     A bucket's number is its key: the operand signature its atoms carry.
-    The graph owns the search order: pruning runs first, and only the
-    atoms that survive it are sorted lexicographically on their member
-    bit-vectors, so ``live_ids``, ``roots()`` and every ``bucket(s)`` list
-    atoms in that order.  ``next_bucket`` maps each live atom to the
-    bucket its successors form, or to -1 when the atom is terminal: after
-    pruning every live non-terminal atom has a successor.  Both witness
-    searches go through one routine, ``_path``, a breadth-first search
-    over atoms and their buckets.
+    The table hands over the live atoms of each bucket and the live roots,
+    as lists in any order, and the bucket lists it has already sorted.  The
+    searches sort the rest only where they read it: the roots when a
+    search starts from them, and a bucket the first time it is expanded,
+    kept for the graph.  ``live_ids`` sorts every live atom, for
+    ``build_atom_graph`` and tests.  ``next_bucket[a]`` is the bucket atom
+    a's successors form, or -1 when the atom is terminal: after pruning
+    every live non-terminal atom has a successor.  Both witness searches go
+    through one routine, ``_path``, a breadth-first search over atoms and
+    their buckets; the lasso search finds components on the quotient graph
+    of buckets.
     """
 
     def __init__(self, tab: _Table, cls: str):
         self.tab = tab
-        (self.live_ids, self._roots, self._buckets,
+        (self._buckets, self._roots, self._sorted,
          self.next_bucket) = tab.class_graph(cls)
 
+    @property
+    def live_ids(self) -> list[int]:
+        return self.tab.lex_order([a for atoms in self._buckets.values()
+                                   for a in atoms])
+
     def bucket(self, s: int) -> list[int]:
-        return self._buckets[s]
+        atoms = self._sorted.get(s)
+        if atoms is None:
+            atoms = self._sorted[s] = self.tab.lex_order(self._buckets[s])
+        return atoms
 
     def successors(self, a: int) -> list[int]:
         s = self.next_bucket[a]
         return self.bucket(s) if s >= 0 else []
 
     def roots(self) -> list[int]:
-        return self._roots
+        return self.tab.lex_order(self._roots)
 
     def _succ(self, node: int) -> list[int]:
         """Bipartite successors: an atom id leads to its bucket node ~s, a
@@ -614,27 +640,29 @@ class _ClassGraph:
 
     def _path(self, sources: list[int], hit, within=None) -> list[int] | None:
         """Shortest atom path from a source to the first atom satisfying
-        ``hit``, breadth-first over the bipartite graph of ``_succ`` and
-        inside the node set ``within`` when one is given; None when no atom
-        is hit.  ``hit`` is tested before the seen check, so the path can
+        ``hit``, breadth-first over the bipartite graph of ``_succ``; None
+        when no atom is hit.  With ``within``, a set of buckets, the path
+        stays among the atoms that want one of them, reached from one of
+        them.  ``hit`` is tested before the seen check, so the path can
         return to its own source: a loop closing on itself."""
-        succ = self._succ
+        succ, next_bucket = self._succ, self.next_bucket
         # every node seen, with the node it was reached from (None for a source)
         parent: dict[int, int | None] = dict.fromkeys(sources)
         queue = deque(sources)
         while queue:
             node = queue.popleft()
             for nxt in succ(node):
-                if within is not None and nxt not in within:
-                    continue
-                if nxt >= 0 and hit(nxt):
-                    path = [nxt]
-                    while node is not None:
-                        if node >= 0:
-                            path.append(node)
-                        node = parent[node]
-                    path.reverse()
-                    return path
+                if nxt >= 0:
+                    if within is not None and next_bucket[nxt] not in within:
+                        continue
+                    if hit(nxt):
+                        path = [nxt]
+                        while node is not None:
+                            if node >= 0:
+                                path.append(node)
+                            node = parent[node]
+                        path.reverse()
+                        return path
                 if nxt in parent:
                     continue
                 parent[nxt] = node
@@ -644,48 +672,51 @@ class _ClassGraph:
     # -- finite-class style search: shortest path to a terminal atom ---------
 
     def terminal_path(self) -> list[int] | None:
+        ends = self.tab.atoms_where(self._roots, self.tab.terminal)
+        if ends:
+            return [self.tab.least(ends)]
         next_bucket = self.next_bucket
-        roots = self.roots()
-        for r in roots:
-            if next_bucket[r] < 0:
-                return [r]
-        return self._path(roots, lambda a: next_bucket[a] < 0)
+        return self._path(self.roots(), lambda a: next_bucket[a] < 0)
 
     # -- infinite-class style search: reachable self-fulfilling component ----
 
     def lasso_chain(self) -> tuple[list[int], list[int]] | None:
-        scc_of: dict = {}
-        good: list[bool] = []
-        # a component holding a node reachable from the roots is reachable
-        # whole, so the searches below never look past these components
-        roots = self.roots()
-        comps = _tarjan(self._succ, roots)
-        until_present, until_fulfill = self.tab.until_keys(
-            [n for comp in comps for n in comp if n >= 0])
-        for ci, comp in enumerate(comps):
-            for node in comp:
-                scc_of[node] = ci
-            atoms = [n for n in comp if n >= 0]
-            if len(comp) < 2 or not atoms:
-                good.append(False)
-                continue
-            present = fulfilled = 0
-            for a in atoms:
-                present |= until_present[a]
-                fulfilled |= until_fulfill[a]
-            good.append(present & ~fulfilled == 0)
+        tab, buckets, next_bucket = self.tab, self._buckets, self.next_bucket
+        # components of the bucket quotient reachable from the roots: an
+        # atom is in its bucket's component exactly when the bucket it wants
+        # is too
+        def wanted(atoms: list[int]) -> set[int]:
+            return {next_bucket[a] for a in atoms} - {-1}
 
-        def in_good(a: int) -> bool:
-            return good[scc_of[a]]
+        comps = _tarjan(lambda s: wanted(buckets[s]), wanted(self._roots))
+        rows, sigs = tab.member_rows, tab.sigs
+        # each until's row and its right operand's, the last until first:
+        # the order the loop visits them in
+        until_rows = [(rows[u], rows[sigs[u][2]]) for u in reversed(tab.untils)]
+        # bucket -> (its component, the component's atoms, the right
+        # operand row of each until they hold), for the self-fulfilling
+        # components
+        good: dict[int, tuple] = {}
+        good_atoms: set[int] = set()
+        for comp in map(set, comps):
+            atoms = [a for s in comp for a in buckets[s]
+                     if next_bucket[a] in comp]
+            if not atoms:
+                continue
+            needed = [fulfil for present, fulfil in until_rows
+                      if tab.atoms_where(atoms, present)]
+            if all(tab.atoms_where(atoms, fulfil) for fulfil in needed):
+                good.update(dict.fromkeys(comp, (comp, atoms, needed)))
+                good_atoms.update(atoms)
 
         # the shortest path from the origin atoms into a good component
-        path = (next(([r] for r in roots if in_good(r)), None)
-                or self._path(roots, in_good))
+        entries = [r for r in self._roots if r in good_atoms]
+        path = ([tab.least(entries)] if entries
+                else self._path(self.roots(), good_atoms.__contains__))
         if path is None:
             return None
         prefix, entry = path[:-1], path[-1]
-
-        comp = set(comps[scc_of[entry]])
+        comp, atoms, needed = good[next_bucket[entry]]
 
         def scc_path(src: int, targets: set[int]) -> list[int]:
             """Shortest non-empty atom path src -> target inside the
@@ -695,19 +726,13 @@ class _ClassGraph:
                 raise AssertionError("self-fulfilling component lost a target")
             return path[1:]
 
-        needed = 0
-        comp_atoms = [n for n in comp if n >= 0]
-        for a in comp_atoms:
-            needed |= until_present[a]
         loop = [entry]
         current = entry
-        for j in range(needed.bit_length()):
-            if not (needed >> j) & 1:
+        for fulfil in needed:
+            fulfilling = set(tab.atoms_where(atoms, fulfil))
+            if not fulfilling.isdisjoint(loop):
                 continue
-            if any((until_fulfill[a] >> j) & 1 for a in loop):
-                continue
-            targets = {a for a in comp_atoms if (until_fulfill[a] >> j) & 1}
-            seg = scc_path(current, targets)
+            seg = scc_path(current, fulfilling)
             loop.extend(seg)
             current = seg[-1]
         closing = scc_path(current, {entry})

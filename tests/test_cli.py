@@ -290,6 +290,7 @@ def test_usage_error_exit_two(capsys):
     (["fuzz", "--system", "ax", "--instances", "-5"], "--instances"),
     (["sat", "--formula", "p", "--class", "fin", "--cap", "-1"], "--cap"),
     (["valid", "--formula", "p", "--class", "fin", "--cap", "-1"], "--cap"),
+    (["eval", "--formula", "p", "--trace", "t.trace", "--pos", "-1"], "--pos"),
 ])
 def test_negative_count_is_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -306,6 +307,9 @@ def test_negative_count_is_usage_error(capsys, argv, flag):
 @pytest.mark.parametrize("argv, flag", [
     (["sat", "--class", "gen", "--cap", "\u0663", "--formula", "p"], "--cap"),
     (["fuzz", "--system", "ax", "--instances", "\uff13"], "--instances"),
+    (["eval", "--formula", "p", "--trace", "t.trace", "--pos", "\u0663"],
+     "--pos"),
+    (["eval", "--formula", "p", "--trace", "t.trace", "--pos", "1_0"], "--pos"),
 ])
 def test_non_ascii_count_is_usage_error(capsys, argv, flag):
     value = argv[argv.index(flag) + 1]
@@ -317,6 +321,23 @@ def test_non_ascii_count_is_usage_error(capsys, argv, flag):
     assert captured.err.splitlines()[-1].endswith(
         f"error: argument {flag}: expected a non-negative integer, "
         f"got '{value}'")
+
+
+@pytest.mark.parametrize("seed", ["\u0663", "1_0", "+3", "3.0", "-"])
+def test_seed_must_be_an_ascii_integer(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--system", "ax", "--instances", "5", "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument --seed: expected an integer, got '{seed}'")
+
+
+def test_negative_seed_is_a_seed(capsys):
+    code, out, _ = run(capsys, "fuzz", "--system", "ax", "--instances", "5",
+                       "--seed", "-3", "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "ok"
 
 
 def test_input_errors_exit_three(capsys):

@@ -30,10 +30,12 @@ from caretkit.syntax import (
     Until,
     WeakNext,
     closure,
+    lor,
     negate,
     parse_formula,
     print_formula,
     props_of,
+    strong_next,
 )
 from caretkit.tableau import (
     CLASSES,
@@ -411,6 +413,24 @@ def _pack_rows(matrix):
     return [int.from_bytes(row.tobytes(), "big") for row in packed]
 
 
+def _until_keys(tab, ids):
+    """One bit per until for each atom, the first until most significant,
+    set where the atom holds the until (present) or its right operand
+    (fulfill), read from the member rows."""
+    rows = tab.member_rows
+    present = [rows[u] for u in tab.untils]
+    fulfill = [rows[tab.sigs[u][2]] for u in tab.untils]
+
+    def key(picked, a):
+        k = 0
+        for bit in tab.bits_at(picked, a):
+            k = k << 1 | bool(bit)
+        return k
+
+    return ({a: key(present, a) for a in ids},
+            {a: key(fulfill, a) for a in ids})
+
+
 def _check_against_packing(tab):
     row = dict(zip(tab.core, tab.member_rows))
 
@@ -430,7 +450,7 @@ def _check_against_packing(tab):
     assert tab.demand.tolist() == demand
     assert tab.signature.tolist() == signature
     every = list(range(tab.count))
-    present, fulfill = tab.until_keys(every)
+    present, fulfill = _until_keys(tab, every)
     assert [present[a] for a in every] == packed(untils)
     assert [fulfill[a] for a in every] == packed([u.right for u in untils])
 
@@ -613,7 +633,7 @@ class _SeparateSearchGraph(_ClassGraph):
         good = []
         roots = self.roots()
         comps = tableau._tarjan(succ, roots)
-        until_present, until_fulfill = self.tab.until_keys(self.live_ids)
+        until_present, until_fulfill = _until_keys(self.tab, self.live_ids)
         for ci, comp in enumerate(comps):
             for node in comp:
                 scc_of[node] = ci
@@ -723,6 +743,72 @@ def test_decisions_match_separate_searches(monkeypatch):
         m.setattr(tableau, "_ClassGraph", _SeparateSearchGraph)
         expected = decide_all()
     assert decide_all() == expected
+
+
+# ---------------------------------------------------------------------------
+# Ordering only what the search reads.  The int table keys an atom for the
+# lexicographic order the first time it sorts it, so counting _key_at calls
+# counts the atoms a decision ordered.
+
+def _counting_keys(monkeypatch):
+    keyed = []
+    key_at = tableau._key_at
+
+    def counting(rows, a):
+        keyed.append(a)
+        return key_at(rows, a)
+
+    monkeypatch.setattr(tableau, "_key_at", counting)
+    return keyed
+
+
+def _int_table_formulas():
+    by_size = enumerate_formulas(5)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    formulas += [gen_formula(replace(PATH_CHECK, seed=seed))
+                 for seed in range(200)]
+    return [f for f in formulas if _free_bits(f) <= tableau.PYTHON_TABLE_BITS]
+
+
+def test_terminal_origin_decides_fin_without_lex_keys(monkeypatch):
+    keyed = _counting_keys(monkeypatch)
+    one_atom = 0
+    for f in _int_table_formulas():
+        monkeypatch.setattr(tableau, "_memo", None)
+        keyed.clear()
+        w = decide_sat(f, "fin", closure_cap=None).witness
+        if w is not None and len(w.atoms) == 1:
+            one_atom += 1
+            assert keyed == [], f
+    assert one_atom > 500
+
+
+def test_decisions_key_only_roots_and_expanded_buckets(monkeypatch):
+    keyed = _counting_keys(monkeypatch)
+    graphs = []
+
+    class Recording(_ClassGraph):
+        def __init__(self, tab, cls):
+            super().__init__(tab, cls)
+            graphs.append(self)
+
+    monkeypatch.setattr(tableau, "_ClassGraph", Recording)
+    expanded = 0
+    for f in _int_table_formulas():
+        for cls in CLASSES:
+            monkeypatch.setattr(tableau, "_memo", None)
+            keyed.clear()
+            graphs.clear()
+            decide_sat(f, cls, closure_cap=None)
+            read = set()
+            for g in graphs:
+                read.update(g._roots)
+                for atoms in g._sorted.values():
+                    read.update(atoms)
+            expanded += sum(len(g._sorted) for g in graphs)
+            # each atom is keyed once per table, and only if a search read it
+            assert len(keyed) == len(set(keyed)) and set(keyed) <= read, f
+    assert expanded > 1000
 
 
 def test_one_atom_loop_closes_on_itself():
@@ -1160,3 +1246,99 @@ def test_unsat_and_valid_verdicts_survive_path_checks():
                     assert not EvalContext(t).holds(g, 0), (g, cls, t)
     # pinned: a verdict that flips changes the count
     assert checked == 425
+
+
+# The same record over the path-check formulas and their negations, which
+# reach both builders, 4 to 18 free bits and longer lassos.
+PATH_CHECK_WITNESS_DIGEST = (
+    "f9d2b64afe4a709d8d499639d5327f4a4722a9afc70f42214da18c00b5b4282c")
+
+
+def test_witnesses_pinned_path_check_formulas():
+    formulas = []
+    for seed in range(1000):
+        f = gen_formula(replace(PATH_CHECK, seed=seed))
+        formulas += [f, Not(f)]
+    assert _witness_digest(formulas) == PATH_CHECK_WITNESS_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations (Chen et al., ACM Computing Surveys 51(1), 2018),
+# which need no oracle: on seeded fuzz formulas f and g, in every class,
+# sat(f & g) implies sat(f) and sat(g); f & g and g & f agree; f agrees with
+# its image under the renaming p -> q -> r -> p, and with f where its first
+# until a U b is unfolded into b | (a & N (a U b)).  Both rewrites change the
+# closure order and so may change the witness, never the verdict.  A
+# decision refused for its free bits is skipped.
+
+METAMORPHIC_SEEDS = 300
+_ROTATE = {"p": "q", "q": "r", "r": "p"}
+
+
+def _renamed(f):
+    if type(f) is Prop:
+        return Prop(_ROTATE[f.name])
+    if isinstance(f, (Not, WeakNext)):
+        return type(f)(_renamed(f.operand))
+    if isinstance(f, (And, Until)):
+        return type(f)(_renamed(f.left), _renamed(f.right))
+    return f
+
+
+def _unfold_first_until(f):
+    """f with its first until in preorder unfolded, or None without one."""
+    if type(f) is Until:
+        return lor(f.right, And(f.left, strong_next(f)))
+    if isinstance(f, (Not, WeakNext)):
+        g = _unfold_first_until(f.operand)
+        return None if g is None else type(f)(g)
+    if isinstance(f, (And, Until)):
+        g = _unfold_first_until(f.left)
+        if g is not None:
+            return type(f)(g, f.right)
+        g = _unfold_first_until(f.right)
+        return None if g is None else type(f)(f.left, g)
+    return None
+
+
+def test_unfold_first_until_rewrites_one_occurrence():
+    f = parse_formula("X (p U q) & (p U q)")
+    assert _unfold_first_until(f) == parse_formula(
+        "X (q | (p & N (p U q))) & (p U q)")
+    assert _unfold_first_until(parse_formula("X p & !q")) is None
+    assert _renamed(parse_formula("p U (q & X r)")) == parse_formula(
+        "q U (r & X p)")
+
+
+def test_verdicts_keep_metamorphic_relations():
+    formulas = [gen_formula(replace(PATH_CHECK, seed=seed))
+                for seed in range(METAMORPHIC_SEEDS + 1)]
+
+    def sat(f, cls):
+        try:
+            return decide_sat(f, cls, closure_cap=None).satisfiable
+        except ClosureCapError:
+            return None
+
+    checked = 0
+    for f, g in zip(formulas, formulas[1:]):
+        unfolded = _unfold_first_until(f)
+        for cls in CLASSES:
+            f_sat, g_sat = sat(f, cls), sat(g, cls)
+            both, swapped = sat(And(f, g), cls), sat(And(g, f), cls)
+            if None not in (both, f_sat, g_sat):
+                checked += 1
+                assert not both or (f_sat and g_sat), (f, g, cls)
+            if None not in (both, swapped):
+                checked += 1
+                assert both == swapped, (f, g, cls)
+            pairs = [(f_sat, sat(_renamed(f), cls))]
+            if unfolded is not None:
+                pairs.append((f_sat, sat(unfolded, cls)))
+            for before, after in pairs:
+                if None not in (before, after):
+                    checked += 1
+                    assert before == after, (f, cls)
+    # pinned: a decision that flips between refused and answered, or a
+    # formula generator that changes, changes the count
+    assert checked == 3123
