@@ -15,6 +15,8 @@ import argparse
 import sys
 import time
 
+# --seed is read as caretkit fuzz --seed is
+from caretkit.cli import _integer
 from caretkit.fuzz import GenConfig, soundness_campaign
 from caretkit.syntax import print_formula
 from caretkit.trace import trace_to_text
@@ -33,7 +35,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=_positive, default=1000,
                     help="instances per schema (default 1000)")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_integer, default=0)
     ap.add_argument("--max-finite-len", type=_positive, default=12)
     ap.add_argument("--max-lasso-total", type=_positive, default=12)
     args = ap.parse_args()

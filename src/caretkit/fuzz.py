@@ -7,12 +7,19 @@ identical configs replay identical campaigns on any platform.
 Two campaign styles are provided.  A soundness campaign draws random
 metavariable bindings for each axiom schema of a proof system and evaluates
 the instance at every canonical position of a fresh random trace of the
-system's own trace class; failures are counted, never raised.  It runs the
-schema's compiled program over truth masks (Schema.run with
-EvalContext.truth_mask and EvalContext.apply), so an instance is built as a
-formula only when it fails, to be reported.  A cross-check campaign compares
-the tableau decision procedure against the literal bounded trace
-enumeration and the class decomposition identity.
+system's own trace class; failures are counted, never raised.
+
+Draws are programs and masks; objects are built on replay.  A drawn formula
+is a post-order program of constructor steps; a drawn trace is its shape,
+one truth mask per letter and, on a structured lasso, its tags.  The
+campaign runs the binding programs, then the schema's program, over masks
+with EvalContext.apply on a context started from the drawn masks, building
+no formula, label set or trace (only the C5/C6 families are built, with
+their bindings).  A failing instance is replayed from its seed through the
+object builders, which gen_formula and gen_trace also use.
+
+A cross-check campaign compares the tableau decision procedure against the
+literal bounded trace enumeration and the class decomposition identity.
 
 Inference rules are deliberately not fuzzed: they preserve validity rather
 than pointwise truth, so per-trace evaluation is the wrong instrument for
@@ -24,13 +31,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .proof import SCHEMAS, SYSTEM_IDS, axiom_schemas, build_schema_instance
+from .proof import (
+    SCHEMAS, SYSTEM_IDS, _construct, axiom_schemas, build_schema_instance,
+)
 from .semantics import EvalContext
 from .syntax import (
     CLASSES, AbsUntil, AbsWeakNext, And, Formula, Not, Prop, TRUE, Until,
     WeakNext,
 )
-from .trace import FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace
+from .trace import (
+    _IDENT_RE, FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace,
+)
 
 __all__ = [
     "GenConfig", "CampaignReport", "gen_formula", "gen_trace",
@@ -62,6 +73,14 @@ class GenConfig:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
+        # a letter must print back as itself, for failure reports to parse
+        for a in self.alphabet:
+            if (type(a) is not str or not _IDENT_RE.match(a)
+                    or a in ("true", "false")):
+                raise ValueError(f"letter {a!r} is not a proposition name: "
+                                 "[a-z_][a-z0-9_]*, not true or false")
+        if len(set(self.alphabet)) < len(self.alphabet):
+            raise ValueError(f"alphabet {self.alphabet!r} repeats a letter")
         if min(self.max_formula_size, self.max_finite_len,
                self.max_lasso_total) < 1:
             raise ValueError("all bounds must be positive")
@@ -81,72 +100,120 @@ class CampaignReport:
 
 
 # ---------------------------------------------------------------------------
-# Generators.
+# Generators.  A draw is data; the builders turn it into objects.
 
-def _random_formula(rng: random.Random, size: int, alphabet: tuple[str, ...],
-                    mode: str) -> Formula:
-    atoms = list(alphabet)
-    if mode == "caret":
-        atoms += list(_TAG_NAMES)
-    if size <= 1:
-        pick = rng.randrange(len(atoms) + 1)
-        return TRUE if pick == len(atoms) else Prop(atoms[pick])
-    if size == 2:
-        ops = ("not", "next") + (("anext",) if mode == "caret" else ())
+# in draw order: the operators of a node of size 2, then of a larger one
+_OPS = {
+    "ltl": ((Not, WeakNext), (Not, WeakNext, And, Until)),
+    "caret": ((Not, WeakNext, AbsWeakNext),
+              (Not, WeakNext, And, Until, AbsWeakNext, AbsUntil)),
+}
+_UNARY = (Not, WeakNext, AbsWeakNext)
+
+
+def _atoms(cfg: GenConfig, mode: str) -> tuple[str, ...]:
+    """The letters a formula leaf picks from; one pick past them is true."""
+    return cfg.alphabet + _TAG_NAMES if mode == "caret" else cfg.alphabet
+
+
+def _draw_formula(rng: random.Random, cfg: GenConfig, mode: str) -> list:
+    """A formula of 1 to max_formula_size nodes as a post-order program:
+    a leaf is (None, pick, None), a node (ctor, i, j) over the values of
+    steps i and j, j None for a unary ctor."""
+    leaves, (small, ops) = len(_atoms(cfg, mode)) + 1, _OPS[mode]
+    prog: list[tuple] = []
+
+    def draw(size):
+        if size <= 1:
+            prog.append((None, rng.randrange(leaves), None))
+            return
+        choices = ops if size > 2 else small
+        op = choices[rng.randrange(len(choices))]
+        if op in _UNARY:
+            draw(size - 1)
+            prog.append((op, len(prog) - 1, None))
+            return
+        split = rng.randint(1, size - 2)
+        draw(split)
+        i = len(prog) - 1
+        draw(size - 1 - split)
+        prog.append((op, i, len(prog) - 1))
+
+    draw(rng.randint(1, cfg.max_formula_size))
+    return prog
+
+
+def _run(prog: list, leaves, apply):
+    """A formula program's value: leaves[pick] at a leaf, apply(ctor, a)
+    or apply(ctor, a, b) at a node."""
+    vals = []
+    for ctor, i, j in prog:
+        vals.append(leaves[i] if ctor is None else
+                    apply(ctor, vals[i]) if j is None else
+                    apply(ctor, vals[i], vals[j]))
+    return vals[-1]
+
+
+def _random_formula(rng: random.Random, cfg: GenConfig, mode: str) -> Formula:
+    leaves = [Prop(a) for a in _atoms(cfg, mode)] + [TRUE]
+    return _run(_draw_formula(rng, cfg, mode), leaves, _construct)
+
+
+def _draw_trace(rng: random.Random, cfg: GenConfig, kind: str):
+    """A trace as (n, prefix_len, props, tags): n canonical positions, the
+    loop from prefix_len on (none if prefix_len == n), each letter's truth
+    mask, and on a structured lasso the StateTag of each position, its tag
+    names' masks in props too; tags is None otherwise.  Per position the
+    letters are drawn, then the tag."""
+    random_ = rng.random
+    if kind == "mixed":
+        kind = "finite" if random_() < 0.5 else "lasso"
+    if kind == "finite":
+        n = p = rng.randint(1, cfg.max_finite_len)
+    elif kind in ("lasso", "structured"):
+        n = rng.randint(1, cfg.max_lasso_total)
+        p = n - rng.randint(1, n)
     else:
-        ops = ("not", "next", "and", "until")
-        if mode == "caret":
-            ops = ops + ("anext", "auntil")
-    op = ops[rng.randrange(len(ops))]
-    if op == "not":
-        return Not(_random_formula(rng, size - 1, alphabet, mode))
-    if op == "next":
-        return WeakNext(_random_formula(rng, size - 1, alphabet, mode))
-    if op == "anext":
-        return AbsWeakNext(_random_formula(rng, size - 1, alphabet, mode))
-    split = rng.randint(1, size - 2) if size > 2 else 1
-    left = _random_formula(rng, split, alphabet, mode)
-    right = _random_formula(rng, size - 1 - split, alphabet, mode)
-    if op == "and":
-        return And(left, right)
-    if op == "until":
-        return Until(left, right)
-    return AbsUntil(left, right)
+        raise ValueError(f"unknown trace kind {kind!r}")
+    letters, tags = cfg.alphabet, None
+    if kind == "structured":
+        # tag names never appear as labels; they are carried by the tag slot
+        letters = tuple(a for a in letters if a not in _TAG_NAMES)
+        tags, tag_masks = [], [0, 0, 0]
+    masks = [0] * len(letters)
+    ks = range(len(letters))
+    for i in range(n):
+        bit = 1 << i
+        for k in ks:
+            if random_() < 0.5:
+                masks[k] |= bit
+        if tags is not None:
+            t = rng.randrange(3)
+            tags.append(_TAG_VALUES[t])
+            tag_masks[t] |= bit
+    props = dict(zip(letters, masks))
+    if tags is not None:
+        props.update(zip(_TAG_NAMES, tag_masks))
+    return n, p, props, tags
 
 
-def _random_labels(rng: random.Random, letters: tuple[str, ...]) -> frozenset[str]:
-    return frozenset(a for a in letters if rng.random() < 0.5)
-
-
-def _random_finite(rng: random.Random, cfg: GenConfig) -> FiniteTrace:
-    n = rng.randint(1, cfg.max_finite_len)
-    return FiniteTrace(tuple(_random_labels(rng, cfg.alphabet) for _ in range(n)))
-
-
-def _random_lasso(rng: random.Random, cfg: GenConfig) -> LassoTrace:
-    total = rng.randint(1, cfg.max_lasso_total)
-    loop_len = rng.randint(1, total)
-    states = [_random_labels(rng, cfg.alphabet) for _ in range(total)]
-    return LassoTrace(tuple(states[:total - loop_len]),
-                      tuple(states[total - loop_len:]))
-
-
-def _random_structured(rng: random.Random, cfg: GenConfig) -> StructuredLassoTrace:
-    # tag names never appear as labels; they are carried by the tag slot
-    letters = tuple(a for a in cfg.alphabet if a not in _TAG_NAMES)
-    total = rng.randint(1, cfg.max_lasso_total)
-    loop_len = rng.randint(1, total)
-    states = [(_random_labels(rng, letters), _TAG_VALUES[rng.randrange(3)])
-              for _ in range(total)]
-    return StructuredLassoTrace(tuple(states[:total - loop_len]),
-                                tuple(states[total - loop_len:]))
+def _campaign_trace(rng: random.Random, cfg: GenConfig, kind: str):
+    n, p, props, tags = _draw_trace(rng, cfg, kind)
+    labels = [(a, m) for a, m in props.items()
+              if tags is None or a not in _TAG_NAMES]
+    states = [frozenset(a for a, m in labels if m >> i & 1) for i in range(n)]
+    if p == n:
+        return FiniteTrace(states)
+    if tags is None:
+        return LassoTrace(states[:p], states[p:])
+    states = list(zip(states, tags))
+    return StructuredLassoTrace(states[:p], states[p:])
 
 
 def gen_formula(cfg: GenConfig) -> Formula:
     """One random formula of the config's mode, deterministic in the seed."""
-    rng = random.Random(_child_seed(cfg.seed, 1, 0))
-    return _random_formula(rng, rng.randint(1, cfg.max_formula_size),
-                           cfg.alphabet, cfg.mode)
+    return _random_formula(random.Random(_child_seed(cfg.seed, 1, 0)), cfg,
+                           cfg.mode)
 
 
 def gen_trace(cfg: GenConfig) -> FiniteTrace | LassoTrace | StructuredLassoTrace:
@@ -170,19 +237,8 @@ _SYSTEM_TRACES = {
 
 _C5_PARAMS = ({"n": 0}, {"n": 1}, {"n": 2})
 _C6_PARAMS = ({"m": 1, "n": 0}, {"m": 2, "n": 0}, {"m": 2, "n": 1})
-
-
-def _campaign_trace(rng: random.Random, cfg: GenConfig, kind: str):
-    if kind == "finite":
-        return _random_finite(rng, cfg)
-    if kind == "lasso":
-        return _random_lasso(rng, cfg)
-    if kind == "structured":
-        return _random_structured(rng, cfg)
-    if kind == "mixed":
-        return _random_finite(rng, cfg) if rng.random() < 0.5 \
-            else _random_lasso(rng, cfg)
-    raise ValueError(f"unknown trace kind {kind!r}")
+# the parameters of the k-th instance of a schema are entry k mod length
+_FAMILY_PARAMS = {"C5": _C5_PARAMS, "C6": _C6_PARAMS}
 
 
 def _first_false(mask: int, full: int) -> int | None:
@@ -190,6 +246,30 @@ def _first_false(mask: int, full: int) -> int | None:
     None when there is none: the lowest set bit of full & ~mask."""
     z = full & ~mask
     return (z & -z).bit_length() - 1 if z else None
+
+
+def _instance_mask(rng: random.Random, cfg: GenConfig, mode: str, kind: str,
+                   name: str, params: dict[str, int]) -> tuple[int, int]:
+    """Draw bindings for the schema and a trace, as the builders do, and
+    return the instance's truth mask on the trace and the trace's full
+    mask.  Only a family's bindings are built, to build its instance."""
+    schema = SCHEMAS[name]
+    progs = [_draw_formula(rng, cfg, mode) for _ in schema.metavars]
+    n, p, props, tags = _draw_trace(rng, cfg, kind)
+    ctx = EvalContext.from_masks(n, p, props, tags)
+    atoms = _atoms(cfg, mode)
+    if schema.family is None:
+        leaves = [props.get(a, 0) for a in atoms] + [ctx.full]
+        apply = ctx.apply
+
+        def leaf(x):  # a binding is a mask already, a constant subformula not
+            return x if type(x) is int else ctx.truth_mask(x)
+    else:
+        leaves = [Prop(a) for a in atoms] + [TRUE]
+        apply, leaf = _construct, ctx.truth_mask
+    bindings = {v: _run(prog, leaves, apply)
+                for v, prog in zip(schema.metavars, progs)}
+    return schema.run(params, bindings, leaf, ctx.apply), ctx.full
 
 
 def soundness_campaign(system: str, instances: int, cfg: GenConfig, *,
@@ -205,39 +285,35 @@ def soundness_campaign(system: str, instances: int, cfg: GenConfig, *,
     """
     if system not in SYSTEM_IDS:
         raise ValueError(f"unknown system {system!r}")
+    if instances < 0:
+        raise ValueError(f"instances must be non-negative, got {instances}")
     names = tuple(schemas) if schemas is not None else axiom_schemas(system)
     for name in names:
         if name not in SCHEMAS:
             raise ValueError(f"unknown schema {name!r}")
     kind = trace_class if trace_class is not None else _SYSTEM_TRACES[system]
     mode = "caret" if system == "ax-cr" else "ltl"
+    # reseeding gives the stream of random.Random(seed)
+    rng = random.Random()
     counts = []
     failures = 0
     first = None
     for si, name in enumerate(names):
-        schema = SCHEMAS[name]
+        cycle = _FAMILY_PARAMS.get(name, ({},))
         for k in range(instances):
-            rng = random.Random(_child_seed(cfg.seed, 16 + si, k))
-            bindings = {
-                v: _random_formula(rng, rng.randint(1, cfg.max_formula_size),
-                                   cfg.alphabet, mode)
-                for v in schema.metavars
-            }
-            params = {}
-            if name == "C5":
-                params = _C5_PARAMS[k % len(_C5_PARAMS)]
-            elif name == "C6":
-                params = _C6_PARAMS[k % len(_C6_PARAMS)]
-            trace = _campaign_trace(rng, cfg, kind)
-            ctx = EvalContext(trace)
-            pos = _first_false(
-                schema.run(params, bindings, ctx.truth_mask, ctx.apply),
-                ctx.full)
+            seed = _child_seed(cfg.seed, 16 + si, k)
+            rng.seed(seed)
+            params = cycle[k % len(cycle)]
+            pos = _first_false(*_instance_mask(rng, cfg, mode, kind, name, params))
             if pos is not None:
                 failures += 1
                 if first is None:
+                    # replay the instance through the object builders
+                    rng.seed(seed)
+                    bindings = {v: _random_formula(rng, cfg, mode)
+                                for v in SCHEMAS[name].metavars}
                     first = (build_schema_instance(name, params, bindings),
-                             trace, pos)
+                             _campaign_trace(rng, cfg, kind), pos)
         counts.append((name, instances))
     return CampaignReport(tuple(counts), failures, first)
 
@@ -251,6 +327,8 @@ def cross_check_campaign(samples: int, cfg: GenConfig, *,
     by the enumerator whenever it fits the bound); every unsatisfiable
     verdict must agree with the enumerator up to the bound.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     if len(cfg.alphabet) > 2:
         raise ValueError("cross-check needs an alphabet of at most 2 letters")
     if cfg.max_formula_size > 7:
@@ -261,8 +339,7 @@ def cross_check_campaign(samples: int, cfg: GenConfig, *,
     first = None
     for k in range(samples):
         rng = random.Random(_child_seed(cfg.seed, 3, k))
-        f = _random_formula(rng, rng.randint(1, cfg.max_formula_size),
-                            cfg.alphabet, "ltl")
+        f = _random_formula(rng, cfg, "ltl")
         results = [(cls, decide_sat(f, cls, closure_cap=None)) for cls in CLASSES]
         verdicts = dict((cls, r.satisfiable) for cls, r in results)
         bad = None

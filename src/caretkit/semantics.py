@@ -21,8 +21,14 @@ in the trace length.
 
 Each operator's mask semantics is defined once, in EvalContext.apply, from
 the masks of its operands: truth_mask walks a formula through it, and the
-soundness campaigns call it on the steps of a compiled axiom schema, so
-they evaluate an instance without building it.
+soundness campaigns call it on the steps of their drawn bindings and of a
+compiled axiom schema, so they evaluate an instance without building it.
+
+A context needs no trace object either: EvalContext.from_masks starts one
+from a trace's shape and its propositions' masks, plus the tag of each
+position on a structured lasso, from which the same call/return pass
+(trace._tag_pass) gives the abstract successor map.  The soundness
+campaigns start their contexts so, from the masks they draw.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from .syntax import (
 # abstract_successor stays bound here, unused, because the benchmark's
 # traced run (perfbench/tracer.py) wraps it under this name.
 from .trace import (
-    FiniteTrace, LassoTrace, StructuredLassoTrace, _Trace, abstract_successor,
-    abstract_successor_map,
+    FiniteTrace, LassoTrace, StructuredLassoTrace, _tag_pass, _Trace,
+    abstract_successor, abstract_successor_map,
 )
 
 __all__ = ["EvalContext", "EvalError", "eval_ltl", "eval_caret", "eval_everywhere"]
@@ -58,21 +64,41 @@ class EvalContext:
     def __init__(self, trace):
         if not isinstance(trace, _Trace):
             raise TypeError(f"not a trace: {trace!r}")
+        self._start(len(trace.prefix) + len(trace.loop), len(trace.prefix),
+                    isinstance(trace, StructuredLassoTrace), {})
         self.trace = trace
         self._states = trace.prefix + trace.loop
-        self.finite = not trace.loop
-        self.structured = isinstance(trace, StructuredLassoTrace)
-        self.n = len(self._states)
-        self.full = (1 << self.n) - 1
+
+    @classmethod
+    def from_masks(cls, n: int, prefix_len: int, props: dict[str, int],
+                   tags: list | None = None):
+        """A context for the trace of n canonical positions, with its loop
+        from prefix_len on (finite if prefix_len == n), whose proposition
+        masks are props, every other name false.  A structured lasso also
+        gives the StateTag of each position, and its tag names' masks in
+        props.  No trace object is built: trace is None."""
+        ctx = cls.__new__(cls)
+        ctx._start(n, prefix_len, tags is not None, props)
+        ctx.trace = ctx._states = None
+        ctx._tags = tags
+        return ctx
+
+    def _start(self, n, prefix_len, structured, props):
+        self.n = n
+        self.prefix_len = prefix_len
+        self.finite = prefix_len == n
+        self.structured = structured
+        self.full = (1 << n) - 1
         self._memo: dict[Formula, int] = {}
-        self._props: dict[str, int] = {}
+        self._props: dict[str, int] = props
+        self._succ = None
 
     # -- successor plumbing --------------------------------------------------
 
     def _weak_next(self, v: int) -> int:
         if self.finite:
             return (v >> 1) | (1 << (self.n - 1))
-        p = self.trace.prefix_len
+        p = self.prefix_len
         return (v >> 1) | (((v >> p) & 1) << (self.n - 1))
 
     def _until(self, a: int, b: int) -> int:
@@ -89,7 +115,7 @@ class EvalContext:
         one turn of the loop.
         """
         if not self.finite:
-            p, n = self.trace.prefix_len, self.n
+            p, n = self.prefix_len, self.n
             a |= (a >> p) << n
             b |= (b >> p) << n
         k = 1
@@ -105,8 +131,7 @@ class EvalContext:
 
     def _weak_abs_next(self, v: int) -> int:
         bits = self._bits(v)
-        return _mask([j is None or bits[j] == "1"
-                      for j in abstract_successor_map(self.trace)])
+        return _mask([j is None or bits[j] == "1" for j in self._successors()])
 
     def _abs_until(self, a: int, b: int) -> int:
         """Least fixpoint of u = b | (a & strong abstract next u).
@@ -117,7 +142,7 @@ class EvalContext:
         its own path (false: a cycle without b), and the whole path takes
         that value, so every position is visited once.
         """
-        succ = abstract_successor_map(self.trace)
+        succ = self._successors()
         # 1 true, 0 false, -1 undecided
         val = [1 if y == "1" else -1 if x == "1" else 0
                for x, y in zip(self._bits(a), self._bits(b))]
@@ -133,9 +158,19 @@ class EvalContext:
                 val[k] = hit
         return _mask([x == 1 for x in val])
 
+    def _successors(self) -> tuple:
+        """The canonical abstract successor of every canonical position."""
+        if self._succ is None:
+            self._succ = (_tag_pass(self._tags, self.prefix_len)[1]
+                          if self.trace is None
+                          else abstract_successor_map(self.trace))
+        return self._succ
+
     def _prop_mask(self, name: str) -> int:
         m = self._props.get(name)
         if m is None:
+            if self._states is None:
+                return 0
             if self.structured:
                 m = _mask([name in props or name == tag.value
                            for props, tag in self._states])
@@ -192,7 +227,9 @@ class EvalContext:
             raise EvalError(f"position {i} outside finite trace of length {self.n}")
         if i < 0:
             raise EvalError(f"negative position {i}")
-        return bool((self.truth_mask(f) >> self.trace.canonical(i)) & 1)
+        p = self.prefix_len
+        c = i if i < p else p + (i - p) % (self.n - p)
+        return bool((self.truth_mask(f) >> c) & 1)
 
     def holds_everywhere(self, f: Formula) -> bool:
         return self.truth_mask(f) == self.full

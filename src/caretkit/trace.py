@@ -16,7 +16,9 @@ question about position i can be answered at its canonical position.
 On a structured lasso, matching_return, abstract_successor and the
 evaluator's abstract_successor_map read one pass over the canonical
 positions, made once for the last trace asked about; brute_matching_return
-is the literal scan that checks it.
+is the literal scan that checks it.  The pass reads only the tags, so an
+evaluation context fed the masks of a drawn trace, with no trace object,
+runs it too.
 """
 
 from __future__ import annotations
@@ -152,9 +154,24 @@ _last_pass: tuple[weakref.ref, tuple[tuple, tuple]] | None = None
 
 
 def _return_pass(t: StructuredLassoTrace) -> tuple[tuple, tuple]:
+    """_tag_pass over the trace's tags.  The result for the last trace
+    asked about is kept."""
+    global _last_pass
+    # read once: a trace and its result are replaced together
+    last = _last_pass
+    if last is not None and last[0]() is t:
+        return last[1]
+    _need_structured(t)
+    result = _tag_pass([tag for _, tag in t.prefix] + [tag for _, tag in t.loop],
+                       len(t.prefix))
+    _last_pass = (weakref.ref(t), result)
+    return result
+
+
+def _tag_pass(tags: list, p: int) -> tuple[tuple, tuple]:
     """Distance to the matching return, and canonical abstract successor,
-    of every canonical position; None where there is none.  The result for
-    the last trace asked about is kept.
+    of every canonical position of a structured lasso, given the tag of
+    each, with the loop from p on; None where there is none.
 
     With H(j) the number of calls minus rets at positions 0..j, the
     matching return of i is the first j > i with H(j) < H(i).  One left to
@@ -172,14 +189,6 @@ def _return_pass(t: StructuredLassoTrace) -> tuple[tuple, tuple]:
     Otherwise it never is.  Distances keep the copy, which a canonical
     position would lose, and are periodic past the prefix.
     """
-    global _last_pass
-    # read once: a trace and its result are replaced together
-    last = _last_pass
-    if last is not None and last[0]() is t:
-        return last[1]
-    _need_structured(t)
-    p = len(t.prefix)
-    tags = [tag for _, tag in t.prefix] + [tag for _, tag in t.loop]
     n = len(tags)
     dist: list[int | None] = [None] * n
     succ: list[int | None] = [None] * n
@@ -225,9 +234,7 @@ def _return_pass(t: StructuredLassoTrace) -> tuple[tuple, tuple]:
             dist[m] = j - m
         if tags[g[0]] is _CALL:
             succ[g[0]] = p + r[s - 1]
-    result = tuple(dist), tuple(succ)
-    _last_pass = (weakref.ref(t), result)
-    return result
+    return tuple(dist), tuple(succ)
 
 
 def matching_return(t: StructuredLassoTrace, i: int) -> int | None:

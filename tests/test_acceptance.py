@@ -19,9 +19,9 @@ import pytest
 from caretkit.cli import main
 from caretkit.fuzz import (
     GenConfig,
+    _campaign_trace,
     _child_seed,
     _random_formula,
-    _random_structured,
     gen_formula,
     soundness_campaign,
 )
@@ -149,8 +149,7 @@ def test_criterion_5_class_separating_validities():
             for k in range(500):
                 rng = random.Random(_child_seed(cfg.seed, 16 + si, k))
                 bindings = {
-                    v: _random_formula(rng, rng.randint(1, cfg.max_formula_size),
-                                       cfg.alphabet, "ltl")
+                    v: _random_formula(rng, cfg, "ltl")
                     for v in SCHEMAS[name].metavars
                 }
                 inst = build_schema_instance(name, {}, bindings)
@@ -172,7 +171,7 @@ def test_criterion_6_proof_checker_and_derived_formula():
     positions = 0
     for k in range(1_000):
         rng = random.Random(_child_seed(SEED, 6, k))
-        t = _random_structured(rng, cfg)
+        t = _campaign_trace(rng, cfg, "structured")
         for i in range(t.prefix_len + t.loop_len):
             assert eval_caret(t, i, conclusion), (t, i)
             positions += 1
@@ -187,7 +186,7 @@ def test_criterion_7_abstract_successor_against_brute_scan():
     conclusive = undefined = 0
     for k in range(10_000):
         rng = random.Random(_child_seed(SEED, 7, k))
-        t = _random_structured(rng, cfg)
+        t = _campaign_trace(rng, cfg, "structured")
         i = rng.randrange(t.prefix_len + 2 * t.loop_len + 1)
         mr = matching_return(t, i)
         br = brute_matching_return(t, i, 1_000)

@@ -14,10 +14,13 @@ from caretkit.fuzz import (
     gen_trace,
     soundness_campaign,
 )
-from caretkit.fuzz import _campaign_trace, _first_false, _random_formula
-from caretkit.proof import SCHEMAS, axiom_schemas
-from caretkit.semantics import EvalContext
-from caretkit.syntax import Prop, TrueConst, formula_size, is_ltl
+from caretkit.fuzz import (
+    _FAMILY_PARAMS, _campaign_trace, _child_seed, _first_false,
+    _instance_mask, _random_formula,
+)
+from caretkit.proof import SCHEMAS, axiom_schemas, build_schema_instance
+from caretkit.semantics import EvalContext, EvalError
+from caretkit.syntax import SYSTEM_IDS, Prop, TrueConst, formula_size, is_ltl
 from caretkit.trace import FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace
 
 
@@ -33,6 +36,31 @@ def test_config_validation():
         GenConfig(mode="both")
     with pytest.raises(ValueError):
         GenConfig(max_lasso_total=0)
+
+
+# a letter must print back as itself: "true" would print as the constant,
+# and the others print text that parse_formula rejects
+@pytest.mark.parametrize("letter", ["true", "false", "P", "", "p q", "1p",
+                                    "p-q", "\u00e9", 3])
+def test_config_rejects_letters_that_do_not_print_back(letter):
+    with pytest.raises(ValueError, match=repr(letter)):
+        GenConfig(alphabet=("p", letter))
+
+
+def test_config_rejects_repeated_letters():
+    with pytest.raises(ValueError, match="repeats a letter"):
+        GenConfig(alphabet=("p", "q", "p"))
+    # identifiers the parser reads, tag names included, are letters
+    GenConfig(alphabet=("_", "p_1", "call"))
+
+
+def test_negative_counts_are_refused():
+    with pytest.raises(ValueError):
+        soundness_campaign("ax", -5, GenConfig())
+    with pytest.raises(ValueError):
+        cross_check_campaign(-2, GenConfig())
+    assert soundness_campaign("ax", 0, GenConfig()).counts == (
+        ("T1", 0), ("T2", 0), ("T3", 0))
 
 
 def test_report_invariant():
@@ -174,8 +202,7 @@ def test_schema_programs_over_masks_match_built_instances():
         params = family_params.get(name, [{}])
         for k in range(120):
             rng = random.Random(1_000 * si + k)
-            bindings = {v: _random_formula(rng, rng.randint(1, 6),
-                                           cfg.alphabet, mode)
+            bindings = {v: _random_formula(rng, cfg, mode)
                         for v in schema.metavars}
             p = params[k % len(params)]
             for kind in kinds:
@@ -184,6 +211,44 @@ def test_schema_programs_over_masks_match_built_instances():
                     schema.build(p, bindings))
                 assert schema.run(p, bindings, ctx.truth_mask,
                                   ctx.apply) == expected, (name, k, kind)
+
+
+def test_campaign_masks_match_replayed_instances():
+    # the campaign evaluates an instance from its draw, building no formula
+    # or trace; replayed through the object builders, the same seed must
+    # give an instance whose truth mask on the built trace is the same, for
+    # every schema, system and trace class (the negative controls' pairings
+    # and caret bindings on unstructured traces included, where both sides
+    # must refuse an abstract operator alike)
+    checked = refused = 0
+    for sysi, system in enumerate(SYSTEM_IDS):
+        mode = "caret" if system == "ax-cr" else "ltl"
+        for si, name in enumerate(SCHEMAS):
+            cycle = _FAMILY_PARAMS.get(name, ({},))
+            for kind in ("finite", "lasso", "mixed", "structured"):
+                cfg = GenConfig(seed=100 * sysi + si, max_finite_len=12,
+                                max_lasso_total=12)
+                for k in range(8):
+                    params = cycle[k % len(cycle)]
+                    seed = _child_seed(cfg.seed, 16 + si, k)
+                    try:
+                        got = _instance_mask(random.Random(seed), cfg, mode,
+                                             kind, name, params)
+                    except EvalError:
+                        got = None
+                    rng = random.Random(seed)
+                    bindings = {v: _random_formula(rng, cfg, mode)
+                                for v in SCHEMAS[name].metavars}
+                    ctx = EvalContext(_campaign_trace(rng, cfg, kind))
+                    f = build_schema_instance(name, params, bindings)
+                    try:
+                        want = (ctx.truth_mask(f), ctx.full)
+                    except EvalError:
+                        want = None
+                    assert got == want, (system, name, kind, k)
+                    checked += 1
+                    refused += want is None
+    assert checked == 5 * 20 * 4 * 8 and 0 < refused < checked
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +302,34 @@ def _campaign_digest() -> str:
         h.update(repr((system, n, seed, kind, schemas, rep.counts,
                        rep.failures, first)).encode())
     return h.hexdigest()
+
+
+def _generator_digest() -> str:
+    """SHA-256 over the printed formula and trace text of gen_formula and
+    gen_trace at seeds 0-999, in both modes, over two and three letters."""
+    import hashlib
+
+    from caretkit.syntax import print_formula
+    from caretkit.trace import trace_to_text
+
+    h = hashlib.sha256()
+    for alphabet in (("p", "q"), ("p", "q", "r")):
+        for mode in ("ltl", "caret"):
+            for seed in range(1000):
+                cfg = GenConfig(seed=seed, mode=mode, alphabet=alphabet)
+                h.update(print_formula(gen_formula(cfg)).encode())
+                h.update(b"\0")
+                h.update(trace_to_text(gen_trace(cfg)).encode())
+                h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_generated_formulas_and_traces_are_pinned():
+    # the random calls, their order and how draws become objects are part
+    # of what every seed means: a change to any of them changes every
+    # seeded campaign, test and reported counterexample
+    assert _generator_digest() == (
+        "fcfe560358fe1f4a94fe8ddb624831c0b971d7a6a5ffe37a605d7aa7b16500dd")
 
 
 def test_campaign_reports_are_pinned():

@@ -54,3 +54,19 @@ def test_campaigns_refuse_sizes_below_one(flag, value):
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1].endswith(
         f"error: argument {flag}: expected a positive integer, got '{value}'")
+
+
+# --seed reads ASCII digits after an optional minus sign, as caretkit fuzz
+# --seed does: int alone would run seed 10 for "1_0"
+@pytest.mark.parametrize("value", ["1_0", "٣", "+1", "", "1.0"])
+def test_campaigns_refuse_seeds_that_are_not_plain_integers(value):
+    proc = _run(["scripts/run_campaigns.py", "--seed", value])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"error: argument --seed: expected an integer, got {value!r}")
+
+
+def test_campaigns_take_a_negative_seed():
+    proc = _run(["scripts/run_campaigns.py", "--seed", "-3", "--instances", "20"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -422,6 +422,38 @@ def test_context_memoization_is_consistent():
     assert first == second == [eval_ltl(t, i, f) for i in range(3)]
 
 
+def _mask_context(t):
+    """A context started from t's shape and masks alone, as the soundness
+    campaigns start theirs."""
+    states = t.prefix + t.loop
+    tags = None
+    if isinstance(t, StructuredLassoTrace):
+        states, tags = [s for s, _ in states], [tag for _, tag in states]
+    names = {a for s in states for a in s} | {"call", "ret", "int"}
+    props = {a: sum(1 << i for i, s in enumerate(states) if a in s)
+             for a in names}
+    for i, tag in enumerate(tags or ()):
+        props[tag.value] |= 1 << i
+    return EvalContext.from_masks(len(states), t.prefix_len, props, tags)
+
+
+@given(st.one_of(finite_traces, lasso_traces, structured_lassos),
+       caret_formulas, st.integers(0, 20))
+def test_context_from_masks_matches_context_from_trace(t, f, i):
+    ctx, ref = _mask_context(t), EvalContext(t)
+    assert ctx.trace is None and ctx.finite == ref.finite
+    if isinstance(t, FiniteTrace):
+        i %= t.length
+    try:
+        want = ref.holds(f, i)
+    except EvalError:
+        with pytest.raises(EvalError):
+            ctx.holds(f, i)
+        return
+    assert ctx.holds(f, i) == want
+    assert ctx.truth_mask(f) == ref.truth_mask(f)
+
+
 # ---------------------------------------------------------------------------
 # Pinned caret truth masks: every subformula of seeded instances of each
 # ax-cr schema with an abstract operator, on seeded structured lassos of up
@@ -451,8 +483,8 @@ def _caret_mask_digest() -> str:
     import random
 
     from caretkit.fuzz import (
-        _C5_PARAMS, _C6_PARAMS, GenConfig, _child_seed, _random_formula,
-        _random_structured,
+        _C5_PARAMS, _C6_PARAMS, GenConfig, _campaign_trace, _child_seed,
+        _random_formula,
     )
     from caretkit.proof import SCHEMAS, build_schema_instance
     from caretkit.syntax import print_formula
@@ -464,12 +496,11 @@ def _caret_mask_digest() -> str:
         for si, name in enumerate(_ABSTRACT_SCHEMAS):
             for k in range(80):
                 rng = random.Random(_child_seed(seed, 16 + si, k))
-                bindings = {v: _random_formula(rng, rng.randint(1, 6),
-                                               cfg.alphabet, "caret")
+                bindings = {v: _random_formula(rng, cfg, "caret")
                             for v in SCHEMAS[name].metavars}
                 params = ({} if name not in ("C5", "C6") else
                           (_C5_PARAMS if name == "C5" else _C6_PARAMS)[k % 3])
-                t = _random_structured(rng, cfg)
+                t = _campaign_trace(rng, cfg, "structured")
                 ctx = EvalContext(t)
                 h.update(trace_to_text(t).encode())
                 for g in _subformulas(build_schema_instance(name, params, bindings)):
