@@ -33,14 +33,24 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+def _non_negative(text: str) -> int:
+    """The argparse type of --cache-max-size: int alone would take -1,
+    which turns the cache off, and read "1_0" as 10."""
+    if not (text.isascii() and text.isdecimal()):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-size", type=_positive, default=5,
                     help="largest formula core size to enumerate (default 5)")
     ap.add_argument("--bound", type=_positive, default=6,
                     help="trace space size bound (default 6)")
-    ap.add_argument("--cache-max-size", type=int, default=None,
-                    help="only cache profiles of formulas up to this size")
+    ap.add_argument("--cache-max-size", type=_non_negative, default=None,
+                    help="only cache profiles of formulas up to this size "
+                         "(0 caches none)")
     args = ap.parse_args()
 
     oracle = ExhaustiveOracle(args.bound, cache_max_size=args.cache_max_size)

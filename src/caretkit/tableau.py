@@ -8,8 +8,10 @@ saturated with every weak-next member.  Because those rules determine every
 member from the propositions and the weak-next members, atoms are enumerated
 as bit-vector valuations of that free part.  Two builders make the table:
 up to PYTHON_TABLE_BITS free bits each member is one Python int over the
-valuations, above it one numpy row, and numpy is imported only then.  Both
-hand the searches the same lists and dicts, so they find the same witnesses.
+valuations, above it one numpy row, and numpy is imported only then.  Each
+table searches its own graph, the int table on masks a bucket at a time,
+numpy on lists an atom at a time, in the same order, so they find the same
+witnesses.
 
 Edges follow the biconditional law: V -> W iff V lacks the next-of-false
 marker and, for every weak-next formula in the closure, the formula is in V
@@ -43,10 +45,13 @@ member bits, and builds its member set only when read.
 The table shared by the three classes names its atoms in the order their
 free-bit valuations are enumerated, which no search depends on.  The
 searches follow the lexicographic order on member bit-vectors, and so
-find one witness, but order only what they read: the roots when a search
-starts from them, and a bucket when it is first expanded.  A witness that
-starts at a root takes the least such root without ordering the roots,
-and a class with no live root orders nothing.
+find one witness, but order only what they read.  The numpy search sorts
+the live atoms of a class once, when a root is live.  The int search takes
+a bucket's least atom without ordering it, and orders the buckets a layer
+of the search reaches by the first atom wanting each, so it keys at most
+one atom per bucket it reaches.  A witness that starts at a root takes the
+least such root without ordering the roots, and a class with no live root
+orders nothing.
 """
 
 from __future__ import annotations
@@ -78,11 +83,13 @@ MAX_FREE_BITS = 18
 
 # Tables of at most this many free bits are built with Python ints
 # (_IntTableau), larger ones with numpy (_Tableau), the only code here that
-# imports numpy.  On the formulas of size <= 7, deciding fin, inf and gen
-# from one int table takes 0.6-0.7 of the numpy time up to 7 free bits, 0.8
-# at 8 and 9, 0.9 at 10 and 1.0-1.1 at 11 (Python 3.11, numpy 2.4, a shared
-# 2-core x86-64 machine); from 11 bits on the int table's tail is slower.
-PYTHON_TABLE_BITS = 10
+# imports numpy.  At 11 to 13 free bits the int table decides fin, inf and
+# gen of a fuzz formula (size <= 14 over p, q, r) in 0.5-0.9 of the numpy
+# time, and the one class of a negated axiom instance in 0.5-0.85; at 14
+# bits the fuzz ratio ranged 0.75-1.3 over three runs, and at 16 bits the
+# int table takes 1.1-1.6 of the numpy time (60 formulas per width, best
+# of 5; Python 3.11, numpy 2.4, a shared 2-core x86-64 machine).
+PYTHON_TABLE_BITS = 13
 # the free-bit rows of an int table, made once per width and only read
 _columns = functools.cache(truth_columns)
 
@@ -196,16 +203,18 @@ class _Table:
     built; ``member_rows``, from ``derive_rows``, the row of each member by
     position, with ``terminal``, ``fin_viable`` and ``origin_bit`` among
     them; ``bits_at(rows, a)``, the truth of each row at atom a;
-    ``atoms_where(ids, row)``, the atoms of a list where a row holds;
     ``lex_order(ids)``, a list of atoms in the lexicographic order on
     member bit-vectors (in closure order) that the searches follow, and
-    ``least(ids)``, the first of them in that order; ``sorted_atoms(cls)``,
-    the atoms of a class in that order; and ``class_graph(cls)``, what
-    ``_ClassGraph`` is made of.  Only the ``telling`` rows can decide that
-    order, so both builders read only those.  An atom keeps the core and
-    its member bits.  ``witnesses`` remembers the
-    witness of each class decided on the table, and never its model, so
-    models stay free to go.
+    ``least(atoms)``, the first of a set of atoms in that order (a mask on
+    the int table, a list on numpy); ``sorted_atoms(cls)``, the atoms of a
+    class in that order; ``class_graph(cls)``, the live atoms and roots
+    ``_ClassGraph`` is made of, in the builder's own form, and
+    ``listed(live)``, their list views; and ``terminal_path(g)`` and
+    ``lasso_chain(g)``, the two searches of a class graph.  Only the
+    ``telling`` rows can decide that order, so both builders read only
+    those.  An atom keeps the core and its member bits.  ``witnesses``
+    remembers the witness of each class decided on the table, and never
+    its model, so models stay free to go.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
@@ -321,7 +330,7 @@ class _Table:
 
 
 class _IntTableau(_Table):
-    """Atom table of Python ints, for small closures.
+    """Atom table of Python ints, for small closures, searched on masks.
 
     Atom a is valuation a of the free bits, and ``member_rows[i]`` is an
     int over the valuations with bit a set where atom a holds ``core[i]``:
@@ -330,11 +339,14 @@ class _IntTableau(_Table):
     builds its truth tables.  The valuations that break the terminal rule
     are left out of every class mask, not removed.  A non-terminal atom
     wants the bucket its valuation shifted right by the proposition count
-    names, so the atoms wanting one bucket form one block of consecutive
-    valuations and live or die together.  Whole-table work is a few int
-    operations per row or per bucket; Python loops run over buckets and
-    live atoms only, and an atom gets its lexicographic key, cached for the
-    table, only when a search sorts it.
+    names, so the atoms wanting bucket t form one block of consecutive
+    valuations, ``block << (t << shift)``, and live or die together.
+
+    Every set of atoms is a mask: the class graph is one mask of live atoms
+    per bucket and one of live roots, and the searches run on those, so
+    their Python-level work is per bucket, not per atom.  An atom gets its
+    lexicographic key, cached for the table, only when a search must order
+    the buckets it is the first to want.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
@@ -342,15 +354,15 @@ class _IntTableau(_Table):
         sigs, free = self.sigs, self.free
         full = (1 << (1 << len(free))) - 1
         self.member_rows = rows = self.derive_rows(_columns(len(free)), full)
-        self.shift = len(self.props)
+        self.shift = shift = len(self.props)
         self.terminal = rows[self.terminal_at]
         self.fin_viable = rows[self.fin_at]
         self.origin_bit = rows[self.root]
         # a terminal atom must assert every weak next: the valid atoms are
         # the non-terminal ones and the last block, where every weak-next
         # bit is set
-        self._last = (self.key_space - 1) << self.shift
-        valid = (self.terminal ^ full) | full >> self._last << self._last
+        self._last = last = (self.key_space - 1) << shift
+        valid = (self.terminal ^ full) | full >> last << last
         self.count = valid.bit_count()
         self._classes = {"gen": valid, "fin": valid & self.fin_viable,
                          "inf": self.terminal ^ full}
@@ -362,7 +374,13 @@ class _IntTableau(_Table):
             groups = [g for s, m in groups
                       for g in ((s << 1, m & ~r), (s << 1 | 1, m & r)) if g[1]]
         self._buckets = groups
+        self._block = block = (1 << (1 << shift)) - 1
+        # the first atom of every block below the terminal one, and the
+        # shifts that fold a block into its first atom
+        self._starts = ((1 << last) - 1) // block
+        self._folds = [1 << k for k in range(shift)]
         self._lex_rows = [rows[i] for i in self.telling]
+        self._lacking = [r ^ full for r in self._lex_rows]
         self._lex_keys: dict[int, int] = {}
 
     @staticmethod
@@ -382,21 +400,20 @@ class _IntTableau(_Table):
                                  new)))
         return sorted(ids, key=keys.__getitem__)
 
-    def least(self, ids: list[int]) -> int:
-        """The lexicographically least of the atoms ``ids``, without a key:
-        row by row, the atoms left that lack the row, whenever any do."""
-        mask = sum(1 << a for a in ids)
-        for r in self._lex_rows:
-            mask = mask & ~r or mask
+    def least(self, mask: int) -> int:
+        """The lexicographically least atom of the mask, without a key: row
+        by row, the atoms left that lack the row, whenever any do."""
+        for r in self._lacking:
+            mask = mask & r or mask
         return mask.bit_length() - 1
 
     def sorted_atoms(self, cls: str) -> list[int]:
         return self.lex_order(_set_bits(self._class_mask(cls)))
 
-    def class_graph(self, cls: str):
+    def class_graph(self, cls: str) -> tuple[dict[int, int], int]:
+        """Bucket -> its live atoms, and the live roots, as masks."""
         admitted = self._class_mask(cls)
-        shift, last = self.shift, self._last
-        block = (1 << (1 << shift)) - 1
+        shift, last, block = self.shift, self._last, self._block
         terminal = admitted >> last << last
         buckets = [(s, m & admitted) for s, m in self._buckets if m & admitted]
         # a non-terminal atom lives while the bucket it wants holds a live
@@ -409,13 +426,130 @@ class _IntTableau(_Table):
             if len(kept) == len(buckets):
                 break
             buckets = kept
-        return ({s: _set_bits(m & live) for s, m in buckets},
-                _set_bits(live & self.origin_bit), {},
-                _next_buckets(last, shift))
+        return {s: m & live for s, m in buckets}, live & self.origin_bit
 
-    @staticmethod
-    def atoms_where(atoms: list[int], row: int) -> list[int]:
-        return [a for a in atoms if row >> a & 1]
+    def listed(self, live: dict[int, int]):
+        every = 0
+        for m in live.values():
+            every |= m
+        shift, last = self.shift, self._last
+        return ({s: self.lex_order(_set_bits(m)) for s, m in live.items()},
+                self.lex_order(_set_bits(every & self.origin_bit)),
+                {a: a >> shift if a < last else -1 for a in _set_bits(every)})
+
+    def _wanted(self, mask: int) -> list[int]:
+        """The buckets the atoms of the mask want, ascending: each block
+        folded into its first atom, read below the terminal block."""
+        for k in self._folds:
+            mask |= mask >> k
+        shift = self.shift
+        return [a >> shift for a in _set_bits(mask & self._starts)]
+
+    def _path(self, live: dict[int, int], sources: int, hit: int,
+              within: int = -1) -> list[int] | None:
+        """Shortest atom path from a source to an atom of ``hit``, or None:
+        the path ``_Tableau._path`` finds, searched a layer at a time.  A
+        layer of buckets is those the groups of the layer before want, the
+        sources first; a layer of groups is each bucket's atoms in
+        ``within`` that are not sources.  A bucket's parent is the least
+        atom of the first group wanting it, and a group's new buckets are
+        taken in the order of their parents, so only parents are keyed, and
+        only where a group wants more than one new bucket.  A bucket's hit
+        is its least atom in ``hit``, sources included, so a path can
+        return to its own source."""
+        shift, block = self.shift, self._block
+        # bucket -> (the group first wanting it, that group's bucket or
+        # None for the sources); its parent is recomputed only on the path
+        parent: dict[int, tuple[int, int | None]] = {}
+        groups: list[tuple[int, int | None]] = [(sources, None)]
+        while groups:
+            layer = []
+            for group, b in groups:
+                new = [t for t in self._wanted(group) if t not in parent]
+                if len(new) > 1:
+                    firsts = [self.least(group & block << (t << shift))
+                              for t in new]
+                    new = [a >> shift for a in self.lex_order(firsts)]
+                for t in new:
+                    parent[t] = (group, b)
+                layer += new
+            groups = []
+            for t in layer:
+                atoms = live[t] & within
+                if atoms & hit:
+                    path = [self.least(atoms & hit)]
+                    while t is not None:
+                        group, b = parent[t]
+                        path.append(self.least(group & block << (t << shift)))
+                        t = b
+                    path.reverse()
+                    return path
+                atoms &= ~sources
+                if atoms:
+                    groups.append((atoms, t))
+        return None
+
+    def terminal_path(self, g: _ClassGraph) -> list[int] | None:
+        ends = g._roots & self.terminal
+        if ends:
+            return [self.least(ends)]
+        return self._path(g._live, g._roots, self.terminal)
+
+    def lasso_chain(self, g: _ClassGraph) -> tuple[list[int], list[int]] | None:
+        live, roots = g._live, g._roots
+        shift, block, wanted = self.shift, self._block, self._wanted
+        comps = _tarjan(lambda s: wanted(live[s]), wanted(roots))
+        rows, sigs = self.member_rows, self.sigs
+        # each until's row and its right operand's, the last until first:
+        # the order the loop visits them in
+        until_rows = [(rows[u], rows[sigs[u][2]]) for u in reversed(self.untils)]
+        # bucket -> (its component's atoms, the right operand row of each
+        # until they hold), for the self-fulfilling components: a
+        # component's atoms are those of its buckets that want one of them
+        good: dict[int, tuple[int, list[int]]] = {}
+        good_atoms = 0
+        for comp in comps:
+            held = wants = 0
+            for s in comp:
+                held |= live[s]
+                wants |= block << (s << shift)
+            atoms = held & wants
+            if not atoms:
+                continue
+            needed = [fulfil for present, fulfil in until_rows
+                      if present & atoms]
+            if all(fulfil & atoms for fulfil in needed):
+                good.update(dict.fromkeys(comp, (atoms, needed)))
+                good_atoms |= atoms
+
+        # the shortest path from the origin atoms into a good component
+        entries = roots & good_atoms
+        path = ([self.least(entries)] if entries
+                else self._path(live, roots, good_atoms))
+        if path is None:
+            return None
+        prefix, entry = path[:-1], path[-1]
+        atoms, needed = good[entry >> shift]
+
+        def scc_path(src: int, targets: int) -> list[int]:
+            """Shortest non-empty atom path src -> target inside the
+            component, src excluded."""
+            path = self._path(live, 1 << src, targets, atoms)
+            if path is None:
+                raise AssertionError("self-fulfilling component lost a target")
+            return path[1:]
+
+        loop = [entry]
+        on_loop = 1 << entry
+        for fulfil in needed:
+            if fulfil & on_loop:
+                continue
+            seg = scc_path(loop[-1], atoms & fulfil)
+            loop += seg
+            for a in seg:
+                on_loop |= 1 << a
+        loop += scc_path(loop[-1], 1 << entry)[:-1]
+        return prefix, loop
 
 
 def _key_at(rows: list[int], a: int) -> int:
@@ -424,13 +558,6 @@ def _key_at(rows: list[int], a: int) -> int:
     for r in rows:
         k = k << 1 | r >> a & 1
     return k
-
-
-@functools.cache
-def _next_buckets(last: int, shift: int) -> tuple[int, ...]:
-    """Entry a: the bucket atom a wants, its valuation shifted right, or -1
-    from ``last`` on, in the block of the terminal atoms."""
-    return tuple(a >> shift for a in range(last)) + (-1,) * (1 << shift)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -460,9 +587,10 @@ class _Tableau(_Table):
 
     Atom a is entry a of every row in ``member_rows``; the table keeps the
     atoms in valuation order of their free bits, and ``lex_order`` puts any
-    subset of them in the order the searches follow.  A class graph with a
-    live root is sorted whole, in one ``lexsort`` of its live atoms, since
-    numpy pays per call and not per atom.  ``demand`` and
+    subset of them in the order the searches follow.  Its search runs on
+    the list views of the class graph, made when a root is live by one
+    ``lexsort`` of the live atoms, since numpy pays per call and not per
+    atom.  ``demand`` and
     ``signature`` are fixed-width keys with one bit per weak next, the
     first in the most significant bit, so a key lies below ``key_space``;
     ``demand`` is a valuation shifted right.
@@ -528,17 +656,21 @@ class _Tableau(_Table):
         return self.lex_order(self.class_indices(cls))
 
     def class_graph(self, cls: str):
+        """The live atoms, as an array in table order, and the live roots,
+        as a list: when no root is live, a search reads nothing more."""
         import numpy as np
         ids = self.class_indices(cls)
         nb = self.key_space
         live = ids[self._prune(
             self.signature[ids],
             np.where(self.terminal[ids], nb, self.demand[ids]), nb)]
-        searched = bool(self.origin_bit[live].any())
-        if searched:
-            # a search reads the buckets: one sort of the live atoms orders
-            # every bucket list
-            live = self._lex_sorted(live)
+        return live, live[self.origin_bit[live]].tolist()
+
+    def listed(self, live):
+        """The list views of a class graph, from one sort of its live
+        atoms."""
+        import numpy as np
+        live = self._lex_sorted(live)
         atoms = live.tolist()
         buckets: dict[int, list[int]] = {}
         for a, s in zip(atoms, self.signature[live].tolist()):
@@ -546,7 +678,6 @@ class _Tableau(_Table):
         next_bucket = self.demand[live].astype(np.int64)
         next_bucket[self.terminal[live]] = -1
         return (buckets, live[self.origin_bit[live]].tolist(),
-                buckets if searched else {},
                 dict(zip(atoms, next_bucket.tolist())))
 
     @staticmethod
@@ -588,64 +719,15 @@ class _Tableau(_Table):
             emptied = hit[alive[hit] == 0]
         return live
 
-
-class _ClassGraph:
-    """Atoms of one class, bucketed by operand signature and pruned, from
-    either table; ordered only where a search reads them.
-
-    A bucket's number is its key: the operand signature its atoms carry.
-    The table hands over the live atoms of each bucket and the live roots,
-    as lists in any order, and the bucket lists it has already sorted.  The
-    searches sort the rest only where they read it: the roots when a
-    search starts from them, and a bucket the first time it is expanded,
-    kept for the graph.  ``live_ids`` sorts every live atom, for
-    ``build_atom_graph`` and tests.  ``next_bucket[a]`` is the bucket atom
-    a's successors form, or -1 when the atom is terminal: after pruning
-    every live non-terminal atom has a successor.  Both witness searches go
-    through one routine, ``_path``, a breadth-first search over atoms and
-    their buckets; the lasso search finds components on the quotient graph
-    of buckets.
-    """
-
-    def __init__(self, tab: _Table, cls: str):
-        self.tab = tab
-        (self._buckets, self._roots, self._sorted,
-         self.next_bucket) = tab.class_graph(cls)
-
-    @property
-    def live_ids(self) -> list[int]:
-        return self.tab.lex_order([a for atoms in self._buckets.values()
-                                   for a in atoms])
-
-    def bucket(self, s: int) -> list[int]:
-        atoms = self._sorted.get(s)
-        if atoms is None:
-            atoms = self._sorted[s] = self.tab.lex_order(self._buckets[s])
-        return atoms
-
-    def successors(self, a: int) -> list[int]:
-        s = self.next_bucket[a]
-        return self.bucket(s) if s >= 0 else []
-
-    def roots(self) -> list[int]:
-        return self.tab.lex_order(self._roots)
-
-    def _succ(self, node: int) -> list[int]:
-        """Bipartite successors: an atom id leads to its bucket node ~s, a
-        bucket node to the bucket's atoms."""
-        if node < 0:
-            return self.bucket(~node)
-        s = self.next_bucket[node]
-        return [~s] if s >= 0 else []
-
-    def _path(self, sources: list[int], hit, within=None) -> list[int] | None:
+    def _path(self, g: _ClassGraph, sources: list[int], hit,
+              within=None) -> list[int] | None:
         """Shortest atom path from a source to the first atom satisfying
-        ``hit``, breadth-first over the bipartite graph of ``_succ``; None
-        when no atom is hit.  With ``within``, a set of buckets, the path
-        stays among the atoms that want one of them, reached from one of
-        them.  ``hit`` is tested before the seen check, so the path can
+        ``hit``, breadth-first over the bipartite graph of ``g._succ``;
+        None when no atom is hit.  With ``within``, a set of buckets, the
+        path stays among the atoms that want one of them, reached from one
+        of them.  ``hit`` is tested before the seen check, so the path can
         return to its own source: a loop closing on itself."""
-        succ, next_bucket = self._succ, self.next_bucket
+        succ, next_bucket = g._succ, g.next_bucket
         # every node seen, with the node it was reached from (None for a source)
         parent: dict[int, int | None] = dict.fromkeys(sources)
         queue = deque(sources)
@@ -669,50 +751,46 @@ class _ClassGraph:
                 queue.append(nxt)
         return None
 
-    # -- finite-class style search: shortest path to a terminal atom ---------
-
-    def terminal_path(self) -> list[int] | None:
-        ends = self.tab.atoms_where(self._roots, self.tab.terminal)
+    def terminal_path(self, g: _ClassGraph) -> list[int] | None:
+        ends = self.atoms_where(g._roots, self.terminal)
         if ends:
-            return [self.tab.least(ends)]
-        next_bucket = self.next_bucket
-        return self._path(self.roots(), lambda a: next_bucket[a] < 0)
+            return [self.least(ends)]
+        next_bucket = g.next_bucket
+        return self._path(g, g.roots(), lambda a: next_bucket[a] < 0)
 
-    # -- infinite-class style search: reachable self-fulfilling component ----
-
-    def lasso_chain(self) -> tuple[list[int], list[int]] | None:
-        tab, buckets, next_bucket = self.tab, self._buckets, self.next_bucket
+    def lasso_chain(self, g: _ClassGraph) -> tuple[list[int], list[int]] | None:
+        next_bucket = g.next_bucket
         # components of the bucket quotient reachable from the roots: an
         # atom is in its bucket's component exactly when the bucket it wants
         # is too
         def wanted(atoms: list[int]) -> set[int]:
             return {next_bucket[a] for a in atoms} - {-1}
 
-        comps = _tarjan(lambda s: wanted(buckets[s]), wanted(self._roots))
-        rows, sigs = tab.member_rows, tab.sigs
+        comps = _tarjan(lambda s: wanted(g.bucket(s)), wanted(g._roots))
+        rows, sigs = self.member_rows, self.sigs
         # each until's row and its right operand's, the last until first:
         # the order the loop visits them in
-        until_rows = [(rows[u], rows[sigs[u][2]]) for u in reversed(tab.untils)]
+        until_rows = [(rows[u], rows[sigs[u][2]]) for u in reversed(self.untils)]
         # bucket -> (its component, the component's atoms, the right
         # operand row of each until they hold), for the self-fulfilling
         # components
         good: dict[int, tuple] = {}
         good_atoms: set[int] = set()
         for comp in map(set, comps):
-            atoms = [a for s in comp for a in buckets[s]
+            atoms = [a for s in comp for a in g.bucket(s)
                      if next_bucket[a] in comp]
             if not atoms:
                 continue
             needed = [fulfil for present, fulfil in until_rows
-                      if tab.atoms_where(atoms, present)]
-            if all(tab.atoms_where(atoms, fulfil) for fulfil in needed):
+                      if self.atoms_where(atoms, present)]
+            if all(self.atoms_where(atoms, fulfil) for fulfil in needed):
                 good.update(dict.fromkeys(comp, (comp, atoms, needed)))
                 good_atoms.update(atoms)
 
         # the shortest path from the origin atoms into a good component
-        entries = [r for r in self._roots if r in good_atoms]
-        path = ([tab.least(entries)] if entries
-                else self._path(self.roots(), good_atoms.__contains__))
+        entries = [r for r in g._roots if r in good_atoms]
+        path = ([self.least(entries)] if entries
+                else self._path(g, g.roots(), good_atoms.__contains__))
         if path is None:
             return None
         prefix, entry = path[:-1], path[-1]
@@ -721,7 +799,7 @@ class _ClassGraph:
         def scc_path(src: int, targets: set[int]) -> list[int]:
             """Shortest non-empty atom path src -> target inside the
             component, src excluded."""
-            path = self._path([src], targets.__contains__, comp)
+            path = self._path(g, [src], targets.__contains__, comp)
             if path is None:
                 raise AssertionError("self-fulfilling component lost a target")
             return path[1:]
@@ -729,7 +807,7 @@ class _ClassGraph:
         loop = [entry]
         current = entry
         for fulfil in needed:
-            fulfilling = set(tab.atoms_where(atoms, fulfil))
+            fulfilling = set(self.atoms_where(atoms, fulfil))
             if not fulfilling.isdisjoint(loop):
                 continue
             seg = scc_path(current, fulfilling)
@@ -738,6 +816,70 @@ class _ClassGraph:
         closing = scc_path(current, {entry})
         loop.extend(closing[:-1])
         return prefix, loop
+
+
+class _ClassGraph:
+    """Atoms of one class, bucketed by operand signature and pruned, from
+    either table, which also searches them.
+
+    A bucket's number is its key: the operand signature its atoms carry.
+    The table hands over its live atoms and live roots in its own form: the
+    int table one mask per bucket and a mask of roots, numpy an array of
+    live atoms and a list of roots.  ``terminal_path`` and ``lasso_chain``
+    ask the table to search them: the int table on masks, numpy on the
+    list views, and neither when no root is live.  The list views are made
+    on first read, by the table's ``listed``: ``bucket(s)`` and ``roots()``
+    in the lexicographic order the searches follow, ``next_bucket[a]``,
+    the bucket atom a's successors form, or -1 when the atom is terminal
+    (after pruning every live non-terminal atom has a successor), and
+    ``live_ids``, every live atom in order.  Outside numpy's search, only
+    ``build_atom_graph`` and tests read them.
+    """
+
+    def __init__(self, tab: _Table, cls: str):
+        self.tab = tab
+        self._live, self._roots = tab.class_graph(cls)
+
+    @functools.cached_property
+    def _lists(self) -> tuple[dict[int, list[int]], list[int], dict[int, int]]:
+        return self.tab.listed(self._live)
+
+    @property
+    def live_ids(self) -> list[int]:
+        return self.tab.lex_order([a for atoms in self._lists[0].values()
+                                   for a in atoms])
+
+    @property
+    def next_bucket(self) -> dict[int, int]:
+        return self._lists[2]
+
+    def bucket(self, s: int) -> list[int]:
+        return self._lists[0][s]
+
+    def successors(self, a: int) -> list[int]:
+        s = self.next_bucket[a]
+        return self.bucket(s) if s >= 0 else []
+
+    def roots(self) -> list[int]:
+        return self._lists[1]
+
+    def _succ(self, node: int) -> list[int]:
+        """Bipartite successors: an atom id leads to its bucket node ~s, a
+        bucket node to the bucket's atoms."""
+        if node < 0:
+            return self.bucket(~node)
+        s = self.next_bucket[node]
+        return [~s] if s >= 0 else []
+
+    # -- finite-class style search: shortest path to a terminal atom ---------
+
+    def terminal_path(self) -> list[int] | None:
+        return self.tab.terminal_path(self) if self._roots else None
+
+    # -- infinite-class style search: reachable self-fulfilling component ----
+
+    def lasso_chain(self) -> tuple[list[int], list[int]] | None:
+        return self.tab.lasso_chain(self) if self._roots else None
 
 
 def _tarjan(succ, order):

@@ -42,6 +42,25 @@ def test_exhaustive_refuses_sizes_below_one(flag, value):
         f"error: argument {flag}: expected a positive integer, got '{value}'")
 
 
+# the oracle's profile cache takes sizes of 0 and up as ASCII digits: int
+# alone would turn the cache off for -1 and read "1_0" as 10
+@pytest.mark.parametrize("value", ["-1", "1_0", "٣", "+1", "", "1.0"])
+def test_exhaustive_refuses_cache_sizes_that_are_not_plain_digits(value):
+    proc = _run(["scripts/run_exhaustive.py", "--cache-max-size", value])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        "error: argument --cache-max-size: expected a non-negative "
+        f"integer, got {value!r}")
+
+
+def test_exhaustive_takes_a_zero_cache_size():
+    proc = _run(["scripts/run_exhaustive.py", "--max-size", "2", "--bound", "3",
+                 "--cache-max-size", "0"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "clean"
+
+
 # below 1, a campaign runs no instance (--instances 0 or -1, which read as
 # "0/-1 failures: NOT DETECTED") or cannot draw a trace (the two bounds)
 @pytest.mark.parametrize("flag, value", [

@@ -590,6 +590,33 @@ def test_only_live_atoms_are_sorted(monkeypatch):
         assert lengths and max(lengths) <= live[cls] < tab.count
 
 
+def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
+    # a numpy class graph with no live root answers both searches without
+    # its list views, and still lists every live atom when asked
+    calls = []
+    listed = _Tableau.listed
+
+    def counting(tab, live):
+        calls.append(len(live))
+        return listed(tab, live)
+
+    monkeypatch.setattr(_Tableau, "listed", counting)
+    rootless = 0
+    for inst in HEAVY_INSTANCES:
+        tab = _Tableau(closure(_negated_instance(*inst)), None)
+        for cls in CLASSES:
+            g = _ClassGraph(tab, cls)
+            if g._roots:
+                continue
+            rootless += 1
+            calls.clear()
+            assert g.terminal_path() is None and g.lasso_chain() is None
+            assert calls == []
+            assert sorted(g.live_ids) == sorted(g._live.tolist())
+            assert calls == [len(g._live)] and len(g._live) > 0
+    assert rootless >= 4
+
+
 # ---------------------------------------------------------------------------
 # One breadth-first search for both witness kinds, against the searches it
 # replaced: an atom-level BFS to a terminal atom, and a bipartite BFS into a
@@ -746,9 +773,11 @@ def test_decisions_match_separate_searches(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Ordering only what the search reads.  The int table keys an atom for the
-# lexicographic order the first time it sorts it, so counting _key_at calls
-# counts the atoms a decision ordered.
+# Ordering only what the search reads.  The int table's search runs on
+# bucket masks and keys an atom for the lexicographic order only to order
+# the new buckets a group of atoms wants: the first atom wanting each.  It
+# caches the key for the table, so counting _key_at calls counts the atoms
+# a decision ordered.
 
 def _counting_keys(monkeypatch):
     keyed = []
@@ -784,31 +813,39 @@ def test_terminal_origin_decides_fin_without_lex_keys(monkeypatch):
 
 
 def test_decisions_key_only_roots_and_expanded_buckets(monkeypatch):
+    # each atom is keyed at most once per table, and one search keys at
+    # most one atom per bucket it reaches, the first atom wanting it: the
+    # atoms keyed in a search want pairwise distinct live buckets.  Sorting
+    # the atoms of a root set or of a bucket keys several atoms wanting one
+    # bucket whenever the propositions split them.
     keyed = _counting_keys(monkeypatch)
-    graphs = []
+    searches = []
+    path = tableau._IntTableau._path
 
-    class Recording(_ClassGraph):
-        def __init__(self, tab, cls):
-            super().__init__(tab, cls)
-            graphs.append(self)
+    def recording(tab, live, *args):
+        start = len(keyed)
+        try:
+            return path(tab, live, *args)
+        finally:
+            searches.append((tab.shift, live, keyed[start:]))
 
-    monkeypatch.setattr(tableau, "_ClassGraph", Recording)
-    expanded = 0
+    monkeypatch.setattr(tableau._IntTableau, "_path", recording)
+    ordering = 0
     for f in _int_table_formulas():
         for cls in CLASSES:
             monkeypatch.setattr(tableau, "_memo", None)
             keyed.clear()
-            graphs.clear()
+            searches.clear()
             decide_sat(f, cls, closure_cap=None)
-            read = set()
-            for g in graphs:
-                read.update(g._roots)
-                for atoms in g._sorted.values():
-                    read.update(atoms)
-            expanded += sum(len(g._sorted) for g in graphs)
-            # each atom is keyed once per table, and only if a search read it
-            assert len(keyed) == len(set(keyed)) and set(keyed) <= read, f
-    assert expanded > 1000
+            assert len(keyed) == len(set(keyed)), f
+            for shift, live, new in searches:
+                wanted = [a >> shift for a in new]
+                assert len(set(wanted)) == len(wanted), (f, cls)
+                assert all(t in live for t in wanted), (f, cls)
+                every = sum(live.values())
+                assert all(every >> a & 1 for a in new), (f, cls)
+                ordering += len(new) > 1
+    assert ordering > 250
 
 
 def test_one_atom_loop_closes_on_itself():
@@ -1087,6 +1124,18 @@ def _free_bits(f):
     return sum(type(m) in (Prop, WeakNext) for m in closure(f).core)
 
 
+def _seeded_band(lo, hi, count):
+    """The first count path-check formulas, by seed, with lo to hi free
+    bits."""
+    formulas = []
+    for seed in itertools.count():
+        f = gen_formula(replace(PATH_CHECK, seed=seed))
+        if lo <= _free_bits(f) <= hi:
+            formulas.append(f)
+            if len(formulas) == count:
+                return formulas
+
+
 @pytest.mark.parametrize("order", [("fin", "inf", "gen"),
                                    ("gen", "fin", "inf"),
                                    ("inf", "gen", "fin")])
@@ -1095,6 +1144,9 @@ def test_builders_find_the_same_witnesses(monkeypatch, order):
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
     formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
     formulas.append(CEILING)
+    # fuzz formulas with 11 to 13 free bits, the top of the int builder's
+    # band
+    formulas += _seeded_band(11, 13, 100)
     bits = {_free_bits(f) for f in formulas}
     assert min(bits) <= tableau.PYTHON_TABLE_BITS < max(bits)
     # keep every table between classes, so each later class is answered
