@@ -637,8 +637,11 @@ class ClosureSet:
     tuples in deterministic (size, text) order.  Members are interned by
     structure: structurally equal subterms of the origin are one member,
     and each member's sort key was computed once, as it was numbered.
-    ``size_bound`` records the linear bound on len(members) guaranteed at
-    construction.  ``member_set`` is built on first use.
+    ``size`` is len(members) and ``size_bound`` records the linear bound on
+    it guaranteed at construction.  ``closure`` sorts only the core and
+    counts ``size`` on node numbers, so a decision, which reads the core
+    alone, builds no other member: ``members`` is built on first read, and
+    ``member_set`` from it.  A closure built by hand passes its members.
 
     ``numbering`` is the core's numbering, which the decider runs on: the
     signature of each ``core[i]``, its type and its kids' core positions (a
@@ -647,18 +650,26 @@ class ClosureSet:
     closure built by hand is numbered on first use.
     """
 
-    __slots__ = ("origin", "mode", "core", "members", "size_bound",
+    __slots__ = ("origin", "mode", "core", "size", "size_bound", "_members",
                  "_member_set", "_numbering")
 
     def __init__(self, origin, mode, core, members, size_bound,
-                 numbering=None):
+                 numbering=None, size=None):
         self.origin = origin
         self.mode = mode
         self.core = core
-        self.members = members
+        # the member tuple, or a function that builds it on first read
+        self._members = members
+        self.size = len(members) if size is None else size
         self.size_bound = size_bound
         self._member_set = None
         self._numbering = numbering
+
+    @property
+    def members(self) -> tuple[Formula, ...]:
+        if callable(self._members):
+            self._members = self._members()
+        return self._members
 
     @property
     def member_set(self) -> frozenset[Formula]:
@@ -672,7 +683,7 @@ class ClosureSet:
             nodes = _Nodes()
             self._numbering = _core_numbering(
                 nodes.sigs, [nodes.add(m) for m in self.core],
-                nodes.add(self.origin))
+                nodes.add(self.origin))[:2]
         return self._numbering
 
     def __contains__(self, f: Formula) -> bool:
@@ -680,21 +691,30 @@ class ClosureSet:
 
     def __repr__(self):
         return (f"ClosureSet(origin={print_formula(self.origin)!r}, "
-                f"mode={self.mode!r}, members={len(self.members)})")
+                f"mode={self.mode!r}, members={self.size})")
 
 
 def _core_numbering(sigs: list[tuple], core: list[int], root: int):
     """The signatures of the core's nodes, in core order, with their kids'
-    node numbers turned into core positions, and the root's position."""
-    at = dict(zip(core, range(len(core))))
+    node numbers turned into core positions; the root's position; and the
+    size of the signed closure, the core with the negation of each core
+    member that is no negation: twice the core, less one per negation in
+    it, and one more per negation of a non-negation in it, which is both a
+    core member and a member's negation."""
+    at = {n: i for i, n in enumerate(core)}
     out = []
+    negations = 0
     for s in map(sigs.__getitem__, core):
-        if len(s) == 3:
+        arity = len(s)
+        if arity == 3:
             s = (s[0], at[s[1]], at[s[2]])
-        elif len(s) == 2 and s[0] is not Prop:
+        elif arity == 2 and s[0] is Not:
+            s = (Not, at[s[1]])
+            negations += 1 if out[s[1]][0] is Not else 2
+        elif arity == 2 and s[0] is not Prop:
             s = (s[0], at[s[1]])
         out.append(s)
-    return tuple(out), at[root]
+    return tuple(out), at[root], 2 * len(core) - negations
 
 
 def _close(nodes: _Nodes, core: set[int], stack: list[int], mode: str) -> None:
@@ -751,7 +771,6 @@ _SEED_NODES = _Nodes()
 _SEED_CORE: set[int] = set()
 _close(_SEED_NODES, _SEED_CORE,
        [_SEED_NODES.add(Until(TRUE, WeakNext(FALSE)))], "ltl")
-_SEED_MEMBERS = frozenset(_signed(_SEED_NODES, _SEED_CORE))
 
 
 def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
@@ -766,10 +785,11 @@ def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
 
     One post-order walk interns every distinct node of f by structure
     (``_Nodes``), keying each once, on a copy of the seed's numbered
-    closure.  The rules and the negation pass then run on node numbers, and
-    build a node only for a member neither f nor the seed's closure holds;
-    one sort by key gives the members, and the core is their core
-    subsequence, numbered from the walk's signatures.
+    closure.  The rules run on node numbers, and build a node only for a
+    member neither f nor the seed's closure holds; one sort by key gives
+    the core, numbered from the walk's signatures, which give the size of
+    the signed closure too; the negation pass and the sort of the members
+    wait for their first read.
     """
     if mode not in ("ltl", "caret"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -778,11 +798,12 @@ def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
     root = nodes.add(f)
     core = _SEED_CORE.copy()
     _close(nodes, core, [root], mode)
-    members = _SEED_MEMBERS | _signed(nodes, core - _SEED_CORE)
-    order = sorted(members, key=nodes.keys.__getitem__)
-    core_order = [n for n in order if n in core]
-    at = nodes.nodes
-    return ClosureSet(f, mode, tuple(map(at.__getitem__, core_order)),
-                      tuple(map(at.__getitem__, order)),
-                      8 * nodes.keys[root][0] + 20,
-                      _core_numbering(nodes.sigs, core_order, root))
+    key, at = nodes.keys.__getitem__, nodes.nodes.__getitem__
+    core_order = sorted(core, key=key)
+    sigs, position, size = _core_numbering(nodes.sigs, core_order, root)
+
+    def members():
+        return tuple(map(at, sorted(_signed(nodes, core), key=key)))
+
+    return ClosureSet(f, mode, tuple(map(at, core_order)), members,
+                      8 * key(root)[0] + 20, (sigs, position), size)

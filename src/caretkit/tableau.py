@@ -39,8 +39,10 @@ Buchi conditions, Couvreur, FM 1999), so no per-atom until key is built.
 
 The table runs on the closure's numbering of its core: every row is
 indexed by core position and made from its kids' rows, so no formula is
-hashed or compared past the closure.  A witness atom keeps the core and its
-member bits, and builds its member set only when read.
+hashed or compared past the closure, whose signed members a decision never
+builds.  A class in which no atom holds the origin builds no class graph,
+and a witness atom keeps the core and its member bits, and builds its
+member set only when read.
 
 The table shared by the three classes names its atoms in the order their
 free-bit valuations are enumerated, which no search depends on.  The
@@ -104,10 +106,11 @@ _MODELS: weakref.WeakValueDictionary[tuple, FiniteTrace | LassoTrace] = \
 
 # The last formula decided and its table, with the witnesses found on it, so
 # that deciding one formula in several classes in a row builds its closure
-# and table once.  Only tables of at most _MEMO_ATOMS atoms are kept: the
-# callers that decide larger formulas ask one class each, and a larger table
-# held between calls is only resident memory.
-_MEMO_ATOMS = 1 << 12
+# and table once.  Only tables of at most _MEMO_ATOMS atoms are kept, which
+# every int table has and no numpy table: the callers that decide larger
+# formulas ask one class each, and a larger table held between calls is only
+# resident memory.
+_MEMO_ATOMS = 1 << PYTHON_TABLE_BITS
 _memo: tuple[Formula, _Table] | None = None
 
 
@@ -185,7 +188,8 @@ class SatResult:
 def _new_table(clo: ClosureSet, cap: int | None) -> _Table:
     """The atom table of a closure, from the builder its free bits choose:
     the one place the two builders are chosen between."""
-    free = sum(type(m) in (Prop, WeakNext) for m in clo.core)
+    kinds = [sig[0] for sig in clo.numbering[0]]
+    free = kinds.count(Prop) + kinds.count(WeakNext)
     return (_IntTableau if free <= PYTHON_TABLE_BITS else _Tableau)(clo, cap)
 
 
@@ -210,46 +214,58 @@ class _Table:
     class in that order; ``class_graph(cls)``, the live atoms and roots
     ``_ClassGraph`` is made of, in the builder's own form, and
     ``listed(live)``, their list views; and ``terminal_path(g)`` and
-    ``lasso_chain(g)``, the two searches of a class graph.  Only the
-    ``telling`` rows can decide that order, so both builders read only
-    those.  An atom keeps the core and its member bits.  ``witnesses``
-    remembers the witness of each class decided on the table, and never
-    its model, so models stay free to go.
+    ``lasso_chain(g)``, the two searches of a class graph; and
+    ``has_root(cls)``, whether an atom of the class holds the origin.  Only
+    the ``telling`` rows can decide that order, so both builders read only
+    those.  ``size`` is the closure's, counted without building its
+    members, and what only a class graph reads is built on first use.  An
+    atom keeps the core and its member bits.  ``witnesses`` remembers the
+    witness of each class decided on the table, and never its model, so
+    models stay free to go.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
         if clo.mode != "ltl":
             raise ValueError("the tableau works on the ltl fragment only")
-        self.size = len(clo.members)
+        self.size = clo.size
         self.check_cap(cap)
         self.core = clo.core
         self.sigs, self.root = clo.numbering
-        kinds = [sig[0] for sig in self.sigs]
-        self.props, self.nexts, self.untils = (
-            [i for i, t in enumerate(kinds) if t is k]
-            for k in (Prop, WeakNext, Until))
-        self.free = self.props + self.nexts[::-1]
+        sigs = self.sigs
+        # the layout, in one pass over the core.  Only the free bits and the
+        # untils can tell two atoms apart first: the constant, a conjunction
+        # or a negation is fixed by earlier rows, and after the last free
+        # bit every atom is told apart.  ``unfold[g]`` is the position of
+        # X !g: an until's unfolding is the negation of X !u, which is free
+        self.props, self.nexts, self.untils = props, nexts, untils = [], [], []
+        self.telling, self.unfold = telling, unfold = [], {}
+        for i, sig in enumerate(sigs):
+            t = sig[0]
+            if t is Prop:
+                props.append(i)
+            elif t is WeakNext:
+                nexts.append(i)
+                if sigs[sig[1]][0] is Not:
+                    unfold[sigs[sig[1]][1]] = i
+            elif t is Until:
+                untils.append(i)
+            else:
+                continue
+            telling.append(i)
+        while sigs[telling[-1]][0] is Until:
+            telling.pop()
+        self.free = props + nexts[::-1]
         if len(self.free) > MAX_FREE_BITS:
             raise ClosureCapError(
                 f"atom enumeration needs {len(self.free)} free bits "
                 f"(propositions plus weak-next members); the limit is "
                 f"{MAX_FREE_BITS} and no closure cap (--cap) value lifts it")
-        at = {sig: i for i, sig in enumerate(self.sigs)}.__getitem__
-        # an until's unfolding is the negation of X !u, which is free
-        self.unfold = {u: at((WeakNext, at((Not, u)))) for u in self.untils}
-        true = at((TrueConst,))
+        true = sigs.index((TrueConst,))
         # the markers: next of false, true exactly at last states, and
         # eventually a last state
-        self.terminal_at = at((WeakNext, at((Not, true))))
-        self.fin_at = at((Until, true, self.terminal_at))
-        self.key_space = 1 << len(self.nexts)
-        # only the free bits and the untils can tell two atoms apart first:
-        # the constant, a conjunction or a negation is fixed by earlier
-        # rows, and after the last free bit every atom is told apart
-        self.telling = [i for i, t in enumerate(kinds)
-                        if t in (Prop, WeakNext, Until)]
-        while kinds[self.telling[-1]] is Until:
-            self.telling.pop()
+        self.terminal_at = unfold[true]
+        self.fin_at = sigs.index((Until, true, self.terminal_at))
+        self.key_space = 1 << len(nexts)
         # class -> its witness, or None when the class has no model
         self.witnesses: dict[str, ChainWitness | None] = {}
 
@@ -285,12 +301,15 @@ class _Table:
         the part of the gen graph holding it, and without a finite model
         the gen graph reachable from the roots is the inf graph's.  So gen
         asked before fin and inf builds one graph, which answers fin, and
-        inf too when fin has no model.
+        inf too when fin has no model.  A class in which no atom holds the
+        origin has no model, and builds no graph.
         """
         known = self.witnesses
         if cls in known:
             return known[cls]
-        if cls == "gen":
+        if not self.has_root(cls):
+            w = None
+        elif cls == "gen":
             if "fin" not in known and "inf" not in known:
                 g = _ClassGraph(self, cls)
                 known["fin"] = self._finite(g)
@@ -346,12 +365,14 @@ class _IntTableau(_Table):
     per bucket and one of live roots, and the searches run on those, so
     their Python-level work is per bucket, not per atom.  An atom gets its
     lexicographic key, cached for the table, only when a search must order
-    the buckets it is the first to want.
+    the buckets it is the first to want.  The split of the valid atoms into
+    buckets and the rows that order atoms are built on first use, so a
+    table whose classes have no root builds neither.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
         super().__init__(clo, cap)
-        sigs, free = self.sigs, self.free
+        free = self.free
         full = (1 << (1 << len(free))) - 1
         self.member_rows = rows = self.derive_rows(_columns(len(free)), full)
         self.shift = shift = len(self.props)
@@ -366,22 +387,39 @@ class _IntTableau(_Table):
         self.count = valid.bit_count()
         self._classes = {"gen": valid, "fin": valid & self.fin_viable,
                          "inf": self.terminal ^ full}
-        # bucket -> its valid atoms, for the buckets holding any: the
-        # atoms split by each weak next's operand row in turn, the first
-        # weak next in the most significant bit of the key
-        groups = [(0, valid)]
-        for r in (rows[sigs[b][1]] for b in self.nexts):
-            groups = [g for s, m in groups
-                      for g in ((s << 1, m & ~r), (s << 1 | 1, m & r)) if g[1]]
-        self._buckets = groups
         self._block = block = (1 << (1 << shift)) - 1
         # the first atom of every block below the terminal one, and the
         # shifts that fold a block into its first atom
         self._starts = ((1 << last) - 1) // block
         self._folds = [1 << k for k in range(shift)]
-        self._lex_rows = [rows[i] for i in self.telling]
-        self._lacking = [r ^ full for r in self._lex_rows]
         self._lex_keys: dict[int, int] = {}
+
+    @functools.cached_property
+    def _buckets(self) -> list[tuple[int, int]]:
+        """Bucket -> its valid atoms, for the buckets holding any: the
+        atoms split by each weak next's operand row in turn, the first
+        weak next in the most significant bit of the key."""
+        rows, sigs = self.member_rows, self.sigs
+        groups = [(0, self._classes["gen"])]
+        for b in self.nexts:
+            r = rows[sigs[b][1]]
+            split = []
+            for s, m in groups:
+                held = m & r
+                if held != m:
+                    split.append((s << 1, m ^ held))
+                if held:
+                    split.append((s << 1 | 1, held))
+            groups = split
+        return groups
+
+    @functools.cached_property
+    def _lex_rows(self) -> list[int]:
+        return [self.member_rows[i] for i in self.telling]
+
+    @functools.cached_property
+    def _lacking(self) -> list[int]:
+        return [~r for r in self._lex_rows]
 
     @staticmethod
     def bits_at(rows, a: int) -> list[int]:
@@ -391,6 +429,9 @@ class _IntTableau(_Table):
         if cls not in self._classes:
             raise ValueError(f"unknown trace class {cls!r}")
         return self._classes[cls]
+
+    def has_root(self, cls: str) -> bool:
+        return bool(self._class_mask(cls) & self.origin_bit)
 
     def lex_order(self, ids: list[int]) -> list[int]:
         """The atoms ``ids`` in lexicographic order on member bit-vectors."""
@@ -628,6 +669,14 @@ class _Tableau(_Table):
     @staticmethod
     def bits_at(rows, a: int) -> list[bool]:
         return [r.item(a) for r in rows]
+
+    def has_root(self, cls: str) -> bool:
+        roots = self.origin_bit
+        if cls == "fin":
+            roots = roots & self.fin_viable
+        elif cls == "inf":
+            roots = roots & ~self.terminal
+        return bool(roots.any())
 
     def class_indices(self, cls: str):
         import numpy as np

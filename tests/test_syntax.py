@@ -34,7 +34,10 @@ from caretkit.syntax import (
     print_formula,
     props_of,
 )
+from caretkit import syntax, tableau
+from caretkit.fuzz import GenConfig, gen_formula
 from caretkit.proof import build_schema_instance, expand_cr
+from caretkit.tableau import ClosureCapError, decide_sat
 
 from exhaustive_oracle import enumerate_formulas
 
@@ -527,18 +530,59 @@ def _reference_closure(f, mode="ltl"):
 
 def _assert_reference_closure(f, mode="ltl"):
     want, got = _reference_closure(f, mode), closure(f, mode)
+    # the size is counted before the members are built, on first read
+    assert got.size == len(want.members) == want.size
     # tuple equality compares element by element, in order
     assert got.core == want.core
     assert got.members == want.members
+    assert got.member_set == want.member_set
     assert got.size_bound == want.size_bound
     # the reference is built by hand, so it numbers its core on first use
     assert got.numbering == want.numbering
+
+
+def test_decisions_build_no_members(monkeypatch):
+    signed, original = [], syntax._signed
+
+    def counting(nodes, core):
+        signed.append(core)
+        return original(nodes, core)
+
+    monkeypatch.setattr(tableau, "_memo", None)
+    monkeypatch.setattr(syntax, "_signed", counting)
+    for text in ("p & !p", "(p U q) & X X p", "G (p -> X q) & F !q",
+                 "G (p -> X q) & G (q -> X r) & F (s & X X p)"):
+        for cls in ("gen", "fin", "inf"):
+            decide_sat(parse_formula(text), cls, closure_cap=None)
+    assert signed == []
+    # reading them is what builds them
+    assert len(closure(Prop("p")).members) == 14 and len(signed) == 1
+
+
+def test_cap_error_names_the_member_count(monkeypatch):
+    f = parse_formula("p & !p")     # !p is already in the core
+    clo = closure(f)
+    assert Not(Prop("p")) in clo.core
+    n = len(clo.members)
+    assert clo.size == n
+    monkeypatch.setattr(tableau, "_memo", None)
+    with pytest.raises(ClosureCapError,
+                       match=f"closure of size {n} exceeds the cap {n - 1}"):
+        decide_sat(f, "gen", closure_cap=n - 1)
+    assert not decide_sat(f, "gen", closure_cap=n).satisfiable
 
 
 def test_closure_matches_reference_small_formulas():
     by_size = enumerate_formulas(6)
     for f in (g for n in sorted(by_size) for g in by_size[n]):
         _assert_reference_closure(f)
+
+
+def test_closure_matches_reference_caret_fuzz():
+    for seed in range(300):
+        cfg = GenConfig(seed=seed, max_formula_size=10,
+                        alphabet=("p", "q", "r"), mode="caret")
+        _assert_reference_closure(gen_formula(cfg), "caret")
 
 
 @settings(max_examples=200)

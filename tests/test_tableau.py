@@ -934,10 +934,21 @@ def test_large_tables_are_not_kept(monkeypatch):
     _count_closures(monkeypatch)
     decide_sat(Prop("p"), "gen")
     assert tableau._memo is not None
-    f = parse_formula("G (p -> X q) & G (q -> X r)")
-    assert _Tableau(closure(f), None).count > tableau._MEMO_ATOMS
-    decide_sat(f, "inf", closure_cap=None)
+    # 18 free bits: a numpy table, larger than any int table
+    assert _Tableau(closure(CEILING), None).count > tableau._MEMO_ATOMS
+    decide_sat(CEILING, "inf", closure_cap=None)
     assert tableau._memo is None
+
+
+def test_int_tables_are_kept(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    # 13 free bits and 4,104 atoms: the largest int tables are kept
+    f = parse_formula("G (p -> X q) & G (q -> X r)")
+    assert _free_bits(f) == tableau.PYTHON_TABLE_BITS
+    for cls in CLASSES:
+        decide_sat(f, cls, closure_cap=None)
+    assert len(calls) == 1
+    assert type(tableau._memo[1]) is tableau._IntTableau
 
 
 def test_memo_compares_deep_formulas_without_recursing(monkeypatch):
@@ -1033,8 +1044,32 @@ def test_mixed_class_matches_class_graph_decisions(monkeypatch, order):
         built.clear()
         for cls in order:
             assert decide_sat(f, cls, closure_cap=None) == expected[f, cls]
-        fin_sat = expected[f, "fin"].satisfiable
-        assert len(built) == (1 if order[0] == "gen" and not fin_sat else 2)
+        # a class builds a graph only when an atom of its class mask holds
+        # the origin; gen first builds one graph, and inf its own only
+        # when fin has a model
+        tab = _Tableau(closure(f), None)
+        root = {cls: bool(tab.origin_bit[tab.class_indices(cls)].any())
+                for cls in CLASSES}
+        if order[0] == "gen":
+            graphs = root["gen"] + (expected[f, "fin"].satisfiable
+                                    and root["inf"])
+        else:
+            graphs = root["fin"] + root["inf"]
+        assert len(built) == graphs
+
+
+def test_no_graph_without_a_root(monkeypatch):
+    built = _count_class_graphs(monkeypatch)
+
+    def check():
+        f = parse_formula("p & !p")
+        for cls in CLASSES:
+            assert not decide_sat(f, cls, closure_cap=None).satisfiable
+        assert built == []
+        # nor the bucket split, which only a class graph reads
+        assert "_buckets" not in tableau._memo[1].__dict__
+
+    _on_each_builder(monkeypatch, check)
 
 
 def test_mixed_class_builds_one_graph_without_finite_models(monkeypatch):
