@@ -11,12 +11,15 @@ system's own trace class; failures are counted, never raised.
 
 Draws are programs and masks; objects are built on replay.  A drawn formula
 is a post-order program of constructor steps; a drawn trace is its shape,
-one truth mask per letter and, on a structured lasso, its tags.  The
-campaign runs the binding programs, then the schema's program, over masks
-with EvalContext.apply on a context started from the drawn masks, building
-no formula, label set or trace (only the C5/C6 families are built, with
-their bindings).  A failing instance is replayed from its seed through the
-object builders, which gen_formula and gen_trace also use.
+one truth mask per letter and, on a structured lasso, its tags.  Integer
+draws are read from getrandbits by _below, which gives randrange's values
+at randrange's stream positions, so a seed draws what it always drew.  The
+campaign fetches each schema's programs, their parameters checked, once;
+per instance it runs the binding programs, then the schema's program, over
+masks with EvalContext.apply on a context started from the drawn masks,
+building no formula, label set or trace.  A failing instance is replayed
+from its seed through the object builders, which gen_formula and gen_trace
+also use.
 
 A cross-check campaign compares the tableau decision procedure against the
 literal bounded trace enumeration and the class decomposition identity.
@@ -28,11 +31,13 @@ them; the proof checker's tests cover the rules.
 
 from __future__ import annotations
 
+import _random
+import operator
 import random
 from dataclasses import dataclass
 
 from .proof import (
-    SCHEMAS, SYSTEM_IDS, _construct, axiom_schemas, build_schema_instance,
+    SCHEMAS, SYSTEM_IDS, _run, axiom_schemas, build_schema_instance,
 )
 from .semantics import EvalContext
 from .syntax import (
@@ -116,47 +121,49 @@ def _atoms(cfg: GenConfig, mode: str) -> tuple[str, ...]:
     return cfg.alphabet + _TAG_NAMES if mode == "caret" else cfg.alphabet
 
 
+def _below(getrandbits, n: int) -> int:
+    """rng.randrange(n) for n >= 1, from rng.getrandbits: the same value
+    from the same bits as CPython 3.11's Random._randbelow_with_getrandbits
+    (randint(a, b) is a + _below(b - a + 1)), without the layers above it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _draw_formula(rng: random.Random, cfg: GenConfig, mode: str) -> list:
-    """A formula of 1 to max_formula_size nodes as a post-order program:
-    a leaf is (None, pick, None), a node (ctor, i, j) over the values of
-    steps i and j, j None for a unary ctor."""
+    """A formula of 1 to max_formula_size nodes as a post-order program
+    (proof._run runs it): a leaf is (None, pick, None), a node (ctor, i, j)
+    over the values of steps i and j, j None for a unary ctor."""
     leaves, (small, ops) = len(_atoms(cfg, mode)) + 1, _OPS[mode]
+    bits = rng.getrandbits
     prog: list[tuple] = []
 
     def draw(size):
         if size <= 1:
-            prog.append((None, rng.randrange(leaves), None))
+            prog.append((None, _below(bits, leaves), None))
             return
         choices = ops if size > 2 else small
-        op = choices[rng.randrange(len(choices))]
+        op = choices[_below(bits, len(choices))]
         if op in _UNARY:
             draw(size - 1)
             prog.append((op, len(prog) - 1, None))
             return
-        split = rng.randint(1, size - 2)
+        split = 1 + _below(bits, size - 2)
         draw(split)
         i = len(prog) - 1
         draw(size - 1 - split)
         prog.append((op, i, len(prog) - 1))
 
-    draw(rng.randint(1, cfg.max_formula_size))
+    draw(1 + _below(bits, cfg.max_formula_size))
     return prog
-
-
-def _run(prog: list, leaves, apply):
-    """A formula program's value: leaves[pick] at a leaf, apply(ctor, a)
-    or apply(ctor, a, b) at a node."""
-    vals = []
-    for ctor, i, j in prog:
-        vals.append(leaves[i] if ctor is None else
-                    apply(ctor, vals[i]) if j is None else
-                    apply(ctor, vals[i], vals[j]))
-    return vals[-1]
 
 
 def _random_formula(rng: random.Random, cfg: GenConfig, mode: str) -> Formula:
     leaves = [Prop(a) for a in _atoms(cfg, mode)] + [TRUE]
-    return _run(_draw_formula(rng, cfg, mode), leaves, _construct)
+    return _run(_draw_formula(rng, cfg, mode), [], leaves.__getitem__,
+                operator.call)
 
 
 def _draw_trace(rng: random.Random, cfg: GenConfig, kind: str):
@@ -165,14 +172,14 @@ def _draw_trace(rng: random.Random, cfg: GenConfig, kind: str):
     mask, and on a structured lasso the StateTag of each position, its tag
     names' masks in props too; tags is None otherwise.  Per position the
     letters are drawn, then the tag."""
-    random_ = rng.random
+    random_, bits = rng.random, rng.getrandbits
     if kind == "mixed":
         kind = "finite" if random_() < 0.5 else "lasso"
     if kind == "finite":
-        n = p = rng.randint(1, cfg.max_finite_len)
+        n = p = 1 + _below(bits, cfg.max_finite_len)
     elif kind in ("lasso", "structured"):
-        n = rng.randint(1, cfg.max_lasso_total)
-        p = n - rng.randint(1, n)
+        n = 1 + _below(bits, cfg.max_lasso_total)
+        p = n - 1 - _below(bits, n)
     else:
         raise ValueError(f"unknown trace kind {kind!r}")
     letters, tags = cfg.alphabet, None
@@ -188,7 +195,7 @@ def _draw_trace(rng: random.Random, cfg: GenConfig, kind: str):
             if random_() < 0.5:
                 masks[k] |= bit
         if tags is not None:
-            t = rng.randrange(3)
+            t = _below(bits, 3)
             tags.append(_TAG_VALUES[t])
             tag_masks[t] |= bit
     props = dict(zip(letters, masks))
@@ -235,10 +242,9 @@ _SYSTEM_TRACES = {
     "ax-cr": "structured",
 }
 
-_C5_PARAMS = ({"n": 0}, {"n": 1}, {"n": 2})
-_C6_PARAMS = ({"m": 1, "n": 0}, {"m": 2, "n": 0}, {"m": 2, "n": 1})
 # the parameters of the k-th instance of a schema are entry k mod length
-_FAMILY_PARAMS = {"C5": _C5_PARAMS, "C6": _C6_PARAMS}
+_FAMILY_PARAMS = {"C5": ({"n": 0}, {"n": 1}, {"n": 2}),
+                  "C6": ({"m": 1, "n": 0}, {"m": 2, "n": 0}, {"m": 2, "n": 1})}
 
 
 def _first_false(mask: int, full: int) -> int | None:
@@ -249,27 +255,17 @@ def _first_false(mask: int, full: int) -> int | None:
 
 
 def _instance_mask(rng: random.Random, cfg: GenConfig, mode: str, kind: str,
-                   name: str, params: dict[str, int]) -> tuple[int, int]:
-    """Draw bindings for the schema and a trace, as the builders do, and
-    return the instance's truth mask on the trace and the trace's full
-    mask.  Only a family's bindings are built, to build its instance."""
-    schema = SCHEMAS[name]
-    progs = [_draw_formula(rng, cfg, mode) for _ in schema.metavars]
+                   arity: int, program: tuple) -> tuple[int, int]:
+    """Draw arity bindings and a trace, as the builders do, and return the
+    truth mask on the trace of the schema program over those bindings, and
+    the trace's full mask."""
+    progs = [_draw_formula(rng, cfg, mode) for _ in range(arity)]
     n, p, props, tags = _draw_trace(rng, cfg, kind)
     ctx = EvalContext.from_masks(n, p, props, tags)
-    atoms = _atoms(cfg, mode)
-    if schema.family is None:
-        leaves = [props.get(a, 0) for a in atoms] + [ctx.full]
-        apply = ctx.apply
-
-        def leaf(x):  # a binding is a mask already, a constant subformula not
-            return x if type(x) is int else ctx.truth_mask(x)
-    else:
-        leaves = [Prop(a) for a in atoms] + [TRUE]
-        apply, leaf = _construct, ctx.truth_mask
-    bindings = {v: _run(prog, leaves, apply)
-                for v, prog in zip(schema.metavars, progs)}
-    return schema.run(params, bindings, leaf, ctx.apply), ctx.full
+    apply = ctx.apply
+    pick = ([props.get(a, 0) for a in _atoms(cfg, mode)] + [ctx.full]).__getitem__
+    bindings = [_run(prog, [], pick, apply) for prog in progs]
+    return _run(program, bindings, ctx.truth_mask, apply), ctx.full
 
 
 def soundness_campaign(system: str, instances: int, cfg: GenConfig, *,
@@ -293,26 +289,28 @@ def soundness_campaign(system: str, instances: int, cfg: GenConfig, *,
             raise ValueError(f"unknown schema {name!r}")
     kind = trace_class if trace_class is not None else _SYSTEM_TRACES[system]
     mode = "caret" if system == "ax-cr" else "ltl"
-    # reseeding gives the stream of random.Random(seed)
-    rng = random.Random()
+    # seeding the C-level generator gives the stream of random.Random(seed)
+    rng = _random.Random(0)
     counts = []
     failures = 0
     first = None
     for si, name in enumerate(names):
+        schema = SCHEMAS[name]
         cycle = _FAMILY_PARAMS.get(name, ({},))
+        programs = [schema.program(params) for params in cycle]
         for k in range(instances):
-            seed = _child_seed(cfg.seed, 16 + si, k)
+            seed, c = _child_seed(cfg.seed, 16 + si, k), k % len(cycle)
             rng.seed(seed)
-            params = cycle[k % len(cycle)]
-            pos = _first_false(*_instance_mask(rng, cfg, mode, kind, name, params))
+            pos = _first_false(*_instance_mask(
+                rng, cfg, mode, kind, len(schema.metavars), programs[c]))
             if pos is not None:
                 failures += 1
                 if first is None:
                     # replay the instance through the object builders
                     rng.seed(seed)
                     bindings = {v: _random_formula(rng, cfg, mode)
-                                for v in SCHEMAS[name].metavars}
-                    first = (build_schema_instance(name, params, bindings),
+                                for v in schema.metavars}
+                    first = (build_schema_instance(name, cycle[c], bindings),
                              _campaign_trace(rng, cfg, kind), pos)
         counts.append((name, instances))
     return CampaignReport(tuple(counts), failures, first)

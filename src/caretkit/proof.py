@@ -9,11 +9,11 @@ axiom instance, a propositional tautology, modus ponens, next
 generalisation, or until induction (plus the abstract-operator variants of
 the last two, admissible under 'ax-cr' only).
 
-Every axiom schema except the C5/C6 call/return families is defined by its
-template text alone, compiled once at import into a straight-line program;
-C5 and C6 are coded families, with every parameter at most MAX_CR_PARAM.
-One runner serves both uses of a program: the checker runs it over formula
-nodes to build an instance, the soundness campaigns run it over truth masks.
+Every axiom schema is defined by its template text alone, compiled on first
+use into a straight-line program; the C5/C6 texts hold a counting formula
+CR[c,m,n](psi), unrolled per parameter set (each at most MAX_CR_PARAM).  One
+runner serves every program: the checker runs a schema's over nodes to build
+an instance, the campaigns run it and their drawn bindings over truth masks.
 
 Tautology checking abstracts every maximal subformula whose head is not
 negation, conjunction or the constant true into a fresh letter and decides
@@ -23,15 +23,16 @@ propositional layer.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .syntax import (
-    SYSTEM_IDS, AbsUntil, AbsWeakNext, And, FALSE, Formula, Not, ParseError,
-    Prop, ProofError, ProofFormatError, TrueConst, Until, WeakNext,
-    abs_strong_next, always, implies, is_ltl, lor, parse_formula, props_of,
-    truth_columns,
+    SYSTEM_IDS, AbsUntil, AbsWeakNext, And, Formula, Not, ParseError, Prop,
+    ProofError, ProofFormatError, TrueConst, Until, WeakNext, implies, is_ltl,
+    parse_formula, props_of, truth_columns,
 )
 
 __all__ = [
@@ -49,56 +50,14 @@ _RET = Prop("ret")
 _INT = Prop("int")
 
 MAX_TAUT_LETTERS = 20
-# C5/C6 parameters above this are refused: at the bound the counting formula
-# has about 200,000 distinct nodes and a cold check-proof answers in about
-# 0.6 s; from about 500 on, the build would outgrow the recursion limit.
+# C5/C6 parameters above this are refused: at the bound the counting program
+# has about 200,000 steps and a cold check-proof answers in about 0.4 s.
 MAX_CR_PARAM = 200
 
 
 class ProofLimitError(ProofError):
     """A step exceeds a documented size limit.  The checker refuses such a
     step instead of failing it, so the CLI reports an error (exit 3)."""
-
-
-# ---------------------------------------------------------------------------
-# The call/return counting family.
-
-def expand_cr(c: int, m: int, n: int, f: Formula) -> Formula:
-    """The counting formula: between here and the first f-state there are
-    exactly m calls and n returns, never dipping more than c returns below
-    par.  Defined for c, m, n >= 0 with c + m >= n.
-
-    The formula is built as a DAG: the branches reach each (c, m, n) by
-    many orders of calls and returns, and each is built once, so the build
-    is polynomial rather than exponential in m and n."""
-    if c < 0 or m < 0 or n < 0 or c + m < n:
-        raise ValueError(
-            f"parameter violation: need c,m,n >= 0 and c+m >= n, got {(c, m, n)}")
-    # every recursive call below keeps the parameters valid
-    built: dict[tuple[int, int, int], Formula] = {}
-
-    def expand(c: int, m: int, n: int) -> Formula:
-        got = built.get((c, m, n))
-        if got is not None:
-            return got
-        if m == 0 and n == 0:
-            out = Until(_INT, f)
-        else:
-            call_branch = ret_branch = None
-            if m > 0:
-                call_branch = Until(
-                    _INT, And(_CALL, WeakNext(expand(c + 1, m - 1, n))))
-            if n > 0 and (m == 0 or c > 0):
-                ret_branch = Until(
-                    _INT, And(_RET, WeakNext(expand(c - 1, m, n - 1))))
-            if call_branch is None or ret_branch is None:
-                out = call_branch or ret_branch
-            else:
-                out = lor(call_branch, ret_branch)
-        built[c, m, n] = out
-        return out
-
-    return expand(c, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -146,122 +105,167 @@ def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Axiom schemas.
+# Axiom schemas as programs.
 
-def _within_bound(name: str, p: dict[str, int]) -> None:
-    for v, x in p.items():
-        if x > MAX_CR_PARAM:
-            raise ProofLimitError(
-                f"parameter bound: {name} needs {v} <= {MAX_CR_PARAM} "
-                f"(MAX_CR_PARAM), got {v}={x}")
-
-
-def _c5(p, b):
-    n = p["n"]
-    if n < 0:
-        raise ProofError("parameter violation: C5 needs n >= 0")
-    _within_bound("C5", p)
-    body = expand_cr(0, n, n, And(_RET, b["phi"]))
-    return implies(And(_CALL, WeakNext(body)), abs_strong_next(b["phi"]))
+# A family's text holds a counting formula CR[c,m,n](psi), its arguments
+# parameter names or numerals and psi free of parentheses, and ends in
+# _FAMILY, its parameters' condition (a chain of > and >=) and ")".
+_CR_RE = re.compile(r"CR\[(\w+),(\w+),(\w+)\]\(([^()]*)\)")
+_FAMILY = "  (family, "
 
 
-def _c6(p, b):
-    m, n = p["m"], p["n"]
-    if not m > n >= 0:
-        raise ProofError("parameter violation: C6 needs m > n >= 0")
-    _within_bound("C6", p)
-    body = expand_cr(0, m, n, always(Not(_RET)))
-    return implies(And(_CALL, WeakNext(body)), AbsWeakNext(FALSE))
+class _Program:
+    """A straight-line program being emitted.  Its values start with one
+    input per name it is made with; a step (ctor, i, j) appends ctor over
+    values i and j, j None for a unary ctor, and a constant step
+    (None, f, None) appends the leaf f.  Its result is its last value."""
 
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names  # the letters that have a value; others are constants
+        self.inputs = len(names)
+        self.slots: dict[Formula, int] = {Prop(v): k for k, v in enumerate(names)}
+        self.steps: list[tuple] = []
 
-_FAMILIES = {"C5": _c5, "C6": _c6}
+    def step(self, ctor, i, j=None) -> int:
+        self.steps.append((ctor, i, j))
+        return self.inputs + len(self.steps) - 1
 
-
-def _compile(text: str, metavars: tuple[str, ...]) -> tuple:
-    """Compile a template, parsed in caret mode with the metavariables as
-    letters, into a straight-line program.  Its values start with the
-    bindings in metavars order; each distinct subtree holding a metavariable
-    adds a step (ctor, i, j), j None for a unary ctor, and each maximal
-    subtree without one adds a constant step (None, f, None).  The root is
-    emitted last, so the program's result is its last value."""
-    slots: dict[Formula, int] = {Prop(v): k for k, v in enumerate(metavars)}
-    steps: list[tuple] = []
-
-    def emit(g: Formula) -> int:  # recursion is bounded by the template size
-        k = slots.get(g)
-        if k is not None:
-            return k
-        if props_of(g).isdisjoint(metavars):
-            steps.append((None, g, None))
-        elif type(g) in (Not, WeakNext, AbsWeakNext):
-            steps.append((type(g), emit(g.operand), None))
-        else:
-            steps.append((type(g), emit(g.left), emit(g.right)))
-        slots[g] = k = len(metavars) + len(steps) - 1
+    def emit(self, g: Formula) -> int:
+        """The value of g: each distinct subtree holding a named letter
+        adds a step, each maximal one without adds a constant step."""
+        k = self.slots.get(g)
+        if k is None:  # recursion is bounded by the template size
+            if props_of(g).isdisjoint(self.names):
+                k = self.step(None, g)
+            elif type(g) in (Not, WeakNext, AbsWeakNext):
+                k = self.step(type(g), self.emit(g.operand))
+            else:
+                k = self.step(type(g), self.emit(g.left), self.emit(g.right))
+            self.slots[g] = k
         return k
 
-    emit(parse_formula(text, "caret"))
-    return tuple(steps)
+    def count(self, c: int, m: int, n: int, psi: int) -> int:
+        """The value of CR[c,m,n] over value psi (see expand_cr).  No call
+        or return changes d = c + m - n, so (m', n') names a state; the
+        states reached have m' <= m, n' <= n and c' = d - m' + n' >= 0,
+        and each is emitted once, after the two it refers to."""
+        if c < 0 or m < 0 or n < 0 or c + m < n:
+            raise ValueError(f"parameter violation: need c,m,n >= 0 and "
+                             f"c+m >= n, got {(c, m, n)}")
+        step, emit, d = self.step, self.emit, c + m - n
+        built = {(0, 0): step(Until, emit(_INT), psi)}
+        for m2 in range(m + 1):
+            for n2 in range(max(0, m2 - d), n + 1):
+                moves = []  # each makes an arm: int U (tag & X next)
+                if m2 > 0:
+                    moves.append((_CALL, built[m2 - 1, n2]))
+                if n2 > 0 and (m2 == 0 or d - m2 + n2 > 0):
+                    moves.append((_RET, built[m2, n2 - 1]))
+                arms = [step(Until, emit(_INT), step(And, emit(tag), step(
+                    WeakNext, to))) for tag, to in moves]
+                if len(arms) == 2:  # lor(call arm, ret arm)
+                    arms = [step(Not, step(And, step(Not, arms[0]),
+                                           step(Not, arms[1])))]
+                if arms:
+                    built[m2, n2] = arms[0]
+        return built[m, n]
+
+
+def _run(program, vals: list, leaf: Callable, apply: Callable):
+    """Run a program over values of any kind, vals holding its inputs:
+    ``leaf(x)`` gives the value of a constant step's x, and
+    ``apply(ctor, a, b=None)`` the value of ctor over its operands'."""
+    for ctor, i, j in program:
+        vals.append(leaf(i) if ctor is None else
+                    apply(ctor, vals[i]) if j is None else
+                    apply(ctor, vals[i], vals[j]))
+    return vals[-1]
 
 
 def _identity(f: Formula) -> Formula:
     return f
 
 
-def _construct(ctor, a: Formula, b: Formula | None = None) -> Formula:
-    return ctor(a) if b is None else ctor(a, b)
+def expand_cr(c: int, m: int, n: int, f: Formula) -> Formula:
+    """The counting formula: between here and the first f-state there are
+    exactly m calls and n returns, never dipping more than c returns below
+    par.  Defined for c, m, n >= 0 with c + m >= n.  It is its program run
+    over nodes, so it is a DAG: the branches reach each (c, m, n) by many
+    orders of calls and returns, and each is built once."""
+    prog = _Program(("psi",))
+    prog.count(c, m, n, 0)
+    return _run(prog.steps, [f], _identity, operator.call)
+
+
+@lru_cache(maxsize=256)
+def _compile(schema: Schema, values: tuple[int, ...]) -> tuple:
+    """The schema's program for these parameter values.  The template is
+    parsed in caret mode, its metavariables the inputs.  A counting formula
+    is cut out first: its psi is emitted, CR unrolled over it, and the
+    letter cr stands for the result in the rest of the template."""
+    text = schema.text.partition(_FAMILY)[0]
+    prog = _Program(schema.metavars)
+    cr = _CR_RE.search(text)
+    if cr:
+        env = dict(zip(schema.params, values))
+        c, m, n = (int(a) if a.isdigit() else env[a] for a in cr.groups()[:3])
+        psi = prog.emit(parse_formula(cr[4], "caret"))
+        prog.slots[Prop("cr")] = prog.count(c, m, n, psi)
+        prog.names += ("cr",)
+        text = text[:cr.start()] + "cr" + text[cr.end():]
+    prog.emit(parse_formula(text, "caret"))
+    return tuple(prog.steps)
 
 
 @dataclass(frozen=True)
 class Schema:
-    """An axiom schema.  ``program`` is compiled from the template text,
-    which is the definition, except for the C5/C6 families: their text
-    documents them and ``family`` is code built on expand_cr."""
+    """An axiom schema, defined by its template text alone, which is
+    compiled into one straight-line program per parameter set."""
 
     name: str
     metavars: tuple[str, ...]
     params: tuple[str, ...]
     text: str
-    program: tuple = field(default=(), repr=False, compare=False)
-    family: Callable[[dict, dict], Formula] | None = field(
-        default=None, repr=False, compare=False)
 
-    def run(self, params: dict[str, int], bindings: dict[str, Formula],
-            leaf: Callable, apply: Callable):
-        """Run the program over values of any kind: ``leaf(f)`` gives the
-        value of a binding or of a constant subformula f, and
-        ``apply(ctor, a, b=None)`` the value of ctor over the values of its
-        operands.  A family's instance is built and passed to ``leaf``."""
-        for v in self.metavars:
-            if v not in bindings:
-                raise ProofError(f"missing binding {v} for schema {self.name}")
-        for v in bindings:
-            if v not in self.metavars:
-                raise ProofError(f"unexpected binding {v} for schema {self.name}")
-        for v in self.params:
-            if v not in params:
-                raise ProofError(f"missing parameter {v} for schema {self.name}")
-        for v in params:
-            if v not in self.params:
-                raise ProofError(f"unexpected parameter {v} for schema {self.name}")
-        if self.family is not None:
-            return leaf(self.family(params, bindings))
-        vals = [leaf(bindings[v]) for v in self.metavars]
-        for ctor, i, j in self.program:
-            vals.append(leaf(i) if ctor is None else
-                        apply(ctor, vals[i]) if j is None else
-                        apply(ctor, vals[i], vals[j]))
-        return vals[-1]
+    def _named(self, what: str, given: dict, names: tuple[str, ...]) -> None:
+        for v in names:
+            if v not in given:
+                raise ProofError(f"missing {what} {v} for schema {self.name}")
+        for v in given:
+            if v not in names:
+                raise ProofError(f"unexpected {what} {v} for schema {self.name}")
+
+    def program(self, params: dict[str, int]) -> tuple:
+        """The program for the parameters, once they are checked: they are
+        the schema's, meet its condition and are at most MAX_CR_PARAM."""
+        self._named("parameter", params, self.params)
+        condition = self.text.partition(_FAMILY)[2][:-1]
+        if condition:
+            words = condition.split()
+            vals = [int(w) if w.isdigit() else params[w] for w in words[::2]]
+            if not all(a > b if op == ">" else a >= b for op, a, b
+                       in zip(words[1::2], vals, vals[1:])):
+                raise ProofError(
+                    f"parameter violation: {self.name} needs {condition}")
+            for v, x in params.items():
+                if x > MAX_CR_PARAM:
+                    raise ProofLimitError(
+                        f"parameter bound: {self.name} needs {v} <= "
+                        f"{MAX_CR_PARAM} (MAX_CR_PARAM), got {v}={x}")
+        values = tuple(params[v] for v in self.params)
+        # memoised while small: the program grows with the parameters
+        return (_compile if sum(values) <= 16 else _compile.__wrapped__)(
+            self, values)
 
     def build(self, params: dict[str, int], bindings: dict[str, Formula]) -> Formula:
         """The instance as a formula: the program run over nodes."""
-        return self.run(params, bindings, _identity, _construct)
+        self._named("binding", bindings, self.metavars)
+        return _run(self.program(params), [bindings[v] for v in self.metavars],
+                    _identity, operator.call)
 
 
 SCHEMAS: dict[str, Schema] = {
-    name: Schema(name, mv, pv, text,
-                 () if name in _FAMILIES else _compile(text, mv),
-                 _FAMILIES.get(name))
+    name: Schema(name, mv, pv, text)
     for name, mv, pv, text in [
         ("T1", ("phi", "psi"), (), "X phi & X (phi -> psi) -> X psi"),
         ("T2", ("phi", "psi"), (), "(phi U psi) <-> (psi | (phi & X (phi U psi)))"),

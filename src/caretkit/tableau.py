@@ -708,11 +708,12 @@ class _Tableau(_Table):
         """The live atoms, as an array in table order, and the live roots,
         as a list: when no root is live, a search reads nothing more."""
         import numpy as np
-        ids = self.class_indices(cls)
         nb = self.key_space
-        live = ids[self._prune(
-            self.signature[ids],
-            np.where(self.terminal[ids], nb, self.demand[ids]), nb)]
+        # gen holds every atom, so it reads views of the rows, not copies
+        ids = slice(None) if cls == "gen" else self.class_indices(cls)
+        keep = self._prune(self.signature[ids],
+                           np.where(self.terminal[ids], nb, self.demand[ids]), nb)
+        live = np.flatnonzero(keep) if cls == "gen" else ids[keep]
         return live, live[self.origin_bit[live]].tolist()
 
     def listed(self, live):

@@ -15,13 +15,18 @@ from caretkit.fuzz import (
     soundness_campaign,
 )
 from caretkit.fuzz import (
-    _FAMILY_PARAMS, _campaign_trace, _child_seed, _first_false,
+    _FAMILY_PARAMS, _below, _campaign_trace, _child_seed, _first_false,
     _instance_mask, _random_formula,
 )
-from caretkit.proof import SCHEMAS, axiom_schemas, build_schema_instance
+from caretkit.proof import SCHEMAS, _run, axiom_schemas, build_schema_instance
 from caretkit.semantics import EvalContext, EvalError
-from caretkit.syntax import SYSTEM_IDS, Prop, TrueConst, formula_size, is_ltl
+from caretkit.syntax import (
+    FALSE, SYSTEM_IDS, AbsWeakNext, And, Not, Prop, TrueConst, WeakNext,
+    abs_strong_next, always, formula_size, implies, is_ltl,
+)
 from caretkit.trace import FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace
+
+from test_proof import _expand_cr_tree
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +125,22 @@ def test_structured_generator_tags_and_labels():
             assert props.isdisjoint({"call", "ret", "int"})
 
 
+def test_below_draws_what_randrange_and_randint_draw():
+    # the generators draw through _below on getrandbits; each draw must give
+    # randrange's value and leave the stream where randrange leaves it, n = 1
+    # (which still takes a word) and powers of two (which reject half the
+    # draws) included
+    sizes = list(range(1, 301)) + [1 << k for k in range(9, 40)]
+    for seed in range(40):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            assert _below(ours.getrandbits, n) == ref.randrange(n), (seed, n)
+            assert ours.getrandbits(32) == ref.getrandbits(32), (seed, n)
+        for a, b in ((1, 1), (1, 6), (1, 12), (0, 2), (-3, 4), (1, 2 ** 20)):
+            assert a + _below(ours.getrandbits, b - a + 1) == ref.randint(a, b)
+            assert ours.getrandbits(32) == ref.getrandbits(32), (seed, a, b)
+
+
 def test_different_seeds_vary():
     outs = {gen_formula(GenConfig(seed=s)) for s in range(30)}
     assert len(outs) > 10
@@ -187,9 +208,22 @@ def test_first_false_matches_a_scan():
         assert _first_false(mask, full) == scan, (mask, n)
 
 
+def _family_reference(name, p, bindings):
+    # C5/C6 instances built as trees by test_proof's reference, which shares
+    # no code with the compiled counting program
+    call = Prop("call")
+    if name == "C5":
+        phi = bindings["phi"]
+        tree = _expand_cr_tree(0, p["n"], p["n"], And(Prop("ret"), phi))
+        return implies(And(call, WeakNext(tree)), abs_strong_next(phi))
+    tree = _expand_cr_tree(0, p["m"], p["n"], always(Not(Prop("ret"))))
+    return implies(And(call, WeakNext(tree)), AbsWeakNext(FALSE))
+
+
 def test_schema_programs_over_masks_match_built_instances():
     # the campaign runs each schema's program over truth masks; it must
-    # give the mask of the instance the checker builds, for every schema
+    # give the mask of the instance the checker builds, for every schema,
+    # and for C5/C6 the mask of the reference tree too
     caret_schemas = set(axiom_schemas("ax-cr"))
     family_params = {"C5": [{"n": n} for n in range(5)],
                      "C6": [{"m": m, "n": n}
@@ -209,8 +243,12 @@ def test_schema_programs_over_masks_match_built_instances():
                 ctx = EvalContext(_campaign_trace(rng, cfg, kind))
                 expected = EvalContext(ctx.trace).truth_mask(
                     schema.build(p, bindings))
-                assert schema.run(p, bindings, ctx.truth_mask,
-                                  ctx.apply) == expected, (name, k, kind)
+                masks = [ctx.truth_mask(bindings[v]) for v in schema.metavars]
+                assert _run(schema.program(p), masks, ctx.truth_mask,
+                            ctx.apply) == expected, (name, k, kind)
+                if name in family_params:
+                    assert EvalContext(ctx.trace).truth_mask(
+                        _family_reference(name, p, bindings)) == expected
 
 
 def test_campaign_masks_match_replayed_instances():
@@ -231,9 +269,11 @@ def test_campaign_masks_match_replayed_instances():
                 for k in range(8):
                     params = cycle[k % len(cycle)]
                     seed = _child_seed(cfg.seed, 16 + si, k)
+                    schema = SCHEMAS[name]
                     try:
                         got = _instance_mask(random.Random(seed), cfg, mode,
-                                             kind, name, params)
+                                             kind, len(schema.metavars),
+                                             schema.program(params))
                     except EvalError:
                         got = None
                     rng = random.Random(seed)

@@ -133,12 +133,14 @@ def _call_into(body):
 
 
 def test_family_instances_match_tree_built_ones():
+    # the compiled C5/C6 programs, run over nodes, against the tree built by
+    # a recursion that shares no code with them
     phi = parse_formula("p U X q", mode="caret")
-    for n in range(8):
+    for n in range(9):
         tree = _expand_cr_tree(0, n, n, And(Prop("ret"), phi))
         assert build_schema_instance("C5", {"n": n}, {"phi": phi}) == \
             implies(_call_into(tree), abs_strong_next(phi))
-    for m in range(5):
+    for m in range(9):
         for n in range(m):
             tree = _expand_cr_tree(0, m, n, always(Not(Prop("ret"))))
             assert build_schema_instance("C6", {"m": m, "n": n}, {}) == \
@@ -356,6 +358,28 @@ def test_every_family_free_schema_is_a_template():
         set(SCHEMAS) - {"C5", "C6"})
     for s in TEMPLATES:
         assert set(_METAVAR_RE.findall(s.text)) == set(s.metavars), s.name
+
+
+def written_out_family(text, params, bindings):
+    # the family's formula with CR[c,m,n](psi) written out by
+    # expand_cr_oracle, then the bindings substituted
+    formula = text.split("  (family, ")[0]
+    cr = re.search(r"CR\[(\w+),(\w+),(\w+)\]\(([^()]*)\)", formula)
+    c, m, n = (int(a) if a.isdigit() else params[a] for a in cr.groups()[:3])
+    counting = expand_cr_oracle(c, m, n, f"({cr[4]})")
+    return substituted_template(
+        f"{formula[:cr.start()]}({counting}){formula[cr.end():]}", bindings)
+
+
+def test_family_texts_are_their_definitions():
+    for phi in (Prop("p"), parse_formula("phi U Xa call", mode="caret")):
+        for n in range(4):
+            assert build_schema_instance("C5", {"n": n}, {"phi": phi}) == \
+                written_out_family(SCHEMAS["C5"].text, {"n": n}, {"phi": phi})
+    for m in range(1, 5):
+        for n in range(m):
+            assert build_schema_instance("C6", {"m": m, "n": n}, {}) == \
+                written_out_family(SCHEMAS["C6"].text, {"m": m, "n": n}, {})
 
 
 @given(metavar_formulas, metavar_formulas)

@@ -483,7 +483,7 @@ def _caret_mask_digest() -> str:
     import random
 
     from caretkit.fuzz import (
-        _C5_PARAMS, _C6_PARAMS, GenConfig, _campaign_trace, _child_seed,
+        _FAMILY_PARAMS, GenConfig, _campaign_trace, _child_seed,
         _random_formula,
     )
     from caretkit.proof import SCHEMAS, build_schema_instance
@@ -498,8 +498,7 @@ def _caret_mask_digest() -> str:
                 rng = random.Random(_child_seed(seed, 16 + si, k))
                 bindings = {v: _random_formula(rng, cfg, "caret")
                             for v in SCHEMAS[name].metavars}
-                params = ({} if name not in ("C5", "C6") else
-                          (_C5_PARAMS if name == "C5" else _C6_PARAMS)[k % 3])
+                params = _FAMILY_PARAMS.get(name, ({},) * 3)[k % 3]
                 t = _campaign_trace(rng, cfg, "structured")
                 ctx = EvalContext(t)
                 h.update(trace_to_text(t).encode())

@@ -590,6 +590,30 @@ def test_only_live_atoms_are_sorted(monkeypatch):
         assert lengths and max(lengths) <= live[cls] < tab.count
 
 
+def test_gen_graphs_match_graphs_on_gathered_rows():
+    # class_graph("gen") prunes the table's own rows; gathered through
+    # class_indices("gen"), as the other classes gather theirs, the same
+    # rows must give the same live atoms and roots, and stay unchanged
+    by_size = enumerate_formulas(4)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
+    pruned = 0
+    for f in formulas + [CEILING]:
+        tab = _Tableau(closure(f), None)
+        rows = [r.copy() for r in (tab.signature, tab.terminal, tab.demand)]
+        ids, nb = tab.class_indices("gen"), tab.key_space
+        live = ids[tab._prune(tab.signature[ids],
+                              np.where(tab.terminal[ids], nb, tab.demand[ids]),
+                              nb)]
+        got, roots = tab.class_graph("gen")
+        assert got.tolist() == live.tolist(), f
+        assert roots == live[tab.origin_bit[live]].tolist(), f
+        for before, after in zip(rows, (tab.signature, tab.terminal, tab.demand)):
+            assert np.array_equal(before, after)
+        pruned += len(live) < tab.count
+    assert pruned > 10
+
+
 def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
     # a numpy class graph with no live root answers both searches without
     # its list views, and still lists every live atom when asked
