@@ -10,10 +10,11 @@ generalisation, or until induction (plus the abstract-operator variants of
 the last two, admissible under 'ax-cr' only).
 
 Every axiom schema is defined by its template text alone, compiled on first
-use into a straight-line program; the C5/C6 texts hold a counting formula
-CR[c,m,n](psi), unrolled per parameter set (each at most MAX_CR_PARAM).  One
-runner serves every program: the checker runs a schema's over nodes to build
-an instance, the campaigns run it and their drawn bindings over truth masks.
+use into straight-line programs; the C5/C6 texts hold a counting formula
+CR[c,m,n](psi), unrolled on each use for the parameters given (each at most
+MAX_CR_PARAM).  One runner serves every program: the checker runs a schema's
+over nodes to build an instance, the campaigns run it and their drawn
+bindings over truth masks.
 
 Tautology checking abstracts every maximal subformula whose head is not
 negation, conjunction or the constant true into a fresh letter and decides
@@ -26,7 +27,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable
 
 from .syntax import (
@@ -116,19 +117,34 @@ _FAMILY = "  (family, "
 
 class _Program:
     """A straight-line program being emitted.  Its values start with one
-    input per name it is made with; a step (ctor, i, j) appends ctor over
+    input per name it is made with; a step (ctor, i, j) makes ctor over
     values i and j, j None for a unary ctor, and a constant step
-    (None, f, None) appends the leaf f.  Its result is its last value."""
+    (None, f, None) makes the leaf f.  Its steps are kept; or, given
+    run = (vals, leaf, apply) with vals holding the inputs, each flush runs
+    the steps so far over vals with _run and drops them."""
 
-    def __init__(self, names: tuple[str, ...]):
+    def __init__(self, names: tuple[str, ...], run: tuple | None = None):
         self.names = names  # the letters that have a value; others are constants
-        self.inputs = len(names)
-        self.slots: dict[Formula, int] = {Prop(v): k for k, v in enumerate(names)}
+        self.slots: dict[Formula, int] = {}
+        self.size = len(names)
         self.steps: list[tuple] = []
+        self.run = run
 
     def step(self, ctor, i, j=None) -> int:
         self.steps.append((ctor, i, j))
-        return self.inputs + len(self.steps) - 1
+        self.size += 1
+        return self.size - 1
+
+    def const(self, f: Formula) -> int:
+        k = self.slots.get(f)
+        if k is None:
+            k = self.slots[f] = self.step(None, f)
+        return k
+
+    def flush(self) -> None:
+        if self.run is not None and self.steps:
+            _run(self.steps, *self.run)
+            self.steps.clear()
 
     def emit(self, g: Formula) -> int:
         """The value of g: each distinct subtree holding a named letter
@@ -137,6 +153,8 @@ class _Program:
         if k is None:  # recursion is bounded by the template size
             if props_of(g).isdisjoint(self.names):
                 k = self.step(None, g)
+            elif type(g) is Prop:
+                k = self.names.index(g.name)
             elif type(g) in (Not, WeakNext, AbsWeakNext):
                 k = self.step(type(g), self.emit(g.operand))
             else:
@@ -148,12 +166,13 @@ class _Program:
         """The value of CR[c,m,n] over value psi (see expand_cr).  No call
         or return changes d = c + m - n, so (m', n') names a state; the
         states reached have m' <= m, n' <= n and c' = d - m' + n' >= 0,
-        and each is emitted once, after the two it refers to."""
+        and each is emitted once, after the two it refers to.  Each row of
+        states with one m' ends in a flush."""
         if c < 0 or m < 0 or n < 0 or c + m < n:
             raise ValueError(f"parameter violation: need c,m,n >= 0 and "
                              f"c+m >= n, got {(c, m, n)}")
-        step, emit, d = self.step, self.emit, c + m - n
-        built = {(0, 0): step(Until, emit(_INT), psi)}
+        step, const, d = self.step, self.const, c + m - n
+        built = {(0, 0): step(Until, const(_INT), psi)}
         for m2 in range(m + 1):
             for n2 in range(max(0, m2 - d), n + 1):
                 moves = []  # each makes an arm: int U (tag & X next)
@@ -161,20 +180,22 @@ class _Program:
                     moves.append((_CALL, built[m2 - 1, n2]))
                 if n2 > 0 and (m2 == 0 or d - m2 + n2 > 0):
                     moves.append((_RET, built[m2, n2 - 1]))
-                arms = [step(Until, emit(_INT), step(And, emit(tag), step(
+                arms = [step(Until, const(_INT), step(And, const(tag), step(
                     WeakNext, to))) for tag, to in moves]
                 if len(arms) == 2:  # lor(call arm, ret arm)
                     arms = [step(Not, step(And, step(Not, arms[0]),
                                            step(Not, arms[1])))]
                 if arms:
                     built[m2, n2] = arms[0]
+            self.flush()
         return built[m, n]
 
 
 def _run(program, vals: list, leaf: Callable, apply: Callable):
     """Run a program over values of any kind, vals holding its inputs:
     ``leaf(x)`` gives the value of a constant step's x, and
-    ``apply(ctor, a, b=None)`` the value of ctor over its operands'."""
+    ``apply(ctor, a, b=None)`` the value of ctor over its operands'.  Run
+    with a _Program's const and step, it emits the program into that one."""
     for ctor, i, j in program:
         vals.append(leaf(i) if ctor is None else
                     apply(ctor, vals[i]) if j is None else
@@ -186,46 +207,53 @@ def _identity(f: Formula) -> Formula:
     return f
 
 
+def _count(c: int, m: int, n: int, psi, leaf: Callable, apply: Callable):
+    """CR[c,m,n] over the value psi: its program run as it is emitted."""
+    vals = [psi]
+    return vals[_Program(("psi",), (vals, leaf, apply)).count(c, m, n, 0)]
+
+
 def expand_cr(c: int, m: int, n: int, f: Formula) -> Formula:
     """The counting formula: between here and the first f-state there are
     exactly m calls and n returns, never dipping more than c returns below
     par.  Defined for c, m, n >= 0 with c + m >= n.  It is its program run
     over nodes, so it is a DAG: the branches reach each (c, m, n) by many
     orders of calls and returns, and each is built once."""
-    prog = _Program(("psi",))
-    prog.count(c, m, n, 0)
-    return _run(prog.steps, [f], _identity, operator.call)
+    return _count(c, m, n, f, _identity, operator.call)
 
 
-@lru_cache(maxsize=256)
-def _compile(schema: Schema, values: tuple[int, ...]) -> tuple:
-    """The schema's program for these parameter values.  The template is
-    parsed in caret mode, its metavariables the inputs.  A counting formula
-    is cut out first: its psi is emitted, CR unrolled over it, and the
-    letter cr stands for the result in the rest of the template."""
-    text = schema.text.partition(_FAMILY)[0]
-    prog = _Program(schema.metavars)
-    cr = _CR_RE.search(text)
-    if cr:
-        env = dict(zip(schema.params, values))
-        c, m, n = (int(a) if a.isdigit() else env[a] for a in cr.groups()[:3])
-        psi = prog.emit(parse_formula(cr[4], "caret"))
-        prog.slots[Prop("cr")] = prog.count(c, m, n, psi)
-        prog.names += ("cr",)
-        text = text[:cr.start()] + "cr" + text[cr.end():]
-    prog.emit(parse_formula(text, "caret"))
-    return tuple(prog.steps)
+def _compile(text: str, names: tuple[str, ...]) -> tuple[int, tuple]:
+    """The position of the result and the steps of the program of a text
+    parsed in caret mode, its letters in names the inputs."""
+    prog = _Program(names)
+    return prog.emit(parse_formula(text, "caret")), tuple(prog.steps)
 
 
 @dataclass(frozen=True)
 class Schema:
     """An axiom schema, defined by its template text alone, which is
-    compiled into one straight-line program per parameter set."""
+    compiled on first use.  A family's text is compiled into the program
+    of its counting formula's psi and that of the rest, in which the letter
+    cr is an input standing for the counting formula; on each use the
+    counting formula is unrolled over psi's value between the two."""
 
     name: str
     metavars: tuple[str, ...]
     params: tuple[str, ...]
     text: str
+
+    @cached_property
+    def _parts(self) -> tuple:
+        """(the condition, the counting formula's arguments, psi's program,
+        the rest's program); without a counting formula the middle two are
+        None and the rest is the whole template."""
+        text, _, condition = self.text.partition(_FAMILY)
+        cr = _CR_RE.search(text)
+        if cr is None:
+            return condition[:-1], None, None, _compile(text, self.metavars)
+        rest = text[:cr.start()] + "cr" + text[cr.end():]
+        return (condition[:-1], cr.groups()[:3], _compile(cr[4], self.metavars),
+                _compile(rest, self.metavars + ("cr",)))
 
     def _named(self, what: str, given: dict, names: tuple[str, ...]) -> None:
         for v in names:
@@ -235,16 +263,18 @@ class Schema:
             if v not in names:
                 raise ProofError(f"unexpected {what} {v} for schema {self.name}")
 
-    def program(self, params: dict[str, int]) -> tuple:
-        """The program for the parameters, once they are checked: they are
-        the schema's, meet its condition and are at most MAX_CR_PARAM."""
+    def _instance(self, params: dict[str, int], vals: list, leaf: Callable,
+                  apply: Callable):
+        """The instance's value, vals holding the bindings' (see _run),
+        once the parameters are checked: the schema's, meeting its
+        condition and at most MAX_CR_PARAM."""
         self._named("parameter", params, self.params)
-        condition = self.text.partition(_FAMILY)[2][:-1]
-        if condition:
+        condition, args, psi, (_, rest) = self._parts
+        if args is not None:
             words = condition.split()
-            vals = [int(w) if w.isdigit() else params[w] for w in words[::2]]
-            if not all(a > b if op == ">" else a >= b for op, a, b
-                       in zip(words[1::2], vals, vals[1:])):
+            terms = [int(w) if w.isdigit() else params[w] for w in words[::2]]
+            if not all(a > b if op == ">" else a >= b
+                       for op, a, b in zip(words[1::2], terms, terms[1:])):
                 raise ProofError(
                     f"parameter violation: {self.name} needs {condition}")
             for v, x in params.items():
@@ -252,16 +282,25 @@ class Schema:
                     raise ProofLimitError(
                         f"parameter bound: {self.name} needs {v} <= "
                         f"{MAX_CR_PARAM} (MAX_CR_PARAM), got {v}={x}")
-        values = tuple(params[v] for v in self.params)
-        # memoised while small: the program grows with the parameters
-        return (_compile if sum(values) <= 16 else _compile.__wrapped__)(
-            self, values)
+            inputs = list(vals)
+            _run(psi[1], vals, leaf, apply)
+            c, m, n = (int(a) if a.isdigit() else params[a] for a in args)
+            vals = inputs + [_count(c, m, n, vals[psi[0]], leaf, apply)]
+        return _run(rest, vals, leaf, apply)
+
+    def program(self, params: dict[str, int]) -> tuple:
+        """The program for the parameters, once they are checked, emitted
+        anew on each call: a caller running it often keeps it."""
+        prog = _Program(self.metavars)
+        self._instance(params, list(range(len(self.metavars))), prog.const,
+                       prog.step)
+        return tuple(prog.steps)
 
     def build(self, params: dict[str, int], bindings: dict[str, Formula]) -> Formula:
-        """The instance as a formula: the program run over nodes."""
+        """The instance as a formula: its programs run over nodes."""
         self._named("binding", bindings, self.metavars)
-        return _run(self.program(params), [bindings[v] for v in self.metavars],
-                    _identity, operator.call)
+        return self._instance(params, [bindings[v] for v in self.metavars],
+                              _identity, operator.call)
 
 
 SCHEMAS: dict[str, Schema] = {
