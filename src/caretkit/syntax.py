@@ -77,12 +77,15 @@ class Prop(Formula):
 def _equal(f: Formula, g) -> bool:
     """Structural equality over an explicit stack, so deep formulas compare
     without recursing.  A pair settles at once when its nodes are identical,
-    or differ in type or cached hash."""
-    stack = [(f, g)]
+    or differ in type or cached hash, or was met before: the shared
+    subterms of two formulas built as DAGs are compared once, not once per
+    path to them.  Both formulas hold every node, so ids are not reused."""
+    stack, seen = [(f, g)], set()
     while stack:
         a, b = stack.pop()
-        if a is b:
+        if a is b or (id(a), id(b)) in seen:
             continue
+        seen.add((id(a), id(b)))
         if type(a) is not type(b) or a._hash != b._hash:
             return False
         if isinstance(a, _Unary):

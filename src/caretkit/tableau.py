@@ -8,10 +8,10 @@ saturated with every weak-next member.  Because those rules determine every
 member from the propositions and the weak-next members, atoms are enumerated
 as bit-vector valuations of that free part.  Two builders make the table:
 up to PYTHON_TABLE_BITS free bits each member is one Python int over the
-valuations, above it one numpy row, and numpy is imported only then.  Each
-table searches its own graph, the int table on masks a bucket at a time,
-numpy on lists an atom at a time, in the same order, so they find the same
-witnesses.
+valuations, above it one numpy row, and numpy is imported only then.  One
+search decides both, on masks a bucket at a time: the int table's own, and
+on a numpy table, which builds and prunes a class graph, its live atoms
+renumbered into a small int table.  So both find the same witnesses.
 
 Edges follow the biconditional law: V -> W iff V lacks the next-of-false
 marker and, for every weak-next formula in the closure, the formula is in V
@@ -45,22 +45,20 @@ and a witness atom keeps the core and its member bits, and builds its
 member set only when read.
 
 The table shared by the three classes names its atoms in the order their
-free-bit valuations are enumerated, which no search depends on.  The
-searches follow the lexicographic order on member bit-vectors, and so
-find one witness, but order only what they read.  The numpy search sorts
-the live atoms of a class once, when a root is live.  The int search takes
-a bucket's least atom without ordering it, and orders the buckets a layer
-of the search reaches by the first atom wanting each, so it keys at most
-one atom per bucket it reaches.  A witness that starts at a root takes the
-least such root without ordering the roots, and a class with no live root
-orders nothing.
+free-bit valuations are enumerated, which the search does not depend on.
+It follows the lexicographic order on member bit-vectors, and so finds
+one witness, but orders only what it reads.  It takes a bucket's least
+atom without ordering it, and orders the buckets a layer of the search
+reaches by the first atom wanting each, so it keys at most one atom per
+bucket it reaches.  A witness that starts at a root takes the least such
+root without ordering the roots, and a class with no live root orders
+nothing, and on a numpy table renumbers nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
-from collections import deque
 from dataclasses import dataclass
 
 from .semantics import EvalContext
@@ -90,7 +88,8 @@ MAX_FREE_BITS = 18
 # time, and the one class of a negated axiom instance in 0.5-0.85; at 14
 # bits the fuzz ratio ranged 0.75-1.3 over three runs, and at 16 bits the
 # int table takes 1.1-1.6 of the numpy time (60 formulas per width, best
-# of 5; Python 3.11, numpy 2.4, a shared 2-core x86-64 machine).
+# of 5; Python 3.11, numpy 2.4, a shared 2-core x86-64 machine; measured
+# while numpy tables had a search of their own).
 PYTHON_TABLE_BITS = 13
 # the free-bit rows of an int table, made once per width and only read
 _columns = functools.cache(truth_columns)
@@ -208,13 +207,11 @@ class _Table:
     position, with ``terminal``, ``fin_viable`` and ``origin_bit`` among
     them; ``bits_at(rows, a)``, the truth of each row at atom a;
     ``lex_order(ids)``, a list of atoms in the lexicographic order on
-    member bit-vectors (in closure order) that the searches follow, and
-    ``least(atoms)``, the first of a set of atoms in that order (a mask on
-    the int table, a list on numpy); ``sorted_atoms(cls)``, the atoms of a
-    class in that order; ``class_graph(cls)``, the live atoms and roots
-    ``_ClassGraph`` is made of, in the builder's own form, and
-    ``listed(live)``, their list views; and ``terminal_path(g)`` and
-    ``lasso_chain(g)``, the two searches of a class graph; and
+    member bit-vectors (in closure order) that the search follows;
+    ``sorted_atoms(cls)``, the atoms of a class in that order;
+    ``class_graph(cls)``, the live atoms and live roots of a class, pruned
+    in the builder's own form, and ``masks(live, roots)``, the int table
+    they are masks over and the masks ``_ClassGraph`` searches; and
     ``has_root(cls)``, whether an atom of the class holds the origin.  Only
     the ``telling`` rows can decide that order, so both builders read only
     those.  ``size`` is the closure's, counted without building its
@@ -362,12 +359,16 @@ class _IntTableau(_Table):
     valuations, ``block << (t << shift)``, and live or die together.
 
     Every set of atoms is a mask: the class graph is one mask of live atoms
-    per bucket and one of live roots, and the searches run on those, so
-    their Python-level work is per bucket, not per atom.  An atom gets its
-    lexicographic key, cached for the table, only when a search must order
-    the buckets it is the first to want.  The split of the valid atoms into
-    buckets and the rows that order atoms are built on first use, so a
-    table whose classes have no root builds neither.
+    per bucket and one of live roots, and ``_ClassGraph`` searches those
+    with ``_path`` and ``least``, so the search's Python-level work is per
+    bucket, not per atom.  An atom gets its lexicographic key, cached for
+    the table, only when a search must order the buckets it is the first
+    to want.  The split of the valid atoms into buckets and the rows that
+    order atoms are built on first use, so a table whose classes have no
+    root builds neither.  The search, the order and the list views read
+    only the block layout ``_set_blocks`` makes, the rows by position and
+    ``terminal``, so they also run on a numpy table's live atoms,
+    compacted (``_Compact``).
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
@@ -375,18 +376,24 @@ class _IntTableau(_Table):
         free = self.free
         full = (1 << (1 << len(free))) - 1
         self.member_rows = rows = self.derive_rows(_columns(len(free)), full)
-        self.shift = shift = len(self.props)
+        shift = len(self.props)
         self.terminal = rows[self.terminal_at]
         self.fin_viable = rows[self.fin_at]
         self.origin_bit = rows[self.root]
         # a terminal atom must assert every weak next: the valid atoms are
         # the non-terminal ones and the last block, where every weak-next
         # bit is set
-        self._last = last = (self.key_space - 1) << shift
+        self._set_blocks(shift, (self.key_space - 1) << shift)
+        last = self._last
         valid = (self.terminal ^ full) | full >> last << last
         self.count = valid.bit_count()
         self._classes = {"gen": valid, "fin": valid & self.fin_viable,
                          "inf": self.terminal ^ full}
+
+    def _set_blocks(self, shift: int, last: int) -> None:
+        """The block layout of atom ids: 2^shift atoms a block, the block
+        of terminal atoms at ``last``."""
+        self.shift, self._last = shift, last
         self._block = block = (1 << (1 << shift)) - 1
         # the first atom of every block below the terminal one, and the
         # shifts that fold a block into its first atom
@@ -469,14 +476,25 @@ class _IntTableau(_Table):
             buckets = kept
         return {s: m & live for s, m in buckets}, live & self.origin_bit
 
+    def masks(self, live: dict[int, int], roots: int):
+        """The table a class graph is masks over, and its masks."""
+        return self, live, roots
+
+    @staticmethod
+    def table_ids(atoms):
+        """The ids of atoms in the table they came from."""
+        return atoms
+
     def listed(self, live: dict[int, int]):
+        """The list views of a class graph's masks, in table ids."""
         every = 0
         for m in live.values():
             every |= m
-        shift, last = self.shift, self._last
-        return ({s: self.lex_order(_set_bits(m)) for s, m in live.items()},
-                self.lex_order(_set_bits(every & self.origin_bit)),
-                {a: a >> shift if a < last else -1 for a in _set_bits(every)})
+        shift, last, ids = self.shift, self._last, self.table_ids
+        atoms = _set_bits(every)
+        return ({s: ids(self.lex_order(_set_bits(m))) for s, m in live.items()},
+                dict(zip(ids(atoms),
+                         [a >> shift if a < last else -1 for a in atoms])))
 
     def _wanted(self, mask: int) -> list[int]:
         """The buckets the atoms of the mask want, ascending: each block
@@ -489,15 +507,16 @@ class _IntTableau(_Table):
     def _path(self, live: dict[int, int], sources: int, hit: int,
               within: int = -1) -> list[int] | None:
         """Shortest atom path from a source to an atom of ``hit``, or None:
-        the path ``_Tableau._path`` finds, searched a layer at a time.  A
-        layer of buckets is those the groups of the layer before want, the
-        sources first; a layer of groups is each bucket's atoms in
-        ``within`` that are not sources.  A bucket's parent is the least
-        atom of the first group wanting it, and a group's new buckets are
-        taken in the order of their parents, so only parents are keyed, and
-        only where a group wants more than one new bucket.  A bucket's hit
-        is its least atom in ``hit``, sources included, so a path can
-        return to its own source."""
+        the path a breadth-first search finds that takes the sources, and
+        the atoms of each bucket an atom wants, in lexicographic order,
+        searched here a layer at a time.  A layer of buckets is those the
+        groups of the layer before want, the sources first; a layer of
+        groups is each bucket's atoms in ``within`` that are not sources.
+        A bucket's parent is the least atom of the first group wanting it,
+        and a group's new buckets are taken in the order of their parents,
+        so only parents are keyed, and only where a group wants more than
+        one new bucket.  A bucket's hit is its least atom in ``hit``,
+        sources included, so a path can return to its own source."""
         shift, block = self.shift, self._block
         # bucket -> (the group first wanting it, that group's bucket or
         # None for the sources); its parent is recomputed only on the path
@@ -530,68 +549,6 @@ class _IntTableau(_Table):
                     groups.append((atoms, t))
         return None
 
-    def terminal_path(self, g: _ClassGraph) -> list[int] | None:
-        ends = g._roots & self.terminal
-        if ends:
-            return [self.least(ends)]
-        return self._path(g._live, g._roots, self.terminal)
-
-    def lasso_chain(self, g: _ClassGraph) -> tuple[list[int], list[int]] | None:
-        live, roots = g._live, g._roots
-        shift, block, wanted = self.shift, self._block, self._wanted
-        comps = _tarjan(lambda s: wanted(live[s]), wanted(roots))
-        rows, sigs = self.member_rows, self.sigs
-        # each until's row and its right operand's, the last until first:
-        # the order the loop visits them in
-        until_rows = [(rows[u], rows[sigs[u][2]]) for u in reversed(self.untils)]
-        # bucket -> (its component's atoms, the right operand row of each
-        # until they hold), for the self-fulfilling components: a
-        # component's atoms are those of its buckets that want one of them
-        good: dict[int, tuple[int, list[int]]] = {}
-        good_atoms = 0
-        for comp in comps:
-            held = wants = 0
-            for s in comp:
-                held |= live[s]
-                wants |= block << (s << shift)
-            atoms = held & wants
-            if not atoms:
-                continue
-            needed = [fulfil for present, fulfil in until_rows
-                      if present & atoms]
-            if all(fulfil & atoms for fulfil in needed):
-                good.update(dict.fromkeys(comp, (atoms, needed)))
-                good_atoms |= atoms
-
-        # the shortest path from the origin atoms into a good component
-        entries = roots & good_atoms
-        path = ([self.least(entries)] if entries
-                else self._path(live, roots, good_atoms))
-        if path is None:
-            return None
-        prefix, entry = path[:-1], path[-1]
-        atoms, needed = good[entry >> shift]
-
-        def scc_path(src: int, targets: int) -> list[int]:
-            """Shortest non-empty atom path src -> target inside the
-            component, src excluded."""
-            path = self._path(live, 1 << src, targets, atoms)
-            if path is None:
-                raise AssertionError("self-fulfilling component lost a target")
-            return path[1:]
-
-        loop = [entry]
-        on_loop = 1 << entry
-        for fulfil in needed:
-            if fulfil & on_loop:
-                continue
-            seg = scc_path(loop[-1], atoms & fulfil)
-            loop += seg
-            for a in seg:
-                on_loop |= 1 << a
-        loop += scc_path(loop[-1], 1 << entry)[:-1]
-        return prefix, loop
-
 
 def _key_at(rows: list[int], a: int) -> int:
     """The bits of the int rows at atom a, the first row most significant."""
@@ -615,7 +572,7 @@ def _key(bits: list, n: int):
     """Fixed-width numpy keys of n atoms from bool rows, the first row in the
     most significant bit."""
     import numpy as np
-    # nexts <= MAX_FREE_BITS and untils <= nexts, so 32 bits suffice
+    # at most MAX_FREE_BITS rows, so 32 bits suffice
     out = np.zeros(n, dtype=np.uint32)
     for b in bits:
         out <<= 1
@@ -628,13 +585,13 @@ class _Tableau(_Table):
 
     Atom a is entry a of every row in ``member_rows``; the table keeps the
     atoms in valuation order of their free bits, and ``lex_order`` puts any
-    subset of them in the order the searches follow.  Its search runs on
-    the list views of the class graph, made when a root is live by one
-    ``lexsort`` of the live atoms, since numpy pays per call and not per
-    atom.  ``demand`` and
+    subset of them in the order the search follows.  ``demand`` and
     ``signature`` are fixed-width keys with one bit per weak next, the
     first in the most significant bit, so a key lies below ``key_space``;
-    ``demand`` is a valuation shifted right.
+    ``demand`` is a valuation shifted right.  Numpy builds and prunes a
+    class graph, since it pays per call and not per atom, and hands the
+    survivors to the int table's mask search as a small int table
+    (``_Compact``).
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
@@ -688,18 +645,12 @@ class _Tableau(_Table):
             return np.flatnonzero(~self.terminal)
         raise ValueError(f"unknown trace class {cls!r}")
 
-    def _lex_sorted(self, ids):
-        import numpy as np
-        rows = self.member_rows
-        return ids[np.lexsort([rows[i][ids] for i in reversed(self.telling)])]
-
     def lex_order(self, ids) -> list[int]:
         """The atoms ``ids`` in lexicographic order on member bit-vectors."""
         import numpy as np
-        return self._lex_sorted(np.asarray(ids, dtype=np.intp)).tolist()
-
-    def least(self, ids: list[int]) -> int:
-        return self.lex_order(ids)[0] if len(ids) > 1 else ids[0]
+        ids, rows = np.asarray(ids, dtype=np.intp), self.member_rows
+        return ids[np.lexsort([rows[i][ids]
+                               for i in reversed(self.telling)])].tolist()
 
     def sorted_atoms(self, cls: str) -> list[int]:
         return self.lex_order(self.class_indices(cls))
@@ -716,23 +667,10 @@ class _Tableau(_Table):
         live = np.flatnonzero(keep) if cls == "gen" else ids[keep]
         return live, live[self.origin_bit[live]].tolist()
 
-    def listed(self, live):
-        """The list views of a class graph, from one sort of its live
-        atoms."""
-        import numpy as np
-        live = self._lex_sorted(live)
-        atoms = live.tolist()
-        buckets: dict[int, list[int]] = {}
-        for a, s in zip(atoms, self.signature[live].tolist()):
-            buckets.setdefault(s, []).append(a)
-        next_bucket = self.demand[live].astype(np.int64)
-        next_bucket[self.terminal[live]] = -1
-        return (buckets, live[self.origin_bit[live]].tolist(),
-                dict(zip(atoms, next_bucket.tolist())))
-
-    @staticmethod
-    def atoms_where(atoms: list[int], row) -> list[int]:
-        return [a for a, b in zip(atoms, row[atoms].tolist()) if b]
+    def masks(self, live, roots):
+        """The live atoms as a small int table, and its masks."""
+        c = _Compact(self, live)
+        return c, c.live, c.origin_bit
 
     @staticmethod
     def _prune(bucket, wanted, nb: int):
@@ -769,139 +707,99 @@ class _Tableau(_Table):
             emptied = hit[alive[hit] == 0]
         return live
 
-    def _path(self, g: _ClassGraph, sources: list[int], hit,
-              within=None) -> list[int] | None:
-        """Shortest atom path from a source to the first atom satisfying
-        ``hit``, breadth-first over the bipartite graph of ``g._succ``;
-        None when no atom is hit.  With ``within``, a set of buckets, the
-        path stays among the atoms that want one of them, reached from one
-        of them.  ``hit`` is tested before the seen check, so the path can
-        return to its own source: a loop closing on itself."""
-        succ, next_bucket = g._succ, g.next_bucket
-        # every node seen, with the node it was reached from (None for a source)
-        parent: dict[int, int | None] = dict.fromkeys(sources)
-        queue = deque(sources)
-        while queue:
-            node = queue.popleft()
-            for nxt in succ(node):
-                if nxt >= 0:
-                    if within is not None and next_bucket[nxt] not in within:
-                        continue
-                    if hit(nxt):
-                        path = [nxt]
-                        while node is not None:
-                            if node >= 0:
-                                path.append(node)
-                            node = parent[node]
-                        path.reverse()
-                        return path
-                if nxt in parent:
-                    continue
-                parent[nxt] = node
-                queue.append(nxt)
-        return None
 
-    def terminal_path(self, g: _ClassGraph) -> list[int] | None:
-        ends = self.atoms_where(g._roots, self.terminal)
-        if ends:
-            return [self.least(ends)]
-        next_bucket = g.next_bucket
-        return self._path(g, g.roots(), lambda a: next_bucket[a] < 0)
+class _Compact(_IntTableau):
+    """The live atoms of a numpy class graph as a small int table, for the
+    int table's mask search, lexicographic order and list views.
 
-    def lasso_chain(self, g: _ClassGraph) -> tuple[list[int], list[int]] | None:
-        next_bucket = g.next_bucket
-        # components of the bucket quotient reachable from the roots: an
-        # atom is in its bucket's component exactly when the bucket it wants
-        # is too
-        def wanted(atoms: list[int]) -> set[int]:
-            return {next_bucket[a] for a in atoms} - {-1}
+    An atom's id is the rank of its demand among the keys the live atoms
+    demand or carry as their signature, shifted left by the proposition
+    count, OR its proposition bits.  Ranks keep the order of keys, so the
+    atoms wanting one bucket still form one aligned block, and the terminal
+    atoms, whose all-ones demand no signature reaches, form the last.
+    ``live`` maps the rank of each signature to its atoms.  Only the rows
+    the search reads are made, with one ``np.packbits``, and ids map back
+    to table ids only for witness atoms and list views.
+    """
 
-        comps = _tarjan(lambda s: wanted(g.bucket(s)), wanted(g._roots))
-        rows, sigs = self.member_rows, self.sigs
-        # each until's row and its right operand's, the last until first:
-        # the order the loop visits them in
-        until_rows = [(rows[u], rows[sigs[u][2]]) for u in reversed(self.untils)]
-        # bucket -> (its component, the component's atoms, the right
-        # operand row of each until they hold), for the self-fulfilling
-        # components
-        good: dict[int, tuple] = {}
-        good_atoms: set[int] = set()
-        for comp in map(set, comps):
-            atoms = [a for s in comp for a in g.bucket(s)
-                     if next_bucket[a] in comp]
-            if not atoms:
-                continue
-            needed = [fulfil for present, fulfil in until_rows
-                      if self.atoms_where(atoms, present)]
-            if all(self.atoms_where(atoms, fulfil) for fulfil in needed):
-                good.update(dict.fromkeys(comp, (comp, atoms, needed)))
-                good_atoms.update(atoms)
+    def __init__(self, tab: _Tableau, live):
+        import numpy as np
+        self.sigs, self.untils, self.telling = tab.sigs, tab.untils, tab.telling
+        shift, n = len(tab.props), len(live)
+        keys, rank = np.unique(np.concatenate((tab.demand[live],
+                                               tab.signature[live])),
+                               return_inverse=True)
+        # the rows the search reads at the live atoms, the propositions
+        # first, the last most significant in an atom's proposition bits
+        need = list(dict.fromkeys([
+            *reversed(tab.props), *self.telling, *self.untils,
+            *(self.sigs[u][2] for u in self.untils), tab.terminal_at,
+            tab.root]))
+        rows = [tab.member_rows[i][live] for i in need]
+        ids = rank[:n] << shift | _key(rows[:shift], n)
+        self._set_blocks(shift, int(np.searchsorted(keys, tab.key_space - 1))
+                         << shift)
+        # the table id of each compact id
+        self._table_id = np.zeros(len(keys) << shift, dtype=np.intp)
+        self._table_id[ids] = live
+        bits = np.zeros((len(need), len(keys) << shift), dtype=bool)
+        bits[:, ids] = rows
+        self.member_rows = {i: int.from_bytes(r.tobytes(), "little") for i, r
+                            in zip(need, np.packbits(bits, axis=1,
+                                                     bitorder="little"))}
+        self.terminal = self.member_rows[tab.terminal_at]
+        self.origin_bit = self.member_rows[tab.root]
+        self.live = masks = {}
+        for a, s in zip(ids.tolist(), rank[n:].tolist()):
+            masks[s] = masks.get(s, 0) | 1 << a
 
-        # the shortest path from the origin atoms into a good component
-        entries = [r for r in g._roots if r in good_atoms]
-        path = ([self.least(entries)] if entries
-                else self._path(g, g.roots(), good_atoms.__contains__))
-        if path is None:
-            return None
-        prefix, entry = path[:-1], path[-1]
-        comp, atoms, needed = good[next_bucket[entry]]
-
-        def scc_path(src: int, targets: set[int]) -> list[int]:
-            """Shortest non-empty atom path src -> target inside the
-            component, src excluded."""
-            path = self._path(g, [src], targets.__contains__, comp)
-            if path is None:
-                raise AssertionError("self-fulfilling component lost a target")
-            return path[1:]
-
-        loop = [entry]
-        current = entry
-        for fulfil in needed:
-            fulfilling = set(self.atoms_where(atoms, fulfil))
-            if not fulfilling.isdisjoint(loop):
-                continue
-            seg = scc_path(current, fulfilling)
-            loop.extend(seg)
-            current = seg[-1]
-        closing = scc_path(current, {entry})
-        loop.extend(closing[:-1])
-        return prefix, loop
+    def table_ids(self, atoms):
+        return self._table_id[atoms].tolist()
 
 
 class _ClassGraph:
-    """Atoms of one class, bucketed by operand signature and pruned, from
-    either table, which also searches them.
+    """Atoms of one class, bucketed by operand signature and pruned, held
+    as masks over an int table and searched on them.
 
-    A bucket's number is its key: the operand signature its atoms carry.
-    The table hands over its live atoms and live roots in its own form: the
-    int table one mask per bucket and a mask of roots, numpy an array of
-    live atoms and a list of roots.  ``terminal_path`` and ``lasso_chain``
-    ask the table to search them: the int table on masks, numpy on the
-    list views, and neither when no root is live.  The list views are made
-    on first read, by the table's ``listed``: ``bucket(s)`` and ``roots()``
-    in the lexicographic order the searches follow, ``next_bucket[a]``,
-    the bucket atom a's successors form, or -1 when the atom is terminal
-    (after pruning every live non-terminal atom has a successor), and
-    ``live_ids``, every live atom in order.  Outside numpy's search, only
+    A bucket's number is its key: the operand signature its atoms carry,
+    or on a numpy table its rank (``_Compact``).  The table prunes the class
+    in its own form, ``class_graph``, and ``masks`` gives the int table and
+    its masks, one per bucket and one of live roots, on first read, so a
+    numpy class with no live root is decided without them.  The searches
+    and the list views, made on first read by the int table's ``listed``,
+    are in table ids: ``bucket(s)`` in the lexicographic order the search
+    follows, ``next_bucket[a]``, the bucket atom a's successors form, or -1
+    when the atom is terminal (after pruning every live non-terminal atom
+    has a successor), and ``live_ids``, every live atom in order.  Only
     ``build_atom_graph`` and tests read them.
     """
 
     def __init__(self, tab: _Table, cls: str):
         self.tab = tab
         self._live, self._roots = tab.class_graph(cls)
+        self._search: tuple[_IntTableau, dict[int, int], int] | None = None
+
+    def _masks(self) -> tuple[_IntTableau, dict[int, int], int]:
+        """The int table searched, and the masks over it, made on first
+        call.  A plain attribute keeps them: on Python 3.11 a
+        ``cached_property`` read costs about 0.5 us, a few percent of a
+        decision on a small int table."""
+        if self._search is None:
+            self._search = self.tab.masks(self._live, self._roots)
+        return self._search
 
     @functools.cached_property
-    def _lists(self) -> tuple[dict[int, list[int]], list[int], dict[int, int]]:
-        return self.tab.listed(self._live)
+    def _lists(self) -> tuple[dict[int, list[int]], dict[int, int]]:
+        search, live, _ = self._masks()
+        return search.listed(live)
 
     @property
     def live_ids(self) -> list[int]:
-        return self.tab.lex_order([a for atoms in self._lists[0].values()
-                                   for a in atoms])
+        return self.tab.lex_order(list(self.next_bucket))
 
     @property
     def next_bucket(self) -> dict[int, int]:
-        return self._lists[2]
+        return self._lists[1]
 
     def bucket(self, s: int) -> list[int]:
         return self._lists[0][s]
@@ -910,26 +808,76 @@ class _ClassGraph:
         s = self.next_bucket[a]
         return self.bucket(s) if s >= 0 else []
 
-    def roots(self) -> list[int]:
-        return self._lists[1]
-
-    def _succ(self, node: int) -> list[int]:
-        """Bipartite successors: an atom id leads to its bucket node ~s, a
-        bucket node to the bucket's atoms."""
-        if node < 0:
-            return self.bucket(~node)
-        s = self.next_bucket[node]
-        return [~s] if s >= 0 else []
-
-    # -- finite-class style search: shortest path to a terminal atom ---------
-
     def terminal_path(self) -> list[int] | None:
-        return self.tab.terminal_path(self) if self._roots else None
-
-    # -- infinite-class style search: reachable self-fulfilling component ----
+        """The shortest path from a live root to a terminal atom, or None."""
+        if not self._roots:
+            return None
+        search, live, roots = self._masks()
+        ends = roots & search.terminal
+        path = ([search.least(ends)] if ends
+                else search._path(live, roots, search.terminal))
+        return path and search.table_ids(path)
 
     def lasso_chain(self) -> tuple[list[int], list[int]] | None:
-        return self.tab.lasso_chain(self) if self._roots else None
+        """The shortest path from a live root into a self-fulfilling
+        component, and a loop through it, or None."""
+        if not self._roots:
+            return None
+        search, live, roots = self._masks()
+        shift, block, wanted = search.shift, search._block, search._wanted
+        comps = _tarjan(lambda s: wanted(live[s]), wanted(roots))
+        rows, sigs = search.member_rows, search.sigs
+        # each until's row and its right operand's, the last until first:
+        # the order the loop visits them in
+        until_rows = [(rows[u], rows[sigs[u][2]])
+                      for u in reversed(search.untils)]
+        # bucket -> (its component's atoms, the right operand row of each
+        # until they hold), for the self-fulfilling components: a
+        # component's atoms are those of its buckets that want one of them
+        good: dict[int, tuple[int, list[int]]] = {}
+        good_atoms = 0
+        for comp in comps:
+            held = wants = 0
+            for s in comp:
+                held |= live[s]
+                wants |= block << (s << shift)
+            atoms = held & wants
+            if not atoms:
+                continue
+            needed = [fulfil for present, fulfil in until_rows
+                      if present & atoms]
+            if all(fulfil & atoms for fulfil in needed):
+                good.update(dict.fromkeys(comp, (atoms, needed)))
+                good_atoms |= atoms
+
+        # the shortest path from the origin atoms into a good component
+        entries = roots & good_atoms
+        path = ([search.least(entries)] if entries
+                else search._path(live, roots, good_atoms))
+        if path is None:
+            return None
+        prefix, entry = path[:-1], path[-1]
+        atoms, needed = good[entry >> shift]
+
+        def scc_path(src: int, targets: int) -> list[int]:
+            """Shortest non-empty atom path src -> target inside the
+            component, src excluded."""
+            path = search._path(live, 1 << src, targets, atoms)
+            if path is None:
+                raise AssertionError("self-fulfilling component lost a target")
+            return path[1:]
+
+        loop = [entry]
+        on_loop = 1 << entry
+        for fulfil in needed:
+            if fulfil & on_loop:
+                continue
+            seg = scc_path(loop[-1], atoms & fulfil)
+            loop += seg
+            for a in seg:
+                on_loop |= 1 << a
+        loop += scc_path(loop[-1], 1 << entry)[:-1]
+        return search.table_ids(prefix), search.table_ids(loop)
 
 
 def _tarjan(succ, order):

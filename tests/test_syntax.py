@@ -201,6 +201,17 @@ def test_deep_equality_does_not_recurse():
     assert chain(3000) == chain(3000)
     assert chain(3000) != chain(3000, "q")
 
+    # two separately built counting formulas share subterms as DAGs, so a
+    # walk over paths takes time exponential in n.  Copies that differ only
+    # at the deepest leaf must still compare unequal: the leaf q takes p's
+    # hash, so every hash above it agrees and only the walk tells them apart
+    q = Prop("q")
+    q._hash = Prop("p")._hash
+    start = time.perf_counter()
+    assert expand_cr(0, 20, 20, Prop("p")) == expand_cr(0, 20, 20, Prop("p"))
+    assert expand_cr(0, 20, 20, Prop("p")) != expand_cr(0, 20, 20, q)
+    assert time.perf_counter() - start < 0.5
+
 
 # ---------------------------------------------------------------------------
 # Sizes and negation

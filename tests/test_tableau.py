@@ -572,6 +572,8 @@ def test_atoms_and_graphs_match_sorted_tables(monkeypatch):
 
 
 def test_only_live_atoms_are_sorted(monkeypatch):
+    # a numpy decision sorts no atom: the mask search on the compacted live
+    # atoms keys, for the lexicographic order, only some of them
     tab = _Tableau(closure(CEILING), None)
     live = {cls: len(_ClassGraph(tab, cls).live_ids) for cls in CLASSES}
     lengths = []
@@ -582,12 +584,14 @@ def test_only_live_atoms_are_sorted(monkeypatch):
         return lexsort(keys, *args, **kwargs)
 
     monkeypatch.setattr(np, "lexsort", recording)
+    keyed = _counting_keys(monkeypatch)
     for cls in CLASSES:
         monkeypatch.setattr(tableau, "_memo", None)
         lengths.clear()
+        keyed.clear()
         res = decide_sat(CEILING, cls, closure_cap=None)
         assert res.satisfiable and eval_ltl(res.model, 0, CEILING) is True
-        assert lengths and max(lengths) <= live[cls] < tab.count
+        assert lengths == [] and len(keyed) < live[cls] < tab.count
 
 
 def test_gen_graphs_match_graphs_on_gathered_rows():
@@ -616,15 +620,21 @@ def test_gen_graphs_match_graphs_on_gathered_rows():
 
 def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
     # a numpy class graph with no live root answers both searches without
-    # its list views, and still lists every live atom when asked
+    # compacting its live atoms or listing them, and still compacts and
+    # lists every live atom when its list views are read
     calls = []
-    listed = _Tableau.listed
+    compact, listed = tableau._Compact.__init__, tableau._IntTableau.listed
 
-    def counting(tab, live):
-        calls.append(len(live))
-        return listed(tab, live)
+    def compacting(c, tab, live):
+        calls.append(("compact", len(live)))
+        compact(c, tab, live)
 
-    monkeypatch.setattr(_Tableau, "listed", counting)
+    def listing(c, live):
+        calls.append(("listed", sum(m.bit_count() for m in live.values())))
+        return listed(c, live)
+
+    monkeypatch.setattr(tableau._Compact, "__init__", compacting)
+    monkeypatch.setattr(tableau._IntTableau, "listed", listing)
     rootless = 0
     for inst in HEAVY_INSTANCES:
         tab = _Tableau(closure(_negated_instance(*inst)), None)
@@ -637,7 +647,8 @@ def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
             assert g.terminal_path() is None and g.lasso_chain() is None
             assert calls == []
             assert sorted(g.live_ids) == sorted(g._live.tolist())
-            assert calls == [len(g._live)] and len(g._live) > 0
+            n = len(g._live)
+            assert calls == [("compact", n), ("listed", n)] and n > 0
     assert rootless >= 4
 
 
@@ -647,6 +658,20 @@ def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
 # self-fulfilling component with its own BFS per loop segment.
 
 class _SeparateSearchGraph(_ClassGraph):
+    def roots(self):
+        """The live roots, in lexicographic order."""
+        tab = self.tab
+        return [a for a in self.live_ids
+                if tab.bits_at([tab.origin_bit], a)[0]]
+
+    def _succ(self, node):
+        """Bipartite successors: an atom id leads to its bucket node ~s, a
+        bucket node to the bucket's atoms."""
+        if node < 0:
+            return self.bucket(~node)
+        s = self.next_bucket[node]
+        return [~s] if s >= 0 else []
+
     def terminal_path(self):
         next_bucket = self.next_bucket
         parent = {}
@@ -785,6 +810,9 @@ def test_decisions_match_separate_searches(monkeypatch):
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
     formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
     formulas.append(CEILING)
+    # fuzz formulas above the int builder's band, whose numpy tables hand
+    # their live atoms to the mask search compacted
+    formulas += _seeded_band(14, 18, 40)
 
     def decide_all():
         return [decide_sat(f, cls, closure_cap=None)
@@ -1199,6 +1227,9 @@ def _seeded_band(lo, hi, count):
                                    ("gen", "fin", "inf"),
                                    ("inf", "gen", "fin")])
 def test_builders_find_the_same_witnesses(monkeypatch, order):
+    # one mask search decides both: on the int table's own masks, and on
+    # the numpy table's live atoms compacted into a small int table, so
+    # this compares the int table with the compacted numpy table
     by_size = enumerate_formulas(5)
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
     formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
