@@ -32,8 +32,8 @@ from typing import Callable
 
 from .syntax import (
     SYSTEM_IDS, AbsUntil, AbsWeakNext, And, Formula, Not, ParseError, Prop,
-    ProofError, ProofFormatError, TrueConst, Until, WeakNext, implies, is_ltl,
-    parse_formula, props_of, truth_columns,
+    ProofError, ProofFormatError, TrueConst, Until, WeakNext, _fold, implies,
+    is_ltl, parse_formula, truth_columns,
 )
 
 __all__ = [
@@ -70,11 +70,9 @@ def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
     than ``max_letters`` letters raise ProofLimitError."""
     letters: list[Formula] = []
     seen: set[Formula] = set()
-    order: list[Formula] = []  # every node after its parent
     stack = [f]
     while stack:
         g = stack.pop()
-        order.append(g)
         t = type(g)
         if t is Not:
             stack.append(g.operand)
@@ -90,19 +88,10 @@ def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
             f"letters, needs <= {max_letters} (MAX_TAUT_LETTERS)")
 
     full = (1 << (1 << len(letters))) - 1
-    masks = dict(zip(letters, truth_columns(len(letters))))
-    # kids before parents, without recursion, so deep formulas check
-    column: dict[int, int] = {}
-    for g in reversed(order):
-        t = type(g)
-        if t is Not:
-            v = full ^ column[id(g.operand)]
-        elif t is And:
-            v = column[id(g.left)] & column[id(g.right)]
-        else:
-            v = full if t is TrueConst else masks[g]
-        column[id(g)] = v
-    return column[id(f)] == full
+    # the fold finds every letter's column in its memo; only true is a leaf
+    columns = dict(zip(letters, truth_columns(len(letters))))
+    return _fold(f, columns, lambda g: full,
+                 lambda t, a, b=None: full ^ a if t is Not else a & b) == full
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +108,14 @@ class _Program:
     """A straight-line program being emitted.  Its values start with one
     input per name it is made with; a step (ctor, i, j) makes ctor over
     values i and j, j None for a unary ctor, and a constant step
-    (None, f, None) makes the leaf f.  Its steps are kept; or, given
-    run = (vals, leaf, apply) with vals holding the inputs, each flush runs
-    the steps so far over vals with _run and drops them."""
+    (None, f, None) makes the leaf f, a proposition not named or true.
+    Its steps are kept; or, given run = (vals, leaf, apply) with vals
+    holding the inputs, each flush runs the steps so far over vals with
+    _run and drops them."""
 
     def __init__(self, names: tuple[str, ...], run: tuple | None = None):
-        self.names = names  # the letters that have a value; others are constants
-        self.slots: dict[Formula, int] = {}
+        # the value of each subformula emitted, first of the named letters
+        self.slots: dict[Formula, int] = {Prop(v): k for k, v in enumerate(names)}
         self.size = len(names)
         self.steps: list[tuple] = []
         self.run = run
@@ -135,32 +125,15 @@ class _Program:
         self.size += 1
         return self.size - 1
 
-    def const(self, f: Formula) -> int:
-        k = self.slots.get(f)
-        if k is None:
-            k = self.slots[f] = self.step(None, f)
-        return k
-
     def flush(self) -> None:
         if self.run is not None and self.steps:
             _run(self.steps, *self.run)
             self.steps.clear()
 
     def emit(self, g: Formula) -> int:
-        """The value of g: each distinct subtree holding a named letter
-        adds a step, each maximal one without adds a constant step."""
-        k = self.slots.get(g)
-        if k is None:  # recursion is bounded by the template size
-            if props_of(g).isdisjoint(self.names):
-                k = self.step(None, g)
-            elif type(g) is Prop:
-                k = self.names.index(g.name)
-            elif type(g) in (Not, WeakNext, AbsWeakNext):
-                k = self.step(type(g), self.emit(g.operand))
-            else:
-                k = self.step(type(g), self.emit(g.left), self.emit(g.right))
-            self.slots[g] = k
-        return k
+        """The value of g: each distinct subformula not emitted yet adds a
+        step, a constant step for a leaf that is not a named letter."""
+        return _fold(g, self.slots, lambda f: self.step(None, f), self.step)
 
     def count(self, c: int, m: int, n: int, psi: int) -> int:
         """The value of CR[c,m,n] over value psi (see expand_cr).  No call
@@ -171,8 +144,8 @@ class _Program:
         if c < 0 or m < 0 or n < 0 or c + m < n:
             raise ValueError(f"parameter violation: need c,m,n >= 0 and "
                              f"c+m >= n, got {(c, m, n)}")
-        step, const, d = self.step, self.const, c + m - n
-        built = {(0, 0): step(Until, const(_INT), psi)}
+        step, emit, d = self.step, self.emit, c + m - n
+        built = {(0, 0): step(Until, emit(_INT), psi)}
         for m2 in range(m + 1):
             for n2 in range(max(0, m2 - d), n + 1):
                 moves = []  # each makes an arm: int U (tag & X next)
@@ -180,7 +153,7 @@ class _Program:
                     moves.append((_CALL, built[m2 - 1, n2]))
                 if n2 > 0 and (m2 == 0 or d - m2 + n2 > 0):
                     moves.append((_RET, built[m2, n2 - 1]))
-                arms = [step(Until, const(_INT), step(And, const(tag), step(
+                arms = [step(Until, emit(_INT), step(And, emit(tag), step(
                     WeakNext, to))) for tag, to in moves]
                 if len(arms) == 2:  # lor(call arm, ret arm)
                     arms = [step(Not, step(And, step(Not, arms[0]),
@@ -195,7 +168,7 @@ def _run(program, vals: list, leaf: Callable, apply: Callable):
     """Run a program over values of any kind, vals holding its inputs:
     ``leaf(x)`` gives the value of a constant step's x, and
     ``apply(ctor, a, b=None)`` the value of ctor over its operands'.  Run
-    with a _Program's const and step, it emits the program into that one."""
+    with a _Program's emit and step, it emits the program into that one."""
     for ctor, i, j in program:
         vals.append(leaf(i) if ctor is None else
                     apply(ctor, vals[i]) if j is None else
@@ -235,7 +208,9 @@ class Schema:
     compiled on first use.  A family's text is compiled into the program
     of its counting formula's psi and that of the rest, in which the letter
     cr is an input standing for the counting formula; on each use the
-    counting formula is unrolled over psi's value between the two."""
+    counting formula is unrolled over psi's value between the two.  A
+    program's constant steps are leaves, call, ret, int or true: a part
+    without letters, such as X false, is made by steps over them."""
 
     name: str
     metavars: tuple[str, ...]
@@ -292,7 +267,7 @@ class Schema:
         """The program for the parameters, once they are checked, emitted
         anew on each call: a caller running it often keeps it."""
         prog = _Program(self.metavars)
-        self._instance(params, list(range(len(self.metavars))), prog.const,
+        self._instance(params, list(range(len(self.metavars))), prog.emit,
                        prog.step)
         return tuple(prog.steps)
 

@@ -20,9 +20,11 @@ strings in one conversion each, so the abstract operators take time linear
 in the trace length.
 
 Each operator's mask semantics is defined once, in EvalContext.apply, from
-the masks of its operands: truth_mask walks a formula through it, and the
-soundness campaigns call it on the steps of their drawn bindings and of a
-compiled axiom schema, so they evaluate an instance without building it.
+the masks of its operands.  truth_mask folds a formula through it
+(syntax._fold: kids first, on an explicit stack, so no nesting depth
+overflows the interpreter), and the soundness campaigns call it on the steps
+of their drawn bindings and of a compiled axiom schema, whose only
+constants are leaves, so they evaluate an instance without building it.
 
 A context needs no trace object either: EvalContext.from_masks starts one
 from a trace's shape and its propositions' masks, plus the tag of each
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from .syntax import (
     AbsUntil, AbsWeakNext, And, Formula, Not, Prop, TrueConst, Until, WeakNext,
+    _fold,
 )
 # abstract_successor stays bound here, unused, because the benchmark's
 # traced run (perfbench/tracer.py) wraps it under this name.
@@ -200,23 +203,15 @@ class EvalContext:
             return self._abs_until(a, b)
         raise TypeError(f"not an operator: {t!r}")
 
+    def _leaf(self, f: Formula) -> int:
+        if type(f) is Prop:
+            return self._prop_mask(f.name)
+        if type(f) is TrueConst:
+            return self.full
+        raise TypeError(f"not a formula node: {f!r}")
+
     def truth_mask(self, f: Formula) -> int:
-        m = self._memo.get(f)
-        if m is not None:
-            return m
-        t = type(f)
-        if t is Prop:
-            m = self._prop_mask(f.name)
-        elif t is TrueConst:
-            m = self.full
-        elif t is Not or t is WeakNext or t is AbsWeakNext:
-            m = self.apply(t, self.truth_mask(f.operand))
-        elif t is And or t is Until or t is AbsUntil:
-            m = self.apply(t, self.truth_mask(f.left), self.truth_mask(f.right))
-        else:
-            raise TypeError(f"not a formula node: {f!r}")
-        self._memo[f] = m
-        return m
+        return _fold(f, self._memo, self._leaf, self.apply)
 
     def _need_structured(self):
         if not self.structured:

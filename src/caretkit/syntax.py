@@ -10,6 +10,8 @@ every downstream consumer works with exactly these eight node kinds.
 
 from __future__ import annotations
 
+from typing import Callable
+
 __all__ = [
     "Formula", "TrueConst", "Prop", "Not", "And", "WeakNext", "Until",
     "AbsWeakNext", "AbsUntil", "TRUE", "FALSE",
@@ -212,26 +214,42 @@ def negate(f: Formula) -> Formula:
     return f.operand if type(f) is Not else Not(f)
 
 
-def formula_size(f: Formula) -> int:
-    """Number of core AST nodes, counted as a tree: a subterm shared by two
-    parents counts under each.  The count is a post-order over distinct
-    nodes (by identity), so a DAG is sized in time linear in its distinct
-    nodes."""
-    size: dict[int, int] = {}
+def _fold(f: Formula, memo: dict, leaf: Callable, apply: Callable):
+    """The value of f by structural induction: ``leaf(g)`` gives a leaf's
+    value, and ``apply(type(g), a, b=None)`` a node's from its operands'
+    values.  The walk is an explicit stack, each kid before its parent and
+    the left operand before the right, so nesting depth is bounded by
+    memory rather than by the interpreter's recursion limit.  ``memo`` maps
+    subformulas to values: each structurally distinct subformula is
+    computed once into it, and one it already holds is not entered, so a
+    caller can seed it with values of its own."""
     stack = [f]
     while stack:
-        g = stack[-1]
-        if id(g) in size:
-            stack.pop()
+        g = stack.pop()
+        if g in memo:  # also for a node pushed twice before its value
             continue
-        kids = _kids(g)
-        pending = [k for k in kids if id(k) not in size]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        size[id(g)] = 1 + sum(size[id(k)] for k in kids)
-    return size[id(f)]
+        if isinstance(g, _Unary):
+            a = memo.get(g.operand)
+            if a is None:
+                stack += (g, g.operand)
+                continue
+            memo[g] = apply(type(g), a)
+        elif isinstance(g, _Binary):
+            a, b = memo.get(g.left), memo.get(g.right)
+            if a is None or b is None:
+                stack += (g, g.right, g.left)
+                continue
+            memo[g] = apply(type(g), a, b)
+        else:
+            memo[g] = leaf(g)
+    return memo[f]
+
+
+def formula_size(f: Formula) -> int:
+    """Number of core AST nodes, counted as a tree: a subterm shared by two
+    parents counts under each.  Each distinct subterm is sized once, so a
+    DAG is sized in time linear in its distinct nodes."""
+    return _fold(f, {}, lambda g: 1, lambda t, a, b=0: 1 + a + b)
 
 
 def truth_columns(n: int) -> list[int]:

@@ -354,28 +354,46 @@ def test_input_errors_exit_three(capsys):
     assert code == 3
 
 
-# Deep nesting overflows the recursive parser and evaluator; the CLI must
-# still end in exit 3 with one diagnostic line.  Run in a fresh interpreter,
-# so the recursion depth is the one a user's call sees.
+# Deep nesting overflows the recursive parser; the CLI must still end in
+# exit 3 with one diagnostic line.  Input the parser reads in a loop (a
+# chain of conjuncts) or that nests only as deep as the parser manages (400
+# implications) evaluates, since the evaluator needs no recursion.  Run in a
+# fresh interpreter, so the recursion depth is the one a user's call sees.
 _EVAL = ["eval", "--trace", str(FIXTURES / "m1.trace"), "--formula"]
 DEEP_NESTING = {
     "sat-1200-negations": ["sat", "--class", "gen", "--formula", "!" * 1200 + "p"],
     "eval-400-parentheses": _EVAL + ["(" * 400 + "p" + ")" * 400],
-    "eval-400-implications": _EVAL + ["p -> " * 400 + "p"],
-    "eval-1200-conjuncts": _EVAL + [" & ".join(["p"] * 1200)],
 }
+# each with the shallow formula of the same verdict
+DEEP_EVALUATION = {
+    "eval-400-implications": ("p -> " * 400 + "p", "p -> p"),
+    "eval-1200-conjuncts": (" & ".join(["p"] * 1200), "p"),
+}
+
+
+def _fresh_cli(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "caretkit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 @pytest.mark.parametrize("case", list(DEEP_NESTING))
 def test_deep_nesting_exits_three_without_traceback(case):
-    argv = DEEP_NESTING[case]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-m", "caretkit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _fresh_cli(DEEP_NESTING[case])
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert "nesting depth" in proc.stderr
+
+
+@pytest.mark.parametrize("case", list(DEEP_EVALUATION))
+def test_deep_nesting_evaluates(case, capsys):
+    deep, shallow = DEEP_EVALUATION[case]
+    proc = _fresh_cli(_EVAL + [deep])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 1
+    assert run(capsys, *_EVAL, shallow) == (0, proc.stdout, "")

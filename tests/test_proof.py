@@ -22,6 +22,7 @@ from caretkit.proof import (
     ProofStep,
     SCHEMAS,
     Taut,
+    _compile,
     axiom_schemas,
     build_schema_instance,
     check_axiom_instance,
@@ -391,6 +392,28 @@ def test_templates_build_their_substituted_text(phi, psi):
         bindings = {v: b[v] for v in s.metavars}
         assert build_schema_instance(s.name, {}, bindings) == \
             substituted_template(s.text, bindings), s.name
+
+
+def test_compiled_subformulas_are_emitted_once_left_first():
+    # X phi is met twice, once under the negation, and emitted once
+    assert _compile("!(X phi) & X phi", ("phi",)) == (
+        3, ((WeakNext, 0, None), (Not, 1, None), (And, 2, 1)))
+    assert _compile("X phi & !(X phi)", ("phi",)) == (
+        3, ((WeakNext, 0, None), (Not, 1, None), (And, 1, 2)))
+    # operands that share nothing: the left one's steps come first
+    assert _compile("X phi & !phi", ("phi",)) == (
+        3, ((WeakNext, 0, None), (Not, 0, None), (And, 1, 2)))
+
+
+def test_compiled_constants_are_leaves():
+    # a part without letters is made by steps over true, call, ret or int
+    assert _compile("!(X false)", ()) == (3, (
+        (None, TRUE, None), (Not, 0, None), (WeakNext, 1, None),
+        (Not, 2, None)))
+    # C1 repeats each tag: one constant step per tag
+    _, steps = SCHEMAS["C1"]._parts[3]
+    assert [i for ctor, i, _ in steps if ctor is None] == [
+        Prop("call"), Prop("ret"), Prop("int")]
 
 
 # ---------------------------------------------------------------------------
