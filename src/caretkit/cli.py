@@ -3,7 +3,7 @@
 Subcommands: eval, sat, valid, check-proof, fuzz, axioms.  Exit codes:
 0 for a positive outcome (true / SAT / VALID / OK / zero failures),
 1 for a negative outcome, 2 for usage errors, 3 for input errors
-(unparsable formulas, trace or proof files, closure cap, nesting depth),
+(unparsable formulas, trace or proof files, closure cap),
 4 for internal invariant violations.  All diagnostics go to stderr; --json
 emits one machine-readable object on stdout with fixed key order.
 """
@@ -229,9 +229,6 @@ def main(argv=None) -> int:
     except (ParseError, TraceFormatError, ProofFormatError, EvalError,
             ClosureCapError, ProofError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        print("error: nesting depth exceeds the recursion limit", file=sys.stderr)
         return 3
     except AssertionError as e:
         print(f"internal error: invariant violated ({e})", file=sys.stderr)

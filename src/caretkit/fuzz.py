@@ -41,12 +41,10 @@ from .proof import (
 )
 from .semantics import EvalContext
 from .syntax import (
-    CLASSES, AbsUntil, AbsWeakNext, And, Formula, Not, Prop, TRUE, Until,
-    WeakNext,
+    _IDENT_RE, CLASSES, AbsUntil, AbsWeakNext, And, Formula, Not, Prop, TRUE,
+    Until, WeakNext,
 )
-from .trace import (
-    _IDENT_RE, FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace,
-)
+from .trace import FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace
 
 __all__ = [
     "GenConfig", "CampaignReport", "gen_formula", "gen_trace",

@@ -10,6 +10,7 @@ every downstream consumer works with exactly these eight node kinds.
 
 from __future__ import annotations
 
+import re
 from typing import Callable
 
 __all__ = [
@@ -447,13 +448,16 @@ def print_formula(f: Formula) -> str:
 #   until   := unary (('U' | 'Ua') until)? right associative
 #   unary   := ('!'|'X'|'N'|'F'|'G'|'Xa'|'Na'|'Fa'|'Ga') unary | atom
 #   atom    := 'true' | 'false' | ident | '(' formula ')'
-#   ident   := [a-z_][a-z0-9_]*   (excluding the reserved words)
+#   ident   := [a-z_][a-z0-9_]*   (ASCII, excluding the reserved words)
 #
-# call, ret and int are ordinary identifiers.
+# call, ret and int are ordinary identifiers.  parse_formula reads the
+# binary levels from one table of binding powers, not a rule per level.
 
 _WORD_OPS = frozenset({"U", "Ua", "X", "N", "F", "G", "Xa", "Na", "Fa", "Ga"})
 _ABSTRACT_OPS = frozenset({"Ua", "Xa", "Na", "Fa", "Ga"})
 _RESERVED = frozenset({"true", "false"})
+# A proposition name, in formulas, trace files and campaign alphabets.
+_IDENT_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -464,16 +468,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c == "(":
-            toks.append(("(", c, i)); i += 1
-        elif c == ")":
-            toks.append((")", c, i)); i += 1
-        elif c == "!":
-            toks.append(("!", c, i)); i += 1
-        elif c == "&":
-            toks.append(("&", c, i)); i += 1
-        elif c == "|":
-            toks.append(("|", c, i)); i += 1
+        if c in "()!&|":
+            toks.append((c, c, i)); i += 1
         elif text.startswith("<->", i):
             toks.append(("<->", "<->", i)); i += 3
         elif text.startswith("->", i):
@@ -487,10 +483,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 toks.append(("const", word, i))
             elif word in _WORD_OPS:
                 toks.append(("op", word, i))
-            elif word[0].islower() or word[0] == "_":
-                if not all(ch.islower() or ch.isdigit() or ch == "_" for ch in word):
-                    raise ParseError(f"bad identifier {word!r}", i)
+            elif _IDENT_RE.match(word):
                 toks.append(("ident", word, i))
+            elif _IDENT_RE.match(c):
+                raise ParseError(f"bad identifier {word!r}", i)
             else:
                 raise ParseError(f"unknown word {word!r}", i)
             i = j
@@ -512,107 +508,72 @@ _UNARY_BUILDERS = {
     "Ga": abs_always,
 }
 
-
-class _Parser:
-    def __init__(self, toks, mode):
-        self.toks = toks
-        self.pos = 0
-        self.mode = mode
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def advance(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def formula(self) -> Formula:
-        f = self.imp()
-        while self.peek()[0] == "<->":
-            self.advance()
-            f = iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        f = self.disj()
-        if self.peek()[0] == "->":
-            self.advance()
-            f = implies(f, self.imp())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[0] == "|":
-            self.advance()
-            f = lor(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.until()
-        while self.peek()[0] == "&":
-            self.advance()
-            f = And(f, self.until())
-        return f
-
-    def until(self) -> Formula:
-        f = self.unary()
-        kind, word, at = self.peek()
-        if kind == "op" and word in ("U", "Ua"):
-            self.advance()
-            self._check_mode(word, at)
-            rhs = self.until()
-            f = Until(f, rhs) if word == "U" else AbsUntil(f, rhs)
-        return f
-
-    def unary(self) -> Formula:
-        kind, word, at = self.peek()
-        if kind == "!":
-            self.advance()
-            return Not(self.unary())
-        if kind == "op":
-            if word in ("U", "Ua"):
-                raise ParseError(f"{word!r} needs a left operand", at)
-            self.advance()
-            self._check_mode(word, at)
-            return _UNARY_BUILDERS[word](self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, word, at = self.advance()
-        if kind == "const":
-            return TRUE if word == "true" else FALSE
-        if kind == "ident":
-            return Prop(word)
-        if kind == "(":
-            f = self.formula()
-            self.expect(")")
-            return f
-        raise ParseError(f"unexpected token {word!r}", at)
-
-    def _check_mode(self, word, at):
-        if self.mode == "ltl" and word in _ABSTRACT_OPS:
-            raise ParseError(f"abstract operator {word!r} requires caret mode", at)
+# binding power, right associative, builder
+_BINARY_OPS = {
+    "<->": (1, False, iff),
+    "->": (2, True, implies),
+    "|": (3, False, lor),
+    "&": (4, False, And),
+    "U": (5, True, Until),
+    "Ua": (5, True, AbsUntil),
+}
 
 
 def parse_formula(text: str, mode: str = "ltl") -> Formula:
     """Parse concrete syntax into a desugared core formula.
 
     mode 'ltl' rejects the abstract operators; mode 'caret' admits them.
+    One loop reads the tokens by precedence climbing (Pratt, "Top down
+    operator precedence", 1973) on an explicit stack of open parentheses
+    (None), prefix operators (their builders) and binary operators with
+    their left operands, so nesting depth is bounded by memory rather than
+    by the interpreter's recursion limit.
     """
     if mode not in ("ltl", "caret"):
         raise ValueError(f"unknown mode {mode!r}")
-    p = _Parser(_tokenize(text), mode)
-    f = p.formula()
-    kind, word, at = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {word!r}", at)
+    stack: list = []
+    f = None  # the operand just read; None while one is awaited
+    for kind, word, at in _tokenize(text):
+        if f is None:
+            if kind == "ident":
+                f = Prop(word)
+            elif kind == "const":
+                f = TRUE if word == "true" else FALSE
+            elif kind == "(":
+                stack.append(None)
+            elif word in _UNARY_BUILDERS:
+                if mode == "ltl" and word in _ABSTRACT_OPS:
+                    raise ParseError(
+                        f"abstract operator {word!r} requires caret mode", at)
+                stack.append(_UNARY_BUILDERS[word])
+            elif kind == "op":
+                raise ParseError(f"{word!r} needs a left operand", at)
+            else:
+                raise ParseError(f"unexpected token {word!r}", at)
+            continue
+        # an operand is read: apply what binds it tighter than this token
+        power, right, build = _BINARY_OPS.get(word, (0, False, None))
+        while stack and stack[-1] is not None:
+            top = stack[-1]
+            if type(top) is not tuple:
+                f = top(f)  # a prefix operator binds tighter than any binary
+            elif top[0] > power or top[0] == power and not top[1]:
+                f = top[2](top[3], f)
+            else:
+                break
+            stack.pop()
+        if build is not None:
+            if mode == "ltl" and word in _ABSTRACT_OPS:
+                raise ParseError(
+                    f"abstract operator {word!r} requires caret mode", at)
+            stack.append((power, right, build, f))
+            f = None
+        elif kind == ")" and stack:
+            stack.pop()
+        elif stack:
+            raise ParseError(f"expected ')', found {word!r}", at)
+        elif kind != "eof":
+            raise ParseError(f"trailing input {word!r}", at)
     return f
 
 

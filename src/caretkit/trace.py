@@ -24,9 +24,10 @@ runs it too.
 from __future__ import annotations
 
 import enum
-import re
 import weakref
 from dataclasses import dataclass
+
+from .syntax import _IDENT_RE
 
 __all__ = [
     "StateTag", "FiniteTrace", "LassoTrace", "StructuredLassoTrace",
@@ -295,7 +296,6 @@ def brute_matching_return(t: StructuredLassoTrace, i: int, bound: int):
 # anywhere makes the trace structured, and structured traces must have a
 # loop.
 
-_IDENT_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
 _TAGS = {"@call": StateTag.CALL, "@ret": StateTag.RET, "@int": StateTag.INT}
 
 

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caretkit.cli import main
 from caretkit.semantics import eval_ltl
 from caretkit.syntax import parse_formula
 from caretkit.trace import parse_trace
+from test_syntax import _ATOMS, _INFIX, _PREFIX
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -354,20 +359,16 @@ def test_input_errors_exit_three(capsys):
     assert code == 3
 
 
-# Deep nesting overflows the recursive parser; the CLI must still end in
-# exit 3 with one diagnostic line.  Input the parser reads in a loop (a
-# chain of conjuncts) or that nests only as deep as the parser manages (400
-# implications) evaluates, since the evaluator needs no recursion.  Run in a
-# fresh interpreter, so the recursion depth is the one a user's call sees.
+# The parser and the evaluator hold nesting on explicit stacks, so input of
+# any depth parses and evaluates; sat and valid are bounded by the closure
+# cap instead.  Run in a fresh interpreter, so the recursion limit is the
+# one a user's call sees.
 _EVAL = ["eval", "--trace", str(FIXTURES / "m1.trace"), "--formula"]
-DEEP_NESTING = {
-    "sat-1200-negations": ["sat", "--class", "gen", "--formula", "!" * 1200 + "p"],
-    "eval-400-parentheses": _EVAL + ["(" * 400 + "p" + ")" * 400],
-}
 # each with the shallow formula of the same verdict
 DEEP_EVALUATION = {
     "eval-400-implications": ("p -> " * 400 + "p", "p -> p"),
     "eval-1200-conjuncts": (" & ".join(["p"] * 1200), "p"),
+    "eval-400-parentheses": ("(" * 400 + "p" + ")" * 400, "p"),
 }
 
 
@@ -379,16 +380,6 @@ def _fresh_cli(argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-@pytest.mark.parametrize("case", list(DEEP_NESTING))
-def test_deep_nesting_exits_three_without_traceback(case):
-    proc = _fresh_cli(DEEP_NESTING[case])
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert "Traceback" not in proc.stderr
-    assert "nesting depth" in proc.stderr
-
-
 @pytest.mark.parametrize("case", list(DEEP_EVALUATION))
 def test_deep_nesting_evaluates(case, capsys):
     deep, shallow = DEEP_EVALUATION[case]
@@ -397,3 +388,82 @@ def test_deep_nesting_evaluates(case, capsys):
     assert proc.stderr == ""
     assert len(proc.stdout.splitlines()) == 1
     assert run(capsys, *_EVAL, shallow) == (0, proc.stdout, "")
+
+
+def test_deep_nesting_meets_the_closure_cap(capsys):
+    sat = ["sat", "--class", "gen", "--formula", "!" * 1200 + "p"]
+    proc = _fresh_cli(sat)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("error: closure of size 1213 exceeds the cap 24; "
+                           "raise closure_cap to proceed\n")
+    # 1200 negations of p are p
+    proc = _fresh_cli(sat + ["--cap", "0"])
+    assert run(capsys, "sat", "--class", "gen", "--formula", "p") == (
+        0, proc.stdout, proc.stderr)
+    assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# Totality: whatever formula or trace text it is given, main answers with a
+# verdict (exit 0 or 1) or one error line (exit 3), never a traceback.
+
+def _nest(prefix: str, depth: int) -> str:
+    return prefix * depth + "p" + (")" * depth if prefix == "(" else "")
+
+
+_formula_texts = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="pq_ ()!&|-<>UXNFGa", max_size=30),
+    st.lists(st.sampled_from(_PREFIX + _INFIX + _ATOMS + ["(", ")"]),
+             max_size=20).map(" ".join),
+    st.builds(_nest, st.sampled_from(["!", "X ", "(", "p -> ", "p U ", "p & "]),
+              st.integers(0, 3000)),
+)
+_trace_texts = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(["p", "q", "p q", "-", "p -", "@call p",
+                              "@ret -", "@int q", "@call", "loop:", "# note",
+                              "", "P", "\u017f", "p\u00e9"]),
+             max_size=8).map("\n".join),
+)
+
+
+def _assert_total(argv):
+    """main answers argv; an exception escaping it fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3)
+    if code == 3:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == "" and out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_formula_texts, st.sampled_from(["ltl", "caret"]), st.integers(0, 4))
+def test_eval_of_any_formula_text_is_total(tmp_path_factory, text, mode, pos):
+    trace = FIXTURES / "m1.trace"
+    if mode == "caret":
+        trace = tmp_path_factory.getbasetemp() / "structured.trace"
+        trace.write_text("@call p\n@int q\nloop:\n@call -\n@ret p q\n")
+    _assert_total(["eval", "--trace", str(trace), f"--formula={text}",
+                   "--mode", mode, "--pos", str(pos)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_formula_texts, st.sampled_from(["sat", "valid"]),
+       st.sampled_from(["gen", "fin", "inf"]))
+def test_sat_and_valid_of_any_formula_text_are_total(text, command, cls):
+    _assert_total([command, "--class", cls, f"--formula={text}"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trace_texts, st.sampled_from(["p", "X q", "p Ua q"]),
+       st.sampled_from(["ltl", "caret"]))
+def test_eval_on_any_trace_text_is_total(tmp_path_factory, text, formula, mode):
+    path = tmp_path_factory.getbasetemp() / "any.trace"
+    path.write_text(text, encoding="utf-8")
+    _assert_total(["eval", "--trace", str(path), "--formula", formula,
+                   "--mode", mode])

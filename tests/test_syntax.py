@@ -154,6 +154,15 @@ def test_parse_errors():
         parse_formula("p q")
 
 
+@pytest.mark.parametrize("word", ["p\u00e9", "p\u00b2", "p\u0661", "\u017f"])
+def test_non_ascii_identifiers_are_parse_errors(word):
+    # str.isalpha and its kin accept these; a proposition name is ASCII
+    # [a-z_][a-z0-9_]*, as in trace files, so each is refused
+    for mode in ("ltl", "caret"):
+        with pytest.raises(ParseError):
+            parse_formula(word, mode)
+
+
 def test_abstract_operators_rejected_in_ltl_mode():
     with pytest.raises(ParseError):
         parse_formula("Xa p", mode="ltl")
@@ -424,16 +433,27 @@ def test_sort_key_matches_recursive_printer_caret(f):
     (Not, lambda d: "!(" * d + "p" + ")" * d),
 ])
 def test_deep_nesting_needs_no_recursion(wrap, text):
-    # far past the interpreter's recursion limit; the parser still recurses
+    # far past the interpreter's recursion limit
     depth = 5000
     f = Prop("p")
     for _ in range(depth):
         f = wrap(f)
     assert print_formula(f) == text(depth)
+    assert parse_formula(text(depth)) == f
     clo = closure(f)
     assert clo.core[-1] is f
     assert formula_sort_key(f) == (depth + 1, text(depth))
     assert Prop("p") in clo and len(clo.core) > depth
+
+
+@pytest.mark.parametrize("op, build", [("->", implies), ("U", Until)])
+def test_long_right_associative_chains_parse(op, build):
+    length = 5000
+    f = Prop("p0")
+    for k in range(length, 0, -1):
+        f = build(Prop(f"p{k}"), f)
+    text = f" {op} ".join(f"p{k}" for k in range(1, length + 1)) + f" {op} p0"
+    assert parse_formula(text) == f
 
 
 def test_non_formula_is_a_type_error():
@@ -695,3 +715,148 @@ def test_props_and_ltl_agree_with_a_tree_walk(f):
     assert props_of(f) == {g.name for g in nodes(f) if type(g) is Prop}
     assert is_ltl(f) == all(type(g) not in (AbsWeakNext, AbsUntil)
                             for g in nodes(f))
+
+
+# ---------------------------------------------------------------------------
+# The parser against the recursive-descent parser it replaced, kept verbatim
+# as a reference and fed the same tokens: equal formulas, or the same error
+# message at the same offset.
+
+class _ReferenceParser:
+    def __init__(self, toks, mode):
+        self.toks = toks
+        self.pos = 0
+        self.mode = mode
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def advance(self):
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def formula(self):
+        f = self.imp()
+        while self.peek()[0] == "<->":
+            self.advance()
+            f = iff(f, self.imp())
+        return f
+
+    def imp(self):
+        f = self.disj()
+        if self.peek()[0] == "->":
+            self.advance()
+            f = implies(f, self.imp())
+        return f
+
+    def disj(self):
+        f = self.conj()
+        while self.peek()[0] == "|":
+            self.advance()
+            f = lor(f, self.conj())
+        return f
+
+    def conj(self):
+        f = self.until()
+        while self.peek()[0] == "&":
+            self.advance()
+            f = And(f, self.until())
+        return f
+
+    def until(self):
+        f = self.unary()
+        kind, word, at = self.peek()
+        if kind == "op" and word in ("U", "Ua"):
+            self.advance()
+            self._check_mode(word, at)
+            rhs = self.until()
+            f = Until(f, rhs) if word == "U" else AbsUntil(f, rhs)
+        return f
+
+    def unary(self):
+        kind, word, at = self.peek()
+        if kind == "!":
+            self.advance()
+            return Not(self.unary())
+        if kind == "op":
+            if word in ("U", "Ua"):
+                raise ParseError(f"{word!r} needs a left operand", at)
+            self.advance()
+            self._check_mode(word, at)
+            return syntax._UNARY_BUILDERS[word](self.unary())
+        return self.atom()
+
+    def atom(self):
+        kind, word, at = self.advance()
+        if kind == "const":
+            return TRUE if word == "true" else FALSE
+        if kind == "ident":
+            return Prop(word)
+        if kind == "(":
+            f = self.formula()
+            self.expect(")")
+            return f
+        raise ParseError(f"unexpected token {word!r}", at)
+
+    def _check_mode(self, word, at):
+        if self.mode == "ltl" and word in syntax._ABSTRACT_OPS:
+            raise ParseError(f"abstract operator {word!r} requires caret mode", at)
+
+
+def _reference_parse(text, mode):
+    p = _ReferenceParser(syntax._tokenize(text), mode)
+    f = p.formula()
+    kind, word, at = p.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input {word!r}", at)
+    return f
+
+
+def _outcome(parse, text, mode):
+    """The formula, or the error's (message, offset)."""
+    try:
+        return parse(text, mode)
+    except ParseError as e:
+        return str(e), e.position
+
+
+_PREFIX = ["!", "X", "N", "F", "G", "Xa", "Na", "Fa", "Ga"]
+_INFIX = ["&", "|", "->", "<->", "U", "Ua"]
+_ATOMS = ["p", "q", "true", "false"]
+_modes = st.sampled_from(["ltl", "caret"])
+# any sequence of tokens: mostly errors, each at some offset
+_token_strings = st.lists(st.sampled_from(_PREFIX + _INFIX + _ATOMS + ["(", ")"]),
+                          max_size=24).map(" ".join)
+
+
+def _derive(inner):
+    return st.one_of(
+        st.tuples(st.sampled_from(_PREFIX), inner).map(" ".join),
+        st.tuples(inner, st.sampled_from(_INFIX), inner).map(" ".join),
+        inner.map(lambda t: f"({t})"),
+    )
+
+
+# text the grammar derives, unparenthesised where precedence decides
+_grammar_strings = st.recursive(st.sampled_from(_ATOMS), _derive, max_leaves=12)
+
+
+@settings(max_examples=1500)
+@given(_token_strings, _modes)
+def test_parser_matches_recursive_reference_on_token_strings(text, mode):
+    assert (_outcome(parse_formula, text, mode)
+            == _outcome(_reference_parse, text, mode))
+
+
+@settings(max_examples=500)
+@given(_grammar_strings, _modes)
+def test_parser_matches_recursive_reference_on_grammar_strings(text, mode):
+    assert (_outcome(parse_formula, text, mode)
+            == _outcome(_reference_parse, text, mode))
