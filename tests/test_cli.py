@@ -19,7 +19,7 @@ from caretkit.cli import main
 from caretkit.semantics import eval_ltl
 from caretkit.syntax import parse_formula
 from caretkit.trace import parse_trace
-from test_syntax import _ATOMS, _INFIX, _PREFIX
+from test_syntax import _token_strings
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -414,8 +414,7 @@ def _nest(prefix: str, depth: int) -> str:
 _formula_texts = st.one_of(
     st.text(max_size=30),
     st.text(alphabet="pq_ ()!&|-<>UXNFGa", max_size=30),
-    st.lists(st.sampled_from(_PREFIX + _INFIX + _ATOMS + ["(", ")"]),
-             max_size=20).map(" ".join),
+    _token_strings,
     st.builds(_nest, st.sampled_from(["!", "X ", "(", "p -> ", "p U ", "p & "]),
               st.integers(0, 3000)),
 )

@@ -848,15 +848,8 @@ def _derive(inner):
 _grammar_strings = st.recursive(st.sampled_from(_ATOMS), _derive, max_leaves=12)
 
 
-@settings(max_examples=1500)
-@given(_token_strings, _modes)
-def test_parser_matches_recursive_reference_on_token_strings(text, mode):
-    assert (_outcome(parse_formula, text, mode)
-            == _outcome(_reference_parse, text, mode))
-
-
-@settings(max_examples=500)
-@given(_grammar_strings, _modes)
-def test_parser_matches_recursive_reference_on_grammar_strings(text, mode):
+@settings(max_examples=2000)
+@given(st.one_of(_token_strings, _grammar_strings), _modes)
+def test_parser_matches_recursive_reference(text, mode):
     assert (_outcome(parse_formula, text, mode)
             == _outcome(_reference_parse, text, mode))
