@@ -18,6 +18,9 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
+# --cache-max-size is read as caretkit --cap is: int alone would take -1,
+# which turns the cache off, and read "1_0" as 10
+from caretkit.cli import _non_negative
 from caretkit.semantics import eval_ltl
 from caretkit.syntax import print_formula
 from caretkit.tableau import decide_sat
@@ -30,15 +33,6 @@ def _positive(text: str) -> int:
     if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
-def _non_negative(text: str) -> int:
-    """The argparse type of --cache-max-size: int alone would take -1,
-    which turns the cache off, and read "1_0" as 10."""
-    if not (text.isascii() and text.isdecimal()):
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 

@@ -269,36 +269,17 @@ def truth_columns(n: int) -> list[int]:
     return columns
 
 
-def _kids(g: Formula) -> tuple[Formula, ...]:
-    if isinstance(g, _Unary):
-        return (g.operand,)
-    if isinstance(g, _Binary):
-        return (g.left, g.right)
-    return ()
-
-
-def _distinct_nodes(f: Formula):
-    """Every node of f once, by identity, so a formula whose subterms are
-    shared (a DAG) is walked in time linear in its distinct nodes."""
-    seen = {id(f)}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        for k in _kids(g):
-            if id(k) not in seen:
-                seen.add(id(k))
-                stack.append(k)
-
-
 def is_ltl(f: Formula) -> bool:
     """True when the formula uses no abstract operator."""
-    return not any(type(g) in (AbsWeakNext, AbsUntil)
-                   for g in _distinct_nodes(f))
+    return _fold(f, {}, lambda g: True,
+                 lambda t, a, b=True: a and b
+                 and t is not AbsWeakNext and t is not AbsUntil)
 
 
 def props_of(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in _distinct_nodes(f) if type(g) is Prop)
+    return _fold(f, {},
+                 lambda g: frozenset((g.name,) if type(g) is Prop else ()),
+                 lambda t, a, b=frozenset(): a | b)
 
 
 def formula_sort_key(f: Formula) -> tuple[int, str]:

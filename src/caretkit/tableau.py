@@ -6,12 +6,14 @@ in, conjunctions agree with their conjuncts, an until agrees with its
 strong-next unfolding, and an atom containing the next-of-false marker is
 saturated with every weak-next member.  Because those rules determine every
 member from the propositions and the weak-next members, atoms are enumerated
-as bit-vector valuations of that free part.  Two builders make the table:
-up to PYTHON_TABLE_BITS free bits each member is one Python int over the
-valuations, above it one numpy row, and numpy is imported only then.  One
-search decides both, on masks a bucket at a time: the int table's own, and
-on a numpy table, which builds and prunes a class graph, its live atoms
-renumbered into a small int table.  So both find the same witnesses.
+as bit-vector valuations of that free part.  One table holds them, each
+member one Python int over the valuations, and one search decides every
+class on masks, a bucket at a time.  Up to PYTHON_TABLE_BITS free bits the
+class graph is pruned on the table's own masks; above it numpy prunes it,
+over the few rows the prune reads, unpacked once per table, and the search
+runs on the int table over the live atoms alone.  numpy is imported only
+then, and both prunes keep the same atoms, so both find the same
+witnesses.
 
 Edges follow the biconditional law: V -> W iff V lacks the next-of-false
 marker and, for every weak-next formula in the closure, the formula is in V
@@ -52,7 +54,7 @@ atom without ordering it, and orders the buckets a layer of the search
 reaches by the first atom wanting each, so it keys at most one atom per
 bucket it reaches.  A witness that starts at a root takes the least such
 root without ordering the roots, and a class with no live root orders
-nothing, and on a numpy table renumbers nothing.
+nothing, and when numpy pruned it renumbers nothing.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass
+from itertools import compress
 
 from .semantics import EvalContext
 from .syntax import (
@@ -81,18 +84,18 @@ __all__ = [
 # closure cap says.
 MAX_FREE_BITS = 18
 
-# Tables of at most this many free bits are built with Python ints
-# (_IntTableau), larger ones with numpy (_Tableau), the only code here that
-# imports numpy.  At 11 to 13 free bits the int table decides fin, inf and
-# gen of a fuzz formula (size <= 14 over p, q, r) in 0.5-0.9 of the numpy
-# time, and the one class of a negated axiom instance in 0.5-0.85; at 14
-# bits the fuzz ratio ranged 0.75-1.3 over three runs, and at 16 bits the
-# int table takes 1.1-1.6 of the numpy time (60 formulas per width, best
-# of 5; Python 3.11, numpy 2.4, a shared 2-core x86-64 machine; measured
-# while numpy tables had a search of their own).
+# The class graphs of tables of at most this many free bits are pruned on
+# int masks, larger ones by numpy (_prune), the only code here that imports
+# numpy.  Deciding fin, inf and gen of a fuzz formula (size <= 18 over p, q,
+# r, s) on a fresh table with the int prune takes 0.54-0.68 of the numpy
+# prune's time at 11 to 13 free bits, 0.71 at 14, 0.98 at 15 and 1.10 at 16
+# (medians of 20 formulas per width, best of 5; Python 3.11, numpy 2.4, a
+# shared 2-core x86-64 machine).
 PYTHON_TABLE_BITS = 13
 # the free-bit rows of an int table, made once per width and only read
 _columns = functools.cache(truth_columns)
+# a row's binary digits as bytes 0 and 1
+_LANE = bytes.maketrans(b"01", b"\0\1")
 
 # One shared label per distinct set of true propositions, and one shared
 # model per distinct (prefix, loop) of labels (loop None for a finite
@@ -106,9 +109,9 @@ _MODELS: weakref.WeakValueDictionary[tuple, FiniteTrace | LassoTrace] = \
 # The last formula decided and its table, with the witnesses found on it, so
 # that deciding one formula in several classes in a row builds its closure
 # and table once.  Only tables of at most _MEMO_ATOMS atoms are kept, which
-# every int table has and no numpy table: the callers that decide larger
-# formulas ask one class each, and a larger table held between calls is only
-# resident memory.
+# every table of at most PYTHON_TABLE_BITS free bits has and no larger one:
+# the callers that decide larger formulas ask one class each, and a larger
+# table held between calls is only resident memory.
 _MEMO_ATOMS = 1 << PYTHON_TABLE_BITS
 _memo: tuple[Formula, _Table] | None = None
 
@@ -124,7 +127,7 @@ class Atom:
     __slots__ = ("_core", "_bits", "_members", "terminal", "fin_viable",
                  "props")
 
-    def __init__(self, core: tuple[Formula, ...], bits: list, terminal: bool,
+    def __init__(self, core: tuple[Formula, ...], bits, terminal: bool,
                  fin_viable: bool, props: frozenset[str]):
         self._core, self._bits, self._members = core, bits, None
         self.terminal = terminal        # holds the next-of-false marker
@@ -184,17 +187,9 @@ class SatResult:
     model: FiniteTrace | LassoTrace | None = None
 
 
-def _new_table(clo: ClosureSet, cap: int | None) -> _Table:
-    """The atom table of a closure, from the builder its free bits choose:
-    the one place the two builders are chosen between."""
-    kinds = [sig[0] for sig in clo.numbering[0]]
-    free = kinds.count(Prop) + kinds.count(WeakNext)
-    return (_IntTableau if free <= PYTHON_TABLE_BITS else _Tableau)(clo, cap)
-
-
 class _Table:
-    """What both atom tables share: the free-bit layout of the closure, the
-    caps, the witnesses of each class and the atoms they are made of.
+    """The atom table of a closure: one Python int per member row, searched
+    on masks.
 
     The table runs on the closure's numbering: ``sigs[i]`` is the type of
     ``core[i]`` and its kids' positions, and every list below holds core
@@ -202,23 +197,32 @@ class _Table:
     ``free[k]``: the propositions, then the weak nexts in reverse, so that
     shifting the propositions out of a valuation leaves the atom's demand
     key, one bit per weak next with the first in the most significant bit.
-    A builder names each atom by an id and gives ``count``, the atoms
-    built; ``member_rows``, from ``derive_rows``, the row of each member by
-    position, with ``terminal``, ``fin_viable`` and ``origin_bit`` among
-    them; ``bits_at(rows, a)``, the truth of each row at atom a;
-    ``lex_order(ids)``, a list of atoms in the lexicographic order on
-    member bit-vectors (in closure order) that the search follows;
-    ``sorted_atoms(cls)``, the atoms of a class in that order;
-    ``class_graph(cls)``, the live atoms and live roots of a class, pruned
-    in the builder's own form, and ``masks(live, roots)``, the int table
-    they are masks over and the masks ``_ClassGraph`` searches; and
-    ``has_root(cls)``, whether an atom of the class holds the origin.  Only
-    the ``telling`` rows can decide that order, so both builders read only
-    those.  ``size`` is the closure's, counted without building its
-    members, and what only a class graph reads is built on first use.  An
-    atom keeps the core and its member bits.  ``witnesses`` remembers the
-    witness of each class decided on the table, and never its model, so
-    models stay free to go.
+    Atom a is valuation a, and ``member_rows[i]`` is an int over the
+    valuations with bit a set where atom a holds ``core[i]``:
+    ``truth_columns`` for the free bits, made once per width, and
+    ``derive_rows`` with ``& | ^`` for the rest, as
+    ``proof.check_tautology`` builds its truth tables.  The valuations that
+    break the terminal rule are left out of every class mask, not removed;
+    ``count`` is the number of valid atoms.  A non-terminal atom wants the
+    bucket its valuation shifted right by the proposition count names, so
+    the atoms wanting bucket t form one block of consecutive valuations,
+    ``block << (t << shift)``, and live or die together.
+
+    Every set of atoms is a mask: the class graph is one mask of live atoms
+    per bucket and one of live roots, and ``_ClassGraph`` searches those
+    with ``_path`` and ``least``, so the search's Python-level work is per
+    bucket, not per atom.  An atom gets its lexicographic key, cached for
+    the table, only when a search must order the buckets it is the first
+    to want.  Only the ``telling`` rows can decide that order, so only
+    those are read.  Above ``PYTHON_TABLE_BITS`` free bits the class graph
+    is pruned by numpy over the rows it reads, unpacked once for the table
+    (``_prune``), and its live atoms searched as the int table over them
+    (``_Compact``), which reads the same rows and layout.  What only a
+    class graph reads is built on first use, so a table whose classes have
+    no root builds none of it.  ``size`` is the closure's, counted without
+    building its members.  An atom keeps the core and its member bits.
+    ``witnesses`` remembers the witness of each class decided on the
+    table, and never its model, so models stay free to go.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None):
@@ -251,10 +255,10 @@ class _Table:
             telling.append(i)
         while sigs[telling[-1]][0] is Until:
             telling.pop()
-        self.free = props + nexts[::-1]
-        if len(self.free) > MAX_FREE_BITS:
+        self.free = free = props + nexts[::-1]
+        if len(free) > MAX_FREE_BITS:
             raise ClosureCapError(
-                f"atom enumeration needs {len(self.free)} free bits "
+                f"atom enumeration needs {len(free)} free bits "
                 f"(propositions plus weak-next members); the limit is "
                 f"{MAX_FREE_BITS} and no closure cap (--cap) value lifts it")
         true = sigs.index((TrueConst,))
@@ -263,13 +267,41 @@ class _Table:
         self.terminal_at = unfold[true]
         self.fin_at = sigs.index((Until, true, self.terminal_at))
         self.key_space = 1 << len(nexts)
+        # a terminal atom must assert every weak next: the valid atoms are
+        # the non-terminal ones and the last block, where every weak-next
+        # bit is set
+        full = (1 << (1 << len(free))) - 1
+        last = (self.key_space - 1) << len(props)
+        self._set_rows(_columns(len(free)), full, last)
+        valid = (self.terminal ^ full) | full >> last << last
+        self.count = valid.bit_count()
+        self._classes = {"gen": valid,
+                         "fin": valid & self.member_rows[self.fin_at],
+                         "inf": self.terminal ^ full}
         # class -> its witness, or None when the class has no model
         self.witnesses: dict[str, ChainWitness | None] = {}
 
-    def derive_rows(self, free_rows: list, full) -> list:
+    def _set_rows(self, free_rows: list[int], full: int, last: int) -> None:
+        """Every member row from the free bits' rows over the atom ids
+        ``full`` holds, and the block layout, the terminal atoms' block at
+        ``last``."""
+        self.member_rows = rows = self.derive_rows(free_rows, full)
+        self.terminal = rows[self.terminal_at]
+        self.origin_bit = rows[self.root]
+        self.width = full.bit_length()
+        self.shift = shift = len(self.props)
+        self._last = last
+        self._block = block = (1 << (1 << shift)) - 1
+        # the first atom of every block below the terminal one, and the
+        # shifts that fold a block into its first atom
+        self._starts = ((1 << last) - 1) // block
+        self._folds = [1 << k for k in range(shift)]
+        self._lex_keys: dict[int, int] = {}
+
+    def derive_rows(self, free_rows: list[int], full: int) -> list[int]:
         """The row of each member by position, from the free bits' rows and
         ``full``, the constant true's: the others in core order, so after
-        their kids'.  Int and numpy bool rows take the same operators."""
+        their kids'."""
         rows = [full] * len(self.sigs)
         for i, r in zip(self.free, free_rows):
             rows[i] = r
@@ -287,7 +319,7 @@ class _Table:
         if cap is not None and self.size > cap:
             raise ClosureCapError(
                 f"closure of size {self.size} exceeds the cap {cap}; "
-                "raise closure_cap to proceed")
+                "raise it with --cap (closure_cap in Python)")
 
     def witness(self, cls: str) -> ChainWitness | None:
         """The witness of the class, or None when it has no model.
@@ -320,22 +352,29 @@ class _Table:
         known[cls] = w
         return w
 
-    def _finite(self, g: _ClassGraph) -> ChainWitness | None:
+    @staticmethod
+    def _finite(g: _ClassGraph) -> ChainWitness | None:
         path = g.terminal_path()
         if path is None:
             return None
-        return ChainWitness(kind="finite", atoms=tuple(map(self.atom, path)))
+        return ChainWitness(kind="finite",
+                            atoms=tuple(map(g.search.atom, path)))
 
-    def _lasso(self, g: _ClassGraph) -> ChainWitness | None:
+    @staticmethod
+    def _lasso(g: _ClassGraph) -> ChainWitness | None:
         chain = g.lasso_chain()
         if chain is None:
             return None
         prefix, loop = chain
-        return ChainWitness(kind="lasso", atoms=tuple(map(self.atom, prefix)),
-                            loop=tuple(map(self.atom, loop)))
+        atom = g.search.atom
+        return ChainWitness(kind="lasso", atoms=tuple(map(atom, prefix)),
+                            loop=tuple(map(atom, loop)))
 
     def atom(self, a: int) -> Atom:
-        bits = self.bits_at(self.member_rows, a)
+        return self._atom([r >> a & 1 for r in self.member_rows])
+
+    def _atom(self, bits) -> Atom:
+        """The atom holding the members whose bits are set."""
         sigs = self.sigs
         names = tuple(sigs[i][1] for i in self.props if bits[i])
         props = _LABELS.get(names)
@@ -344,70 +383,20 @@ class _Table:
         return Atom(self.core, bits, bool(bits[self.terminal_at]),
                     bool(bits[self.fin_at]), props)
 
+    def _lanes(self, mask: int) -> list[bytes]:
+        """The member bits of each atom of the mask, ascending, one byte per
+        member row: every row spread to one byte an atom, then read an atom
+        at a time, so no atom shifts a whole row."""
+        spread = [format(r, f"0{self.width}b").encode().translate(_LANE)[::-1]
+                  for r in (mask, *self.member_rows)]
+        return list(map(bytes, compress(zip(*spread[1:]), spread[0])))
 
-class _IntTableau(_Table):
-    """Atom table of Python ints, for small closures, searched on masks.
-
-    Atom a is valuation a of the free bits, and ``member_rows[i]`` is an
-    int over the valuations with bit a set where atom a holds ``core[i]``:
-    ``truth_columns`` for the free bits, made once per width, and
-    ``derive_rows`` with ``& | ^`` for the rest, as ``proof.check_tautology``
-    builds its truth tables.  The valuations that break the terminal rule
-    are left out of every class mask, not removed.  A non-terminal atom
-    wants the bucket its valuation shifted right by the proposition count
-    names, so the atoms wanting bucket t form one block of consecutive
-    valuations, ``block << (t << shift)``, and live or die together.
-
-    Every set of atoms is a mask: the class graph is one mask of live atoms
-    per bucket and one of live roots, and ``_ClassGraph`` searches those
-    with ``_path`` and ``least``, so the search's Python-level work is per
-    bucket, not per atom.  An atom gets its lexicographic key, cached for
-    the table, only when a search must order the buckets it is the first
-    to want.  The split of the valid atoms into buckets and the rows that
-    order atoms are built on first use, so a table whose classes have no
-    root builds neither.  The search, the order and the list views read
-    only the block layout ``_set_blocks`` makes, the rows by position and
-    ``terminal``, so they also run on a numpy table's live atoms,
-    compacted (``_Compact``).
-    """
-
-    def __init__(self, clo: ClosureSet, cap: int | None):
-        super().__init__(clo, cap)
-        free = self.free
-        full = (1 << (1 << len(free))) - 1
-        self.member_rows = rows = self.derive_rows(_columns(len(free)), full)
-        shift = len(self.props)
-        self.terminal = rows[self.terminal_at]
-        self.fin_viable = rows[self.fin_at]
-        self.origin_bit = rows[self.root]
-        # a terminal atom must assert every weak next: the valid atoms are
-        # the non-terminal ones and the last block, where every weak-next
-        # bit is set
-        self._set_blocks(shift, (self.key_space - 1) << shift)
-        last = self._last
-        valid = (self.terminal ^ full) | full >> last << last
-        self.count = valid.bit_count()
-        self._classes = {"gen": valid, "fin": valid & self.fin_viable,
-                         "inf": self.terminal ^ full}
-
-    def _set_blocks(self, shift: int, last: int) -> None:
-        """The block layout of atom ids: 2^shift atoms a block, the block
-        of terminal atoms at ``last``."""
-        self.shift, self._last = shift, last
-        self._block = block = (1 << (1 << shift)) - 1
-        # the first atom of every block below the terminal one, and the
-        # shifts that fold a block into its first atom
-        self._starts = ((1 << last) - 1) // block
-        self._folds = [1 << k for k in range(shift)]
-        self._lex_keys: dict[int, int] = {}
-
-    @functools.cached_property
-    def _buckets(self) -> list[tuple[int, int]]:
-        """Bucket -> its valid atoms, for the buckets holding any: the
-        atoms split by each weak next's operand row in turn, the first
-        weak next in the most significant bit of the key."""
+    def _split(self, mask: int) -> list[tuple[int, int]]:
+        """Bucket -> its atoms in the mask, for the buckets holding any: the
+        atoms split by each weak next's operand row in turn, the first weak
+        next in the most significant bit of the key."""
         rows, sigs = self.member_rows, self.sigs
-        groups = [(0, self._classes["gen"])]
+        groups = [(0, mask)]
         for b in self.nexts:
             r = rows[sigs[b][1]]
             split = []
@@ -421,6 +410,10 @@ class _IntTableau(_Table):
         return groups
 
     @functools.cached_property
+    def _buckets(self) -> list[tuple[int, int]]:
+        return self._split(self._classes["gen"])
+
+    @functools.cached_property
     def _lex_rows(self) -> list[int]:
         return [self.member_rows[i] for i in self.telling]
 
@@ -428,9 +421,24 @@ class _IntTableau(_Table):
     def _lacking(self) -> list[int]:
         return [~r for r in self._lex_rows]
 
-    @staticmethod
-    def bits_at(rows, a: int) -> list[int]:
-        return [r >> a & 1 for r in rows]
+    @functools.cached_property
+    def _unpacked(self):
+        """The rows the numpy prune reads, as arrays over the atoms: each
+        atom's signature, in the narrowest unsigned type that holds the
+        keys, and whether it is terminal and holds the origin, unpacked
+        once and shared by the classes."""
+        import numpy as np
+        rows, sigs = self.member_rows, self.sigs
+        bits = _unpack([*(rows[sigs[b][1]] for b in self.nexts),
+                        self.terminal, self.origin_bit], self.width)
+        signature = np.zeros(self.width,
+                             dtype=np.min_scalar_type(self.key_space - 1))
+        for b in bits[:-2]:
+            np.left_shift(signature, 1, out=signature)
+            np.bitwise_or(signature, b, out=signature)
+        # copied, so that the operand rows go
+        terminal, origin = bits[-2:].copy()
+        return signature, terminal, origin
 
     def _class_mask(self, cls: str) -> int:
         if cls not in self._classes:
@@ -455,12 +463,27 @@ class _IntTableau(_Table):
             mask = mask & r or mask
         return mask.bit_length() - 1
 
-    def sorted_atoms(self, cls: str) -> list[int]:
-        return self.lex_order(_set_bits(self._class_mask(cls)))
+    def sorted_atoms(self, cls: str) -> list[Atom]:
+        """The atoms of the class in lexicographic order on member
+        bit-vectors: member bits in core order are that order's keys."""
+        return list(map(self._atom, sorted(self._lanes(self._class_mask(cls)))))
 
-    def class_graph(self, cls: str) -> tuple[dict[int, int], int]:
-        """Bucket -> its live atoms, and the live roots, as masks."""
+    def class_graph(self, cls: str):
+        """The live atoms and the live roots of the class.  Up to
+        ``PYTHON_TABLE_BITS`` free bits, bucket -> its live atoms and the
+        live roots as masks, pruned by rounds over buckets; above it, by
+        numpy, the live atoms as an array and whether a root is live: when
+        none is, a search reads nothing more."""
         admitted = self._class_mask(cls)
+        if len(self.free) > PYTHON_TABLE_BITS:
+            import numpy as np
+            signature, terminal, origin = self._unpacked
+            ids = np.flatnonzero(_unpack([admitted], self.width)[0])
+            nb = self.key_space
+            live = ids[_prune(signature[ids],
+                              np.where(terminal[ids], nb, ids >> self.shift),
+                              nb)]
+            return live, bool(origin[live].any())
         shift, last, block = self.shift, self._last, self._block
         terminal = admitted >> last << last
         buckets = [(s, m & admitted) for s, m in self._buckets if m & admitted]
@@ -476,25 +499,25 @@ class _IntTableau(_Table):
             buckets = kept
         return {s: m & live for s, m in buckets}, live & self.origin_bit
 
-    def masks(self, live: dict[int, int], roots: int):
-        """The table a class graph is masks over, and its masks."""
-        return self, live, roots
-
-    @staticmethod
-    def table_ids(atoms):
-        """The ids of atoms in the table they came from."""
-        return atoms
+    def masks(self, live, roots):
+        """The int table a class graph is masks over, and its masks: this
+        table's own, or above ``PYTHON_TABLE_BITS`` the int table over the
+        live atoms."""
+        if len(self.free) <= PYTHON_TABLE_BITS:
+            return self, live, roots
+        c = _Compact(self, live)
+        return c, c.live, c.origin_bit
 
     def listed(self, live: dict[int, int]):
-        """The list views of a class graph's masks, in table ids."""
+        """The list views of a class graph's masks."""
         every = 0
         for m in live.values():
             every |= m
-        shift, last, ids = self.shift, self._last, self.table_ids
+        shift, last = self.shift, self._last
         atoms = _set_bits(every)
-        return ({s: ids(self.lex_order(_set_bits(m))) for s, m in live.items()},
-                dict(zip(ids(atoms),
-                         [a >> shift if a < last else -1 for a in atoms])))
+        return ({s: self.lex_order(_set_bits(m)) for s, m in live.items()},
+                dict(zip(atoms, [a >> shift if a < last else -1
+                                 for a in atoms])))
 
     def _wanted(self, mask: int) -> list[int]:
         """The buckets the atoms of the mask want, ascending: each block
@@ -550,6 +573,51 @@ class _IntTableau(_Table):
         return None
 
 
+class _Compact(_Table):
+    """The int table over the live atoms of a class graph pruned by numpy,
+    for the mask search, the lexicographic order, the list views and the
+    witness atoms.
+
+    An atom's id is the rank of its demand among the keys the live atoms
+    demand or carry as their signature, shifted left by the proposition
+    count, OR its proposition bits.  Ranks keep the order of keys, so the
+    atoms wanting one bucket still form one aligned block, and the terminal
+    atoms, whose all-ones demand no signature reaches, form the last.  The
+    free rows are the live valuations' bits at their ids, with one
+    ``np.packbits``, and every member row follows from them by
+    ``derive_rows`` over the ids in use, so an atom here holds what it
+    holds in the table.  ``live`` maps the rank of each signature to its
+    atoms.
+    """
+
+    def __init__(self, tab: _Table, live):
+        import numpy as np
+        # the table's layout
+        (self.core, self.sigs, self.root, self.props, self.nexts, self.untils,
+         self.telling, self.unfold, self.free, self.terminal_at,
+         self.fin_at) = (tab.core, tab.sigs, tab.root, tab.props, tab.nexts,
+                         tab.untils, tab.telling, tab.unfold, tab.free,
+                         tab.terminal_at, tab.fin_at)
+        shift, n = tab.shift, len(live)
+        keys, rank = np.unique(np.concatenate((live >> shift,
+                                               tab._unpacked[0][live])),
+                               return_inverse=True)
+        ids = rank[:n] << shift | live & ((1 << shift) - 1)
+        # the ids in use, then each free bit's row
+        bits = np.zeros((len(self.free) + 1, len(keys) << shift), dtype=bool)
+        bits[0, ids] = True
+        bits[1:, ids] = live >> np.arange(len(self.free))[:, None] & 1
+        used, *free_rows = [
+            int.from_bytes(r.tobytes(), "little")
+            for r in np.packbits(bits, axis=1, bitorder="little")]
+        self._set_rows(free_rows, used, int(np.searchsorted(
+            keys, tab.key_space - 1)) << shift)
+        groups = self._split(used)
+        self.live = dict(zip(
+            np.searchsorted(keys, [s for s, _ in groups]).tolist(),
+            [m for _, m in groups]))
+
+
 def _key_at(rows: list[int], a: int) -> int:
     """The bits of the int rows at atom a, the first row most significant."""
     k = 0
@@ -568,193 +636,51 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-def _key(bits: list, n: int):
-    """Fixed-width numpy keys of n atoms from bool rows, the first row in the
-    most significant bit."""
+def _unpack(rows: list[int], n: int):
+    """The int rows over n atoms as numpy rows of 0 and 1 bytes, one per
+    int."""
     import numpy as np
-    # at most MAX_FREE_BITS rows, so 32 bits suffice
-    out = np.zeros(n, dtype=np.uint32)
-    for b in bits:
-        out <<= 1
-        out |= b
-    return out
+    size = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows),
+                           dtype=np.uint8)
+    return np.unpackbits(packed, bitorder="little").reshape(
+        len(rows), -1)[:, :n]
 
 
-class _Tableau(_Table):
-    """Atom table of numpy rows, for closures above ``PYTHON_TABLE_BITS``.
-
-    Atom a is entry a of every row in ``member_rows``; the table keeps the
-    atoms in valuation order of their free bits, and ``lex_order`` puts any
-    subset of them in the order the search follows.  ``demand`` and
-    ``signature`` are fixed-width keys with one bit per weak next, the
-    first in the most significant bit, so a key lies below ``key_space``;
-    ``demand`` is a valuation shifted right.  Numpy builds and prunes a
-    class graph, since it pays per call and not per atom, and hands the
-    survivors to the int table's mask search as a small int table
-    (``_Compact``).
-    """
-
-    def __init__(self, clo: ClosureSet, cap: int | None):
-        import numpy as np
-        super().__init__(clo, cap)
-        sigs, free, nexts = self.sigs, self.free, self.nexts
-
-        # valuations of the free bits; a terminal atom must assert every
-        # weak next
-        rows = np.arange(1 << len(free), dtype=np.uint32)
-        nexts_mask = np.uint32(((1 << len(nexts)) - 1) << len(self.props))
-        terminal_bit = np.uint32(
-            1 << (len(free) - 1 - nexts.index(self.terminal_at)))
-        keep = rows[((rows & terminal_bit) == 0)
-                    | ((rows & nexts_mask) == nexts_mask)]
-        del rows
-
-        # one row per core member, indexed by atom.  Separate rows rather
-        # than one matrix keep each allocation at one row's size, so the
-        # allocator does not go on holding a whole table's worth of heap
-        # after the largest formulas.
-        self.member_rows = row = self.derive_rows(
-            [(keep & np.uint32(1 << k)) != 0 for k in range(len(free))],
-            np.ones(len(keep), dtype=bool))
-        self.count = len(keep)
-        self.terminal = row[self.terminal_at]
-        self.fin_viable = row[self.fin_at]
-        self.origin_bit = row[self.root]
-        self.demand = keep >> np.uint32(len(self.props))
-        self.signature = _key([row[sigs[b][1]] for b in nexts], len(keep))
-
-    @staticmethod
-    def bits_at(rows, a: int) -> list[bool]:
-        return [r.item(a) for r in rows]
-
-    def has_root(self, cls: str) -> bool:
-        roots = self.origin_bit
-        if cls == "fin":
-            roots = roots & self.fin_viable
-        elif cls == "inf":
-            roots = roots & ~self.terminal
-        return bool(roots.any())
-
-    def class_indices(self, cls: str):
-        import numpy as np
-        if cls == "gen":
-            return np.arange(self.count)
-        if cls == "fin":
-            return np.flatnonzero(self.fin_viable)
-        if cls == "inf":
-            return np.flatnonzero(~self.terminal)
-        raise ValueError(f"unknown trace class {cls!r}")
-
-    def lex_order(self, ids) -> list[int]:
-        """The atoms ``ids`` in lexicographic order on member bit-vectors."""
-        import numpy as np
-        ids, rows = np.asarray(ids, dtype=np.intp), self.member_rows
-        return ids[np.lexsort([rows[i][ids]
-                               for i in reversed(self.telling)])].tolist()
-
-    def sorted_atoms(self, cls: str) -> list[int]:
-        return self.lex_order(self.class_indices(cls))
-
-    def class_graph(self, cls: str):
-        """The live atoms, as an array in table order, and the live roots,
-        as a list: when no root is live, a search reads nothing more."""
-        import numpy as np
-        nb = self.key_space
-        # gen holds every atom, so it reads views of the rows, not copies
-        ids = slice(None) if cls == "gen" else self.class_indices(cls)
-        keep = self._prune(self.signature[ids],
-                           np.where(self.terminal[ids], nb, self.demand[ids]), nb)
-        live = np.flatnonzero(keep) if cls == "gen" else ids[keep]
-        return live, live[self.origin_bit[live]].tolist()
-
-    def masks(self, live, roots):
-        """The live atoms as a small int table, and its masks."""
-        c = _Compact(self, live)
-        return c, c.live, c.origin_bit
-
-    @staticmethod
-    def _prune(bucket, wanted, nb: int):
-        """Live mask: the greatest set of atoms that are terminal or have a
-        live successor.  ``wanted`` is nb for terminal atoms."""
-        import numpy as np
-        size = np.bincount(bucket, minlength=nb + 1)
-        live = size[wanted] > 0
-        live[wanted == nb] = True
-        alive = np.bincount(bucket[live], minlength=nb)
-        emptied = np.flatnonzero((alive == 0) & (size[:nb] > 0))
-        if not len(emptied):
-            return live
-        # cascade over a worklist of emptied buckets, taken a batch at a
-        # time: each bucket empties once, so each atom is visited once.
-        # Only atoms live and not terminal now can die, so only they are
-        # grouped by the bucket they want.
-        by_wanted = np.flatnonzero(live & (wanted != nb))
-        wants = wanted[by_wanted]
-        by_wanted = by_wanted[np.argsort(wants)]
-        starts = np.zeros(nb + 1, dtype=np.int64)
-        np.cumsum(np.bincount(wants, minlength=nb), out=starts[1:])
-        while len(emptied):
-            lo = starts[emptied]
-            counts = starts[emptied + 1] - lo
-            # the positions lo .. lo + count - 1 of every emptied bucket
-            first = np.cumsum(counts) - counts
-            demanders = by_wanted[np.arange(counts.sum())
-                                  + np.repeat(lo - first, counts)]
-            dying = demanders[live[demanders]]
-            live[dying] = False
-            hit, lost = np.unique(bucket[dying], return_counts=True)
-            alive[hit] -= lost
-            emptied = hit[alive[hit] == 0]
+def _prune(bucket, wanted, nb: int):
+    """Live mask: the greatest set of atoms that are terminal or have a
+    live successor.  ``bucket`` is each atom's bucket, and ``wanted`` the
+    bucket it wants, or nb for a terminal atom."""
+    import numpy as np
+    size = np.bincount(bucket, minlength=nb + 1)
+    live = size[wanted] > 0
+    live[wanted == nb] = True
+    alive = np.bincount(bucket[live], minlength=nb)
+    emptied = np.flatnonzero((alive == 0) & (size[:nb] > 0))
+    if not len(emptied):
         return live
-
-
-class _Compact(_IntTableau):
-    """The live atoms of a numpy class graph as a small int table, for the
-    int table's mask search, lexicographic order and list views.
-
-    An atom's id is the rank of its demand among the keys the live atoms
-    demand or carry as their signature, shifted left by the proposition
-    count, OR its proposition bits.  Ranks keep the order of keys, so the
-    atoms wanting one bucket still form one aligned block, and the terminal
-    atoms, whose all-ones demand no signature reaches, form the last.
-    ``live`` maps the rank of each signature to its atoms.  Only the rows
-    the search reads are made, with one ``np.packbits``, and ids map back
-    to table ids only for witness atoms and list views.
-    """
-
-    def __init__(self, tab: _Tableau, live):
-        import numpy as np
-        self.sigs, self.untils, self.telling = tab.sigs, tab.untils, tab.telling
-        shift, n = len(tab.props), len(live)
-        keys, rank = np.unique(np.concatenate((tab.demand[live],
-                                               tab.signature[live])),
-                               return_inverse=True)
-        # the rows the search reads at the live atoms, the propositions
-        # first, the last most significant in an atom's proposition bits
-        need = list(dict.fromkeys([
-            *reversed(tab.props), *self.telling, *self.untils,
-            *(self.sigs[u][2] for u in self.untils), tab.terminal_at,
-            tab.root]))
-        rows = [tab.member_rows[i][live] for i in need]
-        ids = rank[:n] << shift | _key(rows[:shift], n)
-        self._set_blocks(shift, int(np.searchsorted(keys, tab.key_space - 1))
-                         << shift)
-        # the table id of each compact id
-        self._table_id = np.zeros(len(keys) << shift, dtype=np.intp)
-        self._table_id[ids] = live
-        bits = np.zeros((len(need), len(keys) << shift), dtype=bool)
-        bits[:, ids] = rows
-        self.member_rows = {i: int.from_bytes(r.tobytes(), "little") for i, r
-                            in zip(need, np.packbits(bits, axis=1,
-                                                     bitorder="little"))}
-        self.terminal = self.member_rows[tab.terminal_at]
-        self.origin_bit = self.member_rows[tab.root]
-        self.live = masks = {}
-        for a, s in zip(ids.tolist(), rank[n:].tolist()):
-            masks[s] = masks.get(s, 0) | 1 << a
-
-    def table_ids(self, atoms):
-        return self._table_id[atoms].tolist()
+    # cascade over a worklist of emptied buckets, taken a batch at a
+    # time: each bucket empties once, so each atom is visited once.
+    # Only atoms live and not terminal now can die, so only they are
+    # grouped by the bucket they want.
+    by_wanted = np.flatnonzero(live & (wanted != nb))
+    wants = wanted[by_wanted]
+    by_wanted = by_wanted[np.argsort(wants)]
+    starts = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(np.bincount(wants, minlength=nb), out=starts[1:])
+    while len(emptied):
+        lo = starts[emptied]
+        counts = starts[emptied + 1] - lo
+        # the positions lo .. lo + count - 1 of every emptied bucket
+        first = np.cumsum(counts) - counts
+        demanders = by_wanted[np.arange(counts.sum())
+                              + np.repeat(lo - first, counts)]
+        dying = demanders[live[demanders]]
+        live[dying] = False
+        hit, lost = np.unique(bucket[dying], return_counts=True)
+        alive[hit] -= lost
+        emptied = hit[alive[hit] == 0]
+    return live
 
 
 class _ClassGraph:
@@ -762,24 +688,24 @@ class _ClassGraph:
     as masks over an int table and searched on them.
 
     A bucket's number is its key: the operand signature its atoms carry,
-    or on a numpy table its rank (``_Compact``).  The table prunes the class
-    in its own form, ``class_graph``, and ``masks`` gives the int table and
-    its masks, one per bucket and one of live roots, on first read, so a
-    numpy class with no live root is decided without them.  The searches
-    and the list views, made on first read by the int table's ``listed``,
-    are in table ids: ``bucket(s)`` in the lexicographic order the search
-    follows, ``next_bucket[a]``, the bucket atom a's successors form, or -1
-    when the atom is terminal (after pruning every live non-terminal atom
-    has a successor), and ``live_ids``, every live atom in order.  Only
-    ``build_atom_graph`` and tests read them.
+    or above ``PYTHON_TABLE_BITS`` its rank (``_Compact``).  The table
+    prunes the class, ``class_graph``, and ``masks`` gives the int table
+    searched, ``search``, and its masks, one per bucket and one of live
+    roots, on first read, so a class pruned by numpy with no live root is
+    decided without them.  The searches and the list views, made on first
+    read by the searched table's ``listed``, are in that table's ids: ``bucket(s)`` in the lexicographic order the search follows,
+    ``next_bucket[a]``, the bucket atom a's successors form, or -1 when
+    the atom is terminal (after pruning every live non-terminal atom has a
+    successor), and ``live_ids``, every live atom in order.  Only
+    ``build_atom_graph`` and tests read the list views.
     """
 
     def __init__(self, tab: _Table, cls: str):
         self.tab = tab
         self._live, self._roots = tab.class_graph(cls)
-        self._search: tuple[_IntTableau, dict[int, int], int] | None = None
+        self._search: tuple[_Table, dict[int, int], int] | None = None
 
-    def _masks(self) -> tuple[_IntTableau, dict[int, int], int]:
+    def _masks(self) -> tuple[_Table, dict[int, int], int]:
         """The int table searched, and the masks over it, made on first
         call.  A plain attribute keeps them: on Python 3.11 a
         ``cached_property`` read costs about 0.5 us, a few percent of a
@@ -788,6 +714,10 @@ class _ClassGraph:
             self._search = self.tab.masks(self._live, self._roots)
         return self._search
 
+    @property
+    def search(self) -> _Table:
+        return self._masks()[0]
+
     @functools.cached_property
     def _lists(self) -> tuple[dict[int, list[int]], dict[int, int]]:
         search, live, _ = self._masks()
@@ -795,7 +725,7 @@ class _ClassGraph:
 
     @property
     def live_ids(self) -> list[int]:
-        return self.tab.lex_order(list(self.next_bucket))
+        return self.search.lex_order(list(self.next_bucket))
 
     @property
     def next_bucket(self) -> dict[int, int]:
@@ -816,7 +746,7 @@ class _ClassGraph:
         ends = roots & search.terminal
         path = ([search.least(ends)] if ends
                 else search._path(live, roots, search.terminal))
-        return path and search.table_ids(path)
+        return path
 
     def lasso_chain(self) -> tuple[list[int], list[int]] | None:
         """The shortest path from a live root into a self-fulfilling
@@ -877,7 +807,7 @@ class _ClassGraph:
             for a in seg:
                 on_loop |= 1 << a
         loop += scc_path(loop[-1], 1 << entry)[:-1]
-        return search.table_ids(prefix), search.table_ids(loop)
+        return prefix, loop
 
 
 def _tarjan(succ, order):
@@ -934,19 +864,17 @@ def enumerate_atoms(clo: ClosureSet, cls: str,
     """All locally consistent atoms admissible for the class, in the fixed
     lexicographic order on member bit-vectors.  Desk scale: materialises and
     sorts every atom, which the decider never does."""
-    tab = _new_table(clo, closure_cap)
-    return tuple(map(tab.atom, tab.sorted_atoms(cls)))
+    return tuple(_Table(clo, closure_cap).sorted_atoms(cls))
 
 
 def build_atom_graph(clo: ClosureSet, cls: str,
                      closure_cap: int | None = DEFAULT_CLOSURE_CAP) -> AtomGraph:
     """The pruned atom graph: nodes that can head a chain of their class,
     successor lists per the biconditional edge law."""
-    tab = _new_table(clo, closure_cap)
-    g = _ClassGraph(tab, cls)
+    g = _ClassGraph(_Table(clo, closure_cap), cls)
     kept = g.live_ids
     local = {a: k for k, a in enumerate(kept)}
-    nodes = tuple(tab.atom(a) for a in kept)
+    nodes = tuple(map(g.search.atom, kept))
     succs = tuple(tuple(local[b] for b in g.successors(a)) for a in kept)
     return AtomGraph(class_label=cls, nodes=nodes, successors=succs)
 
@@ -976,7 +904,7 @@ def _table(f: Formula, cap: int | None) -> _Table:
     if memo is not None and memo[0]._hash == f._hash and memo[0] == f:
         memo[1].check_cap(cap)
         return memo[1]
-    tab = _new_table(closure(f, "ltl"), cap)
+    tab = _Table(closure(f, "ltl"), cap)
     _memo = (f, tab) if tab.count <= _MEMO_ATOMS else None
     return tab
 

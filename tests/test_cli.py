@@ -395,7 +395,7 @@ def test_deep_nesting_meets_the_closure_cap(capsys):
     proc = _fresh_cli(sat)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == ("error: closure of size 1213 exceeds the cap 24; "
-                           "raise closure_cap to proceed\n")
+                           "raise it with --cap (closure_cap in Python)\n")
     # 1200 negations of p are p
     proc = _fresh_cli(sat + ["--cap", "0"])
     assert run(capsys, "sat", "--class", "gen", "--formula", "p") == (

@@ -5,6 +5,7 @@ always exported."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -138,17 +139,40 @@ def test_cross_check_loads_numpy_only_for_tables_above_the_int_builder():
         "from caretkit import tableau\n"
         "from caretkit.cli import main\n"
         "bits = []\n"
-        "new_table = tableau._new_table\n"
-        "def recording(clo, cap):\n"
+        "init = tableau._Table.__init__\n"
+        "def recording(tab, clo, cap):\n"
         "    bits.append(sum(type(m).__name__ in ('Prop', 'WeakNext')\n"
         "                    for m in clo.core))\n"
-        "    return new_table(clo, cap)\n"
-        "tableau._new_table = recording\n"
+        "    init(tab, clo, cap)\n"
+        "tableau._Table.__init__ = recording\n"
         "argv = ['fuzz', '--system', 'cross-check', '--instances', '3']\n"
         "assert main(argv) == 0\n"
         "assert bits and max(bits) <= tableau.PYTHON_TABLE_BITS, bits\n")
     assert loaded["caretkit.tableau"] and loaded["caretkit.fuzz"]
     assert not loaded["numpy"]
+
+
+def test_numpy_is_imported_only_inside_tableau_functions():
+    # the cold-start contract at the source: no module imports numpy when
+    # it is loaded, and only the decider's functions import it
+    found = 0
+    for path in sorted((ROOT / "src" / "caretkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        in_functions = {id(node) for fn in ast.walk(tree)
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "numpy" for n in names):
+                found += 1
+                assert path.name == "tableau.py", (path.name, node.lineno)
+                assert id(node) in in_functions, (path.name, node.lineno)
+    assert found > 0
 
 
 def test_lazy_names_are_the_submodules_own():
@@ -176,7 +200,7 @@ def test_closure_cap_error_is_the_one_cli_catches(capsys, monkeypatch):
     code = cli.main(["sat", "--formula", "p", "--class", "fin", "--cap", "3"])
     assert (code, capsys.readouterr().err) == (
         3, "error: closure of size 14 exceeds the cap 3; "
-           "raise closure_cap to proceed\n")
+           "raise it with --cap (closure_cap in Python)\n")
 
     def refuse(*args, **kwargs):
         raise tableau.ClosureCapError("refused")

@@ -52,7 +52,7 @@ from caretkit.tableau import (
     extract_model,
 )
 from caretkit import tableau
-from caretkit.tableau import _ClassGraph, _Tableau
+from caretkit.tableau import _ClassGraph, _Table
 from caretkit.trace import FiniteTrace, LassoTrace, trace_to_text
 
 from exhaustive_oracle import enumerate_formulas
@@ -63,9 +63,9 @@ FIN_MARK = Until(TRUE, TERMINAL)
 
 
 def _on_each_builder(monkeypatch, run):
-    """run() with every table from the int builder, which takes every
-    closure when PYTHON_TABLE_BITS is MAX_FREE_BITS, then from the numpy
-    builder, which takes every closure when it is 0."""
+    """run() with every class graph pruned on int masks, which every table
+    takes when PYTHON_TABLE_BITS is MAX_FREE_BITS, then by numpy and
+    searched compacted, which every table takes when it is 0."""
     results = []
     for bits in (MAX_FREE_BITS, 0):
         with monkeypatch.context() as m:
@@ -400,17 +400,29 @@ def test_caret_closures_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Fixed-width keys against the packing they replaced.  The reference packs
+# Keys and buckets against the packing they replaced.  The reference packs
 # bool rows with packbits and int.from_bytes (any width, first column most
 # significant, zero-padded to whole bytes), orders atoms by that integer and
-# prunes round by round with buckets keyed by it.  The table keeps its rows
-# unordered; the class graph orders the survivors of pruning.
+# prunes round by round with buckets keyed by it.  The table's atoms are its
+# valuations, and the class graph, pruned by numpy, holds the survivors
+# renumbered, so they are compared by their member bits.
 
 def _pack_rows(matrix):
     if matrix.shape[1] == 0:
         return [0] * matrix.shape[0]
     packed = np.packbits(matrix, axis=1)
     return [int.from_bytes(row.tobytes(), "big") for row in packed]
+
+
+def _bool_row(r, width):
+    """An int row as a bool array, entry a its bit a, read off its binary
+    digits."""
+    return np.frombuffer(format(r, f"0{width}b")[::-1].encode(),
+                         dtype=np.uint8) == ord("1")
+
+
+def _member_bits(tab, a):
+    return tuple(r >> a & 1 for r in tab.member_rows)
 
 
 def _until_keys(tab, ids):
@@ -423,8 +435,8 @@ def _until_keys(tab, ids):
 
     def key(picked, a):
         k = 0
-        for bit in tab.bits_at(picked, a):
-            k = k << 1 | bool(bit)
+        for r in picked:
+            k = k << 1 | r >> a & 1
         return k
 
     return ({a: key(present, a) for a in ids},
@@ -432,7 +444,17 @@ def _until_keys(tab, ids):
 
 
 def _check_against_packing(tab):
-    row = dict(zip(tab.core, tab.member_rows))
+    """The table's keys and the class graphs the numpy prune and the
+    compacted search make of it, against the reference."""
+    width = 1 << len(tab.free)
+    full = _bool_row(tab.member_rows[tab.sigs.index((syntax.TrueConst,))],
+                     width)
+    assert full.all()
+    # the valid atoms: a terminal atom asserts every weak next
+    valid = np.flatnonzero(_bool_row(tab._classes["gen"], width))
+    assert len(valid) == tab.count
+    row = {f: _bool_row(r, width)[valid]
+           for f, r in zip(tab.core, tab.member_rows)}
 
     def packed(fs):
         cols = np.stack([row[f] for f in fs], axis=1) if fs else \
@@ -440,28 +462,29 @@ def _check_against_packing(tab):
         pad = -len(fs) % 8
         return [v >> pad for v in _pack_rows(cols)]
 
-    order = _pack_rows(np.array(tab.member_rows).T)
+    order = _pack_rows(np.array([row[f] for f in tab.core]).T)
     assert len(set(order)) == len(order)
 
     nexts = [m for m in tab.core if type(m) is WeakNext]
     untils = [m for m in tab.core if type(m) is Until]
     demand = packed(nexts)
     signature = packed([n.operand for n in nexts])
-    assert tab.demand.tolist() == demand
-    assert tab.signature.tolist() == signature
-    every = list(range(tab.count))
-    present, fulfill = _until_keys(tab, every)
-    assert [present[a] for a in every] == packed(untils)
-    assert [fulfill[a] for a in every] == packed([u.right for u in untils])
+    # an atom's valuation shifted right by the propositions is its demand
+    assert (valid >> len(tab.props)).tolist() == demand
+    assert tab._unpacked[0][valid].tolist() == signature
+    present, fulfill = _until_keys(tab, valid.tolist())
+    assert [present[a] for a in valid.tolist()] == packed(untils)
+    assert [fulfill[a] for a in valid.tolist()] == packed([u.right for u in untils])
 
     terminal = row[TERMINAL].tolist()
     in_class = {"gen": [True] * tab.count, "fin": row[FIN_MARK].tolist(),
                 "inf": [not t for t in terminal]}
+    bits = [_member_bits(tab, a) for a in valid.tolist()]
     for cls, admitted in in_class.items():
-        alive = {a for a in range(tab.count) if admitted[a]}
+        alive = {k for k in range(tab.count) if admitted[k]}
         while True:
-            size = Counter(signature[a] for a in alive)
-            dead = {a for a in alive if not terminal[a] and size[demand[a]] == 0}
+            size = Counter(signature[k] for k in alive)
+            dead = {k for k in alive if not terminal[k] and size[demand[k]] == 0}
             if not dead:
                 break
             alive -= dead
@@ -469,28 +492,31 @@ def _check_against_packing(tab):
         # packed order
         by_row = sorted(alive, key=order.__getitem__)
         members = {}
-        for a in by_row:
-            members.setdefault(signature[a], []).append(a)
+        for k in by_row:
+            members.setdefault(signature[k], []).append(bits[k])
 
         g = _ClassGraph(tab, cls)
-        assert g.live_ids == by_row
+        held = {_member_bits(g.search, a): a for a in g.live_ids}
+        assert list(held) == [bits[k] for k in by_row]
         key_of = {}
-        for a in alive:
-            s = g.next_bucket[a]
-            if terminal[a]:
+        for k in alive:
+            s = g.next_bucket[held[bits[k]]]
+            if terminal[k]:
                 assert s == -1
             elif s in key_of:
-                assert key_of[s] == demand[a]
+                assert key_of[s] == demand[k]
             else:
-                key_of[s] = demand[a]
-                assert g.bucket(s) == members[demand[a]]
+                key_of[s] = demand[k]
+                assert [_member_bits(g.search, a) for a in g.bucket(s)] \
+                    == members[demand[k]]
         assert len(set(key_of.values())) == len(key_of)
 
 
-def test_keys_and_buckets_match_packing_small_formulas():
+def test_keys_and_buckets_match_packing_small_formulas(monkeypatch):
+    monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", 0)
     by_size = enumerate_formulas(5)
     for f in (g for n in sorted(by_size) for g in by_size[n]):
-        _check_against_packing(_Tableau(closure(f), None))
+        _check_against_packing(_Table(closure(f), None))
 
 
 # Negated axiom instances with 12 to 16 free bits
@@ -508,35 +534,40 @@ def _negated_instance(name, bindings):
 
 
 @pytest.mark.parametrize("name, bindings", HEAVY_INSTANCES)
-def test_keys_and_buckets_match_packing_axiom_instances(name, bindings):
-    tab = _Tableau(closure(_negated_instance(name, bindings)), None)
+def test_keys_and_buckets_match_packing_axiom_instances(monkeypatch, name,
+                                                       bindings):
+    monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", 0)
+    tab = _Table(closure(_negated_instance(name, bindings)), None)
     assert 12 <= len(tab.props) + sum(type(m) is WeakNext for m in tab.core) <= 16
     _check_against_packing(tab)
 
 
 # ---------------------------------------------------------------------------
-# Ordering only the survivors, against the slow path it replaced: a table
-# whose rows (and keys) are all put in lexicographic order when it is built.
+# Ordering only what is read, against the slow path it replaced: tables
+# that key every atom they order by its whole member bit-vector, take a
+# mask's least atom by sorting the mask, and list a class by sorting all
+# its atoms.
 
 CEILING = parse_formula("G (p -> X q) & G (q -> X r) & F (s & X X p)")
 
 
-class _SortedTableau(_Tableau):
-    def __init__(self, clo, cap):
-        super().__init__(clo, cap)
-        order = np.lexsort(self.member_rows[::-1])
-        for r in self.member_rows:
-            r[:] = r[order]
-        for name in ("demand", "signature"):
-            setattr(self, name, getattr(self, name)[order])
-
-
 def _on_sorted_tables(monkeypatch, run):
+    def lex_order(tab, ids):
+        return sorted(ids, key=lambda a: _member_bits(tab, a))
+
+    def least(tab, mask):
+        return lex_order(tab, tableau._set_bits(mask))[0]
+
+    def sorted_atoms(tab, cls):
+        return [tab.atom(a) for a in
+                lex_order(tab, tableau._set_bits(tab._class_mask(cls)))]
+
     with monkeypatch.context() as m:
         m.setattr(tableau, "PYTHON_TABLE_BITS", 0)
-        m.setattr(tableau, "_Tableau", _SortedTableau)
-        m.setattr(tableau, "_table",
-                  lambda f, cap: _SortedTableau(closure(f), cap))
+        m.setattr(tableau, "_memo", None)
+        m.setattr(tableau._Table, "lex_order", lex_order)
+        m.setattr(tableau._Table, "least", least)
+        m.setattr(tableau._Table, "sorted_atoms", sorted_atoms)
         return run()
 
 
@@ -572,58 +603,63 @@ def test_atoms_and_graphs_match_sorted_tables(monkeypatch):
 
 
 def test_only_live_atoms_are_sorted(monkeypatch):
-    # a numpy decision sorts no atom: the mask search on the compacted live
-    # atoms keys, for the lexicographic order, only some of them
-    tab = _Tableau(closure(CEILING), None)
+    # a decision pruned by numpy lists no class: the mask search on the
+    # compacted live atoms keys, for the lexicographic order, only some of
+    # them
+    tab = _Table(closure(CEILING), None)
+    assert len(tab.free) > tableau.PYTHON_TABLE_BITS
     live = {cls: len(_ClassGraph(tab, cls).live_ids) for cls in CLASSES}
-    lengths = []
-    lexsort = np.lexsort
+    listed = []
+    lanes = tableau._Table._lanes
 
-    def recording(keys, *args, **kwargs):
-        lengths.append(len(keys[0]))
-        return lexsort(keys, *args, **kwargs)
+    def recording(tab, mask):
+        listed.append(mask)
+        return lanes(tab, mask)
 
-    monkeypatch.setattr(np, "lexsort", recording)
+    monkeypatch.setattr(tableau._Table, "_lanes", recording)
     keyed = _counting_keys(monkeypatch)
     for cls in CLASSES:
         monkeypatch.setattr(tableau, "_memo", None)
-        lengths.clear()
         keyed.clear()
         res = decide_sat(CEILING, cls, closure_cap=None)
         assert res.satisfiable and eval_ltl(res.model, 0, CEILING) is True
-        assert lengths == [] and len(keyed) < live[cls] < tab.count
+        assert listed == [] and len(keyed) < live[cls] < tab.count
 
 
-def test_gen_graphs_match_graphs_on_gathered_rows():
-    # class_graph("gen") prunes the table's own rows; gathered through
-    # class_indices("gen"), as the other classes gather theirs, the same
-    # rows must give the same live atoms and roots, and stay unchanged
-    by_size = enumerate_formulas(4)
+def test_numpy_and_int_prunes_keep_the_same_atoms(monkeypatch):
+    # the one fork left: on one table, the numpy prune and the int prune
+    # keep the same live atoms and live roots in every class, and the rows
+    # the numpy prune reads stay as they were unpacked
+    by_size = enumerate_formulas(5)
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
     formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
+    formulas += _seeded_band(11, 13, 100)
     pruned = 0
-    for f in formulas + [CEILING]:
-        tab = _Tableau(closure(f), None)
-        rows = [r.copy() for r in (tab.signature, tab.terminal, tab.demand)]
-        ids, nb = tab.class_indices("gen"), tab.key_space
-        live = ids[tab._prune(tab.signature[ids],
-                              np.where(tab.terminal[ids], nb, tab.demand[ids]),
-                              nb)]
-        got, roots = tab.class_graph("gen")
-        assert got.tolist() == live.tolist(), f
-        assert roots == live[tab.origin_bit[live]].tolist(), f
-        for before, after in zip(rows, (tab.signature, tab.terminal, tab.demand)):
-            assert np.array_equal(before, after)
-        pruned += len(live) < tab.count
-    assert pruned > 10
+    for f in formulas:
+        tab = _Table(closure(f), None)
+        for cls in CLASSES:
+            monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", MAX_FREE_BITS)
+            buckets, roots = tab.class_graph(cls)
+            on_int = sum(buckets.values())
+            monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", 0)
+            rows = [r.copy() for r in tab._unpacked]
+            live, has_root = tab.class_graph(cls)
+            assert live.tolist() == tableau._set_bits(on_int), (f, cls)
+            assert [a for a in live.tolist() if tab.origin_bit >> a & 1] \
+                == tableau._set_bits(roots), (f, cls)
+            assert has_root == bool(roots), (f, cls)
+            for before, after in zip(rows, tab._unpacked):
+                assert np.array_equal(before, after)
+            pruned += on_int != tab._class_mask(cls)
+    assert pruned > len(formulas) // 4
 
 
 def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
-    # a numpy class graph with no live root answers both searches without
-    # compacting its live atoms or listing them, and still compacts and
-    # lists every live atom when its list views are read
+    # a class graph pruned by numpy with no live root answers both searches
+    # without compacting its live atoms or listing them, and still
+    # compacts and lists every live atom when its list views are read
     calls = []
-    compact, listed = tableau._Compact.__init__, tableau._IntTableau.listed
+    compact, listed = tableau._Compact.__init__, tableau._Table.listed
 
     def compacting(c, tab, live):
         calls.append(("compact", len(live)))
@@ -634,10 +670,11 @@ def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
         return listed(c, live)
 
     monkeypatch.setattr(tableau._Compact, "__init__", compacting)
-    monkeypatch.setattr(tableau._IntTableau, "listed", listing)
+    monkeypatch.setattr(tableau._Table, "listed", listing)
+    monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", 0)
     rootless = 0
     for inst in HEAVY_INSTANCES:
-        tab = _Tableau(closure(_negated_instance(*inst)), None)
+        tab = _Table(closure(_negated_instance(*inst)), None)
         for cls in CLASSES:
             g = _ClassGraph(tab, cls)
             if g._roots:
@@ -646,7 +683,8 @@ def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
             calls.clear()
             assert g.terminal_path() is None and g.lasso_chain() is None
             assert calls == []
-            assert sorted(g.live_ids) == sorted(g._live.tolist())
+            assert sorted(_member_bits(g.search, a) for a in g.live_ids) \
+                == sorted(_member_bits(tab, a) for a in g._live.tolist())
             n = len(g._live)
             assert calls == [("compact", n), ("listed", n)] and n > 0
     assert rootless >= 4
@@ -660,9 +698,8 @@ def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
 class _SeparateSearchGraph(_ClassGraph):
     def roots(self):
         """The live roots, in lexicographic order."""
-        tab = self.tab
-        return [a for a in self.live_ids
-                if tab.bits_at([tab.origin_bit], a)[0]]
+        origin = self.search.origin_bit
+        return [a for a in self.live_ids if origin >> a & 1]
 
     def _succ(self, node):
         """Bipartite successors: an atom id leads to its bucket node ~s, a
@@ -709,7 +746,7 @@ class _SeparateSearchGraph(_ClassGraph):
         good = []
         roots = self.roots()
         comps = tableau._tarjan(succ, roots)
-        until_present, until_fulfill = _until_keys(self.tab, self.live_ids)
+        until_present, until_fulfill = _until_keys(self.search, self.live_ids)
         for ci, comp in enumerate(comps):
             for node in comp:
                 scc_of[node] = ci
@@ -872,7 +909,7 @@ def test_decisions_key_only_roots_and_expanded_buckets(monkeypatch):
     # bucket whenever the propositions split them.
     keyed = _counting_keys(monkeypatch)
     searches = []
-    path = tableau._IntTableau._path
+    path = tableau._Table._path
 
     def recording(tab, live, *args):
         start = len(keyed)
@@ -881,7 +918,7 @@ def test_decisions_key_only_roots_and_expanded_buckets(monkeypatch):
         finally:
             searches.append((tab.shift, live, keyed[start:]))
 
-    monkeypatch.setattr(tableau._IntTableau, "_path", recording)
+    monkeypatch.setattr(tableau._Table, "_path", recording)
     ordering = 0
     for f in _int_table_formulas():
         for cls in CLASSES:
@@ -915,7 +952,7 @@ def test_one_atom_loop_closes_on_itself():
 def _fresh_decisions(monkeypatch, formulas):
     with monkeypatch.context() as m:
         m.setattr(tableau, "_table",
-                  lambda f, cap: tableau._new_table(closure(f), cap))
+                  lambda f, cap: tableau._Table(closure(f), cap))
         return {(f, cls): decide_sat(f, cls, closure_cap=None)
                 for f in formulas for cls in CLASSES}
 
@@ -986,21 +1023,22 @@ def test_large_tables_are_not_kept(monkeypatch):
     _count_closures(monkeypatch)
     decide_sat(Prop("p"), "gen")
     assert tableau._memo is not None
-    # 18 free bits: a numpy table, larger than any int table
-    assert _Tableau(closure(CEILING), None).count > tableau._MEMO_ATOMS
+    # 18 free bits: larger than any table the int prune takes
+    assert _Table(closure(CEILING), None).count > tableau._MEMO_ATOMS
     decide_sat(CEILING, "inf", closure_cap=None)
     assert tableau._memo is None
 
 
 def test_int_tables_are_kept(monkeypatch):
     calls = _count_closures(monkeypatch)
-    # 13 free bits and 4,104 atoms: the largest int tables are kept
+    # 13 free bits and 4,104 atoms: the largest tables the int prune takes
+    # are kept
     f = parse_formula("G (p -> X q) & G (q -> X r)")
     assert _free_bits(f) == tableau.PYTHON_TABLE_BITS
     for cls in CLASSES:
         decide_sat(f, cls, closure_cap=None)
     assert len(calls) == 1
-    assert type(tableau._memo[1]) is tableau._IntTableau
+    assert tableau._memo[1].count == 4104
 
 
 def test_memo_compares_deep_formulas_without_recursing(monkeypatch):
@@ -1048,19 +1086,20 @@ def test_shared_model_entry_is_weak():
 # for a lasso.
 
 def _class_graph_decision(f, cls):
-    tab = _Tableau(closure(f), None)
-    g = _ClassGraph(tab, cls)
+    g = _ClassGraph(_Table(closure(f), None), cls)
     if cls in ("fin", "gen"):
         path = g.terminal_path()
         if path is not None:
-            w = ChainWitness(kind="finite", atoms=tuple(map(tab.atom, path)))
+            w = ChainWitness(kind="finite",
+                             atoms=tuple(map(g.search.atom, path)))
             return SatResult(True, w, extract_model(w))
     if cls in ("inf", "gen"):
         chain = g.lasso_chain()
         if chain is not None:
             prefix, loop = chain
-            w = ChainWitness(kind="lasso", atoms=tuple(map(tab.atom, prefix)),
-                             loop=tuple(map(tab.atom, loop)))
+            atom = g.search.atom
+            w = ChainWitness(kind="lasso", atoms=tuple(map(atom, prefix)),
+                             loop=tuple(map(atom, loop)))
             return SatResult(True, w, extract_model(w))
     return SatResult(False)
 
@@ -1085,8 +1124,11 @@ def test_mixed_class_matches_class_graph_decisions(monkeypatch, order):
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
     formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
     formulas.append(CEILING)
-    expected = {(f, cls): _class_graph_decision(f, cls)
-                for f in formulas for cls in CLASSES}
+    # one search of each class graph, pruned by numpy
+    with monkeypatch.context() as m:
+        m.setattr(tableau, "PYTHON_TABLE_BITS", 0)
+        expected = {(f, cls): _class_graph_decision(f, cls)
+                    for f in formulas for cls in CLASSES}
     # keep every table between classes, so each later class is answered
     # from the witnesses found before it
     monkeypatch.setattr(tableau, "_MEMO_ATOMS", 1 << 20)
@@ -1099,8 +1141,8 @@ def test_mixed_class_matches_class_graph_decisions(monkeypatch, order):
         # a class builds a graph only when an atom of its class mask holds
         # the origin; gen first builds one graph, and inf its own only
         # when fin has a model
-        tab = _Tableau(closure(f), None)
-        root = {cls: bool(tab.origin_bit[tab.class_indices(cls)].any())
+        tab = _Table(closure(f), None)
+        root = {cls: bool(tab._class_mask(cls) & tab.origin_bit)
                 for cls in CLASSES}
         if order[0] == "gen":
             graphs = root["gen"] + (expected[f, "fin"].satisfiable
@@ -1186,8 +1228,8 @@ def _prune_inputs(draw):
 @given(_prune_inputs())
 def test_prune_matches_round_by_round_fixpoint(inputs):
     nb, bucket, wanted = inputs
-    live = _Tableau._prune(np.array(bucket, dtype=np.uint32),
-                           np.array(wanted, dtype=np.uint32), nb)
+    live = tableau._prune(np.array(bucket, dtype=np.uint32),
+                          np.array(wanted, dtype=np.uint32), nb)
     assert live.tolist() == _prune_rounds(bucket, wanted, nb)
 
 
@@ -1196,8 +1238,8 @@ def test_prune_cascades_down_a_long_chain():
     nb = 16
     bucket = list(range(12)) + [13, 14]
     wanted = list(range(1, 13)) + [14, nb]
-    live = _Tableau._prune(np.array(bucket, dtype=np.uint32),
-                           np.array(wanted, dtype=np.uint32), nb)
+    live = tableau._prune(np.array(bucket, dtype=np.uint32),
+                          np.array(wanted, dtype=np.uint32), nb)
     assert live.tolist() == [False] * 12 + [True, True]
 
 
