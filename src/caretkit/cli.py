@@ -5,13 +5,16 @@ Subcommands: eval, sat, valid, check-proof, fuzz, axioms.  Exit codes:
 1 for a negative outcome, 2 for usage errors, 3 for input errors
 (unparsable formulas, trace or proof files, closure cap),
 4 for internal invariant violations.  All diagnostics go to stderr; --json
-emits one machine-readable object on stdout with fixed key order.
+emits one machine-readable object on stdout with fixed key order.  Once
+stdout's reader has gone (``| head -1``), the rest of the output is dropped
+quietly and the exit code is still the verdict's, as a Unix filter does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .semantics import EvalError, eval_caret, eval_ltl
@@ -25,10 +28,18 @@ __all__ = ["main"]
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload))
-    elif text:
-        print(text)
+    try:
+        if getattr(args, "json", False):
+            print(json.dumps(payload))
+        elif text:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: stdout goes to devnull, so that the flush at
+        # exit stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def decide_sat(formula, cls, closure_cap):
@@ -65,28 +76,25 @@ def _cmd_eval(args) -> int:
     return 0 if value else 1
 
 
-def _cmd_sat(args) -> int:
+# valid f is sat !f with other verdicts: per command, whether the formula is
+# negated, then the verdict and exit code without a model and with one
+_DECISIONS = {"sat": (False, ("unsat", 1), ("sat", 0)),
+              "valid": (True, ("valid", 0), ("invalid", 1))}
+
+
+def _cmd_decide(args) -> int:
+    negated, *verdicts = _DECISIONS[args.command]
     formula = parse_formula(args.formula, "ltl")
-    result = decide_sat(formula, args.cls, closure_cap=_cap(args))
+    result = decide_sat(Not(formula) if negated else formula, args.cls,
+                        closure_cap=_cap(args))
+    verdict, code = verdicts[result.satisfiable]
+    payload = {"command": args.command, "verdict": verdict}
+    text = verdict.upper()
     if result.satisfiable:
-        witness = trace_to_text(result.model)
-        _emit(args, {"command": "sat", "verdict": "sat", "witness": witness},
-              "SAT\n" + witness)
-        return 0
-    _emit(args, {"command": "sat", "verdict": "unsat"}, "UNSAT")
-    return 1
-
-
-def _cmd_valid(args) -> int:
-    formula = parse_formula(args.formula, "ltl")
-    result = decide_sat(Not(formula), args.cls, closure_cap=_cap(args))
-    if not result.satisfiable:
-        _emit(args, {"command": "valid", "verdict": "valid"}, "VALID")
-        return 0
-    counter = trace_to_text(result.model)
-    _emit(args, {"command": "valid", "verdict": "invalid", "witness": counter},
-          "INVALID\n" + counter)
-    return 1
+        payload["witness"] = trace_to_text(result.model)
+        text += "\n" + payload["witness"]
+    _emit(args, payload, text)
+    return code
 
 
 def _cmd_check_proof(args) -> int:
@@ -188,9 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
-    for name, summary, func in (
-            ("sat", "decide satisfiability, print a witness", _cmd_sat),
-            ("valid", "decide validity, print a countermodel", _cmd_valid)):
+    for name, summary in (("sat", "decide satisfiability, print a witness"),
+                          ("valid", "decide validity, print a countermodel")):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--formula", required=True)
         p.add_argument("--class", dest="cls", required=True, choices=CLASSES)
@@ -198,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closure size cap (0 lifts the cap; default "
                        f"{DEFAULT_CLOSURE_CAP})")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("check-proof", help="check a proof script file")
     p.add_argument("file")

@@ -64,10 +64,10 @@ class ProofLimitError(ProofError):
 # ---------------------------------------------------------------------------
 # Propositional tautology checking under maximal-subformula abstraction.
 
-def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
+def check_tautology(f: Formula) -> bool:
     """True iff f is a tautology once every maximal subformula not headed by
     negation, conjunction or true is treated as an opaque letter.  More
-    than ``max_letters`` letters raise ProofLimitError."""
+    than MAX_TAUT_LETTERS letters raise ProofLimitError."""
     letters: list[Formula] = []
     seen: set[Formula] = set()
     stack = [f]
@@ -82,10 +82,10 @@ def check_tautology(f: Formula, max_letters: int = MAX_TAUT_LETTERS) -> bool:
         elif t is not TrueConst and g not in seen:
             seen.add(g)
             letters.append(g)
-    if len(letters) > max_letters:
+    if len(letters) > MAX_TAUT_LETTERS:
         raise ProofLimitError(
             f"letter bound: tautology check abstracts to {len(letters)} "
-            f"letters, needs <= {max_letters} (MAX_TAUT_LETTERS)")
+            f"letters, needs <= {MAX_TAUT_LETTERS} (MAX_TAUT_LETTERS)")
 
     full = (1 << (1 << len(letters))) - 1
     # the fold finds every letter's column in its memo; only true is a leaf

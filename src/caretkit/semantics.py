@@ -10,9 +10,8 @@ any satisfied until has a witness at most one canonical round away.
 
 Abstract operators read the abstract successor map of a structured lasso,
 built at canonical positions by the one call/return pass that also gives
-trace.matching_return its distances, and kept for the last trace asked
-about (trace.abstract_successor_map); this is sound because a suffix of
-the trace starting inside the loop recurs verbatim one loop later, so both
+trace.matching_return its distances; this is sound because a suffix of the
+trace starting inside the loop recurs verbatim one loop later, so both
 truth and the abstract successor are periodic there.  The map is a
 function, so an abstract until is settled by one memoised walk along it
 that visits every position once.  Masks go to and from per-position digit
@@ -26,14 +25,17 @@ overflows the interpreter), and the soundness campaigns call it on the steps
 of their drawn bindings and of a compiled axiom schema, whose only
 constants are leaves, so they evaluate an instance without building it.
 
-A context needs no trace object either: EvalContext.from_masks starts one
-from a trace's shape and its propositions' masks, plus the tag of each
-position on a structured lasso, from which the same call/return pass
-(trace._tag_pass) gives the abstract successor map.  The soundness
-campaigns start their contexts so, from the masks they draw.
+Every context starts from a trace's masks: its shape, its propositions'
+masks and, on a structured lasso, the tag of each position
+(trace._Trace.masks).  EvalContext(trace) reads the ones the trace made
+once, and its call/return pass; EvalContext.from_masks is handed them, as
+the soundness campaigns do with the masks they draw, and runs the pass
+itself (trace._tag_pass) when an abstract operator needs it.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .syntax import (
     AbsUntil, AbsWeakNext, And, Formula, Not, Prop, TrueConst, Until, WeakNext,
@@ -42,8 +44,8 @@ from .syntax import (
 # abstract_successor stays bound here, unused, because the benchmark's
 # traced run (perfbench/tracer.py) wraps it under this name.
 from .trace import (
-    FiniteTrace, LassoTrace, StructuredLassoTrace, _tag_pass, _Trace,
-    abstract_successor, abstract_successor_map,
+    FiniteTrace, LassoTrace, StructuredLassoTrace, _mask, _return_pass,
+    _tag_pass, _Trace, abstract_successor,
 )
 
 __all__ = ["EvalContext", "EvalError", "eval_ltl", "eval_caret", "eval_everywhere"]
@@ -53,24 +55,14 @@ class EvalError(Exception):
     pass
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _mask(flags: list[bool]) -> int:
-    """The bitmask with bit i set where flags[i] is true."""
-    return int(bytes(flags[::-1]).translate(_DIGITS), 2)
-
-
 class EvalContext:
     """Truth-mask evaluator for one trace, memoised per subformula."""
 
     def __init__(self, trace):
         if not isinstance(trace, _Trace):
             raise TypeError(f"not a trace: {trace!r}")
-        self._start(len(trace.prefix) + len(trace.loop), len(trace.prefix),
-                    isinstance(trace, StructuredLassoTrace), {})
+        self._start(*trace.masks(), partial(_return_pass, trace))
         self.trace = trace
-        self._states = trace.prefix + trace.loop
 
     @classmethod
     def from_masks(cls, n: int, prefix_len: int, props: dict[str, int],
@@ -81,19 +73,22 @@ class EvalContext:
         gives the StateTag of each position, and its tag names' masks in
         props.  No trace object is built: trace is None."""
         ctx = cls.__new__(cls)
-        ctx._start(n, prefix_len, tags is not None, props)
-        ctx.trace = ctx._states = None
-        ctx._tags = tags
+        ctx._start(n, prefix_len, props, tags,
+                   partial(_tag_pass, tags, prefix_len))
+        ctx.trace = None
         return ctx
 
-    def _start(self, n, prefix_len, structured, props):
+    def _start(self, n, prefix_len, props, tags, tag_pass):
+        """Every context's start: a trace's masks (_Trace.masks), and a
+        function giving its call/return pass when an abstract operator asks."""
         self.n = n
         self.prefix_len = prefix_len
         self.finite = prefix_len == n
-        self.structured = structured
+        self.structured = tags is not None
         self.full = (1 << n) - 1
         self._memo: dict[Formula, int] = {}
         self._props: dict[str, int] = props
+        self._tag_pass = tag_pass
         self._succ = None
 
     # -- successor plumbing --------------------------------------------------
@@ -164,23 +159,8 @@ class EvalContext:
     def _successors(self) -> tuple:
         """The canonical abstract successor of every canonical position."""
         if self._succ is None:
-            self._succ = (_tag_pass(self._tags, self.prefix_len)[1]
-                          if self.trace is None
-                          else abstract_successor_map(self.trace))
+            self._succ = self._tag_pass()[1]
         return self._succ
-
-    def _prop_mask(self, name: str) -> int:
-        m = self._props.get(name)
-        if m is None:
-            if self._states is None:
-                return 0
-            if self.structured:
-                m = _mask([name in props or name == tag.value
-                           for props, tag in self._states])
-            else:
-                m = _mask([name in props for props in self._states])
-            self._props[name] = m
-        return m
 
     # -- evaluation ----------------------------------------------------------
 
@@ -205,7 +185,7 @@ class EvalContext:
 
     def _leaf(self, f: Formula) -> int:
         if type(f) is Prop:
-            return self._prop_mask(f.name)
+            return self._props.get(f.name, 0)
         if type(f) is TrueConst:
             return self.full
         raise TypeError(f"not a formula node: {f!r}")

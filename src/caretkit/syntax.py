@@ -575,8 +575,8 @@ class ClosureCapError(Exception):
 
 # The proof systems' ids and the proof checker's two error types live here
 # for the same reason: naming them (as the CLI's parser and error handler
-# do) does not import ``proof``, which compiles every axiom template;
-# ``proof`` re-exports them.
+# do) does not import ``proof``, a module that only check-proof, axioms and
+# fuzz load; ``proof`` re-exports them.
 SYSTEM_IDS = ("ax", "ax-gen", "ax-inf", "ax-fin", "ax-cr")
 
 

@@ -62,7 +62,7 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 
 from .semantics import EvalContext
 from .syntax import (
@@ -86,11 +86,7 @@ MAX_FREE_BITS = 18
 
 # The class graphs of tables of at most this many free bits are pruned on
 # int masks, larger ones by numpy (_prune), the only code here that imports
-# numpy.  Deciding fin, inf and gen of a fuzz formula (size <= 18 over p, q,
-# r, s) on a fresh table with the int prune takes 0.54-0.68 of the numpy
-# prune's time at 11 to 13 free bits, 0.71 at 14, 0.98 at 15 and 1.10 at 16
-# (medians of 20 formulas per width, best of 5; Python 3.11, numpy 2.4, a
-# shared 2-core x86-64 machine).
+# numpy.
 PYTHON_TABLE_BITS = 13
 # the free-bit rows of an int table, made once per width and only read
 _columns = functools.cache(truth_columns)
@@ -938,8 +934,9 @@ def brute_force_sat(f: Formula, cls: str, max_total: int) -> str:
 
     Enumerates every finite trace up to max_total states (classes fin, gen)
     and every lasso with prefix+loop up to max_total states (classes inf,
-    gen) over the proposition alphabet of f, evaluating f at position 0.
-    Returns 'satisfiable' on the first hit, else 'unsatisfiable-up-to-bound'.
+    gen) over the proposition alphabet of f, as every assignment of a truth
+    mask to each proposition, evaluating f at position 0.  Returns
+    'satisfiable' on the first hit, else 'unsatisfiable-up-to-bound'.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown trace class {cls!r}")
@@ -948,21 +945,14 @@ def brute_force_sat(f: Formula, cls: str, max_total: int) -> str:
     names = sorted(props_of(f))
     if len(names) > 3:
         raise ValueError("brute_force_sat is desk scale: at most 3 propositions")
-    labels = [frozenset(n for j, n in enumerate(names) if (bits >> j) & 1)
-              for bits in range(1 << len(names))]
-
+    # (n, prefix_len): finite when the loop from prefix_len on is empty
+    shapes = []
     if cls in ("fin", "gen"):
-        from itertools import product
-        for length in range(1, max_total + 1):
-            for states in product(labels, repeat=length):
-                if EvalContext(FiniteTrace(states)).holds(f, 0):
-                    return "satisfiable"
+        shapes += [(n, n) for n in range(1, max_total + 1)]
     if cls in ("inf", "gen"):
-        from itertools import product
-        for total in range(1, max_total + 1):
-            for loop_len in range(1, total + 1):
-                for prefix in product(labels, repeat=total - loop_len):
-                    for loop in product(labels, repeat=loop_len):
-                        if EvalContext(LassoTrace(prefix, loop)).holds(f, 0):
-                            return "satisfiable"
+        shapes += [(n, p) for n in range(1, max_total + 1) for p in range(n)]
+    for n, p in shapes:
+        for masks in product(range(1 << n), repeat=len(names)):
+            if EvalContext.from_masks(n, p, dict(zip(names, masks))).holds(f, 0):
+                return "satisfiable"
     return "unsatisfiable-up-to-bound"

@@ -13,19 +13,17 @@ Positions are 0-based.  On a lasso, position i beyond the prefix denotes the
 state at offset (i - prefix_len) mod loop_len inside the loop, and every
 question about position i can be answered at its canonical position.
 
-On a structured lasso, matching_return, abstract_successor and the
-evaluator's abstract_successor_map read one pass over the canonical
-positions, made once for the last trace asked about; brute_matching_return
-is the literal scan that checks it.  The pass reads only the tags, so an
-evaluation context fed the masks of a drawn trace, with no trace object,
-runs it too.
+A trace makes what the evaluator reads of it once, on first use, and keeps
+it in slots that equality, hashing and repr ignore: its masks
+(_Trace.masks) and, on a structured lasso, the call/return pass over its
+tags that matching_return, abstract_successor and abstract_successor_map
+read; brute_matching_return is the literal scan that checks the pass.
 """
 
 from __future__ import annotations
 
 import enum
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .syntax import _IDENT_RE
 
@@ -51,8 +49,15 @@ class StateTag(enum.Enum):
     INT = "int"
 
 
-# read per position by _return_pass: a global loads faster than an enum member
+# read per position by _tag_pass: a global loads faster than an enum member
 _CALL, _RET = StateTag.CALL, StateTag.RET
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: list[bool]) -> int:
+    """The bitmask with bit i set where flags[i] is true."""
+    return int(bytes(flags[::-1]).translate(_DIGITS), 2)
 
 
 @dataclass(frozen=True, slots=True, weakref_slot=True)
@@ -62,6 +67,11 @@ class _Trace:
 
     prefix: tuple
     loop: tuple
+    # made on first use and kept, outside the trace's value
+    _masks: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+    _pass: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def prefix_len(self) -> int:
@@ -89,6 +99,28 @@ class _Trace:
     def props_at(self, i: int) -> frozenset[str]:
         s = self.state_at(i)
         return s[0] if type(s) is tuple else s
+
+    def masks(self) -> tuple[int, int, dict[str, int], list | None]:
+        """(n, prefix_len, props, tags): n canonical positions, the loop
+        from prefix_len on (none if prefix_len == n), the truth mask of
+        every proposition of a state, and on a structured lasso the StateTag
+        of each position, its tag names' masks ORed into props; tags is None
+        otherwise.  Made once per trace; callers must not change them."""
+        if self._masks is None:
+            states = self.prefix + self.loop
+            tags = None
+            if type(self) is StructuredLassoTrace:
+                tags = [tag for _, tag in states]
+                states = [props for props, _ in states]
+            props = {a: _mask([a in s for s in states])
+                     for a in frozenset().union(*states)}
+            if tags is not None:
+                for tag in StateTag:
+                    m = _mask([t is tag for t in tags])
+                    props[tag.value] = props.get(tag.value, 0) | m
+            object.__setattr__(self, "_masks", (len(states), len(self.prefix),
+                                                props, tags))
+        return self._masks
 
 
 class FiniteTrace(_Trace):
@@ -149,24 +181,12 @@ def _need_structured(t) -> None:
         raise TypeError(f"not a structured lasso: {type(t).__name__}")
 
 
-# The last trace _return_pass ran on, by weak reference, and its result:
-# queries come in runs on one trace, and a trace is immutable.
-_last_pass: tuple[weakref.ref, tuple[tuple, tuple]] | None = None
-
-
 def _return_pass(t: StructuredLassoTrace) -> tuple[tuple, tuple]:
-    """_tag_pass over the trace's tags.  The result for the last trace
-    asked about is kept."""
-    global _last_pass
-    # read once: a trace and its result are replaced together
-    last = _last_pass
-    if last is not None and last[0]() is t:
-        return last[1]
+    """_tag_pass over the trace's tags, made once per trace."""
     _need_structured(t)
-    result = _tag_pass([tag for _, tag in t.prefix] + [tag for _, tag in t.loop],
-                       len(t.prefix))
-    _last_pass = (weakref.ref(t), result)
-    return result
+    if t._pass is None:
+        object.__setattr__(t, "_pass", _tag_pass(t.masks()[3], len(t.prefix)))
+    return t._pass
 
 
 def _tag_pass(tags: list, p: int) -> tuple[tuple, tuple]:

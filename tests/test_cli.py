@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -279,6 +280,44 @@ def test_axioms_listing(capsys):
     assert len(payload["report"]["axioms"]) == 19
 
 
+def _readme_examples():
+    """(argv, stdout lines) of every `$ caretkit ...` example in the README
+    whose output is shown in full, not cut short by a `...` line."""
+    examples, out = [], None
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ caretkit "):
+            out = []
+            examples.append((shlex.split(line)[2:], out))
+        elif line.startswith("```"):
+            out = None
+        elif out is not None:
+            out.append(line)
+    return [(argv, lines) for argv, lines in examples if "..." not in lines]
+
+
+README_EXAMPLES = _readme_examples()
+_VERDICT_CODES = {"true": 0, "false": 1, "SAT": 0, "UNSAT": 1, "VALID": 0,
+                  "INVALID": 1, "OK": 0}
+
+
+def test_readme_shows_five_full_examples():
+    assert len(README_EXAMPLES) == 5
+
+
+@pytest.mark.parametrize("argv, lines", README_EXAMPLES,
+                         ids=[argv[0] + str(k) for k, (argv, _)
+                              in enumerate(README_EXAMPLES)])
+def test_readme_example_prints_what_the_readme_shows(capsys, monkeypatch,
+                                                     argv, lines):
+    # the README's paths are relative to the repository root
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, *argv)
+    # a witness ends in a newline that print follows with another; the
+    # README does not show that empty last line
+    assert out.rstrip("\n").split("\n") == lines
+    assert (code, err) == (_VERDICT_CODES[lines[0]], "")
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 
@@ -372,12 +411,30 @@ DEEP_EVALUATION = {
 }
 
 
-def _fresh_cli(argv):
+def _fresh_cli(argv, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, "-m", "caretkit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=60)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["axioms", "--system", "ax-cr"], 0),
+    (["eval", "--formula", "p U q", "--trace", str(FIXTURES / "m1.trace")], 1),
+])
+def test_closed_stdout_exits_quietly_with_the_verdict(argv, code):
+    # the reader is gone before the child writes, as when `| head -1` has
+    # read its line: no diagnostic, and the verdict's own exit code, not
+    # exit 3 with "error: [Errno 32] Broken pipe"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _fresh_cli(argv, stdout=w)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 @pytest.mark.parametrize("case", list(DEEP_EVALUATION))

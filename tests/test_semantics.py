@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caretkit.trace
 from caretkit.semantics import EvalContext, EvalError, eval_caret, eval_everywhere, eval_ltl
 from caretkit.syntax import (
     FALSE,
@@ -32,6 +33,7 @@ from caretkit.trace import (
     StructuredLassoTrace,
     abstract_successor,
     parse_trace,
+    trace_to_text,
 )
 
 from test_syntax import caret_formulas, ltl_formulas
@@ -452,6 +454,50 @@ def test_context_from_masks_matches_context_from_trace(t, f, i):
         return
     assert ctx.holds(f, i) == want
     assert ctx.truth_mask(f) == ref.truth_mask(f)
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: FiniteTrace((frozenset({"p"}), E, frozenset({"q"}))), "p U q"),
+    (lambda: LassoTrace((E,), (frozenset({"p"}), frozenset({"q"}))), "G F q"),
+    (lambda: StructuredLassoTrace(((frozenset({"p"}), C), (E, I)),
+                                  ((E, R), (frozenset({"p", "q"}), I))),
+     "p Ua ret"),
+], ids=["finite", "lasso", "structured"])
+def test_what_a_trace_keeps_is_not_part_of_its_value(make, text):
+    # an evaluated trace keeps its masks (and its call/return pass) in slots
+    # that equality, hashing and repr ignore: models shared through the
+    # decider's intern table stay equal to fresh copies
+    t, u = make(), make()
+    mode = "caret" if isinstance(t, StructuredLassoTrace) else "ltl"
+    EvalContext(t).truth_mask(parse_formula(text, mode=mode))
+    assert t._masks is not None and u._masks is None
+    assert (t._pass is not None) == (mode == "caret")
+    assert t == u and hash(t) == hash(u)
+    assert repr(t) == repr(u) and "_masks" not in repr(t)
+    assert trace_to_text(t) == trace_to_text(u)
+
+
+def test_a_second_context_on_a_trace_makes_no_masks_and_no_pass(monkeypatch):
+    made = {"_mask": 0, "_tag_pass": 0}
+
+    def count(name):
+        real = getattr(caretkit.trace, name)
+
+        def counted(*args):
+            made[name] += 1
+            return real(*args)
+        monkeypatch.setattr(caretkit.trace, name, counted)
+
+    count("_mask")
+    count("_tag_pass")
+    t = _call_heavy_lasso(1500)
+    f = parse_formula("Ga (p | Xa q)", mode="caret")
+    first = eval_caret(t, 0, f)
+    # p, q and the three tags, then one pass
+    assert made == {"_mask": 5, "_tag_pass": 1}
+    assert eval_caret(t, 0, f) == first
+    assert EvalContext(t).truth_mask(f) == EvalContext(t).truth_mask(f)
+    assert made == {"_mask": 5, "_tag_pass": 1}
 
 
 # ---------------------------------------------------------------------------

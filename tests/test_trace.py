@@ -255,8 +255,8 @@ def test_call_return_functions_need_a_structured_lasso(t):
 
 
 def test_queries_on_one_trace_share_one_return_pass():
-    # the pass is kept for the last trace asked about: queries read the one
-    # result, which a second pass would have replaced
+    # the pass is kept by the trace: queries read the one result, which a
+    # second pass would have replaced
     t = struct([C, I], [C, R, R, I])
     kept = _return_pass(t)
     assert matching_return(t, 0) == brute_matching_return(t, 0, 100)
