@@ -13,13 +13,11 @@ quietly and the exit code is still the verdict's, as a Unix filter does.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .semantics import EvalError, eval_caret, eval_ltl
 from .syntax import (
-    CLASSES, DEFAULT_CLOSURE_CAP, SYSTEM_IDS, ClosureCapError, Not,
+    CLASSES, DEFAULT_CLOSURE_CAP, SYSTEM_IDS, ClosureCapError, EvalError, Not,
     ParseError, ProofError, ProofFormatError, parse_formula, print_formula,
 )
 from .trace import TraceFormatError, parse_trace, trace_to_text
@@ -30,6 +28,7 @@ __all__ = ["main"]
 def _emit(args, payload: dict, text: str) -> None:
     try:
         if getattr(args, "json", False):
+            import json
             print(json.dumps(payload))
         elif text:
             print(text)
@@ -40,6 +39,19 @@ def _emit(args, payload: dict, text: str) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def eval_ltl(trace, pos, formula):
+    """The evaluator, imported on first call, as eval_caret is: only eval
+    and fuzz load semantics."""
+    from .semantics import eval_ltl as evaluate
+    return evaluate(trace, pos, formula)
+
+
+def eval_caret(trace, pos, formula):
+    """The call/return evaluator, imported on first call, as eval_ltl is."""
+    from .semantics import eval_caret as evaluate
+    return evaluate(trace, pos, formula)
 
 
 def decide_sat(formula, cls, closure_cap):

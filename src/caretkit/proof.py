@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable
 
 from .syntax import (
     SYSTEM_IDS, AbsUntil, AbsWeakNext, And, Formula, Not, ParseError, Prop,
-    ProofError, ProofFormatError, TrueConst, Until, WeakNext, _fold, implies,
-    is_ltl, parse_formula, truth_columns,
+    ProofError, ProofFormatError, TrueConst, Until, WeakNext, _fold, _Record,
+    _set, implies, is_ltl, parse_formula, truth_columns,
 )
 
 __all__ = [
@@ -202,8 +201,7 @@ def _compile(text: str, names: tuple[str, ...]) -> tuple[int, tuple]:
     return prog.emit(parse_formula(text, "caret")), tuple(prog.steps)
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(_Record):
     """An axiom schema, defined by its template text alone, which is
     compiled on first use.  A family's text is compiled into the program
     of its counting formula's psi and that of the rest, in which the letter
@@ -212,10 +210,15 @@ class Schema:
     program's constant steps are leaves, call, ret, int or true: a part
     without letters, such as X false, is made by steps over them."""
 
-    name: str
-    metavars: tuple[str, ...]
-    params: tuple[str, ...]
-    text: str
+    # no __slots__: cached_property keeps _parts in the instance dict
+    _fields = ("name", "metavars", "params", "text")
+
+    def __init__(self, name: str, metavars: tuple[str, ...],
+                 params: tuple[str, ...], text: str):
+        _set(self, "name", name)
+        _set(self, "metavars", metavars)
+        _set(self, "params", params)
+        _set(self, "text", text)
 
     @cached_property
     def _parts(self) -> tuple:
@@ -366,68 +369,81 @@ def list_axioms(system: str) -> tuple[tuple[str, str], ...]:
 # ---------------------------------------------------------------------------
 # Scripts and the checker.
 
-@dataclass(frozen=True)
-class AxiomInstance:
-    schema: str
-    params: tuple[tuple[str, int], ...] = ()
-    bindings: tuple[tuple[str, Formula], ...] = ()
+class AxiomInstance(_Record):
+    """An axiom step's justification; params and bindings given as dicts
+    are kept as tuples of their items, sorted by name."""
 
-    def __post_init__(self):
-        if isinstance(self.params, dict):
-            object.__setattr__(self, "params", tuple(sorted(self.params.items())))
-        if isinstance(self.bindings, dict):
-            object.__setattr__(self, "bindings", tuple(sorted(self.bindings.items())))
+    __slots__ = _fields = ("schema", "params", "bindings")
 
-
-@dataclass(frozen=True)
-class Taut:
-    pass
+    def __init__(self, schema: str, params: tuple[tuple[str, int], ...] = (),
+                 bindings: tuple[tuple[str, Formula], ...] = ()):
+        _set(self, "schema", schema)
+        _set(self, "params", tuple(sorted(params.items()))
+             if isinstance(params, dict) else params)
+        _set(self, "bindings", tuple(sorted(bindings.items()))
+             if isinstance(bindings, dict) else bindings)
 
 
-@dataclass(frozen=True)
-class MP:
-    antecedent: int
-    implication: int
+class Taut(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GenNext:
-    premise: int
+class MP(_Record):
+    __slots__ = _fields = ("antecedent", "implication")
+
+    def __init__(self, antecedent: int, implication: int):
+        _set(self, "antecedent", antecedent)
+        _set(self, "implication", implication)
 
 
-@dataclass(frozen=True)
-class IndUntil:
-    premise: int
+class _OnePremise(_Record):
+    __slots__ = _fields = ("premise",)
+
+    def __init__(self, premise: int):
+        _set(self, "premise", premise)
 
 
-@dataclass(frozen=True)
-class GenAbsNext:
-    premise: int
+class GenNext(_OnePremise):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IndAbsUntil:
-    premise: int
+class IndUntil(_OnePremise):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    number: int
-    formula: Formula
-    justification: object
+class GenAbsNext(_OnePremise):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProofScript:
-    system: str
-    steps: tuple[ProofStep, ...]
+class IndAbsUntil(_OnePremise):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    step: int | None = None
-    reason: str | None = None
+class ProofStep(_Record):
+    __slots__ = _fields = ("number", "formula", "justification")
+
+    def __init__(self, number: int, formula: Formula, justification: object):
+        _set(self, "number", number)
+        _set(self, "formula", formula)
+        _set(self, "justification", justification)
+
+
+class ProofScript(_Record):
+    __slots__ = _fields = ("system", "steps")
+
+    def __init__(self, system: str, steps: tuple[ProofStep, ...]):
+        _set(self, "system", system)
+        _set(self, "steps", steps)
+
+
+class Verdict(_Record):
+    __slots__ = _fields = ("ok", "step", "reason")
+
+    def __init__(self, ok: bool, step: int | None = None,
+                 reason: str | None = None):
+        _set(self, "ok", ok)
+        _set(self, "step", step)
+        _set(self, "reason", reason)
 
 
 def _split_implies(f: Formula) -> tuple[Formula, Formula] | None:

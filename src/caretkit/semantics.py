@@ -38,8 +38,8 @@ from __future__ import annotations
 from functools import partial
 
 from .syntax import (
-    AbsUntil, AbsWeakNext, And, Formula, Not, Prop, TrueConst, Until, WeakNext,
-    _fold,
+    AbsUntil, AbsWeakNext, And, EvalError, Formula, Not, Prop, TrueConst,
+    Until, WeakNext, _fold,
 )
 # abstract_successor stays bound here, unused, because the benchmark's
 # traced run (perfbench/tracer.py) wraps it under this name.
@@ -49,10 +49,6 @@ from .trace import (
 )
 
 __all__ = ["EvalContext", "EvalError", "eval_ltl", "eval_caret", "eval_everywhere"]
-
-
-class EvalError(Exception):
-    pass
 
 
 class EvalContext:
@@ -213,7 +209,8 @@ class EvalContext:
 def eval_ltl(t: FiniteTrace | LassoTrace, i: int, f: Formula) -> bool:
     """Truth of an abstract-operator-free formula at position i of t."""
     if isinstance(t, StructuredLassoTrace):
-        raise EvalError("structured traces are evaluated with eval_caret")
+        raise EvalError("structured traces are evaluated with --mode caret"
+                        " (eval_caret in Python)")
     if not isinstance(t, (FiniteTrace, LassoTrace)):
         raise TypeError(f"not a trace: {t!r}")
     return EvalContext(t).holds(f, i)
@@ -226,7 +223,8 @@ def eval_caret(t: StructuredLassoTrace, i: int, f: Formula) -> bool:
     addition to any explicit labelling.
     """
     if not isinstance(t, StructuredLassoTrace):
-        raise EvalError("eval_caret needs a structured trace")
+        raise EvalError("--mode caret needs a structured trace"
+                        " (eval_caret in Python)")
     return EvalContext(t).holds(f, i)
 
 

@@ -11,7 +11,7 @@ every downstream consumer works with exactly these eight node kinds.
 from __future__ import annotations
 
 import re
-from typing import Callable
+from collections.abc import Callable
 
 __all__ = [
     "Formula", "TrueConst", "Prop", "Not", "And", "WeakNext", "Until",
@@ -22,7 +22,7 @@ __all__ = [
     "truth_columns",
     "parse_formula", "print_formula", "closure", "ClosureSet", "ParseError",
     "CLASSES", "DEFAULT_CLOSURE_CAP", "ClosureCapError",
-    "SYSTEM_IDS", "ProofError", "ProofFormatError",
+    "SYSTEM_IDS", "ProofError", "ProofFormatError", "EvalError",
 ]
 
 
@@ -590,6 +590,60 @@ class ProofFormatError(Exception):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+# The evaluator's error lives here too, so that the CLI's error handler does
+# not import ``semantics``, which only eval loads; ``semantics`` re-exports it.
+class EvalError(Exception):
+    """A position outside a finite trace, a trace of the wrong kind, or an
+    abstract operator on a trace without call/return tags."""
+
+
+# The package's value records share this base, here because every module
+# that defines one imports syntax; _set is what a record's __init__ sets its
+# fields with, past the record's own __setattr__.
+_set = object.__setattr__
+
+
+class _Record:
+    """A frozen value record, as a frozen dataclass is, without the import
+    of ``dataclasses`` or the class creation it costs a cold CLI call.
+
+    A subclass names its fields in ``_fields`` (its slots, as a rule) and
+    sets them in its own ``__init__`` with ``_set``.  A
+    record compares and hashes as the tuple of its fields, within one type
+    only, prints as ``Type(field=value, ...)``, and refuses assignment and
+    deletion with ``dataclasses.FrozenInstanceError``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields))
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its constructor
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class ClosureSet:

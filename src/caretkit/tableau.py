@@ -61,14 +61,12 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass
 from itertools import compress, product
 
-from .semantics import EvalContext
 from .syntax import (
     CLASSES, DEFAULT_CLOSURE_CAP, And, ClosureCapError, ClosureSet, Formula,
-    Not, Prop, TrueConst, Until, WeakNext, closure, negate, props_of,
-    truth_columns,
+    Not, Prop, TrueConst, Until, WeakNext, _Record, _set, closure, negate,
+    props_of, truth_columns,
 )
 from .trace import FiniteTrace, LassoTrace
 
@@ -153,8 +151,7 @@ class Atom:
                 "props={!r})".format(*self._record()))
 
 
-@dataclass(frozen=True)
-class ChainWitness:
+class ChainWitness(_Record):
     """A satisfying chain of atoms.
 
     kind 'finite': ``atoms`` is the path ending in a terminal atom and
@@ -162,25 +159,35 @@ class ChainWitness:
     prefix and ``loop`` the repeated cycle.
     """
 
-    kind: str
-    atoms: tuple[Atom, ...]
-    loop: tuple[Atom, ...] = ()
+    __slots__ = _fields = ("kind", "atoms", "loop")
+
+    def __init__(self, kind: str, atoms: tuple[Atom, ...],
+                 loop: tuple[Atom, ...] = ()):
+        _set(self, "kind", kind)
+        _set(self, "atoms", atoms)
+        _set(self, "loop", loop)
 
 
-@dataclass(frozen=True)
-class AtomGraph:
+class AtomGraph(_Record):
     """Pruned atom graph for one trace class, successors as index tuples."""
 
-    class_label: str
-    nodes: tuple[Atom, ...]
-    successors: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("class_label", "nodes", "successors")
+
+    def __init__(self, class_label: str, nodes: tuple[Atom, ...],
+                 successors: tuple[tuple[int, ...], ...]):
+        _set(self, "class_label", class_label)
+        _set(self, "nodes", nodes)
+        _set(self, "successors", successors)
 
 
-@dataclass(frozen=True)
-class SatResult:
-    satisfiable: bool
-    witness: ChainWitness | None = None
-    model: FiniteTrace | LassoTrace | None = None
+class SatResult(_Record):
+    __slots__ = _fields = ("satisfiable", "witness", "model")
+
+    def __init__(self, satisfiable: bool, witness: ChainWitness | None = None,
+                 model: FiniteTrace | LassoTrace | None = None):
+        _set(self, "satisfiable", satisfiable)
+        _set(self, "witness", witness)
+        _set(self, "model", model)
 
 
 class _Table:
@@ -951,6 +958,7 @@ def brute_force_sat(f: Formula, cls: str, max_total: int) -> str:
         shapes += [(n, n) for n in range(1, max_total + 1)]
     if cls in ("inf", "gen"):
         shapes += [(n, p) for n in range(1, max_total + 1) for p in range(n)]
+    from .semantics import EvalContext
     for n, p in shapes:
         for masks in product(range(1 << n), repeat=len(names)):
             if EvalContext.from_masks(n, p, dict(zip(names, masks))).holds(f, 0):

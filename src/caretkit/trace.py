@@ -23,9 +23,8 @@ read; brute_matching_return is the literal scan that checks the pass.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
-from .syntax import _IDENT_RE
+from .syntax import _IDENT_RE, _Record, _set
 
 __all__ = [
     "StateTag", "FiniteTrace", "LassoTrace", "StructuredLassoTrace",
@@ -60,18 +59,29 @@ def _mask(flags: list[bool]) -> int:
     return int(bytes(flags[::-1]).translate(_DIGITS), 2)
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
-class _Trace:
+class _Trace(_Record):
     """A prefix of states, then a loop repeated forever; finite when the loop
     is empty.  Equality holds within one trace type only."""
 
-    prefix: tuple
-    loop: tuple
-    # made on first use and kept, outside the trace's value
-    _masks: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
-    _pass: tuple | None = field(default=None, init=False, repr=False,
-                                compare=False)
+    # _masks and _pass are made on first use and kept, outside the value
+    __slots__ = ("prefix", "loop", "_masks", "_pass", "__weakref__")
+    _fields = ("prefix", "loop")
+
+    def __init__(self, prefix: tuple, loop: tuple):
+        _set(self, "prefix", prefix)
+        _set(self, "loop", loop)
+        _set(self, "_masks", None)
+        _set(self, "_pass", None)
+
+    # on the two fields directly: _Record's generic tuple of fields makes
+    # trace equality and hashing two to four times as slow
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.prefix == other.prefix and self.loop == other.loop
+
+    def __hash__(self):
+        return hash((self.prefix, self.loop))
 
     @property
     def prefix_len(self) -> int:
@@ -118,8 +128,7 @@ class _Trace:
                 for tag in StateTag:
                     m = _mask([t is tag for t in tags])
                     props[tag.value] = props.get(tag.value, 0) | m
-            object.__setattr__(self, "_masks", (len(states), len(self.prefix),
-                                                props, tags))
+            _set(self, "_masks", (len(states), len(self.prefix), props, tags))
         return self._masks
 
 
@@ -133,6 +142,9 @@ class FiniteTrace(_Trace):
         if not states:
             raise ValueError("a finite trace needs at least one state")
         super().__init__(states, ())
+
+    def __reduce__(self):
+        return FiniteTrace, (self.prefix,)
 
     @property
     def states(self) -> tuple[frozenset[str], ...]:
@@ -185,7 +197,7 @@ def _return_pass(t: StructuredLassoTrace) -> tuple[tuple, tuple]:
     """_tag_pass over the trace's tags, made once per trace."""
     _need_structured(t)
     if t._pass is None:
-        object.__setattr__(t, "_pass", _tag_pass(t.masks()[3], len(t.prefix)))
+        _set(t, "_pass", _tag_pass(t.masks()[3], len(t.prefix)))
     return t._pass
 
 

@@ -64,6 +64,17 @@ def test_eval_caret_mode(capsys, tmp_path):
     assert code == 0 and out == "true\n"
 
 
+@pytest.mark.parametrize("trace, mode", [("m1.trace", ["--mode", "caret"]),
+                                         ("call.trace", [])])
+def test_eval_mode_mismatch_names_the_flag(capsys, trace, mode):
+    # a plain trace under --mode caret, and a structured one without it
+    code, out, err = run(capsys, "eval", "--formula", "p",
+                         "--trace", str(FIXTURES / trace), *mode)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--mode caret" in err, err
+
+
 def test_eval_json(capsys):
     code, out, _ = run(
         capsys, "eval", "--formula", "p", "--trace", str(FIXTURES / "m1.trace"),

@@ -1,13 +1,13 @@
 """The import graph follows the subcommand: only the decider loads numpy,
 and only for tables above the int builder's free bits; only check-proof,
-axioms and fuzz load proof; and the package's public names are the ones it
-always exported."""
+axioms and fuzz load proof; only eval and fuzz load the evaluator; no cold
+call loads the dataclass machinery, or json without --json; and the
+package's public names are the ones it always exported."""
 
 from __future__ import annotations
 
 import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -21,7 +21,8 @@ from caretkit.syntax import Prop, WeakNext, closure, parse_formula
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
-HEAVY = ("numpy", "caretkit.tableau", "caretkit.proof", "caretkit.fuzz")
+HEAVY = ("numpy", "caretkit.tableau", "caretkit.proof", "caretkit.fuzz",
+         "caretkit.semantics")
 
 # Every name caretkit/__init__ exported when it imported all submodules
 # eagerly, by the submodule that defines it.
@@ -48,32 +49,37 @@ PUBLIC = {
 }
 
 
-def _loaded_after(code: str) -> dict:
-    """Run `code` in a fresh interpreter; which of HEAVY it left loaded."""
+def _loaded_after(code: str, modules=HEAVY, flags=()) -> dict:
+    """Run `code` in a fresh interpreter started with `flags`; which of
+    `modules` it left loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    script = (code + "\nimport json, sys\nprint(json.dumps({m: m in sys.modules"
-              f" for m in {HEAVY!r}}}))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
+    script = (code + "\nimport sys\nprint(sorted(m for m in"
+              f" {modules!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return {m: m in loaded for m in modules}
 
 
-def _after_main(*calls) -> dict:
+def _after_main(*calls, **how) -> dict:
     code = "from caretkit.cli import main\n" + "".join(
         f"assert main({argv!r}) == {expected}, {argv!r}\n"
         for argv, expected in calls)
-    return _loaded_after(code)
+    return _loaded_after(code, **how)
 
 
 def test_bare_import_loads_no_decider_proof_or_fuzz():
-    assert _loaded_after("import caretkit") == dict.fromkeys(HEAVY, False)
+    # nor the evaluator, also when naming the errors the CLI catches
+    names = "caretkit.EvalError, caretkit.ProofError, caretkit.ProofFormatError"
+    assert _loaded_after(f"import caretkit\n{names}") \
+        == dict.fromkeys(HEAVY, False)
     loaded = _loaded_after(
         "import caretkit\nassert caretkit.tableau.decide_sat is caretkit.decide_sat")
     assert loaded["caretkit.tableau"]
-    assert not loaded["numpy"]
+    assert not loaded["numpy"] and not loaded["caretkit.semantics"]
     assert not loaded["caretkit.proof"] and not loaded["caretkit.fuzz"]
 
 
@@ -103,6 +109,28 @@ def test_eval_and_decider_subcommands_never_load_proof(tmp_path):
     )
     assert loaded["caretkit.tableau"]
     assert not loaded["caretkit.proof"] and not loaded["caretkit.fuzz"]
+
+
+# What a cold call pays for only when it runs it: the evaluator, and json
+# for --json.  No subcommand here runs typing, or dataclasses and what it
+# imports (inspect, ast, dis, tokenize).  The interpreter starts without
+# site (-S), which may import any of them itself.
+COLD = ("dataclasses", "inspect", "typing", "json", "caretkit.semantics")
+
+
+@pytest.mark.parametrize("calls, loaded", [
+    ([(["eval", "--formula", "p", "--trace", str(FIXTURES / "m1.trace")], 0),
+      (["eval", "--mode", "caret", "--formula", "Xa p",
+        "--trace", str(FIXTURES / "call.trace")], 1)], {"caretkit.semantics"}),
+    ([(["sat", "--formula", "p", "--class", "fin"], 0)], set()),
+    ([(["valid", "--formula", "p | !p", "--class", "inf"], 0)], set()),
+    ([(["sat", "--formula", "p", "--class", "fin", "--json"], 0)], {"json"}),
+    ([(["check-proof", str(FIXTURES / "derivation_caret.prf")], 0)], set()),
+    ([(["axioms", "--system", "ax-cr"], 0)], set()),
+], ids=["eval", "sat", "valid", "sat-json", "check-proof", "axioms"])
+def test_cold_calls_load_only_what_their_subcommand_runs(calls, loaded):
+    assert _after_main(*calls, modules=COLD, flags=("-S",)) \
+        == {m: m in loaded for m in COLD}
 
 
 def _letters_above_the_int_tables() -> str:
@@ -152,10 +180,9 @@ def test_cross_check_loads_numpy_only_for_tables_above_the_int_builder():
     assert not loaded["numpy"]
 
 
-def test_numpy_is_imported_only_inside_tableau_functions():
-    # the cold-start contract at the source: no module imports numpy when
-    # it is loaded, and only the decider's functions import it
-    found = 0
+def _imports():
+    """(file, top-level module names, line, whether inside a function) of
+    every import statement in the package's sources."""
     for path in sorted((ROOT / "src" / "caretkit").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         in_functions = {id(node) for fn in ast.walk(tree)
@@ -168,11 +195,26 @@ def test_numpy_is_imported_only_inside_tableau_functions():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n.split(".")[0] == "numpy" for n in names):
-                found += 1
-                assert path.name == "tableau.py", (path.name, node.lineno)
-                assert id(node) in in_functions, (path.name, node.lineno)
-    assert found > 0
+            yield (path.name, {n.split(".")[0] for n in names}, node.lineno,
+                   id(node) in in_functions)
+
+
+def test_numpy_is_imported_only_inside_tableau_functions():
+    # the cold-start contract at the source: no module imports numpy when
+    # it is loaded, and only the decider's functions import it
+    found = [(name, line, inside) for name, modules, line, inside in _imports()
+             if "numpy" in modules]
+    assert found and all(name == "tableau.py" and inside
+                         for name, _, inside in found), found
+
+
+def test_only_fuzz_imports_dataclasses_when_loaded():
+    # the records are plain classes; only the fuzz command's config and
+    # report are dataclasses, and the records import dataclasses only to
+    # raise FrozenInstanceError
+    found = [(name, line) for name, modules, line, inside in _imports()
+             if "dataclasses" in modules and not inside]
+    assert [name for name, _ in found] == ["fuzz.py"], found
 
 
 def test_lazy_names_are_the_submodules_own():

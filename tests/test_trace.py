@@ -304,10 +304,14 @@ def test_empty_traces_rejected():
 
 def test_traces_carry_no_instance_dict():
     # kept models are many; slots keep each one at its fields
+    # and they are frozen: no field can be assigned or deleted
     for t in (FiniteTrace((E,)), LassoTrace((E,), (E,)), struct((C,), (I,))):
         assert not hasattr(t, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(t, dataclasses.fields(t)[0].name, ())
+        for name in ("prefix", "loop"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, name)
 
 
 def test_trace_types_are_distinct_siblings():
