@@ -5,22 +5,30 @@ input formula.  Local consistency is purely syntactic: the constant true is
 in, conjunctions agree with their conjuncts, an until agrees with its
 strong-next unfolding, and an atom containing the next-of-false marker is
 saturated with every weak-next member.  Because those rules determine every
-member from the propositions and the weak-next members, atoms are enumerated
-as bit-vector valuations of that free part.  One table holds them, each
-member one Python int over the valuations, and one search decides every
-class on masks, a bucket at a time.  Up to PYTHON_TABLE_BITS free bits the
-class graph is pruned on the table's own masks; above it numpy prunes it,
-over the few rows the prune reads, unpacked once per table, and the search
-runs on the int table over the live atoms alone.  numpy is imported only
-then, and both prunes keep the same atoms, so both find the same
-witnesses.
+member from the propositions and the weak-next members, atoms are
+enumerated as bit-vector valuations of that free part, with fewer bits for
+the weak nexts: off the last state X !g holds exactly when X g does not,
+and at the last state every weak next holds (De Giacomo & Vardi, IJCAI
+2013).  So the weak nexts whose operands strip to one formula g form a
+group with one free bit, X g's or, for g the constant, the next-of-false
+marker's.  A valuation whose group bits disagree off the last state wants a
+bucket no atom carries, so leaving those out keeps every atom that can head
+a model, as Wolper's tableau (1985) builds only those.  One table holds
+the atoms, each member one Python int over the valuations, and one search
+decides every class on masks, a bucket at a time.  Up to
+PYTHON_TABLE_BITS free bits the class graph is pruned on the table's own
+masks; above it numpy prunes it, over the few rows the prune reads,
+unpacked once per table, and the search runs on the int table over the
+live atoms alone.  numpy is imported only then, and both prunes keep the
+same atoms, so both find the same witnesses.
 
 Edges follow the biconditional law: V -> W iff V lacks the next-of-false
 marker and, for every weak-next formula in the closure, the formula is in V
 exactly when its operand is in W.  Since the requirement on W depends only
 on V's weak-next bits, successors are whole buckets of atoms sharing an
 operand signature, which keeps the graph linear in the number of atoms.
-The weak-next bits of a valuation, read as a number, are that demanded
+A group's tied members demand what its free member does, so the free
+weak-next bits of a valuation, read as a number, are that demanded
 signature.
 
 Locally consistent atoms that cannot head any model (no successor despite
@@ -77,14 +85,15 @@ __all__ = [
     "DEFAULT_CLOSURE_CAP", "MAX_FREE_BITS", "PYTHON_TABLE_BITS",
 ]
 
-# Atoms are enumerated as every valuation of the free bits (propositions and
-# weak-next bases), so this bounds the table at 2 ** 18 rows whatever the
-# closure cap says.
+# The refusal, on the closure's propositions and weak nexts counted one bit
+# each, whatever the closure cap says.  The table has one bit per group of
+# weak nexts, and every closure has two groups of two (the next-of-false
+# marker's and the finiteness until's), so this bounds it at 2 ** 16 atoms.
 MAX_FREE_BITS = 18
 
-# The class graphs of tables of at most this many free bits are pruned on
-# int masks, larger ones by numpy (_prune), the only code here that imports
-# numpy.
+# The class graphs of tables of at most this many free bits, one per
+# proposition and per weak-next group, are pruned on int masks, larger ones
+# by numpy (_prune), the only code here that imports numpy.
 PYTHON_TABLE_BITS = 13
 # the free-bit rows of an int table, made once per width and only read
 _columns = functools.cache(truth_columns)
@@ -103,9 +112,10 @@ _MODELS: weakref.WeakValueDictionary[tuple, FiniteTrace | LassoTrace] = \
 # The last formula decided and its table, with the witnesses found on it, so
 # that deciding one formula in several classes in a row builds its closure
 # and table once.  Only tables of at most _MEMO_ATOMS atoms are kept, which
-# every table of at most PYTHON_TABLE_BITS free bits has and no larger one:
-# the callers that decide larger formulas ask one class each, and a larger
-# table held between calls is only resident memory.
+# every table of at most PYTHON_TABLE_BITS free bits (the table's own, one
+# per weak-next group) has and no larger one: the callers that decide larger
+# formulas ask one class each, and a larger table held between calls is only
+# resident memory.
 _MEMO_ATOMS = 1 << PYTHON_TABLE_BITS
 _memo: tuple[Formula, _Table] | None = None
 
@@ -197,14 +207,19 @@ class _Table:
     The table runs on the closure's numbering: ``sigs[i]`` is the type of
     ``core[i]`` and its kids' positions, and every list below holds core
     positions.  Atoms are valuations of the free bits, bit k for
-    ``free[k]``: the propositions, then the weak nexts in reverse, so that
-    shifting the propositions out of a valuation leaves the atom's demand
-    key, one bit per weak next with the first in the most significant bit.
-    Atom a is valuation a, and ``member_rows[i]`` is an int over the
-    valuations with bit a set where atom a holds ``core[i]``:
-    ``truth_columns`` for the free bits, made once per width, and
-    ``derive_rows`` with ``& | ^`` for the rest, as
-    ``proof.check_tautology`` builds its truth tables.  The valuations that
+    ``free[k]``: the propositions, then the free weak nexts, ``nexts``, in
+    reverse, so that shifting the propositions out of a valuation leaves
+    the atom's demand key, one bit per free weak next with the first in
+    the most significant bit.  A free weak next stands for its group, the
+    weak nexts whose operands strip to one formula; the others are
+    ``tied`` to it and read no key bit of their own, and the demand and
+    the bucket keys run over the free ones alone.  Atom a is valuation a,
+    and ``member_rows[i]`` is an int over the valuations with bit a set
+    where atom a holds ``core[i]``: ``truth_columns`` for the free bits,
+    made once per width, and ``derive_rows`` with ``& | ^`` for the rest,
+    as ``proof.check_tautology`` builds its truth tables.  Built with
+    ``grouped`` false, for ``enumerate_atoms``, every weak next is free
+    and the table holds every locally consistent atom.  The valuations that
     break the terminal rule are left out of every class mask, not removed;
     ``count`` is the number of valid atoms.  A non-terminal atom wants the
     bucket its valuation shifted right by the proposition count names, so
@@ -228,7 +243,7 @@ class _Table:
     table, and never its model, so models stay free to go.
     """
 
-    def __init__(self, clo: ClosureSet, cap: int | None):
+    def __init__(self, clo: ClosureSet, cap: int | None, grouped: bool = True):
         if clo.mode != "ltl":
             raise ValueError("the tableau works on the ltl fragment only")
         self.size = clo.size
@@ -236,19 +251,22 @@ class _Table:
         self.core = clo.core
         self.sigs, self.root = clo.numbering
         sigs = self.sigs
-        # the layout, in one pass over the core.  Only the free bits and the
-        # untils can tell two atoms apart first: the constant, a conjunction
-        # or a negation is fixed by earlier rows, and after the last free
-        # bit every atom is told apart.  ``unfold[g]`` is the position of
-        # X !g: an until's unfolding is the negation of X !u, which is free
-        self.props, self.nexts, self.untils = props, nexts, untils = [], [], []
+        # the layout, in one pass over the core.  Only the weak nexts, the
+        # propositions and the untils can tell two atoms apart first: the
+        # constant, a conjunction or a negation is fixed by earlier rows,
+        # and after the last free bit every atom is told apart.
+        # ``unfold[g]`` is the position of X !g: an until's unfolding is the
+        # negation of X !u.  ``by_operand[g]`` is the position of X g
+        self.props, self.untils = props, untils = [], []
         self.telling, self.unfold = telling, unfold = [], {}
+        weak, by_operand = [], {}
         for i, sig in enumerate(sigs):
             t = sig[0]
             if t is Prop:
                 props.append(i)
             elif t is WeakNext:
-                nexts.append(i)
+                weak.append(i)
+                by_operand[sig[1]] = i
                 if sigs[sig[1]][0] is Not:
                     unfold[sigs[sig[1]][1]] = i
             elif t is Until:
@@ -258,10 +276,10 @@ class _Table:
             telling.append(i)
         while sigs[telling[-1]][0] is Until:
             telling.pop()
-        self.free = free = props + nexts[::-1]
-        if len(free) > MAX_FREE_BITS:
+        raw = len(props) + len(weak)
+        if raw > MAX_FREE_BITS:
             raise ClosureCapError(
-                f"atom enumeration needs {len(free)} free bits "
+                f"atom enumeration needs {raw} free bits "
                 f"(propositions plus weak-next members); the limit is "
                 f"{MAX_FREE_BITS} and no closure cap (--cap) value lifts it")
         true = sigs.index((TrueConst,))
@@ -269,10 +287,28 @@ class _Table:
         # eventually a last state
         self.terminal_at = unfold[true]
         self.fin_at = sigs.index((Until, true, self.terminal_at))
+        # one free bit per group of weak nexts whose operands strip to one
+        # base g: off the last state X h holds exactly when X g does for h
+        # an even number of negations over g, and exactly when it does not
+        # for odd, and at the last state every weak next holds.  A group's
+        # free member is X g, or the terminal marker for the base true; the
+        # others are ``tied``, (position, free member, whether the parities
+        # differ).  Ungrouped, every weak next is free
+        self.nexts, self.tied = nexts, tied = [], []
+        for i in weak:
+            g, odd = sigs[i][1], False
+            while sigs[g][0] is Not:
+                g, odd = sigs[g][1], not odd
+            rep = self.terminal_at if g == true else by_operand[g]
+            if not grouped or i == rep:
+                nexts.append(i)
+            else:
+                tied.append((i, rep, odd != (g == true)))
+        self.free = free = props + nexts[::-1]
         self.key_space = 1 << len(nexts)
         # a terminal atom must assert every weak next: the valid atoms are
-        # the non-terminal ones and the last block, where every weak-next
-        # bit is set
+        # the non-terminal ones and the last block, where every free
+        # weak-next bit is set
         full = (1 << (1 << len(free))) - 1
         last = (self.key_space - 1) << len(props)
         self._set_rows(_columns(len(free)), full, last)
@@ -303,11 +339,15 @@ class _Table:
 
     def derive_rows(self, free_rows: list[int], full: int) -> list[int]:
         """The row of each member by position, from the free bits' rows and
-        ``full``, the constant true's: the others in core order, so after
-        their kids'."""
+        ``full``, the constant true's: the tied weak nexts from their
+        group's free member and the terminal marker, then the others in
+        core order, so after their kids'."""
         rows = [full] * len(self.sigs)
         for i, r in zip(self.free, free_rows):
             rows[i] = r
+        terminal = rows[self.terminal_at]
+        for i, rep, flip in self.tied:
+            rows[i] = (rows[rep] ^ full if flip else rows[rep]) | terminal
         for i, sig in enumerate(self.sigs):
             t = sig[0]
             if t is Not:
@@ -596,11 +636,11 @@ class _Compact(_Table):
     def __init__(self, tab: _Table, live):
         import numpy as np
         # the table's layout
-        (self.core, self.sigs, self.root, self.props, self.nexts, self.untils,
-         self.telling, self.unfold, self.free, self.terminal_at,
+        (self.core, self.sigs, self.root, self.props, self.nexts, self.tied,
+         self.untils, self.telling, self.unfold, self.free, self.terminal_at,
          self.fin_at) = (tab.core, tab.sigs, tab.root, tab.props, tab.nexts,
-                         tab.untils, tab.telling, tab.unfold, tab.free,
-                         tab.terminal_at, tab.fin_at)
+                         tab.tied, tab.untils, tab.telling, tab.unfold,
+                         tab.free, tab.terminal_at, tab.fin_at)
         shift, n = tab.shift, len(live)
         keys, rank = np.unique(np.concatenate((live >> shift,
                                                tab._unpacked[0][live])),
@@ -866,8 +906,11 @@ def enumerate_atoms(clo: ClosureSet, cls: str,
                     closure_cap: int | None = DEFAULT_CLOSURE_CAP) -> tuple[Atom, ...]:
     """All locally consistent atoms admissible for the class, in the fixed
     lexicographic order on member bit-vectors.  Desk scale: materialises and
-    sorts every atom, which the decider never does."""
-    return tuple(_Table(clo, closure_cap).sorted_atoms(cls))
+    sorts every atom, which the decider never does, on a table with one
+    free bit per weak next, so it lists the atoms whose weak nexts of one
+    group disagree off the last state too, which the decider never builds:
+    none of them can head a model."""
+    return tuple(_Table(clo, closure_cap, grouped=False).sorted_atoms(cls))
 
 
 def build_atom_graph(clo: ClosureSet, cls: str,

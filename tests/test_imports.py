@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 
 import caretkit
 from caretkit import cli
-from caretkit.syntax import Prop, WeakNext, closure, parse_formula
+from caretkit.syntax import Not, Prop, WeakNext, closure, parse_formula
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -133,14 +134,28 @@ def test_cold_calls_load_only_what_their_subcommand_runs(calls, loaded):
         == {m: m in loaded for m in COLD}
 
 
+def _table_bits(text: str) -> int:
+    """The free bits of the decider's table for the formula: one per
+    proposition and one per group of weak nexts whose operands are one
+    formula once their negations are stripped."""
+    core = closure(parse_formula(text)).core
+    bases = set()
+    for m in core:
+        if type(m) is WeakNext:
+            g = m.operand
+            while type(g) is Not:
+                g = g.operand
+            bases.add(g)
+    return sum(type(m) is Prop for m in core) + len(bases)
+
+
 def _letters_above_the_int_tables() -> str:
     """A conjunction of letters one free bit above PYTHON_TABLE_BITS: each
-    letter is a bit, and every closure has four weak nexts."""
+    letter is a bit, and every closure has two groups of weak nexts, the
+    terminal marker's and the finiteness until's."""
     from caretkit.tableau import PYTHON_TABLE_BITS
-    text = " & ".join(f"x{i}" for i in range(PYTHON_TABLE_BITS - 3))
-    core = closure(parse_formula(text)).core
-    assert sum(type(m) in (Prop, WeakNext) for m in core) \
-        == PYTHON_TABLE_BITS + 1
+    text = " & ".join(f"x{i}" for i in range(PYTHON_TABLE_BITS - 1))
+    assert _table_bits(text) == PYTHON_TABLE_BITS + 1
     return text
 
 
@@ -161,6 +176,29 @@ def test_decisions_above_the_int_tables_load_numpy(command, expected):
     assert loaded["numpy"] and loaded["caretkit.tableau"]
 
 
+@pytest.mark.parametrize("text, raw, bits", [
+    ("G (p -> X q) & G (q -> X r) & F (s & X X p)", 18, 13),
+    ("G F p & G F q & G (p -> X q)", 17, 10),
+])
+def test_grouped_tables_up_to_the_int_builder_load_no_numpy(
+        tmp_path, capsys, text, raw, bits):
+    # counted one bit per weak next these are above the int builder; the
+    # table's own bits are not, and the model of every class holds
+    core = closure(parse_formula(text)).core
+    assert sum(type(m) in (Prop, WeakNext) for m in core) == raw
+    assert _table_bits(text) == bits
+    calls = []
+    for cls in ("fin", "inf", "gen"):
+        argv = ["sat", "--formula", text, "--class", cls, "--cap", "0"]
+        assert cli.main([*argv, "--json"]) == 0
+        model = tmp_path / f"{cls}.trace"
+        model.write_text(json.loads(capsys.readouterr().out)["witness"])
+        calls += [(argv, 0), (["eval", "--formula", text,
+                               "--trace", str(model)], 0)]
+    loaded = _after_main(*calls)
+    assert loaded["caretkit.tableau"] and not loaded["numpy"]
+
+
 def test_cross_check_loads_numpy_only_for_tables_above_the_int_builder():
     # every table the campaign builds is recorded by its free bits
     loaded = _loaded_after(
@@ -168,10 +206,9 @@ def test_cross_check_loads_numpy_only_for_tables_above_the_int_builder():
         "from caretkit.cli import main\n"
         "bits = []\n"
         "init = tableau._Table.__init__\n"
-        "def recording(tab, clo, cap):\n"
-        "    bits.append(sum(type(m).__name__ in ('Prop', 'WeakNext')\n"
-        "                    for m in clo.core))\n"
-        "    init(tab, clo, cap)\n"
+        "def recording(tab, *args, **kwargs):\n"
+        "    init(tab, *args, **kwargs)\n"
+        "    bits.append(len(tab.free))\n"
         "tableau._Table.__init__ = recording\n"
         "argv = ['fuzz', '--system', 'cross-check', '--instances', '3']\n"
         "assert main(argv) == 0\n"

@@ -465,7 +465,21 @@ def _check_against_packing(tab):
     order = _pack_rows(np.array([row[f] for f in tab.core]).T)
     assert len(set(order)) == len(order)
 
-    nexts = [m for m in tab.core if type(m) is WeakNext]
+    # one free bit per weak-next group: X g for the base g, the terminal
+    # marker for the base true, and every other member of a group is its
+    # free member's bit, complemented on a parity that differs, off the
+    # last state
+    nexts = []
+    for m in tab.core:
+        if type(m) is WeakNext:
+            base, parity = _strip(m.operand)
+            free, free_parity = ((TERMINAL, 1) if base == TRUE
+                                 else (WeakNext(base), 0))
+            if m == free:
+                nexts.append(m)
+            else:
+                assert (row[m] == (row[free] ^ (parity != free_parity))
+                        | row[TERMINAL]).all(), m
     untils = [m for m in tab.core if type(m) is Until]
     demand = packed(nexts)
     signature = packed([n.operand for n in nexts])
@@ -519,7 +533,7 @@ def test_keys_and_buckets_match_packing_small_formulas(monkeypatch):
         _check_against_packing(_Table(closure(f), None))
 
 
-# Negated axiom instances with 12 to 16 free bits
+# Negated axiom instances with 12 to 16 free bits, one per weak next
 HEAVY_INSTANCES = [
     ("T1", {"phi": "X p", "psi": "X (q U p)"}),
     ("T2", {"phi": "X (p U q)", "psi": "X X r & (q U p)"}),
@@ -548,7 +562,10 @@ def test_keys_and_buckets_match_packing_axiom_instances(monkeypatch, name,
 # mask's least atom by sorting the mask, and list a class by sorting all
 # its atoms.
 
+# 18 free bits counted one per weak next, 13 in the table's own layout
 CEILING = parse_formula("G (p -> X q) & G (q -> X r) & F (s & X X p)")
+# 18 and 14: few untils and negated weak nexts, so above the int prune
+WIDE = parse_formula("(p U X q) & X X (r U s) & X (s & X t) & u")
 
 
 def _on_sorted_tables(monkeypatch, run):
@@ -606,7 +623,7 @@ def test_only_live_atoms_are_sorted(monkeypatch):
     # a decision pruned by numpy lists no class: the mask search on the
     # compacted live atoms keys, for the lexicographic order, only some of
     # them
-    tab = _Table(closure(CEILING), None)
+    tab = _Table(closure(WIDE), None)
     assert len(tab.free) > tableau.PYTHON_TABLE_BITS
     live = {cls: len(_ClassGraph(tab, cls).live_ids) for cls in CLASSES}
     listed = []
@@ -621,8 +638,8 @@ def test_only_live_atoms_are_sorted(monkeypatch):
     for cls in CLASSES:
         monkeypatch.setattr(tableau, "_memo", None)
         keyed.clear()
-        res = decide_sat(CEILING, cls, closure_cap=None)
-        assert res.satisfiable and eval_ltl(res.model, 0, CEILING) is True
+        res = decide_sat(WIDE, cls, closure_cap=None)
+        assert res.satisfiable and eval_ltl(res.model, 0, WIDE) is True
         assert listed == [] and len(keyed) < live[cls] < tab.count
 
 
@@ -652,6 +669,54 @@ def test_numpy_and_int_prunes_keep_the_same_atoms(monkeypatch):
                 assert np.array_equal(before, after)
             pruned += on_int != tab._class_mask(cls)
     assert pruned > len(formulas) // 4
+
+
+def _live_lanes(tab, cls):
+    """The live atoms and the live roots of the class, as sorted member
+    bit-vectors, from the prune PYTHON_TABLE_BITS picks for the table."""
+    live, roots = tab.class_graph(cls)
+    if isinstance(live, dict):
+        every = 0
+        for m in live.values():
+            every |= m
+    else:
+        row = np.zeros(tab.width, dtype=bool)
+        row[live] = True
+        every = int.from_bytes(
+            np.packbits(row, bitorder="little").tobytes(), "little")
+        assert roots == bool(every & tab.origin_bit)
+        roots = every & tab.origin_bit
+    return sorted(tab._lanes(every)), sorted(tab._lanes(roots))
+
+
+def test_grouped_tables_keep_the_atoms_of_ungrouped_ones(monkeypatch):
+    # one free bit per weak-next group against one per weak next: on one
+    # closure, in every class and under both prunes, the same live atoms,
+    # live roots and witnesses, and no live atom of the ungrouped table
+    # breaks a group, so the atoms left out of the grouped one all die
+    by_size = enumerate_formulas(5)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
+    formulas.append(CEILING)
+    formulas += _seeded_band(11, 13, 100)
+    left_out = 0
+    for f in formulas:
+        clo = closure(f)
+        for bits in (MAX_FREE_BITS, 0):
+            monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", bits)
+            grouped, ungrouped = _Table(clo, None), _Table(clo, None, False)
+            assert grouped.tied and not ungrouped.tied
+            left_out += ungrouped.count - grouped.count
+            t = grouped.terminal_at
+            for cls in CLASSES:
+                live, roots = _live_lanes(grouped, cls)
+                assert _live_lanes(ungrouped, cls) == (live, roots), (f, cls)
+                for a in live:
+                    assert all(a[i] == (a[rep] ^ flip) | a[t]
+                               for i, rep, flip in grouped.tied), (f, cls)
+                assert grouped.witness(cls) == ungrouped.witness(cls), \
+                    (f, cls)
+    assert left_out > 0
 
 
 def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
@@ -847,9 +912,11 @@ def test_decisions_match_separate_searches(monkeypatch):
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
     formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
     formulas.append(CEILING)
-    # fuzz formulas above the int builder's band, whose numpy tables hand
-    # their live atoms to the mask search compacted
+    # fuzz formulas with 14 to 18 free bits counted one per weak next, and
+    # one above the int builder's band, whose numpy table hands its live
+    # atoms to the mask search compacted
     formulas += _seeded_band(14, 18, 40)
+    formulas.append(WIDE)
 
     def decide_all():
         return [decide_sat(f, cls, closure_cap=None)
@@ -1023,22 +1090,22 @@ def test_large_tables_are_not_kept(monkeypatch):
     _count_closures(monkeypatch)
     decide_sat(Prop("p"), "gen")
     assert tableau._memo is not None
-    # 18 free bits: larger than any table the int prune takes
-    assert _Table(closure(CEILING), None).count > tableau._MEMO_ATOMS
-    decide_sat(CEILING, "inf", closure_cap=None)
+    # 14 free bits: larger than any table the int prune takes
+    assert _Table(closure(WIDE), None).count > tableau._MEMO_ATOMS
+    decide_sat(WIDE, "inf", closure_cap=None)
     assert tableau._memo is None
 
 
 def test_int_tables_are_kept(monkeypatch):
     calls = _count_closures(monkeypatch)
-    # 13 free bits and 4,104 atoms: the largest tables the int prune takes
+    # 13 free bits and 4,112 atoms: the largest tables the int prune takes
     # are kept
-    f = parse_formula("G (p -> X q) & G (q -> X r)")
-    assert _free_bits(f) == tableau.PYTHON_TABLE_BITS
+    assert len(_Table(closure(CEILING), None).free) \
+        == tableau.PYTHON_TABLE_BITS
     for cls in CLASSES:
-        decide_sat(f, cls, closure_cap=None)
+        decide_sat(CEILING, cls, closure_cap=None)
     assert len(calls) == 1
-    assert tableau._memo[1].count == 4104
+    assert tableau._memo[1].count == 4112
 
 
 def test_memo_compares_deep_formulas_without_recursing(monkeypatch):
@@ -1255,7 +1322,7 @@ def _free_bits(f):
 
 def _seeded_band(lo, hi, count):
     """The first count path-check formulas, by seed, with lo to hi free
-    bits."""
+    bits counted one per weak next."""
     formulas = []
     for seed in itertools.count():
         f = gen_formula(replace(PATH_CHECK, seed=seed))
@@ -1275,11 +1342,10 @@ def test_builders_find_the_same_witnesses(monkeypatch, order):
     by_size = enumerate_formulas(5)
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
     formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
-    formulas.append(CEILING)
-    # fuzz formulas with 11 to 13 free bits, the top of the int builder's
-    # band
+    formulas += [CEILING, WIDE]
+    # fuzz formulas with 11 to 13 free bits counted one per weak next
     formulas += _seeded_band(11, 13, 100)
-    bits = {_free_bits(f) for f in formulas}
+    bits = {len(_Table(closure(f), None).free) for f in formulas}
     assert min(bits) <= tableau.PYTHON_TABLE_BITS < max(bits)
     # keep every table between classes, so each later class is answered
     # from the witnesses found before it
