@@ -6,8 +6,7 @@ Syntax and traces load with the package.  The names below from
 ``semantics``, ``tableau``, ``proof`` and ``fuzz`` load their module on
 first use (PEP 562), so a caller that only evaluates never imports the
 decider, the proof checker or the campaigns, and one that only decides
-never imports the evaluator.  The decider loads numpy only for tables
-above ``tableau.PYTHON_TABLE_BITS`` free bits.
+never imports the evaluator.
 """
 
 import importlib

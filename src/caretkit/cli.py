@@ -56,8 +56,7 @@ def eval_caret(trace, pos, formula):
 
 def decide_sat(formula, cls, closure_cap):
     """The decider, imported on first call: only sat, valid and the
-    cross-check campaign load it, and it loads numpy only for tables above
-    tableau.PYTHON_TABLE_BITS free bits."""
+    cross-check campaign load it."""
     from .tableau import decide_sat as decide
     return decide(formula, cls, closure_cap=closure_cap)
 

@@ -563,7 +563,7 @@ def parse_formula(text: str, mode: str = "ltl") -> Formula:
 
 # The decider's trace classes, its default closure cap and its refusal live
 # here, beside the closure they bound, so that naming them (as the CLI's
-# parser does) does not import the numpy decider; ``tableau`` re-exports them.
+# parser does) does not import the decider; ``tableau`` re-exports them.
 CLASSES = ("gen", "fin", "inf")
 DEFAULT_CLOSURE_CAP = 24
 

@@ -14,13 +14,9 @@ group with one free bit, X g's or, for g the constant, the next-of-false
 marker's.  A valuation whose group bits disagree off the last state wants a
 bucket no atom carries, so leaving those out keeps every atom that can head
 a model, as Wolper's tableau (1985) builds only those.  One table holds
-the atoms, each member one Python int over the valuations, and one search
-decides every class on masks, a bucket at a time.  Up to
-PYTHON_TABLE_BITS free bits the class graph is pruned on the table's own
-masks; above it numpy prunes it, over the few rows the prune reads,
-unpacked once per table, and the search runs on the int table over the
-live atoms alone.  numpy is imported only then, and both prunes keep the
-same atoms, so both find the same witnesses.
+the atoms, each member one Python int over the valuations; each class
+graph is pruned on the table's masks, and one search decides every class
+on them, a bucket at a time.
 
 Edges follow the biconditional law: V -> W iff V lacks the next-of-false
 marker and, for every weak-next formula in the closure, the formula is in V
@@ -62,7 +58,7 @@ atom without ordering it, and orders the buckets a layer of the search
 reaches by the first atom wanting each, so it keys at most one atom per
 bucket it reaches.  A witness that starts at a root takes the least such
 root without ordering the roots, and a class with no live root orders
-nothing, and when numpy pruned it renumbers nothing.
+nothing.
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ __all__ = [
     "CLASSES", "ClosureCapError", "Atom", "ChainWitness", "AtomGraph",
     "SatResult", "enumerate_atoms", "build_atom_graph", "decide_sat",
     "decide_valid", "extract_model", "brute_force_sat",
-    "DEFAULT_CLOSURE_CAP", "MAX_FREE_BITS", "PYTHON_TABLE_BITS",
+    "DEFAULT_CLOSURE_CAP", "MAX_FREE_BITS",
 ]
 
 # The refusal, on the closure's propositions and weak nexts counted one bit
@@ -91,10 +87,6 @@ __all__ = [
 # marker's and the finiteness until's), so this bounds it at 2 ** 16 atoms.
 MAX_FREE_BITS = 18
 
-# The class graphs of tables of at most this many free bits, one per
-# proposition and per weak-next group, are pruned on int masks, larger ones
-# by numpy (_prune), the only code here that imports numpy.
-PYTHON_TABLE_BITS = 13
 # the free-bit rows of an int table, made once per width and only read
 _columns = functools.cache(truth_columns)
 # a row's binary digits as bytes 0 and 1
@@ -112,11 +104,12 @@ _MODELS: weakref.WeakValueDictionary[tuple, FiniteTrace | LassoTrace] = \
 # The last formula decided and its table, with the witnesses found on it, so
 # that deciding one formula in several classes in a row builds its closure
 # and table once.  Only tables of at most _MEMO_ATOMS atoms are kept, which
-# every table of at most PYTHON_TABLE_BITS free bits (the table's own, one
-# per weak-next group) has and no larger one: the callers that decide larger
+# every table of at most 13 free bits (the table's own, one per proposition
+# and per weak-next group) has and no larger one: the callers that ask
+# several classes of one formula decide small ones, those that decide larger
 # formulas ask one class each, and a larger table held between calls is only
 # resident memory.
-_MEMO_ATOMS = 1 << PYTHON_TABLE_BITS
+_MEMO_ATOMS = 1 << 13
 _memo: tuple[Formula, _Table] | None = None
 
 
@@ -232,13 +225,9 @@ class _Table:
     bucket, not per atom.  An atom gets its lexicographic key, cached for
     the table, only when a search must order the buckets it is the first
     to want.  Only the ``telling`` rows can decide that order, so only
-    those are read.  Above ``PYTHON_TABLE_BITS`` free bits the class graph
-    is pruned by numpy over the rows it reads, unpacked once for the table
-    (``_prune``), and its live atoms searched as the int table over them
-    (``_Compact``), which reads the same rows and layout.  What only a
-    class graph reads is built on first use, so a table whose classes have
-    no root builds none of it.  ``size`` is the closure's, counted without
-    building its members.  An atom keeps the core and its member bits.
+    those are read.  What only a class graph reads is built on first use,
+    so a table whose classes have no root builds none of it.  ``size`` is
+    the closure's, counted without building its members.  An atom keeps the core and its member bits.
     ``witnesses`` remembers the witness of each class decided on the
     table, and never its model, so models stay free to go.
     """
@@ -306,12 +295,23 @@ class _Table:
                 tied.append((i, rep, odd != (g == true)))
         self.free = free = props + nexts[::-1]
         self.key_space = 1 << len(nexts)
+        full = (1 << (1 << len(free))) - 1
+        self.member_rows = rows = self.derive_rows(_columns(len(free)), full)
+        self.terminal = rows[self.terminal_at]
+        self.origin_bit = rows[self.root]
+        self.width = full.bit_length()
+        self.shift = shift = len(props)
+        # the block layout, the terminal atoms' block at ``last``: the first
+        # atom of every block below it, and the shifts that fold a block
+        # into its first atom
+        self._last = last = (self.key_space - 1) << shift
+        self._block = block = (1 << (1 << shift)) - 1
+        self._starts = ((1 << last) - 1) // block
+        self._folds = [1 << k for k in range(shift)]
+        self._lex_keys: dict[int, int] = {}
         # a terminal atom must assert every weak next: the valid atoms are
         # the non-terminal ones and the last block, where every free
         # weak-next bit is set
-        full = (1 << (1 << len(free))) - 1
-        last = (self.key_space - 1) << len(props)
-        self._set_rows(_columns(len(free)), full, last)
         valid = (self.terminal ^ full) | full >> last << last
         self.count = valid.bit_count()
         self._classes = {"gen": valid,
@@ -319,23 +319,6 @@ class _Table:
                          "inf": self.terminal ^ full}
         # class -> its witness, or None when the class has no model
         self.witnesses: dict[str, ChainWitness | None] = {}
-
-    def _set_rows(self, free_rows: list[int], full: int, last: int) -> None:
-        """Every member row from the free bits' rows over the atom ids
-        ``full`` holds, and the block layout, the terminal atoms' block at
-        ``last``."""
-        self.member_rows = rows = self.derive_rows(free_rows, full)
-        self.terminal = rows[self.terminal_at]
-        self.origin_bit = rows[self.root]
-        self.width = full.bit_length()
-        self.shift = shift = len(self.props)
-        self._last = last
-        self._block = block = (1 << (1 << shift)) - 1
-        # the first atom of every block below the terminal one, and the
-        # shifts that fold a block into its first atom
-        self._starts = ((1 << last) - 1) // block
-        self._folds = [1 << k for k in range(shift)]
-        self._lex_keys: dict[int, int] = {}
 
     def derive_rows(self, free_rows: list[int], full: int) -> list[int]:
         """The row of each member by position, from the free bits' rows and
@@ -401,7 +384,7 @@ class _Table:
         if path is None:
             return None
         return ChainWitness(kind="finite",
-                            atoms=tuple(map(g.search.atom, path)))
+                            atoms=tuple(map(g.tab.atom, path)))
 
     @staticmethod
     def _lasso(g: _ClassGraph) -> ChainWitness | None:
@@ -409,7 +392,7 @@ class _Table:
         if chain is None:
             return None
         prefix, loop = chain
-        atom = g.search.atom
+        atom = g.tab.atom
         return ChainWitness(kind="lasso", atoms=tuple(map(atom, prefix)),
                             loop=tuple(map(atom, loop)))
 
@@ -464,25 +447,6 @@ class _Table:
     def _lacking(self) -> list[int]:
         return [~r for r in self._lex_rows]
 
-    @functools.cached_property
-    def _unpacked(self):
-        """The rows the numpy prune reads, as arrays over the atoms: each
-        atom's signature, in the narrowest unsigned type that holds the
-        keys, and whether it is terminal and holds the origin, unpacked
-        once and shared by the classes."""
-        import numpy as np
-        rows, sigs = self.member_rows, self.sigs
-        bits = _unpack([*(rows[sigs[b][1]] for b in self.nexts),
-                        self.terminal, self.origin_bit], self.width)
-        signature = np.zeros(self.width,
-                             dtype=np.min_scalar_type(self.key_space - 1))
-        for b in bits[:-2]:
-            np.left_shift(signature, 1, out=signature)
-            np.bitwise_or(signature, b, out=signature)
-        # copied, so that the operand rows go
-        terminal, origin = bits[-2:].copy()
-        return signature, terminal, origin
-
     def _class_mask(self, cls: str) -> int:
         if cls not in self._classes:
             raise ValueError(f"unknown trace class {cls!r}")
@@ -501,8 +465,11 @@ class _Table:
 
     def least(self, mask: int) -> int:
         """The lexicographically least atom of the mask, without a key: row
-        by row, the atoms left that lack the row, whenever any do."""
+        by row, the atoms left that lack the row, whenever any do, until at
+        most one is left."""
         for r in self._lacking:
+            if not mask & (mask - 1):
+                break
             mask = mask & r or mask
         return mask.bit_length() - 1
 
@@ -512,21 +479,10 @@ class _Table:
         return list(map(self._atom, sorted(self._lanes(self._class_mask(cls)))))
 
     def class_graph(self, cls: str):
-        """The live atoms and the live roots of the class.  Up to
-        ``PYTHON_TABLE_BITS`` free bits, bucket -> its live atoms and the
-        live roots as masks, pruned by rounds over buckets; above it, by
-        numpy, the live atoms as an array and whether a root is live: when
-        none is, a search reads nothing more."""
+        """The live atoms and the live roots of the class: bucket -> its
+        live atoms, and the live roots, as masks, pruned by rounds over
+        buckets."""
         admitted = self._class_mask(cls)
-        if len(self.free) > PYTHON_TABLE_BITS:
-            import numpy as np
-            signature, terminal, origin = self._unpacked
-            ids = np.flatnonzero(_unpack([admitted], self.width)[0])
-            nb = self.key_space
-            live = ids[_prune(signature[ids],
-                              np.where(terminal[ids], nb, ids >> self.shift),
-                              nb)]
-            return live, bool(origin[live].any())
         shift, last, block = self.shift, self._last, self._block
         terminal = admitted >> last << last
         buckets = [(s, m & admitted) for s, m in self._buckets if m & admitted]
@@ -541,15 +497,6 @@ class _Table:
                 break
             buckets = kept
         return {s: m & live for s, m in buckets}, live & self.origin_bit
-
-    def masks(self, live, roots):
-        """The int table a class graph is masks over, and its masks: this
-        table's own, or above ``PYTHON_TABLE_BITS`` the int table over the
-        live atoms."""
-        if len(self.free) <= PYTHON_TABLE_BITS:
-            return self, live, roots
-        c = _Compact(self, live)
-        return c, c.live, c.origin_bit
 
     def listed(self, live: dict[int, int]):
         """The list views of a class graph's masks."""
@@ -616,51 +563,6 @@ class _Table:
         return None
 
 
-class _Compact(_Table):
-    """The int table over the live atoms of a class graph pruned by numpy,
-    for the mask search, the lexicographic order, the list views and the
-    witness atoms.
-
-    An atom's id is the rank of its demand among the keys the live atoms
-    demand or carry as their signature, shifted left by the proposition
-    count, OR its proposition bits.  Ranks keep the order of keys, so the
-    atoms wanting one bucket still form one aligned block, and the terminal
-    atoms, whose all-ones demand no signature reaches, form the last.  The
-    free rows are the live valuations' bits at their ids, with one
-    ``np.packbits``, and every member row follows from them by
-    ``derive_rows`` over the ids in use, so an atom here holds what it
-    holds in the table.  ``live`` maps the rank of each signature to its
-    atoms.
-    """
-
-    def __init__(self, tab: _Table, live):
-        import numpy as np
-        # the table's layout
-        (self.core, self.sigs, self.root, self.props, self.nexts, self.tied,
-         self.untils, self.telling, self.unfold, self.free, self.terminal_at,
-         self.fin_at) = (tab.core, tab.sigs, tab.root, tab.props, tab.nexts,
-                         tab.tied, tab.untils, tab.telling, tab.unfold,
-                         tab.free, tab.terminal_at, tab.fin_at)
-        shift, n = tab.shift, len(live)
-        keys, rank = np.unique(np.concatenate((live >> shift,
-                                               tab._unpacked[0][live])),
-                               return_inverse=True)
-        ids = rank[:n] << shift | live & ((1 << shift) - 1)
-        # the ids in use, then each free bit's row
-        bits = np.zeros((len(self.free) + 1, len(keys) << shift), dtype=bool)
-        bits[0, ids] = True
-        bits[1:, ids] = live >> np.arange(len(self.free))[:, None] & 1
-        used, *free_rows = [
-            int.from_bytes(r.tobytes(), "little")
-            for r in np.packbits(bits, axis=1, bitorder="little")]
-        self._set_rows(free_rows, used, int(np.searchsorted(
-            keys, tab.key_space - 1)) << shift)
-        groups = self._split(used)
-        self.live = dict(zip(
-            np.searchsorted(keys, [s for s, _ in groups]).tolist(),
-            [m for _, m in groups]))
-
-
 def _key_at(rows: list[int], a: int) -> int:
     """The bits of the int rows at atom a, the first row most significant."""
     k = 0
@@ -679,96 +581,32 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-def _unpack(rows: list[int], n: int):
-    """The int rows over n atoms as numpy rows of 0 and 1 bytes, one per
-    int."""
-    import numpy as np
-    size = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows),
-                           dtype=np.uint8)
-    return np.unpackbits(packed, bitorder="little").reshape(
-        len(rows), -1)[:, :n]
-
-
-def _prune(bucket, wanted, nb: int):
-    """Live mask: the greatest set of atoms that are terminal or have a
-    live successor.  ``bucket`` is each atom's bucket, and ``wanted`` the
-    bucket it wants, or nb for a terminal atom."""
-    import numpy as np
-    size = np.bincount(bucket, minlength=nb + 1)
-    live = size[wanted] > 0
-    live[wanted == nb] = True
-    alive = np.bincount(bucket[live], minlength=nb)
-    emptied = np.flatnonzero((alive == 0) & (size[:nb] > 0))
-    if not len(emptied):
-        return live
-    # cascade over a worklist of emptied buckets, taken a batch at a
-    # time: each bucket empties once, so each atom is visited once.
-    # Only atoms live and not terminal now can die, so only they are
-    # grouped by the bucket they want.
-    by_wanted = np.flatnonzero(live & (wanted != nb))
-    wants = wanted[by_wanted]
-    by_wanted = by_wanted[np.argsort(wants)]
-    starts = np.zeros(nb + 1, dtype=np.int64)
-    np.cumsum(np.bincount(wants, minlength=nb), out=starts[1:])
-    while len(emptied):
-        lo = starts[emptied]
-        counts = starts[emptied + 1] - lo
-        # the positions lo .. lo + count - 1 of every emptied bucket
-        first = np.cumsum(counts) - counts
-        demanders = by_wanted[np.arange(counts.sum())
-                              + np.repeat(lo - first, counts)]
-        dying = demanders[live[demanders]]
-        live[dying] = False
-        hit, lost = np.unique(bucket[dying], return_counts=True)
-        alive[hit] -= lost
-        emptied = hit[alive[hit] == 0]
-    return live
-
-
 class _ClassGraph:
     """Atoms of one class, bucketed by operand signature and pruned, held
-    as masks over an int table and searched on them.
+    as masks over the table and searched on them.
 
-    A bucket's number is its key: the operand signature its atoms carry,
-    or above ``PYTHON_TABLE_BITS`` its rank (``_Compact``).  The table
-    prunes the class, ``class_graph``, and ``masks`` gives the int table
-    searched, ``search``, and its masks, one per bucket and one of live
-    roots, on first read, so a class pruned by numpy with no live root is
-    decided without them.  The searches and the list views, made on first
-    read by the searched table's ``listed``, are in that table's ids: ``bucket(s)`` in the lexicographic order the search follows,
-    ``next_bucket[a]``, the bucket atom a's successors form, or -1 when
-    the atom is terminal (after pruning every live non-terminal atom has a
-    successor), and ``live_ids``, every live atom in order.  Only
-    ``build_atom_graph`` and tests read the list views.
+    A bucket's number is its key: the operand signature its atoms carry.
+    The table prunes the class, ``class_graph``, to one mask per bucket and
+    one of live roots.  The searches and the list views, made on first read
+    by the table's ``listed``, are in the table's atom ids: ``bucket(s)`` in
+    the lexicographic order the search follows, ``next_bucket[a]``, the
+    bucket atom a's successors form, or -1 when the atom is terminal (after
+    pruning every live non-terminal atom has a successor), and
+    ``live_ids``, every live atom in order.  Only ``build_atom_graph`` and
+    tests read the list views.
     """
 
     def __init__(self, tab: _Table, cls: str):
         self.tab = tab
         self._live, self._roots = tab.class_graph(cls)
-        self._search: tuple[_Table, dict[int, int], int] | None = None
-
-    def _masks(self) -> tuple[_Table, dict[int, int], int]:
-        """The int table searched, and the masks over it, made on first
-        call.  A plain attribute keeps them: on Python 3.11 a
-        ``cached_property`` read costs about 0.5 us, a few percent of a
-        decision on a small int table."""
-        if self._search is None:
-            self._search = self.tab.masks(self._live, self._roots)
-        return self._search
-
-    @property
-    def search(self) -> _Table:
-        return self._masks()[0]
 
     @functools.cached_property
     def _lists(self) -> tuple[dict[int, list[int]], dict[int, int]]:
-        search, live, _ = self._masks()
-        return search.listed(live)
+        return self.tab.listed(self._live)
 
     @property
     def live_ids(self) -> list[int]:
-        return self.search.lex_order(list(self.next_bucket))
+        return self.tab.lex_order(list(self.next_bucket))
 
     @property
     def next_bucket(self) -> dict[int, int]:
@@ -783,27 +621,26 @@ class _ClassGraph:
 
     def terminal_path(self) -> list[int] | None:
         """The shortest path from a live root to a terminal atom, or None."""
-        if not self._roots:
+        tab, roots = self.tab, self._roots
+        if not roots:
             return None
-        search, live, roots = self._masks()
-        ends = roots & search.terminal
-        path = ([search.least(ends)] if ends
-                else search._path(live, roots, search.terminal))
-        return path
+        ends = roots & tab.terminal
+        return ([tab.least(ends)] if ends
+                else tab._path(self._live, roots, tab.terminal))
 
     def lasso_chain(self) -> tuple[list[int], list[int]] | None:
         """The shortest path from a live root into a self-fulfilling
         component, and a loop through it, or None."""
-        if not self._roots:
+        tab, live, roots = self.tab, self._live, self._roots
+        if not roots:
             return None
-        search, live, roots = self._masks()
-        shift, block, wanted = search.shift, search._block, search._wanted
+        shift, block, wanted = tab.shift, tab._block, tab._wanted
         comps = _tarjan(lambda s: wanted(live[s]), wanted(roots))
-        rows, sigs = search.member_rows, search.sigs
+        rows, sigs = tab.member_rows, tab.sigs
         # each until's row and its right operand's, the last until first:
         # the order the loop visits them in
         until_rows = [(rows[u], rows[sigs[u][2]])
-                      for u in reversed(search.untils)]
+                      for u in reversed(tab.untils)]
         # bucket -> (its component's atoms, the right operand row of each
         # until they hold), for the self-fulfilling components: a
         # component's atoms are those of its buckets that want one of them
@@ -825,8 +662,8 @@ class _ClassGraph:
 
         # the shortest path from the origin atoms into a good component
         entries = roots & good_atoms
-        path = ([search.least(entries)] if entries
-                else search._path(live, roots, good_atoms))
+        path = ([tab.least(entries)] if entries
+                else tab._path(live, roots, good_atoms))
         if path is None:
             return None
         prefix, entry = path[:-1], path[-1]
@@ -835,7 +672,7 @@ class _ClassGraph:
         def scc_path(src: int, targets: int) -> list[int]:
             """Shortest non-empty atom path src -> target inside the
             component, src excluded."""
-            path = search._path(live, 1 << src, targets, atoms)
+            path = tab._path(live, 1 << src, targets, atoms)
             if path is None:
                 raise AssertionError("self-fulfilling component lost a target")
             return path[1:]
@@ -920,7 +757,7 @@ def build_atom_graph(clo: ClosureSet, cls: str,
     g = _ClassGraph(_Table(clo, closure_cap), cls)
     kept = g.live_ids
     local = {a: k for k, a in enumerate(kept)}
-    nodes = tuple(map(g.search.atom, kept))
+    nodes = tuple(map(g.tab.atom, kept))
     succs = tuple(tuple(local[b] for b in g.successors(a)) for a in kept)
     return AtomGraph(class_label=cls, nodes=nodes, successors=succs)
 

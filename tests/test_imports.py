@@ -1,8 +1,8 @@
-"""The import graph follows the subcommand: only the decider loads numpy,
-and only for tables above the int builder's free bits; only check-proof,
-axioms and fuzz load proof; only eval and fuzz load the evaluator; no cold
-call loads the dataclass machinery, or json without --json; and the
-package's public names are the ones it always exported."""
+"""The import graph follows the subcommand: nothing loads numpy, and the
+decider runs where numpy cannot be imported; only check-proof, axioms and
+fuzz load proof; only eval and fuzz load the evaluator; no cold call loads
+the dataclass machinery, or json without --json; and the package's public
+names are the ones it always exported."""
 
 from __future__ import annotations
 
@@ -50,18 +50,24 @@ PUBLIC = {
 }
 
 
-def _loaded_after(code: str, modules=HEAVY, flags=()) -> dict:
-    """Run `code` in a fresh interpreter started with `flags`; which of
-    `modules` it left loaded."""
+def _child(code: str, flags=()) -> list[str]:
+    """Run `code` in a fresh interpreter started with `flags`; the lines it
+    printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    script = (code + "\nimport sys\nprint(sorted(m for m in"
-              f" {modules!r} if m in sys.modules))")
-    proc = subprocess.run([sys.executable, *flags, "-c", script],
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()
+
+
+def _loaded_after(code: str, modules=HEAVY, flags=()) -> dict:
+    """Run `code` in a fresh interpreter started with `flags`; which of
+    `modules` it left loaded."""
+    script = (code + "\nimport sys\nprint(sorted(m for m in"
+              f" {modules!r} if m in sys.modules))")
+    loaded = ast.literal_eval(_child(script, flags)[-1])
     return {m: m in loaded for m in modules}
 
 
@@ -149,16 +155,6 @@ def _table_bits(text: str) -> int:
     return sum(type(m) is Prop for m in core) + len(bases)
 
 
-def _letters_above_the_int_tables() -> str:
-    """A conjunction of letters one free bit above PYTHON_TABLE_BITS: each
-    letter is a bit, and every closure has two groups of weak nexts, the
-    terminal marker's and the finiteness until's."""
-    from caretkit.tableau import PYTHON_TABLE_BITS
-    text = " & ".join(f"x{i}" for i in range(PYTHON_TABLE_BITS - 1))
-    assert _table_bits(text) == PYTHON_TABLE_BITS + 1
-    return text
-
-
 @pytest.mark.parametrize("argv, expected", [
     (["sat", "--formula", "p", "--class", "fin"], 0),
     (["valid", "--formula", "p | !p", "--class", "inf"], 0),
@@ -168,22 +164,14 @@ def test_small_decisions_load_the_decider_but_not_numpy(argv, expected):
     assert loaded["caretkit.tableau"] and not loaded["numpy"]
 
 
-@pytest.mark.parametrize("command, expected", [("sat", 0), ("valid", 1)])
-def test_decisions_above_the_int_tables_load_numpy(command, expected):
-    text = _letters_above_the_int_tables()
-    argv = [command, "--formula", text, "--class", "gen", "--cap", "0"]
-    loaded = _after_main((argv, expected))
-    assert loaded["numpy"] and loaded["caretkit.tableau"]
-
-
 @pytest.mark.parametrize("text, raw, bits", [
     ("G (p -> X q) & G (q -> X r) & F (s & X X p)", 18, 13),
     ("G F p & G F q & G (p -> X q)", 17, 10),
 ])
 def test_grouped_tables_up_to_the_int_builder_load_no_numpy(
         tmp_path, capsys, text, raw, bits):
-    # counted one bit per weak next these are above the int builder; the
-    # table's own bits are not, and the model of every class holds
+    # counted one bit per weak next these have more than 13 free bits; the
+    # table's own bits do not, and the model of every class holds
     core = closure(parse_formula(text)).core
     assert sum(type(m) in (Prop, WeakNext) for m in core) == raw
     assert _table_bits(text) == bits
@@ -199,22 +187,39 @@ def test_grouped_tables_up_to_the_int_builder_load_no_numpy(
     assert loaded["caretkit.tableau"] and not loaded["numpy"]
 
 
-def test_cross_check_loads_numpy_only_for_tables_above_the_int_builder():
-    # every table the campaign builds is recorded by its free bits
-    loaded = _loaded_after(
-        "from caretkit import tableau\n"
+# A meta-path finder that refuses numpy, whatever the path holds
+NO_NUMPY = (
+    "import sys\n"
+    "class NoNumpy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'numpy':\n"
+    "            raise ImportError('numpy is refused')\n"
+    "sys.meta_path.insert(0, NoNumpy())\n")
+
+
+def test_widest_tables_decide_without_numpy(capsys):
+    # X^13 p and a conjunction of 14 letters have tables of 16 free bits,
+    # the most the refusal lets through: a child that cannot import numpy
+    # decides them in every class as this process does
+    texts = ["X " * 13 + "p", " & ".join(f"x{i}" for i in range(14))]
+    assert [_table_bits(text) for text in texts] == [16, 16]
+    argvs = [[command, "--formula", text, "--class", cls, "--cap", "0"]
+             for text in texts for command in ("sat", "valid")
+             for cls in ("fin", "inf", "gen")]
+    expected = []
+    for argv in argvs:
+        code = cli.main(argv)
+        expected.append((code, capsys.readouterr().out))
+    script = NO_NUMPY + (
+        "import contextlib, io\n"
         "from caretkit.cli import main\n"
-        "bits = []\n"
-        "init = tableau._Table.__init__\n"
-        "def recording(tab, *args, **kwargs):\n"
-        "    init(tab, *args, **kwargs)\n"
-        "    bits.append(len(tab.free))\n"
-        "tableau._Table.__init__ = recording\n"
-        "argv = ['fuzz', '--system', 'cross-check', '--instances', '3']\n"
-        "assert main(argv) == 0\n"
-        "assert bits and max(bits) <= tableau.PYTHON_TABLE_BITS, bits\n")
-    assert loaded["caretkit.tableau"] and loaded["caretkit.fuzz"]
-    assert not loaded["numpy"]
+        "out = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "        out.append((main(argv), buf.getvalue()))\n"
+        "print(repr(out))\n")
+    assert ast.literal_eval(_child(script, ("-S",))[-1]) == expected
+    assert {code for code, _ in expected} == {0, 1}
 
 
 def _imports():
@@ -236,13 +241,10 @@ def _imports():
                    id(node) in in_functions)
 
 
-def test_numpy_is_imported_only_inside_tableau_functions():
-    # the cold-start contract at the source: no module imports numpy when
-    # it is loaded, and only the decider's functions import it
-    found = [(name, line, inside) for name, modules, line, inside in _imports()
+def test_no_module_imports_numpy():
+    found = [(name, line) for name, modules, line, inside in _imports()
              if "numpy" in modules]
-    assert found and all(name == "tableau.py" and inside
-                         for name, _, inside in found), found
+    assert found == []
 
 
 def test_only_fuzz_imports_dataclasses_when_loaded():

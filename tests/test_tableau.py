@@ -62,19 +62,6 @@ TERMINAL = WeakNext(FALSE)
 FIN_MARK = Until(TRUE, TERMINAL)
 
 
-def _on_each_builder(monkeypatch, run):
-    """run() with every class graph pruned on int masks, which every table
-    takes when PYTHON_TABLE_BITS is MAX_FREE_BITS, then by numpy and
-    searched compacted, which every table takes when it is 0."""
-    results = []
-    for bits in (MAX_FREE_BITS, 0):
-        with monkeypatch.context() as m:
-            m.setattr(tableau, "PYTHON_TABLE_BITS", bits)
-            m.setattr(tableau, "_memo", None)
-            results.append(run())
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Independent atom oracle.  Enumerates truth assignments over the stripped
 # bases of the closure and keeps those passing a second transcription of the
@@ -403,9 +390,9 @@ def test_caret_closures_rejected():
 # Keys and buckets against the packing they replaced.  The reference packs
 # bool rows with packbits and int.from_bytes (any width, first column most
 # significant, zero-padded to whole bytes), orders atoms by that integer and
-# prunes round by round with buckets keyed by it.  The table's atoms are its
-# valuations, and the class graph, pruned by numpy, holds the survivors
-# renumbered, so they are compared by their member bits.
+# prunes round by round with buckets keyed by it.  The reference numbers the
+# valid atoms in order and the table by their valuations, so they are
+# compared by their member bits.
 
 def _pack_rows(matrix):
     if matrix.shape[1] == 0:
@@ -444,8 +431,8 @@ def _until_keys(tab, ids):
 
 
 def _check_against_packing(tab):
-    """The table's keys and the class graphs the numpy prune and the
-    compacted search make of it, against the reference."""
+    """The table's keys, its buckets and the class graphs it prunes and
+    lists, against the reference."""
     width = 1 << len(tab.free)
     full = _bool_row(tab.member_rows[tab.sigs.index((syntax.TrueConst,))],
                      width)
@@ -485,7 +472,9 @@ def _check_against_packing(tab):
     signature = packed([n.operand for n in nexts])
     # an atom's valuation shifted right by the propositions is its demand
     assert (valid >> len(tab.props)).tolist() == demand
-    assert tab._unpacked[0][valid].tolist() == signature
+    # each valid atom's bucket is its operand signature
+    bucket = {a: s for s, m in tab._buckets for a in tableau._set_bits(m)}
+    assert [bucket[a] for a in valid.tolist()] == signature
     present, fulfill = _until_keys(tab, valid.tolist())
     assert [present[a] for a in valid.tolist()] == packed(untils)
     assert [fulfill[a] for a in valid.tolist()] == packed([u.right for u in untils])
@@ -510,7 +499,7 @@ def _check_against_packing(tab):
             members.setdefault(signature[k], []).append(bits[k])
 
         g = _ClassGraph(tab, cls)
-        held = {_member_bits(g.search, a): a for a in g.live_ids}
+        held = {_member_bits(tab, a): a for a in g.live_ids}
         assert list(held) == [bits[k] for k in by_row]
         key_of = {}
         for k in alive:
@@ -521,13 +510,12 @@ def _check_against_packing(tab):
                 assert key_of[s] == demand[k]
             else:
                 key_of[s] = demand[k]
-                assert [_member_bits(g.search, a) for a in g.bucket(s)] \
+                assert [_member_bits(tab, a) for a in g.bucket(s)] \
                     == members[demand[k]]
         assert len(set(key_of.values())) == len(key_of)
 
 
-def test_keys_and_buckets_match_packing_small_formulas(monkeypatch):
-    monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", 0)
+def test_keys_and_buckets_match_packing_small_formulas():
     by_size = enumerate_formulas(5)
     for f in (g for n in sorted(by_size) for g in by_size[n]):
         _check_against_packing(_Table(closure(f), None))
@@ -548,9 +536,7 @@ def _negated_instance(name, bindings):
 
 
 @pytest.mark.parametrize("name, bindings", HEAVY_INSTANCES)
-def test_keys_and_buckets_match_packing_axiom_instances(monkeypatch, name,
-                                                       bindings):
-    monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", 0)
+def test_keys_and_buckets_match_packing_axiom_instances(name, bindings):
     tab = _Table(closure(_negated_instance(name, bindings)), None)
     assert 12 <= len(tab.props) + sum(type(m) is WeakNext for m in tab.core) <= 16
     _check_against_packing(tab)
@@ -564,7 +550,8 @@ def test_keys_and_buckets_match_packing_axiom_instances(monkeypatch, name,
 
 # 18 free bits counted one per weak next, 13 in the table's own layout
 CEILING = parse_formula("G (p -> X q) & G (q -> X r) & F (s & X X p)")
-# 18 and 14: few untils and negated weak nexts, so above the int prune
+# 18 and 14: few untils and negated weak nexts, so larger than the tables
+# the memo keeps
 WIDE = parse_formula("(p U X q) & X X (r U s) & X (s & X t) & u")
 
 
@@ -580,7 +567,6 @@ def _on_sorted_tables(monkeypatch, run):
                 lex_order(tab, tableau._set_bits(tab._class_mask(cls)))]
 
     with monkeypatch.context() as m:
-        m.setattr(tableau, "PYTHON_TABLE_BITS", 0)
         m.setattr(tableau, "_memo", None)
         m.setattr(tableau._Table, "lex_order", lex_order)
         m.setattr(tableau._Table, "least", least)
@@ -620,11 +606,11 @@ def test_atoms_and_graphs_match_sorted_tables(monkeypatch):
 
 
 def test_only_live_atoms_are_sorted(monkeypatch):
-    # a decision pruned by numpy lists no class: the mask search on the
-    # compacted live atoms keys, for the lexicographic order, only some of
-    # them
+    # a decision lists no class: the mask search keys, for the
+    # lexicographic order, only some of the live atoms, here of a table of
+    # 14 free bits
     tab = _Table(closure(WIDE), None)
-    assert len(tab.free) > tableau.PYTHON_TABLE_BITS
+    assert len(tab.free) == 14
     live = {cls: len(_ClassGraph(tab, cls).live_ids) for cls in CLASSES}
     listed = []
     lanes = tableau._Table._lanes
@@ -643,57 +629,21 @@ def test_only_live_atoms_are_sorted(monkeypatch):
         assert listed == [] and len(keyed) < live[cls] < tab.count
 
 
-def test_numpy_and_int_prunes_keep_the_same_atoms(monkeypatch):
-    # the one fork left: on one table, the numpy prune and the int prune
-    # keep the same live atoms and live roots in every class, and the rows
-    # the numpy prune reads stay as they were unpacked
-    by_size = enumerate_formulas(5)
-    formulas = [g for n in sorted(by_size) for g in by_size[n]]
-    formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
-    formulas += _seeded_band(11, 13, 100)
-    pruned = 0
-    for f in formulas:
-        tab = _Table(closure(f), None)
-        for cls in CLASSES:
-            monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", MAX_FREE_BITS)
-            buckets, roots = tab.class_graph(cls)
-            on_int = sum(buckets.values())
-            monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", 0)
-            rows = [r.copy() for r in tab._unpacked]
-            live, has_root = tab.class_graph(cls)
-            assert live.tolist() == tableau._set_bits(on_int), (f, cls)
-            assert [a for a in live.tolist() if tab.origin_bit >> a & 1] \
-                == tableau._set_bits(roots), (f, cls)
-            assert has_root == bool(roots), (f, cls)
-            for before, after in zip(rows, tab._unpacked):
-                assert np.array_equal(before, after)
-            pruned += on_int != tab._class_mask(cls)
-    assert pruned > len(formulas) // 4
-
-
 def _live_lanes(tab, cls):
     """The live atoms and the live roots of the class, as sorted member
-    bit-vectors, from the prune PYTHON_TABLE_BITS picks for the table."""
+    bit-vectors."""
     live, roots = tab.class_graph(cls)
-    if isinstance(live, dict):
-        every = 0
-        for m in live.values():
-            every |= m
-    else:
-        row = np.zeros(tab.width, dtype=bool)
-        row[live] = True
-        every = int.from_bytes(
-            np.packbits(row, bitorder="little").tobytes(), "little")
-        assert roots == bool(every & tab.origin_bit)
-        roots = every & tab.origin_bit
+    every = 0
+    for m in live.values():
+        every |= m
     return sorted(tab._lanes(every)), sorted(tab._lanes(roots))
 
 
-def test_grouped_tables_keep_the_atoms_of_ungrouped_ones(monkeypatch):
+def test_grouped_tables_keep_the_atoms_of_ungrouped_ones():
     # one free bit per weak-next group against one per weak next: on one
-    # closure, in every class and under both prunes, the same live atoms,
-    # live roots and witnesses, and no live atom of the ungrouped table
-    # breaks a group, so the atoms left out of the grouped one all die
+    # closure, in every class, the same live atoms, live roots and
+    # witnesses, and no live atom of the ungrouped table breaks a group, so
+    # the atoms left out of the grouped one all die
     by_size = enumerate_formulas(5)
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
     formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
@@ -702,41 +652,32 @@ def test_grouped_tables_keep_the_atoms_of_ungrouped_ones(monkeypatch):
     left_out = 0
     for f in formulas:
         clo = closure(f)
-        for bits in (MAX_FREE_BITS, 0):
-            monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", bits)
-            grouped, ungrouped = _Table(clo, None), _Table(clo, None, False)
-            assert grouped.tied and not ungrouped.tied
-            left_out += ungrouped.count - grouped.count
-            t = grouped.terminal_at
-            for cls in CLASSES:
-                live, roots = _live_lanes(grouped, cls)
-                assert _live_lanes(ungrouped, cls) == (live, roots), (f, cls)
-                for a in live:
-                    assert all(a[i] == (a[rep] ^ flip) | a[t]
-                               for i, rep, flip in grouped.tied), (f, cls)
-                assert grouped.witness(cls) == ungrouped.witness(cls), \
-                    (f, cls)
+        grouped, ungrouped = _Table(clo, None), _Table(clo, None, False)
+        assert grouped.tied and not ungrouped.tied
+        left_out += ungrouped.count - grouped.count
+        t = grouped.terminal_at
+        for cls in CLASSES:
+            live, roots = _live_lanes(grouped, cls)
+            assert _live_lanes(ungrouped, cls) == (live, roots), (f, cls)
+            for a in live:
+                assert all(a[i] == (a[rep] ^ flip) | a[t]
+                           for i, rep, flip in grouped.tied), (f, cls)
+            assert grouped.witness(cls) == ungrouped.witness(cls), (f, cls)
     assert left_out > 0
 
 
 def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
-    # a class graph pruned by numpy with no live root answers both searches
-    # without compacting its live atoms or listing them, and still
-    # compacts and lists every live atom when its list views are read
+    # a class graph with no live root answers both searches without
+    # listing its live atoms, and still lists every live atom when its list
+    # views are read
     calls = []
-    compact, listed = tableau._Compact.__init__, tableau._Table.listed
-
-    def compacting(c, tab, live):
-        calls.append(("compact", len(live)))
-        compact(c, tab, live)
+    listed = tableau._Table.listed
 
     def listing(c, live):
-        calls.append(("listed", sum(m.bit_count() for m in live.values())))
+        calls.append(sum(m.bit_count() for m in live.values()))
         return listed(c, live)
 
-    monkeypatch.setattr(tableau._Compact, "__init__", compacting)
     monkeypatch.setattr(tableau._Table, "listed", listing)
-    monkeypatch.setattr(tableau, "PYTHON_TABLE_BITS", 0)
     rootless = 0
     for inst in HEAVY_INSTANCES:
         tab = _Table(closure(_negated_instance(*inst)), None)
@@ -748,10 +689,12 @@ def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
             calls.clear()
             assert g.terminal_path() is None and g.lasso_chain() is None
             assert calls == []
-            assert sorted(_member_bits(g.search, a) for a in g.live_ids) \
-                == sorted(_member_bits(tab, a) for a in g._live.tolist())
-            n = len(g._live)
-            assert calls == [("compact", n), ("listed", n)] and n > 0
+            every = 0
+            for m in g._live.values():
+                every |= m
+            assert sorted(g.live_ids) == tableau._set_bits(every)
+            n = every.bit_count()
+            assert calls == [n] and n > 0
     assert rootless >= 4
 
 
@@ -763,7 +706,7 @@ def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
 class _SeparateSearchGraph(_ClassGraph):
     def roots(self):
         """The live roots, in lexicographic order."""
-        origin = self.search.origin_bit
+        origin = self.tab.origin_bit
         return [a for a in self.live_ids if origin >> a & 1]
 
     def _succ(self, node):
@@ -811,7 +754,7 @@ class _SeparateSearchGraph(_ClassGraph):
         good = []
         roots = self.roots()
         comps = tableau._tarjan(succ, roots)
-        until_present, until_fulfill = _until_keys(self.search, self.live_ids)
+        until_present, until_fulfill = _until_keys(self.tab, self.live_ids)
         for ci, comp in enumerate(comps):
             for node in comp:
                 scc_of[node] = ci
@@ -913,8 +856,7 @@ def test_decisions_match_separate_searches(monkeypatch):
     formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
     formulas.append(CEILING)
     # fuzz formulas with 14 to 18 free bits counted one per weak next, and
-    # one above the int builder's band, whose numpy table hands its live
-    # atoms to the mask search compacted
+    # one whose table has 14 free bits of its own
     formulas += _seeded_band(14, 18, 40)
     formulas.append(WIDE)
 
@@ -947,18 +889,20 @@ def _counting_keys(monkeypatch):
     return keyed
 
 
-def _int_table_formulas():
+def _small_table_formulas():
+    """The formulas of size at most 5 and 200 path-check formulas, those of
+    at most 13 free bits counted one per weak next."""
     by_size = enumerate_formulas(5)
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
     formulas += [gen_formula(replace(PATH_CHECK, seed=seed))
                  for seed in range(200)]
-    return [f for f in formulas if _free_bits(f) <= tableau.PYTHON_TABLE_BITS]
+    return [f for f in formulas if _free_bits(f) <= 13]
 
 
 def test_terminal_origin_decides_fin_without_lex_keys(monkeypatch):
     keyed = _counting_keys(monkeypatch)
     one_atom = 0
-    for f in _int_table_formulas():
+    for f in _small_table_formulas():
         monkeypatch.setattr(tableau, "_memo", None)
         keyed.clear()
         w = decide_sat(f, "fin", closure_cap=None).witness
@@ -987,7 +931,7 @@ def test_decisions_key_only_roots_and_expanded_buckets(monkeypatch):
 
     monkeypatch.setattr(tableau._Table, "_path", recording)
     ordering = 0
-    for f in _int_table_formulas():
+    for f in _small_table_formulas():
         for cls in CLASSES:
             monkeypatch.setattr(tableau, "_memo", None)
             keyed.clear()
@@ -1046,14 +990,11 @@ def test_memo_matches_fresh_tables_small_formulas(monkeypatch):
                    for f, cls in ((f, "gen"), (g, "gen"), (g, "fin"),
                                   (f, "fin"), (f, "inf"), (g, "inf"))])
 
-    def check():
-        expected = _fresh_decisions(monkeypatch, formulas)
-        monkeypatch.setattr(tableau, "_memo", None)
-        for order in orders:
-            for f, cls in order:
-                assert decide_sat(f, cls, closure_cap=None) == expected[f, cls]
-
-    _on_each_builder(monkeypatch, check)
+    expected = _fresh_decisions(monkeypatch, formulas)
+    monkeypatch.setattr(tableau, "_memo", None)
+    for order in orders:
+        for f, cls in order:
+            assert decide_sat(f, cls, closure_cap=None) == expected[f, cls]
 
 
 def test_one_closure_per_formula_across_classes(monkeypatch):
@@ -1090,7 +1031,7 @@ def test_large_tables_are_not_kept(monkeypatch):
     _count_closures(monkeypatch)
     decide_sat(Prop("p"), "gen")
     assert tableau._memo is not None
-    # 14 free bits: larger than any table the int prune takes
+    # 14 free bits: larger than any table the memo keeps
     assert _Table(closure(WIDE), None).count > tableau._MEMO_ATOMS
     decide_sat(WIDE, "inf", closure_cap=None)
     assert tableau._memo is None
@@ -1098,10 +1039,9 @@ def test_large_tables_are_not_kept(monkeypatch):
 
 def test_int_tables_are_kept(monkeypatch):
     calls = _count_closures(monkeypatch)
-    # 13 free bits and 4,112 atoms: the largest tables the int prune takes
-    # are kept
-    assert len(_Table(closure(CEILING), None).free) \
-        == tableau.PYTHON_TABLE_BITS
+    # 13 free bits and 4,112 atoms: tables of up to 13 free bits are kept
+    assert len(_Table(closure(CEILING), None).free) == 13
+    assert tableau._MEMO_ATOMS == 1 << 13
     for cls in CLASSES:
         decide_sat(CEILING, cls, closure_cap=None)
     assert len(calls) == 1
@@ -1158,13 +1098,13 @@ def _class_graph_decision(f, cls):
         path = g.terminal_path()
         if path is not None:
             w = ChainWitness(kind="finite",
-                             atoms=tuple(map(g.search.atom, path)))
+                             atoms=tuple(map(g.tab.atom, path)))
             return SatResult(True, w, extract_model(w))
     if cls in ("inf", "gen"):
         chain = g.lasso_chain()
         if chain is not None:
             prefix, loop = chain
-            atom = g.search.atom
+            atom = g.tab.atom
             w = ChainWitness(kind="lasso", atoms=tuple(map(atom, prefix)),
                              loop=tuple(map(atom, loop)))
             return SatResult(True, w, extract_model(w))
@@ -1191,11 +1131,9 @@ def test_mixed_class_matches_class_graph_decisions(monkeypatch, order):
     formulas = [g for n in sorted(by_size) for g in by_size[n]]
     formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
     formulas.append(CEILING)
-    # one search of each class graph, pruned by numpy
-    with monkeypatch.context() as m:
-        m.setattr(tableau, "PYTHON_TABLE_BITS", 0)
-        expected = {(f, cls): _class_graph_decision(f, cls)
-                    for f in formulas for cls in CLASSES}
+    # one search of each class graph
+    expected = {(f, cls): _class_graph_decision(f, cls)
+                for f in formulas for cls in CLASSES}
     # keep every table between classes, so each later class is answered
     # from the witnesses found before it
     monkeypatch.setattr(tableau, "_MEMO_ATOMS", 1 << 20)
@@ -1221,100 +1159,32 @@ def test_mixed_class_matches_class_graph_decisions(monkeypatch, order):
 
 def test_no_graph_without_a_root(monkeypatch):
     built = _count_class_graphs(monkeypatch)
-
-    def check():
-        f = parse_formula("p & !p")
-        for cls in CLASSES:
-            assert not decide_sat(f, cls, closure_cap=None).satisfiable
-        assert built == []
-        # nor the bucket split, which only a class graph reads
-        assert "_buckets" not in tableau._memo[1].__dict__
-
-    _on_each_builder(monkeypatch, check)
+    monkeypatch.setattr(tableau, "_memo", None)
+    f = parse_formula("p & !p")
+    for cls in CLASSES:
+        assert not decide_sat(f, cls, closure_cap=None).satisfiable
+    assert built == []
+    # nor the bucket split, which only a class graph reads
+    assert "_buckets" not in tableau._memo[1].__dict__
 
 
 def test_mixed_class_builds_one_graph_without_finite_models(monkeypatch):
     built = _count_class_graphs(monkeypatch)
-
-    def check():
-        built.clear()
-        for cls in ("fin", "inf", "gen"):
-            decide_sat(parse_formula("(p U q) & X X p"), cls,
-                       closure_cap=None)
-        assert built == ["fin", "inf"]
-        built.clear()
-        f = parse_formula("G !(X false) & G F p")     # no finite model
-        for cls in ("gen", "fin", "inf"):
-            decide_sat(f, cls, closure_cap=None)
-        assert built == ["gen"]
-        assert decide_sat(f, "gen", closure_cap=None).witness.kind == "lasso"
-
-    _on_each_builder(monkeypatch, check)
+    monkeypatch.setattr(tableau, "_memo", None)
+    for cls in ("fin", "inf", "gen"):
+        decide_sat(parse_formula("(p U q) & X X p"), cls, closure_cap=None)
+    assert built == ["fin", "inf"]
+    built.clear()
+    f = parse_formula("G !(X false) & G F p")     # no finite model
+    for cls in ("gen", "fin", "inf"):
+        decide_sat(f, cls, closure_cap=None)
+    assert built == ["gen"]
+    assert decide_sat(f, "gen", closure_cap=None).witness.kind == "lasso"
 
 
 # ---------------------------------------------------------------------------
-# The prune cascade against the round-by-round fixpoint it computes, on
-# synthetic buckets: each atom sits in a bucket and wants one (nb for a
-# terminal atom).  Chains of buckets whose last bucket is empty make
-# cascades as deep as the chain.
-
-def _prune_rounds(bucket, wanted, nb):
-    live = [True] * len(bucket)
-    while True:
-        size = Counter(b for b, a in zip(bucket, live) if a)
-        dead = [i for i, w in enumerate(wanted)
-                if live[i] and w != nb and size[w] == 0]
-        if not dead:
-            return live
-        for i in dead:
-            live[i] = False
-
-
-@st.composite
-def _prune_inputs(draw):
-    nb = draw(st.integers(2, 24))
-    bucket, wanted = [], []
-    for _ in range(draw(st.integers(0, 3))):
-        # a chain b0 <- b1 <- ... : atoms of each link want the next link,
-        # and the last link holds no atoms of its own
-        links = draw(st.lists(st.integers(0, nb - 1), min_size=2,
-                              max_size=nb, unique=True))
-        for here, there in zip(links, links[1:]):
-            for _ in range(draw(st.integers(1, 3))):
-                bucket.append(here)
-                wanted.append(there)
-    extra = st.tuples(st.integers(0, nb - 1), st.integers(0, nb))
-    for b, w in draw(st.lists(extra, max_size=40)):
-        bucket.append(b)
-        wanted.append(w)
-    order = draw(st.permutations(range(len(bucket))))
-    return nb, [bucket[i] for i in order], [wanted[i] for i in order]
-
-
-@settings(max_examples=300, deadline=None)
-@given(_prune_inputs())
-def test_prune_matches_round_by_round_fixpoint(inputs):
-    nb, bucket, wanted = inputs
-    live = tableau._prune(np.array(bucket, dtype=np.uint32),
-                          np.array(wanted, dtype=np.uint32), nb)
-    assert live.tolist() == _prune_rounds(bucket, wanted, nb)
-
-
-def test_prune_cascades_down_a_long_chain():
-    # bucket k wants bucket k + 1 and bucket 12 is empty: twelve rounds
-    nb = 16
-    bucket = list(range(12)) + [13, 14]
-    wanted = list(range(1, 13)) + [14, nb]
-    live = tableau._prune(np.array(bucket, dtype=np.uint32),
-                          np.array(wanted, dtype=np.uint32), nb)
-    assert live.tolist() == [False] * 12 + [True, True]
-
-
-# ---------------------------------------------------------------------------
-# The two builders against each other: every formula decided, listed and
-# graphed on the int table and on the numpy table, the heavy instances and
-# the ceiling formula included, so each builder runs on both sides of the
-# free-bit count that chooses between them.
+# Seeded formulas by their free bits, counted one per weak next as the
+# refusal counts them.
 
 def _free_bits(f):
     return sum(type(m) in (Prop, WeakNext) for m in closure(f).core)
@@ -1330,53 +1200,6 @@ def _seeded_band(lo, hi, count):
             formulas.append(f)
             if len(formulas) == count:
                 return formulas
-
-
-@pytest.mark.parametrize("order", [("fin", "inf", "gen"),
-                                   ("gen", "fin", "inf"),
-                                   ("inf", "gen", "fin")])
-def test_builders_find_the_same_witnesses(monkeypatch, order):
-    # one mask search decides both: on the int table's own masks, and on
-    # the numpy table's live atoms compacted into a small int table, so
-    # this compares the int table with the compacted numpy table
-    by_size = enumerate_formulas(5)
-    formulas = [g for n in sorted(by_size) for g in by_size[n]]
-    formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
-    formulas += [CEILING, WIDE]
-    # fuzz formulas with 11 to 13 free bits counted one per weak next
-    formulas += _seeded_band(11, 13, 100)
-    bits = {len(_Table(closure(f), None).free) for f in formulas}
-    assert min(bits) <= tableau.PYTHON_TABLE_BITS < max(bits)
-    # keep every table between classes, so each later class is answered
-    # from the witnesses found before it
-    monkeypatch.setattr(tableau, "_MEMO_ATOMS", 1 << 20)
-
-    def decide_all():
-        return [decide_sat(f, cls, closure_cap=None)
-                for f in formulas for cls in order]
-
-    on_int, on_numpy = _on_each_builder(monkeypatch, decide_all)
-    assert on_int == on_numpy
-
-
-def test_builders_list_the_same_atoms_and_graphs(monkeypatch):
-    # enumerate_atoms materialises every atom, so it gets the smaller set;
-    # the ceiling formula's graphs hold about 4,000 atoms each, which the
-    # int table, built for small closures, lists in seconds, so only its
-    # decisions are compared above
-    by_size = enumerate_formulas(5)
-    heavy = [closure(_negated_instance(*inst)) for inst in HEAVY_INSTANCES]
-    graphs = [closure(g) for n in sorted(by_size) for g in by_size[n]]
-    atoms = graphs[:sum(len(by_size[n]) for n in by_size if n <= 4)]
-
-    def listing():
-        return ([enumerate_atoms(clo, cls, None)
-                 for clo in atoms + heavy[:1] for cls in CLASSES],
-                [build_atom_graph(clo, cls, None)
-                 for clo in graphs + heavy for cls in CLASSES])
-
-    on_int, on_numpy = _on_each_builder(monkeypatch, listing)
-    assert on_int == on_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -1436,13 +1259,17 @@ WITNESS_DIGEST = (
     "b8fd5e90327212e12960c095a45a6a60a28608c21ef106fabdc2af96401486b8")
 
 
-def _witness_digest(formulas):
+def _witness_digest(formulas, confirm=False):
+    """The digest of every class's decision; with ``confirm``, each model
+    is also checked by the evaluator."""
     h = hashlib.sha256()
     for f in formulas:
         for cls in CLASSES:
             res = decide_sat(f, cls, closure_cap=None)
             parts = [print_formula(f), cls, str(res.satisfiable)]
             if res.satisfiable:
+                if confirm:
+                    assert eval_ltl(res.model, 0, f) is True, (f, cls)
                 w = res.witness
                 parts.append(w.kind)
                 for atoms in (w.atoms, w.loop):
@@ -1468,7 +1295,7 @@ def test_witnesses_pinned_small_formulas():
 # evaluator, which shares no code with the tableau, on random traces of the
 # class: one trace satisfying the formula at position 0 refutes the verdict.
 # gen is covered by the identity gen = fin or inf, asserted on every formula.
-# The formulas have 4 to 18 free bits (median 9), so both builders answer.
+# The formulas have 4 to 18 free bits counted one per weak next (median 9).
 
 PATH_CHECK = GenConfig(max_formula_size=14, alphabet=("p", "q", "r"),
                        max_finite_len=10, max_lasso_total=10)
@@ -1499,7 +1326,7 @@ def test_unsat_and_valid_verdicts_survive_path_checks():
 
 
 # The same record over the path-check formulas and their negations, which
-# reach both builders, 4 to 18 free bits and longer lassos.
+# reach 4 to 18 free bits and longer lassos.
 PATH_CHECK_WITNESS_DIGEST = (
     "f9d2b64afe4a709d8d499639d5327f4a4722a9afc70f42214da18c00b5b4282c")
 
@@ -1510,6 +1337,51 @@ def test_witnesses_pinned_path_check_formulas():
         f = gen_formula(replace(PATH_CHECK, seed=seed))
         formulas += [f, Not(f)]
     assert _witness_digest(formulas) == PATH_CHECK_WITNESS_DIGEST
+
+
+# The same record over the widest tables the decider builds, 14 to 16 free
+# bits in the table's own layout: formulas heavy in letters or in single
+# nexts.  The digest was taken when numpy pruned these tables and the int
+# table searched the survivors renumbered, so it pins that the one prune
+# keeps their witnesses.
+WIDE_TABLE_WITNESS_DIGEST = (
+    "d765ef18a5b53363b650384d6d359877059f49ee0a79e1f23ab590fb86ac0b83")
+
+
+def _nexts(k, g):
+    return "X " * k + g
+
+
+def _table_bits(f):
+    """The free bits of the decider's table, one per proposition and per
+    weak-next group."""
+    return len(_Table(closure(f), None).free)
+
+
+def _next_heavy():
+    """The formulas over p and q of a few next-heavy templates whose tables
+    have more than 13 free bits and which the decider does not refuse."""
+    texts = []
+    for i in range(14):
+        for j in range(i, 14):
+            p, q = _nexts(i, "p"), _nexts(j, "q")
+            texts += [f"{p} & {q}", _nexts(j, "(p U q)"),
+                      f"G ({p} -> {q})", f"G ({_nexts(j, 'p')} -> "
+                      f"{_nexts(i, 'q')})", f"F ({p} & {q})",
+                      _nexts(i, f"(p U {q})"), f"{p} & {_nexts(j, '!p')}"]
+    formulas = map(parse_formula, dict.fromkeys(texts))
+    return [f for f in formulas
+            if 13 < _free_bits(f) <= MAX_FREE_BITS and _table_bits(f) > 13]
+
+
+def test_witnesses_pinned_wide_tables():
+    letters = parse_formula(" & ".join(f"x{i}" for i in range(14)))
+    formulas = [WIDE, parse_formula(_nexts(13, "p")), letters]
+    formulas += _next_heavy()
+    assert len(formulas) == 82
+    assert {_table_bits(f) for f in formulas} == {14, 15, 16}
+    assert _witness_digest(formulas, confirm=True) \
+        == WIDE_TABLE_WITNESS_DIGEST
 
 
 # ---------------------------------------------------------------------------
