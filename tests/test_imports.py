@@ -155,11 +155,31 @@ def _table_bits(text: str) -> int:
     return sum(type(m) is Prop for m in core) + len(bases)
 
 
+def _letters_above_the_int_tables() -> str:
+    """A conjunction of letters with 14 free bits, one above the widest
+    table once pruned on int masks: each letter is a bit, and every closure
+    has two groups of weak nexts, the terminal marker's and the finiteness
+    until's."""
+    text = " & ".join(f"x{i}" for i in range(12))
+    assert _table_bits(text) == 14
+    return text
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["sat", "--formula", "p", "--class", "fin"], 0),
     (["valid", "--formula", "p | !p", "--class", "inf"], 0),
 ])
 def test_small_decisions_load_the_decider_but_not_numpy(argv, expected):
+    loaded = _after_main((argv, expected))
+    assert loaded["caretkit.tableau"] and not loaded["numpy"]
+
+
+@pytest.mark.parametrize("command, expected", [("sat", 0), ("valid", 1)])
+def test_decisions_above_the_int_tables_load_numpy(command, expected):
+    # tables above 13 free bits were pruned by numpy; they are pruned on int
+    # masks like every other now, and the decision leaves numpy unloaded
+    text = _letters_above_the_int_tables()
+    argv = [command, "--formula", text, "--class", "gen", "--cap", "0"]
     loaded = _after_main((argv, expected))
     assert loaded["caretkit.tableau"] and not loaded["numpy"]
 
@@ -185,6 +205,26 @@ def test_grouped_tables_up_to_the_int_builder_load_no_numpy(
                                "--trace", str(model)], 0)]
     loaded = _after_main(*calls)
     assert loaded["caretkit.tableau"] and not loaded["numpy"]
+
+
+def test_cross_check_loads_numpy_only_for_tables_above_the_int_builder():
+    # every table the campaign builds is recorded by its free bits; they
+    # stay within 13, the widest once pruned on int masks, and the campaign
+    # leaves numpy unloaded
+    loaded = _loaded_after(
+        "from caretkit import tableau\n"
+        "from caretkit.cli import main\n"
+        "bits = []\n"
+        "init = tableau._Table.__init__\n"
+        "def recording(tab, *args, **kwargs):\n"
+        "    init(tab, *args, **kwargs)\n"
+        "    bits.append(len(tab.free))\n"
+        "tableau._Table.__init__ = recording\n"
+        "argv = ['fuzz', '--system', 'cross-check', '--instances', '3']\n"
+        "assert main(argv) == 0\n"
+        "assert bits and max(bits) <= 13, bits\n")
+    assert loaded["caretkit.tableau"] and loaded["caretkit.fuzz"]
+    assert not loaded["numpy"]
 
 
 # A meta-path finder that refuses numpy, whatever the path holds
@@ -241,7 +281,9 @@ def _imports():
                    id(node) in in_functions)
 
 
-def test_no_module_imports_numpy():
+def test_numpy_is_imported_only_inside_tableau_functions():
+    # the cold-start contract at the source: no module imports numpy, when
+    # it is loaded or inside a function
     found = [(name, line) for name, modules, line, inside in _imports()
              if "numpy" in modules]
     assert found == []

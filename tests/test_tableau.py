@@ -1202,6 +1202,44 @@ def _seeded_band(lo, hi, count):
                 return formulas
 
 
+@pytest.mark.parametrize("order", [("fin", "inf", "gen"),
+                                   ("gen", "fin", "inf"),
+                                   ("inf", "gen", "fin")])
+def test_builders_find_the_same_witnesses(monkeypatch, order):
+    # asked in this order of one table, a later class is answered from the
+    # graphs built before it: gen asked first builds one graph, which
+    # answers fin, and inf too without a finite model.  Asked of a table of
+    # its own, each class builds its own graph and finds the same witness.
+    by_size = enumerate_formulas(5)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    formulas += [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
+    formulas += [CEILING, WIDE]
+    # fuzz formulas with 11 to 13 free bits counted one per weak next
+    formulas += _seeded_band(11, 13, 100)
+    built = []
+    build = tableau.closure
+
+    def counting(*args):
+        built.append(args[0])
+        return build(*args)
+
+    def decide_all():
+        built.clear()
+        monkeypatch.setattr(tableau, "_memo", None)
+        return [decide_sat(f, cls, closure_cap=None)
+                for f in formulas for cls in order]
+
+    monkeypatch.setattr(tableau, "closure", counting)
+    # keep every table between classes, WIDE's included
+    monkeypatch.setattr(tableau, "_MEMO_ATOMS", 1 << 20)
+    in_order = decide_all()
+    assert len(built) == len(formulas)
+    # keep none, so each class is asked of a table of its own
+    monkeypatch.setattr(tableau, "_MEMO_ATOMS", -1)
+    assert decide_all() == in_order
+    assert len(built) == len(formulas) * len(order)
+
+
 # ---------------------------------------------------------------------------
 # The decider on the closure's numbering: rows are indexed by core position
 # and witness atoms build their members only when read, so deciding makes
