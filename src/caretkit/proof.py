@@ -107,60 +107,23 @@ class _Program:
     """A straight-line program being emitted.  Its values start with one
     input per name it is made with; a step (ctor, i, j) makes ctor over
     values i and j, j None for a unary ctor, and a constant step
-    (None, f, None) makes the leaf f, a proposition not named or true.
-    Its steps are kept; or, given run = (vals, leaf, apply) with vals
-    holding the inputs, each flush runs the steps so far over vals with
-    _run and drops them."""
+    (None, f, None) makes the leaf f, a proposition not named or true."""
 
-    def __init__(self, names: tuple[str, ...], run: tuple | None = None):
+    def __init__(self, names: tuple[str, ...]):
         # the value of each subformula emitted, first of the named letters
         self.slots: dict[Formula, int] = {Prop(v): k for k, v in enumerate(names)}
         self.size = len(names)
         self.steps: list[tuple] = []
-        self.run = run
 
     def step(self, ctor, i, j=None) -> int:
         self.steps.append((ctor, i, j))
         self.size += 1
         return self.size - 1
 
-    def flush(self) -> None:
-        if self.run is not None and self.steps:
-            _run(self.steps, *self.run)
-            self.steps.clear()
-
     def emit(self, g: Formula) -> int:
         """The value of g: each distinct subformula not emitted yet adds a
         step, a constant step for a leaf that is not a named letter."""
         return _fold(g, self.slots, lambda f: self.step(None, f), self.step)
-
-    def count(self, c: int, m: int, n: int, psi: int) -> int:
-        """The value of CR[c,m,n] over value psi (see expand_cr).  No call
-        or return changes d = c + m - n, so (m', n') names a state; the
-        states reached have m' <= m, n' <= n and c' = d - m' + n' >= 0,
-        and each is emitted once, after the two it refers to.  Each row of
-        states with one m' ends in a flush."""
-        if c < 0 or m < 0 or n < 0 or c + m < n:
-            raise ValueError(f"parameter violation: need c,m,n >= 0 and "
-                             f"c+m >= n, got {(c, m, n)}")
-        step, emit, d = self.step, self.emit, c + m - n
-        built = {(0, 0): step(Until, emit(_INT), psi)}
-        for m2 in range(m + 1):
-            for n2 in range(max(0, m2 - d), n + 1):
-                moves = []  # each makes an arm: int U (tag & X next)
-                if m2 > 0:
-                    moves.append((_CALL, built[m2 - 1, n2]))
-                if n2 > 0 and (m2 == 0 or d - m2 + n2 > 0):
-                    moves.append((_RET, built[m2, n2 - 1]))
-                arms = [step(Until, emit(_INT), step(And, emit(tag), step(
-                    WeakNext, to))) for tag, to in moves]
-                if len(arms) == 2:  # lor(call arm, ret arm)
-                    arms = [step(Not, step(And, step(Not, arms[0]),
-                                           step(Not, arms[1])))]
-                if arms:
-                    built[m2, n2] = arms[0]
-            self.flush()
-        return built[m, n]
 
 
 def _run(program, vals: list, leaf: Callable, apply: Callable):
@@ -180,16 +143,40 @@ def _identity(f: Formula) -> Formula:
 
 
 def _count(c: int, m: int, n: int, psi, leaf: Callable, apply: Callable):
-    """CR[c,m,n] over the value psi: its program run as it is emitted."""
-    vals = [psi]
-    return vals[_Program(("psi",), (vals, leaf, apply)).count(c, m, n, 0)]
+    """CR[c,m,n] over the value psi (see expand_cr), with leaf and apply
+    as _run takes them.  No call or return changes d = c + m - n, so
+    (m', n') names a state; the states reached have m' <= m, n' <= n and
+    c' = d - m' + n' >= 0, and each is made once, after the two it refers
+    to."""
+    if c < 0 or m < 0 or n < 0 or c + m < n:
+        raise ValueError(f"parameter violation: need c,m,n >= 0 and "
+                         f"c+m >= n, got {(c, m, n)}")
+    d, interior = c + m - n, leaf(_INT)
+    ret = leaf(_RET) if n else None
+    call = leaf(_CALL) if m else None
+    built = {(0, 0): apply(Until, interior, psi)}
+    for m2 in range(m + 1):
+        for n2 in range(max(0, m2 - d), n + 1):
+            moves = []  # each makes an arm: int U (tag & X next)
+            if m2 > 0:
+                moves.append((call, built[m2 - 1, n2]))
+            if n2 > 0 and (m2 == 0 or d - m2 + n2 > 0):
+                moves.append((ret, built[m2, n2 - 1]))
+            arms = [apply(Until, interior, apply(And, tag, apply(
+                WeakNext, to))) for tag, to in moves]
+            if len(arms) == 2:  # lor(call arm, ret arm)
+                arms = [apply(Not, apply(And, apply(Not, arms[0]),
+                                         apply(Not, arms[1])))]
+            if arms:
+                built[m2, n2] = arms[0]
+    return built[m, n]
 
 
 def expand_cr(c: int, m: int, n: int, f: Formula) -> Formula:
     """The counting formula: between here and the first f-state there are
     exactly m calls and n returns, never dipping more than c returns below
-    par.  Defined for c, m, n >= 0 with c + m >= n.  It is its program run
-    over nodes, so it is a DAG: the branches reach each (c, m, n) by many
+    par.  Defined for c, m, n >= 0 with c + m >= n.  It is built over
+    nodes, so it is a DAG: the branches reach each (c, m, n) by many
     orders of calls and returns, and each is built once."""
     return _count(c, m, n, f, _identity, operator.call)
 

@@ -14,9 +14,9 @@ group with one free bit, X g's or, for g the constant, the next-of-false
 marker's.  A valuation whose group bits disagree off the last state wants a
 bucket no atom carries, so leaving those out keeps every atom that can head
 a model, as Wolper's tableau (1985) builds only those.  One table holds
-the atoms, each member one Python int over the valuations; each class
-graph is pruned on the table's masks, and one search decides every class
-on them, a bucket at a time.
+the atoms, each member one Python int over the valuations; a class graph
+is the masks the table prunes the class to, and one search decides every
+class on them, a bucket at a time.
 
 Edges follow the biconditional law: V -> W iff V lacks the next-of-false
 marker and, for every weak-next formula in the closure, the formula is in V
@@ -219,17 +219,21 @@ class _Table:
     the atoms wanting bucket t form one block of consecutive valuations,
     ``block << (t << shift)``, and live or die together.
 
-    Every set of atoms is a mask: the class graph is one mask of live atoms
-    per bucket and one of live roots, and ``_ClassGraph`` searches those
-    with ``_path`` and ``least``, so the search's Python-level work is per
-    bucket, not per atom.  An atom gets its lexicographic key, cached for
-    the table, only when a search must order the buckets it is the first
-    to want.  Only the ``telling`` rows can decide that order, so only
-    those are read.  What only a class graph reads is built on first use,
-    so a table whose classes have no root builds none of it.  ``size`` is
-    the closure's, counted without building its members.  An atom keeps the core and its member bits.
-    ``witnesses`` remembers the witness of each class decided on the
-    table, and never its model, so models stay free to go.
+    Every set of atoms is a mask: a class graph, ``class_graph``, is one
+    mask of live atoms per bucket and one of live roots, and
+    ``terminal_path`` and ``lasso_chain`` search those with ``_path`` and
+    ``least``, so the search's Python-level work is per bucket, not per
+    atom.  An atom gets its lexicographic key, cached for the table, only
+    when a search must order the buckets it is the first to want.  Only
+    the ``telling`` rows can decide that order, so only those are read.
+    What only a class graph reads is built on first use, so a table whose
+    classes have no root builds none of it.  ``size`` is the closure's,
+    counted without building its members.
+
+    The table is its formula's decision: it answers every class, and is
+    what ``_memo`` keeps.  ``witnesses`` remembers the witness of each
+    class decided on the table, and never its model, so models stay free
+    to go.
     """
 
     def __init__(self, clo: ClosureSet, cap: int | None, grouped: bool = True):
@@ -362,39 +366,25 @@ class _Table:
         known = self.witnesses
         if cls in known:
             return known[cls]
-        if not self.has_root(cls):
-            w = None
-        elif cls == "gen":
-            if "fin" not in known and "inf" not in known:
-                g = _ClassGraph(self, cls)
-                known["fin"] = self._finite(g)
-                if known["fin"] is None:
-                    known["inf"] = self._lasso(g)
+        w = None
+        if cls == "gen" and ("fin" in known or "inf" in known):
             w = self.witness("fin") or self.witness("inf")
-        elif cls == "fin":
-            w = self._finite(_ClassGraph(self, cls))
-        else:
-            w = self._lasso(_ClassGraph(self, cls))
+        elif self.has_root(cls):
+            live, roots = self.class_graph(cls)
+            for c in ("fin", "inf") if cls == "gen" else (cls,):
+                if c == "fin":
+                    path, loop = self.terminal_path(live, roots), []
+                else:
+                    path, loop = self.lasso_chain(live, roots) or (None, [])
+                if path is not None:
+                    w = ChainWitness(kind="finite" if c == "fin" else "lasso",
+                                     atoms=tuple(map(self.atom, path)),
+                                     loop=tuple(map(self.atom, loop)))
+                known[c] = w
+                if w is not None:
+                    break
         known[cls] = w
         return w
-
-    @staticmethod
-    def _finite(g: _ClassGraph) -> ChainWitness | None:
-        path = g.terminal_path()
-        if path is None:
-            return None
-        return ChainWitness(kind="finite",
-                            atoms=tuple(map(g.tab.atom, path)))
-
-    @staticmethod
-    def _lasso(g: _ClassGraph) -> ChainWitness | None:
-        chain = g.lasso_chain()
-        if chain is None:
-            return None
-        prefix, loop = chain
-        atom = g.tab.atom
-        return ChainWitness(kind="lasso", atoms=tuple(map(atom, prefix)),
-                            loop=tuple(map(atom, loop)))
 
     def atom(self, a: int) -> Atom:
         return self._atom([r >> a & 1 for r in self.member_rows])
@@ -479,9 +469,9 @@ class _Table:
         return list(map(self._atom, sorted(self._lanes(self._class_mask(cls)))))
 
     def class_graph(self, cls: str):
-        """The live atoms and the live roots of the class: bucket -> its
-        live atoms, and the live roots, as masks, pruned by rounds over
-        buckets."""
+        """The class graph: bucket -> its live atoms, and the live roots,
+        as masks, pruned by rounds over buckets.  A bucket's number is its
+        key, the operand signature its atoms carry."""
         admitted = self._class_mask(cls)
         shift, last, block = self.shift, self._last, self._block
         terminal = admitted >> last << last
@@ -499,7 +489,11 @@ class _Table:
         return {s: m & live for s, m in buckets}, live & self.origin_bit
 
     def listed(self, live: dict[int, int]):
-        """The list views of a class graph's masks."""
+        """The list views of a class graph's live masks, in atom ids:
+        bucket s -> its live atoms in the lexicographic order the search
+        follows, and atom a -> the bucket its successors form, or -1 when
+        it is terminal (after pruning every live non-terminal atom has a
+        successor).  Only ``build_atom_graph`` and tests read them."""
         every = 0
         for m in live.values():
             every |= m
@@ -562,85 +556,28 @@ class _Table:
                     groups.append((atoms, t))
         return None
 
-
-def _key_at(rows: list[int], a: int) -> int:
-    """The bits of the int rows at atom a, the first row most significant."""
-    k = 0
-    for r in rows:
-        k = k << 1 | r >> a & 1
-    return k
-
-
-def _set_bits(mask: int) -> list[int]:
-    """The positions of the set bits of the mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-class _ClassGraph:
-    """Atoms of one class, bucketed by operand signature and pruned, held
-    as masks over the table and searched on them.
-
-    A bucket's number is its key: the operand signature its atoms carry.
-    The table prunes the class, ``class_graph``, to one mask per bucket and
-    one of live roots.  The searches and the list views, made on first read
-    by the table's ``listed``, are in the table's atom ids: ``bucket(s)`` in
-    the lexicographic order the search follows, ``next_bucket[a]``, the
-    bucket atom a's successors form, or -1 when the atom is terminal (after
-    pruning every live non-terminal atom has a successor), and
-    ``live_ids``, every live atom in order.  Only ``build_atom_graph`` and
-    tests read the list views.
-    """
-
-    def __init__(self, tab: _Table, cls: str):
-        self.tab = tab
-        self._live, self._roots = tab.class_graph(cls)
-
-    @functools.cached_property
-    def _lists(self) -> tuple[dict[int, list[int]], dict[int, int]]:
-        return self.tab.listed(self._live)
-
-    @property
-    def live_ids(self) -> list[int]:
-        return self.tab.lex_order(list(self.next_bucket))
-
-    @property
-    def next_bucket(self) -> dict[int, int]:
-        return self._lists[1]
-
-    def bucket(self, s: int) -> list[int]:
-        return self._lists[0][s]
-
-    def successors(self, a: int) -> list[int]:
-        s = self.next_bucket[a]
-        return self.bucket(s) if s >= 0 else []
-
-    def terminal_path(self) -> list[int] | None:
+    def terminal_path(self, live: dict[int, int],
+                      roots: int) -> list[int] | None:
         """The shortest path from a live root to a terminal atom, or None."""
-        tab, roots = self.tab, self._roots
         if not roots:
             return None
-        ends = roots & tab.terminal
-        return ([tab.least(ends)] if ends
-                else tab._path(self._live, roots, tab.terminal))
+        ends = roots & self.terminal
+        return ([self.least(ends)] if ends
+                else self._path(live, roots, self.terminal))
 
-    def lasso_chain(self) -> tuple[list[int], list[int]] | None:
+    def lasso_chain(self, live: dict[int, int],
+                    roots: int) -> tuple[list[int], list[int]] | None:
         """The shortest path from a live root into a self-fulfilling
         component, and a loop through it, or None."""
-        tab, live, roots = self.tab, self._live, self._roots
         if not roots:
             return None
-        shift, block, wanted = tab.shift, tab._block, tab._wanted
+        shift, block, wanted = self.shift, self._block, self._wanted
         comps = _tarjan(lambda s: wanted(live[s]), wanted(roots))
-        rows, sigs = tab.member_rows, tab.sigs
+        rows, sigs = self.member_rows, self.sigs
         # each until's row and its right operand's, the last until first:
         # the order the loop visits them in
         until_rows = [(rows[u], rows[sigs[u][2]])
-                      for u in reversed(tab.untils)]
+                      for u in reversed(self.untils)]
         # bucket -> (its component's atoms, the right operand row of each
         # until they hold), for the self-fulfilling components: a
         # component's atoms are those of its buckets that want one of them
@@ -662,8 +599,8 @@ class _ClassGraph:
 
         # the shortest path from the origin atoms into a good component
         entries = roots & good_atoms
-        path = ([tab.least(entries)] if entries
-                else tab._path(live, roots, good_atoms))
+        path = ([self.least(entries)] if entries
+                else self._path(live, roots, good_atoms))
         if path is None:
             return None
         prefix, entry = path[:-1], path[-1]
@@ -672,7 +609,7 @@ class _ClassGraph:
         def scc_path(src: int, targets: int) -> list[int]:
             """Shortest non-empty atom path src -> target inside the
             component, src excluded."""
-            path = tab._path(live, 1 << src, targets, atoms)
+            path = self._path(live, 1 << src, targets, atoms)
             if path is None:
                 raise AssertionError("self-fulfilling component lost a target")
             return path[1:]
@@ -688,6 +625,24 @@ class _ClassGraph:
                 on_loop |= 1 << a
         loop += scc_path(loop[-1], 1 << entry)[:-1]
         return prefix, loop
+
+
+def _key_at(rows: list[int], a: int) -> int:
+    """The bits of the int rows at atom a, the first row most significant."""
+    k = 0
+    for r in rows:
+        k = k << 1 | r >> a & 1
+    return k
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of the mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _tarjan(succ, order):
@@ -754,11 +709,13 @@ def build_atom_graph(clo: ClosureSet, cls: str,
                      closure_cap: int | None = DEFAULT_CLOSURE_CAP) -> AtomGraph:
     """The pruned atom graph: nodes that can head a chain of their class,
     successor lists per the biconditional edge law."""
-    g = _ClassGraph(_Table(clo, closure_cap), cls)
-    kept = g.live_ids
+    tab = _Table(clo, closure_cap)
+    buckets, next_bucket = tab.listed(tab.class_graph(cls)[0])
+    kept = tab.lex_order(list(next_bucket))
     local = {a: k for k, a in enumerate(kept)}
-    nodes = tuple(map(g.tab.atom, kept))
-    succs = tuple(tuple(local[b] for b in g.successors(a)) for a in kept)
+    nodes = tuple(map(tab.atom, kept))
+    succs = tuple(tuple(local[b] for b in buckets.get(next_bucket[a], ()))
+                  for a in kept)
     return AtomGraph(class_label=cls, nodes=nodes, successors=succs)
 
 

@@ -52,7 +52,7 @@ from caretkit.tableau import (
     extract_model,
 )
 from caretkit import tableau
-from caretkit.tableau import _ClassGraph, _Table
+from caretkit.tableau import _Table
 from caretkit.trace import FiniteTrace, LassoTrace, trace_to_text
 
 from exhaustive_oracle import enumerate_formulas
@@ -498,19 +498,20 @@ def _check_against_packing(tab):
         for k in by_row:
             members.setdefault(signature[k], []).append(bits[k])
 
-        g = _ClassGraph(tab, cls)
-        held = {_member_bits(tab, a): a for a in g.live_ids}
+        buckets, next_bucket = tab.listed(tab.class_graph(cls)[0])
+        held = {_member_bits(tab, a): a
+                for a in tab.lex_order(list(next_bucket))}
         assert list(held) == [bits[k] for k in by_row]
         key_of = {}
         for k in alive:
-            s = g.next_bucket[held[bits[k]]]
+            s = next_bucket[held[bits[k]]]
             if terminal[k]:
                 assert s == -1
             elif s in key_of:
                 assert key_of[s] == demand[k]
             else:
                 key_of[s] = demand[k]
-                assert [_member_bits(tab, a) for a in g.bucket(s)] \
+                assert [_member_bits(tab, a) for a in buckets[s]] \
                     == members[demand[k]]
         assert len(set(key_of.values())) == len(key_of)
 
@@ -605,13 +606,45 @@ def test_atoms_and_graphs_match_sorted_tables(monkeypatch):
     assert listing() == _on_sorted_tables(monkeypatch, listing)
 
 
+# The pruned graphs pinned, over every formula of size at most 5 and the
+# first heavy instance in every class: the printed formula, the class, the
+# sorted printed members of each node in order and the successor lists.
+# The check above builds the graphs on both sides, so it cannot catch a
+# wrong successor list; this digest can.
+ATOM_GRAPH_DIGEST = (
+    "75b2b30c5dd5e560c1559944945795b19bcbd5e5519b6cff444bc6a56b1ab9f3")
+
+
+def _atom_graph_digest(formulas):
+    h = hashlib.sha256()
+    for f in formulas:
+        clo = closure(f)
+        for cls in CLASSES:
+            g = build_atom_graph(clo, cls, None)
+            parts = [print_formula(f), cls]
+            parts += [",".join(sorted(print_formula(m) for m in a.members))
+                      for a in g.nodes]
+            parts.append(repr(g.successors))
+            h.update("|".join(parts).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_atom_graphs_pinned():
+    by_size = enumerate_formulas(5)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    formulas.append(_negated_instance(*HEAVY_INSTANCES[0]))
+    assert _atom_graph_digest(formulas) == ATOM_GRAPH_DIGEST
+
+
 def test_only_live_atoms_are_sorted(monkeypatch):
     # a decision lists no class: the mask search keys, for the
     # lexicographic order, only some of the live atoms, here of a table of
     # 14 free bits
     tab = _Table(closure(WIDE), None)
     assert len(tab.free) == 14
-    live = {cls: len(_ClassGraph(tab, cls).live_ids) for cls in CLASSES}
+    live = {cls: len(tab.listed(tab.class_graph(cls)[0])[1])
+            for cls in CLASSES}
     listed = []
     lanes = tableau._Table._lanes
 
@@ -682,17 +715,18 @@ def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
     for inst in HEAVY_INSTANCES:
         tab = _Table(closure(_negated_instance(*inst)), None)
         for cls in CLASSES:
-            g = _ClassGraph(tab, cls)
-            if g._roots:
+            live, roots = tab.class_graph(cls)
+            if roots:
                 continue
             rootless += 1
             calls.clear()
-            assert g.terminal_path() is None and g.lasso_chain() is None
+            assert tab.terminal_path(live, roots) is None
+            assert tab.lasso_chain(live, roots) is None
             assert calls == []
             every = 0
-            for m in g._live.values():
+            for m in live.values():
                 every |= m
-            assert sorted(g.live_ids) == tableau._set_bits(every)
+            assert sorted(tab.listed(live)[1]) == tableau._set_bits(every)
             n = every.bit_count()
             assert calls == [n] and n > 0
     assert rootless >= 4
@@ -703,7 +737,18 @@ def test_graphs_without_a_live_root_list_nothing_until_read(monkeypatch):
 # replaced: an atom-level BFS to a terminal atom, and a bipartite BFS into a
 # self-fulfilling component with its own BFS per loop segment.
 
-class _SeparateSearchGraph(_ClassGraph):
+class _SeparateSearchGraph:
+    """A class graph's list views, read from the table's ``listed``, and
+    the searches over them."""
+
+    def __init__(self, tab, live):
+        self.tab = tab
+        self._buckets, self.next_bucket = tab.listed(live)
+        self.live_ids = tab.lex_order(list(self.next_bucket))
+
+    def bucket(self, s):
+        return self._buckets[s]
+
     def roots(self):
         """The live roots, in lexicographic order."""
         origin = self.tab.origin_bit
@@ -865,7 +910,10 @@ def test_decisions_match_separate_searches(monkeypatch):
                 for f in formulas for cls in CLASSES]
 
     with monkeypatch.context() as m:
-        m.setattr(tableau, "_ClassGraph", _SeparateSearchGraph)
+        m.setattr(_Table, "terminal_path", lambda tab, live, roots:
+                  _SeparateSearchGraph(tab, live).terminal_path())
+        m.setattr(_Table, "lasso_chain", lambda tab, live, roots:
+                  _SeparateSearchGraph(tab, live).lasso_chain())
         expected = decide_all()
     assert decide_all() == expected
 
@@ -1093,18 +1141,19 @@ def test_shared_model_entry_is_weak():
 # for a lasso.
 
 def _class_graph_decision(f, cls):
-    g = _ClassGraph(_Table(closure(f), None), cls)
+    tab = _Table(closure(f), None)
+    live, roots = tab.class_graph(cls)
     if cls in ("fin", "gen"):
-        path = g.terminal_path()
+        path = tab.terminal_path(live, roots)
         if path is not None:
             w = ChainWitness(kind="finite",
-                             atoms=tuple(map(g.tab.atom, path)))
+                             atoms=tuple(map(tab.atom, path)))
             return SatResult(True, w, extract_model(w))
     if cls in ("inf", "gen"):
-        chain = g.lasso_chain()
+        chain = tab.lasso_chain(live, roots)
         if chain is not None:
             prefix, loop = chain
-            atom = g.tab.atom
+            atom = tab.atom
             w = ChainWitness(kind="lasso", atoms=tuple(map(atom, prefix)),
                              loop=tuple(map(atom, loop)))
             return SatResult(True, w, extract_model(w))
@@ -1113,13 +1162,13 @@ def _class_graph_decision(f, cls):
 
 def _count_class_graphs(monkeypatch):
     built = []
+    class_graph = _Table.class_graph
 
-    class Counting(_ClassGraph):
-        def __init__(self, tab, cls):
-            built.append(cls)
-            super().__init__(tab, cls)
+    def counting(tab, cls):
+        built.append(cls)
+        return class_graph(tab, cls)
 
-    monkeypatch.setattr(tableau, "_ClassGraph", Counting)
+    monkeypatch.setattr(_Table, "class_graph", counting)
     return built
 
 
