@@ -289,7 +289,8 @@ def formula_sort_key(f: Formula) -> tuple[int, str]:
     anything sorted with this key is stable across runs.
     """
     nodes = _Nodes()
-    return nodes.keys[nodes.add(f)]
+    n = nodes.add(f)
+    return _sort_keys(nodes)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -307,29 +308,33 @@ _PRINT_PARTS = {
 }
 
 
+# the number of kids of each operator node type
+_ARITY = {t: 1 if issubclass(t, _Unary) else 2 for t in _PRINT_PARTS}
+
+
 class _Nodes:
-    """Distinct nodes numbered by structure, each with its sort key.
+    """Distinct nodes numbered by structure, kids first, each with its size.
 
     A node's signature is its type and its kids' numbers (a proposition's
     is ``(Prop, name)``), and interning the signature gives the number, so
     structurally equal subterms share a number even when they are distinct
     objects.  Input objects are looked up by ``id()``: numbering makes no
     ``Formula.__hash__`` or ``_equal`` call.  Each number keeps its
-    signature, one node of that structure and its (size, printed text) key,
-    computed once from the kids' keys as the node gets its number; that is
-    the one place ``_PRINT_PARTS`` becomes text.  The walk is an explicit
-    post-order, so nesting depth is bounded by memory rather than by the
-    interpreter's recursion limit.
+    signature, one node of that structure and its size as a tree, an int
+    summed from the kids'; no text is built (``_sort_keys`` prints the
+    nodes when an order is asked for).  The walk is an explicit post-order,
+    so nesting depth is bounded by memory rather than by the interpreter's
+    recursion limit.
     """
 
-    __slots__ = ("by_id", "index", "sigs", "nodes", "keys")
+    __slots__ = ("by_id", "index", "sigs", "nodes", "sizes")
 
     def __init__(self):
         self.by_id: dict[int, int] = {}
         self.index: dict[tuple, int] = {}
         self.sigs: list[tuple] = []
         self.nodes: list[Formula] = []
-        self.keys: list[tuple[int, str]] = []
+        self.sizes: list[int] = []
 
     def copy(self) -> _Nodes:
         new = _Nodes.__new__(_Nodes)
@@ -337,81 +342,85 @@ class _Nodes:
         new.index = self.index.copy()
         new.sigs = self.sigs.copy()
         new.nodes = self.nodes.copy()
-        new.keys = self.keys.copy()
+        new.sizes = self.sizes.copy()
         return new
 
     def add(self, f: Formula) -> int:
-        """The number of f, numbering every node under it not seen yet."""
-        by_id = self.by_id
+        """The number of f, numbering every node under it not seen yet.
+        The stack is a path from f down, one unnumbered kid pushed at a
+        time, so each object is entered once."""
+        by_id, index, sigs = self.by_id, self.index, self.sigs
+        nodes, sizes = self.nodes, self.sizes
+        number, arity = by_id.get, _ARITY.get
         stack = [f]
         while stack:
             g = stack[-1]
-            if id(g) in by_id:
-                stack.pop()
-                continue
             t = type(g)
-            if t is Prop:
-                n = self._leaf((Prop, g.name), g, g.name)
-            elif t is TrueConst:
-                n = self._leaf((TrueConst,), g, "true")
-            elif t not in _PRINT_PARTS:
-                raise TypeError(f"not a formula node: {g!r}")
-            elif isinstance(g, _Unary):
-                k = by_id.get(id(g.operand))
+            a = arity(t)
+            if a == 1:
+                k = number(id(g.operand))
                 if k is None:
                     stack.append(g.operand)
                     continue
-                n = self.unary(t, k, g)
-            else:
-                left = by_id.get(id(g.left))
-                right = by_id.get(id(g.right))
-                if left is None or right is None:
+                sig, size = (t, k), sizes[k] + 1
+            elif a == 2:
+                left = number(id(g.left))
+                if left is None:
                     stack.append(g.left)
+                    continue
+                right = number(id(g.right))
+                if right is None:
                     stack.append(g.right)
                     continue
-                n = self.binary(t, left, right, g)
+                sig, size = (t, left, right), sizes[left] + sizes[right] + 1
+            elif t is Prop:
+                sig, size = (Prop, g.name), 1
+            elif t is TrueConst:
+                sig, size = (TrueConst,), 1
+            else:
+                raise TypeError(f"not a formula node: {g!r}")
+            n = index.get(sig)
+            if n is None:
+                n = index[sig] = len(sigs)
+                sigs.append(sig)
+                nodes.append(g)
+                sizes.append(size)
             by_id[id(g)] = n
             stack.pop()
         return by_id[id(f)]
 
-    # Each constructor below returns the number of the node of its type
-    # over the numbered kids.  ``node`` is an object of that structure when
-    # the caller holds one; otherwise one is built if the structure is new.
-
-    def _leaf(self, sig: tuple, node: Formula, text: str) -> int:
-        n = self.index.get(sig)
-        if n is None:
-            n = self.index[sig] = len(self.sigs)
-            self.sigs.append(sig)
-            self.nodes.append(node)
-            self.keys.append((1, text))
-        return n
-
-    def unary(self, t: type, k: int, node: Formula | None = None) -> int:
+    def unary(self, t: type, k: int) -> int:
+        """The number of the node of type t over node k, built if the
+        structure is new."""
         sig = (t, k)
         n = self.index.get(sig)
         if n is None:
-            size, text = self.keys[k]
-            before, _, after = _PRINT_PARTS[t]
             n = self.index[sig] = len(self.sigs)
             self.sigs.append(sig)
-            self.nodes.append(t(self.nodes[k]) if node is None else node)
-            self.keys.append((size + 1, before + text + after))
+            self.nodes.append(t(self.nodes[k]))
+            self.sizes.append(self.sizes[k] + 1)
         return n
 
-    def binary(self, t: type, left: int, right: int, node: Formula) -> int:
-        sig = (t, left, right)
-        n = self.index.get(sig)
-        if n is None:
-            lsize, ltext = self.keys[left]
-            rsize, rtext = self.keys[right]
+
+def _sort_keys(nodes: _Nodes) -> list[tuple[int, str]]:
+    """The (size, printed text) key of every node, by number: one pass over
+    the signatures, kids first, each text made once from its kids'.  This
+    is the one place ``_PRINT_PARTS`` becomes text."""
+    texts: list[str] = []
+    for sig in nodes.sigs:
+        t = sig[0]
+        if t is Prop:
+            texts.append(sig[1])
+        elif t is TrueConst:
+            texts.append("true")
+        else:
             before, mid, after = _PRINT_PARTS[t]
-            n = self.index[sig] = len(self.sigs)
-            self.sigs.append(sig)
-            self.nodes.append(node)
-            self.keys.append((lsize + rsize + 1,
-                              before + ltext + mid + rtext + after))
-        return n
+            if len(sig) == 2:
+                texts.append(before + texts[sig[1]] + after)
+            else:
+                texts.append(before + texts[sig[1]] + mid + texts[sig[2]]
+                             + after)
+    return list(zip(nodes.sizes, texts))
 
 
 def print_formula(f: Formula) -> str:
@@ -652,40 +661,53 @@ class ClosureSet:
     ``core`` is the closure proper; ``members`` is core plus the negation of
     every core member, with single-negation collapse when pairing.  Both are
     tuples in deterministic (size, text) order.  Members are interned by
-    structure: structurally equal subterms of the origin are one member,
-    and each member's sort key was computed once, as it was numbered.
+    structure: structurally equal subterms of the origin are one member.
     ``size`` is len(members) and ``size_bound`` records the linear bound on
-    it guaranteed at construction.  ``closure`` sorts only the core and
-    counts ``size`` on node numbers, so a decision, which reads the core
-    alone, builds no other member: ``members`` is built on first read, and
-    ``member_set`` from it.  A closure built by hand passes its members.
+    it guaranteed at construction.  A closure built by hand passes its core
+    and members.
 
-    ``numbering`` is the core's numbering, which the decider runs on: the
-    signature of each ``core[i]``, its type and its kids' core positions (a
-    proposition's is ``(Prop, name)``), and the origin's position.  Kids are
-    core members and come first.  ``closure`` reads it off its own walk; a
-    closure built by hand is numbered on first use.
+    ``numbering`` is the core's numbering: the signature of each
+    ``core[i]``, its type and its kids' core positions (a proposition's is
+    ``(Prop, name)``), and the origin's position.  Kids are core members
+    and come first.
+
+    ``closure`` passes its ``walk`` instead: the ``_Nodes`` it numbered,
+    every one of which is a core member, the origin's number and ``size``,
+    counted on node numbers.  The decider runs on that numbering as it is,
+    so a decision sorts and prints nothing until a search orders atoms.
+    ``core`` and ``numbering`` are built on first read from one
+    ``_sort_keys`` pass and one sort, and ``members`` from another on a
+    copy of the walk; ``member_set`` follows ``members``.  A closure built
+    by hand is numbered on first use.
     """
 
-    __slots__ = ("origin", "mode", "core", "size", "size_bound", "_members",
-                 "_member_set", "_numbering")
+    __slots__ = ("origin", "mode", "size", "size_bound", "_core", "_members",
+                 "_member_set", "_numbering", "_walk", "_order")
 
-    def __init__(self, origin, mode, core, members, size_bound,
-                 numbering=None, size=None):
+    def __init__(self, origin, mode, core, members, size_bound, walk=None):
         self.origin = origin
         self.mode = mode
-        self.core = core
-        # the member tuple, or a function that builds it on first read
-        self._members = members
-        self.size = len(members) if size is None else size
         self.size_bound = size_bound
-        self._member_set = None
-        self._numbering = numbering
+        self._core, self._members = core, members
+        self._walk = walk
+        self.size = len(members) if walk is None else walk[2]
+        self._member_set = self._numbering = self._order = None
+
+    @property
+    def core(self) -> tuple[Formula, ...]:
+        if self._core is None:
+            self._core = tuple(map(self._walk[0].nodes.__getitem__,
+                                   self._core_order()))
+        return self._core
 
     @property
     def members(self) -> tuple[Formula, ...]:
-        if callable(self._members):
-            self._members = self._members()
+        if self._members is None:
+            nodes = self._walk[0].copy()
+            signed = _signed(nodes, range(len(nodes.sigs)))
+            key = _sort_keys(nodes).__getitem__
+            self._members = tuple(map(nodes.nodes.__getitem__,
+                                      sorted(signed, key=key)))
         return self._members
 
     @property
@@ -697,11 +719,37 @@ class ClosureSet:
     @property
     def numbering(self) -> tuple[tuple[tuple, ...], int]:
         if self._numbering is None:
-            nodes = _Nodes()
-            self._numbering = _core_numbering(
-                nodes.sigs, [nodes.add(m) for m in self.core],
-                nodes.add(self.origin))[:2]
+            if self._walk is None:
+                nodes = _Nodes()
+                self._numbering = _core_numbering(
+                    nodes.sigs, [nodes.add(m) for m in self.core],
+                    nodes.add(self.origin))
+            else:
+                nodes, root, _ = self._walk
+                self._numbering = _core_numbering(
+                    nodes.sigs, self._core_order(), root)
         return self._numbering
+
+    def _decider_numbering(self):
+        """What the decider runs on: nodes, their signatures and the
+        origin's number, kids first.  That is the walk for ``closure``'s
+        own closures, and the core's numbering for one built by hand."""
+        if self._walk is None:
+            sigs, root = self.numbering
+            return self.core, sigs, root
+        nodes, root, _ = self._walk
+        return nodes.nodes, nodes.sigs, root
+
+    def _core_order(self):
+        """The numbers of ``_decider_numbering`` in core order, sorted by
+        one key pass over the walk on first use."""
+        if self._walk is None:
+            return range(len(self.core))
+        if self._order is None:
+            nodes = self._walk[0]
+            self._order = sorted(range(len(nodes.sigs)),
+                                 key=_sort_keys(nodes).__getitem__)
+        return self._order
 
     def __contains__(self, f: Formula) -> bool:
         return f in self.member_set
@@ -713,81 +761,68 @@ class ClosureSet:
 
 def _core_numbering(sigs: list[tuple], core: list[int], root: int):
     """The signatures of the core's nodes, in core order, with their kids'
-    node numbers turned into core positions; the root's position; and the
-    size of the signed closure, the core with the negation of each core
-    member that is no negation: twice the core, less one per negation in
-    it, and one more per negation of a non-negation in it, which is both a
-    core member and a member's negation."""
+    node numbers turned into core positions, and the root's position."""
     at = {n: i for i, n in enumerate(core)}
     out = []
-    negations = 0
     for s in map(sigs.__getitem__, core):
-        arity = len(s)
-        if arity == 3:
+        if len(s) == 3:
             s = (s[0], at[s[1]], at[s[2]])
-        elif arity == 2 and s[0] is Not:
-            s = (Not, at[s[1]])
-            negations += 1 if out[s[1]][0] is Not else 2
-        elif arity == 2 and s[0] is not Prop:
+        elif len(s) == 2 and s[0] is not Prop:
             s = (s[0], at[s[1]])
         out.append(s)
-    return tuple(out), at[root], 2 * len(core) - negations
+    return tuple(out), at[root]
 
 
-def _close(nodes: _Nodes, core: set[int], stack: list[int], mode: str) -> None:
-    """Grow core, a set of node numbers, by the closure of the stack's
-    nodes: the rules run on numbers, and ``nodes`` builds a node only for a
-    structure it does not hold yet."""
+def _close(nodes: _Nodes, start: int, mode: str) -> int:
+    """Close the nodes numbered from ``start`` on, in one pass over them:
+    the rules run on numbers and append each product the walk does not
+    hold yet, kids first, and the pass reaches it in its turn, so every
+    numbered node is a core member.  Returns how far the pass's negations
+    shrink the signed closure below twice the core: one per negation, and
+    one more per negation of a non-negation, which is both a core member
+    and a member's negation."""
     sigs, make = nodes.sigs, nodes.unary
-    while stack:
-        n = stack.pop()
-        if n in core:
-            continue
-        core.add(n)
-        sig = sigs[n]
+    negations = 0
+    i = start
+    while i < len(sigs):
+        sig = sigs[i]
         t = sig[0]
         if t is Not:
-            stack.append(sig[1])
-        elif t is And:
-            stack.append(sig[1])
-            stack.append(sig[2])
+            negations += 1 if sigs[sig[1]][0] is Not else 2
         elif t is WeakNext:
-            stack.append(sig[1])
             if sigs[sig[1]][0] is Not:
-                stack.append(make(WeakNext, sigs[sig[1]][1]))
+                make(WeakNext, sigs[sig[1]][1])
         elif t is Until:
-            stack.append(sig[1])
-            stack.append(sig[2])
-            stack.append(make(Not, make(WeakNext, make(Not, n))))
+            make(Not, make(WeakNext, make(Not, i)))
         elif mode == "ltl" and t in (AbsWeakNext, AbsUntil):
             raise ValueError(
                 "formula uses abstract operators; closure needs caret mode")
         elif t is AbsWeakNext:
-            stack.append(sig[1])
             if sigs[sig[1]][0] is Not:
-                stack.append(make(AbsWeakNext, sigs[sig[1]][1]))
+                make(AbsWeakNext, sigs[sig[1]][1])
         elif t is AbsUntil:
-            stack.append(sig[1])
-            stack.append(sig[2])
-            stack.append(make(Not, make(AbsWeakNext, make(Not, n))))
+            make(Not, make(AbsWeakNext, make(Not, i)))
+        i += 1
+    return negations
 
 
-def _signed(nodes: _Nodes, core: set[int]) -> set[int]:
+def _signed(nodes: _Nodes, core) -> set[int]:
     """Core and the negation of each member; the negation of a Not is its
     operand, which the core holds."""
     sigs, make = nodes.sigs, nodes.unary
-    return core | {make(Not, n) for n in core if sigs[n][0] is not Not}
+    return set(core).union([make(Not, n) for n in core
+                            if sigs[n][0] is not Not])
 
 
 # Every closure holds the closure of its seed, the finiteness until over the
-# terminal marker, so that part is numbered once, here, and each closure
-# starts from a copy of these nodes.  Each seed object it knows by id() is
-# also the node it keeps for its structure, so no id can be reused while
-# the copies look it up.
+# terminal marker, so that part is numbered and closed once, here, and each
+# closure starts from a copy of these nodes: the constant true and both
+# markers keep their numbers in every walk.  Each seed object it knows by
+# id() is also the node it keeps for its structure, so no id can be reused
+# while the copies look it up.
 _SEED_NODES = _Nodes()
-_SEED_CORE: set[int] = set()
-_close(_SEED_NODES, _SEED_CORE,
-       [_SEED_NODES.add(Until(TRUE, WeakNext(FALSE)))], "ltl")
+_SEED_NODES.add(Until(TRUE, WeakNext(FALSE)))
+_SEED_NEGATIONS = _close(_SEED_NODES, 0, "ltl")
 
 
 def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
@@ -800,27 +835,22 @@ def closure(f: Formula, mode: str = "ltl") -> ClosureSet:
     strong-next unfolding (stored desugared).  In caret mode the last two
     rules are mirrored for the abstract operators.
 
-    One post-order walk interns every distinct node of f by structure
-    (``_Nodes``), keying each once, on a copy of the seed's numbered
-    closure.  The rules run on node numbers, and build a node only for a
-    member neither f nor the seed's closure holds; one sort by key gives
-    the core, numbered from the walk's signatures, which give the size of
-    the signed closure too; the negation pass and the sort of the members
-    wait for their first read.
+    One post-order walk numbers every distinct node of f by structure
+    (``_Nodes``), on a copy of the seed's numbered closure, and keeps tree
+    sizes as ints.  Every node of f is a core member, so one pass over the
+    numbered nodes runs the rules, on numbers, and appends each member
+    neither f nor the seed's closure holds; the same pass counts the size
+    of the signed closure.  No text is built and nothing is sorted: the
+    walk is the closure's, and the sorted core, its numbering and the
+    members wait for their first read.
     """
     if mode not in ("ltl", "caret"):
         raise ValueError(f"unknown mode {mode!r}")
 
     nodes = _SEED_NODES.copy()
+    start = len(nodes.sigs)
     root = nodes.add(f)
-    core = _SEED_CORE.copy()
-    _close(nodes, core, [root], mode)
-    key, at = nodes.keys.__getitem__, nodes.nodes.__getitem__
-    core_order = sorted(core, key=key)
-    sigs, position, size = _core_numbering(nodes.sigs, core_order, root)
-
-    def members():
-        return tuple(map(at, sorted(_signed(nodes, core), key=key)))
-
-    return ClosureSet(f, mode, tuple(map(at, core_order)), members,
-                      8 * key(root)[0] + 20, (sigs, position), size)
+    negations = _SEED_NEGATIONS + _close(nodes, start, mode)
+    size = 2 * len(nodes.sigs) - negations
+    return ClosureSet(f, mode, None, None, 8 * nodes.sizes[root] + 20,
+                      (nodes, root, size))

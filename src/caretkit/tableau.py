@@ -43,12 +43,14 @@ component is self-fulfilling when every until row that meets its atoms has
 a right-operand row that meets them (the emptiness check of generalized
 Buchi conditions, Couvreur, FM 1999), so no per-atom until key is built.
 
-The table runs on the closure's numbering of its core: every row is
-indexed by core position and made from its kids' rows, so no formula is
-hashed or compared past the closure, whose signed members a decision never
-builds.  A class in which no atom holds the origin builds no class graph,
-and a witness atom keeps the core and its member bits, and builds its
-member set only when read.
+The table runs on the numbering of the closure's own walk, kids first:
+every row is indexed by the walk's number of its member and made from its
+kids' rows, so no formula is hashed, compared or printed past the closure,
+whose sorted core and signed members a decision never builds.  Only the
+lexicographic order reads the core order, and a class in which no atom
+holds the origin builds no class graph, so a decision without a live root
+sorts nothing.  A witness atom keeps the walk's nodes and its member bits,
+and builds its member set only when read.
 
 The table shared by the three classes names its atoms in the order their
 free-bit valuations are enumerated, which the search does not depend on.
@@ -66,6 +68,7 @@ from __future__ import annotations
 import functools
 import weakref
 from itertools import compress, product
+from operator import itemgetter
 
 from .syntax import (
     CLASSES, DEFAULT_CLOSURE_CAP, And, ClosureCapError, ClosureSet, Formula,
@@ -197,20 +200,23 @@ class _Table:
     """The atom table of a closure: one Python int per member row, searched
     on masks.
 
-    The table runs on the closure's numbering: ``sigs[i]`` is the type of
-    ``core[i]`` and its kids' positions, and every list below holds core
-    positions.  Atoms are valuations of the free bits, bit k for
-    ``free[k]``: the propositions, then the free weak nexts, ``nexts``, in
-    reverse, so that shifting the propositions out of a valuation leaves
-    the atom's demand key, one bit per free weak next with the first in
-    the most significant bit.  A free weak next stands for its group, the
-    weak nexts whose operands strip to one formula; the others are
-    ``tied`` to it and read no key bit of their own, and the demand and
-    the bucket keys run over the free ones alone.  Atom a is valuation a,
-    and ``member_rows[i]`` is an int over the valuations with bit a set
-    where atom a holds ``core[i]``: ``truth_columns`` for the free bits,
-    made once per width, and ``derive_rows`` with ``& | ^`` for the rest,
-    as ``proof.check_tautology`` builds its truth tables.  Built with
+    The table runs on any numbering of the closure that puts kids first,
+    the closure's walk as a rule (``ClosureSet._decider_numbering``):
+    ``sigs[i]`` is the type of ``core[i]`` and its kids' numbers, and every
+    list below holds those numbers, in that order but for ``telling`` and
+    ``untils``, which follow the sorted core and are made on first use, as
+    ``_order``, the numbers in core order, is.  Atoms are valuations of the
+    free bits, bit k for ``free[k]``: the propositions, then the free weak
+    nexts, ``nexts``, in reverse, so that shifting the propositions out of
+    a valuation leaves the atom's demand key, one bit per free weak next
+    with the first in the most significant bit.  A free weak next stands
+    for its group, the weak nexts whose operands strip to one formula; the
+    others are ``tied`` to it and read no key bit of their own, and the
+    demand and the bucket keys run over the free ones alone.  Atom a is
+    valuation a, and ``member_rows[i]`` is an int over the valuations with
+    bit a set where atom a holds ``core[i]``: ``truth_columns`` for the
+    free bits, made once per width, and ``derive_rows`` with ``& | ^`` for
+    the rest, as ``proof.check_tautology`` builds its truth tables.  Built with
     ``grouped`` false, for ``enumerate_atoms``, every weak next is free
     and the table holds every locally consistent atom.  The valuations that
     break the terminal rule are left out of every class mask, not removed;
@@ -226,9 +232,10 @@ class _Table:
     atom.  An atom gets its lexicographic key, cached for the table, only
     when a search must order the buckets it is the first to want.  Only
     the ``telling`` rows can decide that order, so only those are read.
-    What only a class graph reads is built on first use, so a table whose
-    classes have no root builds none of it.  ``size`` is the closure's,
-    counted without building its members.
+    What only a class graph or the order reads is built on first use, so a
+    table whose classes have no live root builds none of it and sorts
+    nothing.  ``size`` is the closure's, counted without building its
+    members.
 
     The table is its formula's decision: it answers every class, and is
     what ``_memo`` keeps.  ``witnesses`` remembers the witness of each
@@ -241,17 +248,13 @@ class _Table:
             raise ValueError("the tableau works on the ltl fragment only")
         self.size = clo.size
         self.check_cap(cap)
-        self.core = clo.core
-        self.sigs, self.root = clo.numbering
+        self.core, self.sigs, self.root = clo._decider_numbering()
+        self._order = clo._core_order
         sigs = self.sigs
-        # the layout, in one pass over the core.  Only the weak nexts, the
-        # propositions and the untils can tell two atoms apart first: the
-        # constant, a conjunction or a negation is fixed by earlier rows,
-        # and after the last free bit every atom is told apart.
-        # ``unfold[g]`` is the position of X !g: an until's unfolding is the
-        # negation of X !u.  ``by_operand[g]`` is the position of X g
-        self.props, self.untils = props, untils = [], []
-        self.telling, self.unfold = telling, unfold = [], {}
+        # the layout, in one pass over the numbering.  ``unfold[g]`` is the
+        # position of X !g: an until's unfolding is the negation of X !u.
+        # ``by_operand[g]`` is the position of X g
+        self.props, self.unfold = props, unfold = [], {}
         weak, by_operand = [], {}
         for i, sig in enumerate(sigs):
             t = sig[0]
@@ -262,13 +265,6 @@ class _Table:
                 by_operand[sig[1]] = i
                 if sigs[sig[1]][0] is Not:
                     unfold[sigs[sig[1]][1]] = i
-            elif t is Until:
-                untils.append(i)
-            else:
-                continue
-            telling.append(i)
-        while sigs[telling[-1]][0] is Until:
-            telling.pop()
         raw = len(props) + len(weak)
         if raw > MAX_FREE_BITS:
             raise ClosureCapError(
@@ -328,7 +324,7 @@ class _Table:
         """The row of each member by position, from the free bits' rows and
         ``full``, the constant true's: the tied weak nexts from their
         group's free member and the terminal marker, then the others in
-        core order, so after their kids'."""
+        the numbering's order, so after their kids'."""
         rows = [full] * len(self.sigs)
         for i, r in zip(self.free, free_rows):
             rows[i] = r
@@ -430,6 +426,26 @@ class _Table:
         return self._split(self._classes["gen"])
 
     @functools.cached_property
+    def untils(self) -> list[int]:
+        """The untils, in core order."""
+        sigs = self.sigs
+        return [i for i in self._order() if sigs[i][0] is Until]
+
+    @functools.cached_property
+    def telling(self) -> list[int]:
+        """The rows that decide the lexicographic order, in core order.
+        Only the weak nexts, the propositions and the untils can tell two
+        atoms apart first: the constant, a conjunction or a negation is
+        fixed by earlier rows, and after the last free bit every atom is
+        told apart."""
+        sigs = self.sigs
+        telling = [i for i in self._order()
+                   if sigs[i][0] in (Prop, WeakNext, Until)]
+        while sigs[telling[-1]][0] is Until:
+            telling.pop()
+        return telling
+
+    @functools.cached_property
     def _lex_rows(self) -> list[int]:
         return [self.member_rows[i] for i in self.telling]
 
@@ -466,7 +482,9 @@ class _Table:
     def sorted_atoms(self, cls: str) -> list[Atom]:
         """The atoms of the class in lexicographic order on member
         bit-vectors: member bits in core order are that order's keys."""
-        return list(map(self._atom, sorted(self._lanes(self._class_mask(cls)))))
+        lanes = self._lanes(self._class_mask(cls))
+        in_core_order = itemgetter(*self._order())
+        return list(map(self._atom, sorted(lanes, key=in_core_order)))
 
     def class_graph(self, cls: str):
         """The class graph: bucket -> its live atoms, and the live roots,

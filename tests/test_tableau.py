@@ -409,7 +409,10 @@ def _bool_row(r, width):
 
 
 def _member_bits(tab, a):
-    return tuple(r >> a & 1 for r in tab.member_rows)
+    """Atom a's member bits in core order, the lexicographic order's keys;
+    the table's rows follow the closure's walk."""
+    rows = tab.member_rows
+    return tuple(rows[i] >> a & 1 for i in tab._order())
 
 
 def _until_keys(tab, ids):
@@ -430,9 +433,12 @@ def _until_keys(tab, ids):
             {a: key(fulfill, a) for a in ids})
 
 
-def _check_against_packing(tab):
+def _check_against_packing(tab, core):
     """The table's keys, its buckets and the class graphs it prunes and
-    lists, against the reference."""
+    lists, against the reference.  The table runs on the closure's walk
+    numbering, so its demand key follows the walk's order of weak nexts,
+    while the lexicographic order follows ``core``, the closure's sorted
+    core."""
     width = 1 << len(tab.free)
     full = _bool_row(tab.member_rows[tab.sigs.index((syntax.TrueConst,))],
                      width)
@@ -449,13 +455,14 @@ def _check_against_packing(tab):
         pad = -len(fs) % 8
         return [v >> pad for v in _pack_rows(cols)]
 
-    order = _pack_rows(np.array([row[f] for f in tab.core]).T)
+    order = _pack_rows(np.array([row[f] for f in core]).T)
     assert len(set(order)) == len(order)
 
     # one free bit per weak-next group: X g for the base g, the terminal
     # marker for the base true, and every other member of a group is its
     # free member's bit, complemented on a parity that differs, off the
-    # last state
+    # last state.  The free ones, in the table's own free-bit order, are the
+    # demand key's bits
     nexts = []
     for m in tab.core:
         if type(m) is WeakNext:
@@ -467,7 +474,8 @@ def _check_against_packing(tab):
             else:
                 assert (row[m] == (row[free] ^ (parity != free_parity))
                         | row[TERMINAL]).all(), m
-    untils = [m for m in tab.core if type(m) is Until]
+    assert nexts == [tab.core[i] for i in tab.nexts]
+    untils = [m for m in core if type(m) is Until]
     demand = packed(nexts)
     signature = packed([n.operand for n in nexts])
     # an atom's valuation shifted right by the propositions is its demand
@@ -519,7 +527,8 @@ def _check_against_packing(tab):
 def test_keys_and_buckets_match_packing_small_formulas():
     by_size = enumerate_formulas(5)
     for f in (g for n in sorted(by_size) for g in by_size[n]):
-        _check_against_packing(_Table(closure(f), None))
+        clo = closure(f)
+        _check_against_packing(_Table(clo, None), clo.core)
 
 
 # Negated axiom instances with 12 to 16 free bits, one per weak next
@@ -538,9 +547,10 @@ def _negated_instance(name, bindings):
 
 @pytest.mark.parametrize("name, bindings", HEAVY_INSTANCES)
 def test_keys_and_buckets_match_packing_axiom_instances(name, bindings):
-    tab = _Table(closure(_negated_instance(name, bindings)), None)
+    clo = closure(_negated_instance(name, bindings))
+    tab = _Table(clo, None)
     assert 12 <= len(tab.props) + sum(type(m) is WeakNext for m in tab.core) <= 16
-    _check_against_packing(tab)
+    _check_against_packing(tab, clo.core)
 
 
 # ---------------------------------------------------------------------------
@@ -1290,11 +1300,12 @@ def test_builders_find_the_same_witnesses(monkeypatch, order):
 
 
 # ---------------------------------------------------------------------------
-# The decider on the closure's numbering: rows are indexed by core position
-# and witness atoms build their members only when read, so deciding makes
-# no Formula.__hash__ call and no structural comparison, counted by a
-# profile hook.  The closure numbers nodes by id() and signature, and the
-# memo compares cached hashes before structure, so they make none either.
+# The decider on the closure's walk numbering: rows are indexed by the
+# number the closure's walk gave each node, and witness atoms build their
+# members only when read, so deciding makes no Formula.__hash__ call and no
+# structural comparison, counted by a profile hook.  The closure numbers
+# nodes by id() and signature, and the memo compares cached hashes before
+# structure, so they make none either.
 
 def _hashes_and_comparisons(run) -> Counter:
     counted = {Formula.__hash__.__code__: "hash",
@@ -1334,6 +1345,97 @@ def test_deciding_hashes_and_compares_no_formula(monkeypatch):
     # reading a witness atom's members is what hashes them
     atom = results[-1].witness.loop[0]
     assert _hashes_and_comparisons(lambda: atom.members)["hash"] > 0
+
+
+# The walk numbering against the sorted one.  The table accepts any
+# numbering that puts kids first, so the same code runs on the closure's
+# walk, the fast path, and on the numbering of its sorted core, which a
+# closure built by hand gets and every decision ran on before: verdicts,
+# witness atoms, models and pruned graphs must agree.
+
+def _check_walk_against_sorted(f, graphs=True):
+    clo = closure(f)
+    # the same closure built by hand, from its sorted core and members
+    slow = syntax.ClosureSet(clo.origin, clo.mode, clo.core, clo.members,
+                             clo.size_bound)
+    fast_tab, slow_tab = _Table(clo, None), _Table(slow, None)
+    assert slow.numbering == clo.numbering
+    assert (slow_tab.sigs, slow_tab.core) == (clo.numbering[0], clo.core)
+    assert sorted(fast_tab.core, key=syntax.formula_sort_key) \
+        == list(slow_tab.core)
+    for cls in CLASSES:
+        # witnesses compare atom by atom, each as its member set
+        w = fast_tab.witness(cls)
+        assert w == slow_tab.witness(cls), (f, cls)
+        if w is not None:
+            assert extract_model(w) == extract_model(slow_tab.witness(cls))
+        if graphs:
+            assert build_atom_graph(clo, cls, None) \
+                == build_atom_graph(slow, cls, None), (f, cls)
+
+
+def test_walk_numbering_matches_sorted_small_formulas():
+    by_size = enumerate_formulas(6)
+    for f in (g for n in sorted(by_size) for g in by_size[n]):
+        _check_walk_against_sorted(f)
+
+
+def test_walk_numbering_matches_sorted_heavy_and_wide():
+    for inst in HEAVY_INSTANCES:
+        _check_walk_against_sorted(_negated_instance(*inst))
+    letters = parse_formula(" & ".join(f"x{i}" for i in range(14)))
+    wide = [WIDE, parse_formula(_nexts(13, "p")), letters] + _next_heavy()
+    assert len(wide) == 82
+    for f in wide:
+        _check_walk_against_sorted(f, graphs=False)
+
+
+# The sort is lazy: the key pass that prints the closure runs only when a
+# search orders atoms, and at most once per table.
+
+def _count_key_passes(monkeypatch):
+    passes = []
+    original = syntax._sort_keys
+
+    def counting(nodes):
+        passes.append(len(nodes.sigs))
+        return original(nodes)
+
+    monkeypatch.setattr(syntax, "_sort_keys", counting)
+    return passes
+
+
+def test_valid_axiom_instances_print_nothing(monkeypatch):
+    # seeded criterion-5 instances, all VALID: no class keeps a live root
+    # of the negation, so no decision orders an atom
+    from caretkit.fuzz import _child_seed, _random_formula
+    from caretkit.proof import SCHEMAS, axiom_schemas
+    passes = _count_key_passes(monkeypatch)
+    decided = 0
+    for system, cls in (("ax", "inf"), ("ax-gen", "gen"),
+                        ("ax-inf", "inf"), ("ax-fin", "fin")):
+        cfg = GenConfig(seed=20260815)
+        for si, name in enumerate(axiom_schemas(system)):
+            for k in range(40):
+                rng = random.Random(_child_seed(cfg.seed, 16 + si, k))
+                bindings = {v: _random_formula(rng, cfg, "ltl")
+                            for v in SCHEMAS[name].metavars}
+                monkeypatch.setattr(tableau, "_memo", None)
+                assert decide_valid(build_schema_instance(name, {}, bindings),
+                                    cls, closure_cap=None)
+                decided += 1
+    assert decided > 500 and passes == []
+
+
+def test_one_key_pass_per_table(monkeypatch):
+    passes = _count_key_passes(monkeypatch)
+    for f in (CEILING, WIDE, parse_formula("(p U q) & X X p")):
+        monkeypatch.setattr(tableau, "_memo", None)
+        monkeypatch.setattr(tableau, "_MEMO_ATOMS", 1 << 20)
+        for cls in ("fin", "inf", "gen"):
+            assert decide_sat(f, cls, closure_cap=None).satisfiable
+        assert len(passes) == 1
+        passes.clear()
 
 
 # ---------------------------------------------------------------------------
