@@ -34,7 +34,6 @@ from __future__ import annotations
 import _random
 import operator
 import random
-from dataclasses import dataclass
 
 from .proof import (
     SCHEMAS, SYSTEM_IDS, _run, axiom_schemas, build_schema_instance,
@@ -42,7 +41,7 @@ from .proof import (
 from .semantics import EvalContext
 from .syntax import (
     _IDENT_RE, CLASSES, AbsUntil, AbsWeakNext, And, Formula, Not, Prop, TRUE,
-    Until, WeakNext,
+    Until, WeakNext, _Record, _set,
 )
 from .trace import FiniteTrace, LassoTrace, StateTag, StructuredLassoTrace
 
@@ -61,19 +60,22 @@ def _child_seed(seed: int, stream: int, index: int) -> int:
     return (seed * _MIX + stream * 1_000_003 + index) & _MASK63
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Record):
     """Bounds and seed for the generators; identical configs replay."""
 
-    seed: int = 0
-    max_formula_size: int = 6
-    alphabet: tuple[str, ...] = ("p", "q")
-    max_finite_len: int = 8
-    max_lasso_total: int = 8
-    mode: str = "ltl"
+    __slots__ = _fields = ("seed", "max_formula_size", "alphabet",
+                           "max_finite_len", "max_lasso_total", "mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+    def __init__(self, seed: int = 0, max_formula_size: int = 6,
+                 alphabet: tuple[str, ...] = ("p", "q"),
+                 max_finite_len: int = 8, max_lasso_total: int = 8,
+                 mode: str = "ltl"):
+        _set(self, "seed", seed)
+        _set(self, "max_formula_size", max_formula_size)
+        _set(self, "alphabet", tuple(alphabet))
+        _set(self, "max_finite_len", max_finite_len)
+        _set(self, "max_lasso_total", max_lasso_total)
+        _set(self, "mode", mode)
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
         # a letter must print back as itself, for failure reports to parse
@@ -91,14 +93,16 @@ class GenConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class CampaignReport:
-    counts: tuple[tuple[str, int], ...]
-    failures: int
-    first_failure: tuple | None = None  # (formula, trace, position)
+class CampaignReport(_Record):
+    __slots__ = _fields = ("counts", "failures", "first_failure")
 
-    def __post_init__(self):
-        if (self.failures == 0) != (self.first_failure is None):
+    def __init__(self, counts: tuple[tuple[str, int], ...], failures: int,
+                 first_failure: tuple | None = None):
+        _set(self, "counts", counts)
+        _set(self, "failures", failures)
+        # (formula, trace, position)
+        _set(self, "first_failure", first_failure)
+        if (failures == 0) != (first_failure is None):
             raise ValueError("failure count and counterexample disagree")
 
 

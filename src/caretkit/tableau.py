@@ -29,6 +29,14 @@ signature.
 
 Locally consistent atoms that cannot head any model (no successor despite
 lacking the terminal marker) are eliminated to a fixpoint before searching.
+A class in which no atom holds the origin builds no class graph, and nor
+does one whose roots are all non-terminal and want only buckets holding no
+atom of the class: those roots die in the first prune round.  The buckets
+the roots want are found by splitting the roots on their weak-next bits
+beside the class on the operand rows, a key prefix dropped once either
+side is empty, so a decision that ends there splits nothing else: it
+builds only what the origin reaches (Gerth, Peled, Vardi & Wolper, PSTV
+1995).
 A finite witness is a shortest path from the origin atoms to a terminal
 atom; an infinite one is a shortest path into a self-fulfilling strongly
 connected component, then a loop through it made of shortest paths between
@@ -47,10 +55,9 @@ The table runs on the numbering of the closure's own walk, kids first:
 every row is indexed by the walk's number of its member and made from its
 kids' rows, so no formula is hashed, compared or printed past the closure,
 whose sorted core and signed members a decision never builds.  Only the
-lexicographic order reads the core order, and a class in which no atom
-holds the origin builds no class graph, so a decision without a live root
-sorts nothing.  A witness atom keeps the walk's nodes and its member bits,
-and builds its member set only when read.
+lexicographic order reads the core order, so a decision without a live
+root sorts nothing.  A witness atom keeps the walk's nodes and its member
+bits, and builds its member set only when read.
 
 The table shared by the three classes names its atoms in the order their
 free-bit valuations are enumerated, which the search does not depend on.
@@ -233,9 +240,9 @@ class _Table:
     when a search must order the buckets it is the first to want.  Only
     the ``telling`` rows can decide that order, so only those are read.
     What only a class graph or the order reads is built on first use, so a
-    table whose classes have no live root builds none of it and sorts
-    nothing.  ``size`` is the closure's, counted without building its
-    members.
+    table whose classes are refuted at their roots (``_may_live``) builds
+    none of it and sorts nothing.  ``size`` is the closure's, counted
+    without building its members.
 
     The table is its formula's decision: it answers every class, and is
     what ``_memo`` keeps.  ``witnesses`` remembers the witness of each
@@ -357,7 +364,9 @@ class _Table:
         the gen graph reachable from the roots is the inf graph's.  So gen
         asked before fin and inf builds one graph, which answers fin, and
         inf too when fin has no model.  A class in which no atom holds the
-        origin has no model, and builds no graph.
+        origin has no model, and builds no graph, and nor does one whose
+        roots are all non-terminal and want only buckets holding no atom of
+        the class: those roots die in the first prune round.
         """
         known = self.witnesses
         if cls in known:
@@ -365,7 +374,7 @@ class _Table:
         w = None
         if cls == "gen" and ("fin" in known or "inf" in known):
             w = self.witness("fin") or self.witness("inf")
-        elif self.has_root(cls):
+        elif self._may_live(cls):
             live, roots = self.class_graph(cls)
             for c in ("fin", "inf") if cls == "gen" else (cls,):
                 if c == "fin":
@@ -421,6 +430,40 @@ class _Table:
             groups = split
         return groups
 
+    def _image(self, src: int, mask: int) -> list[tuple[int, int]]:
+        """Bucket -> its atoms in the mask, for the buckets that an atom of
+        ``src`` wants and that hold an atom of the mask: ``src`` split by
+        each free weak next's own row, side by side with the mask split by
+        its operand row, a key prefix dropped once either side is empty.
+        A terminal atom wants none, as the terminal marker's operand is
+        false, and ``src`` -1 wants every bucket, so ``_image(-1, mask)`` is
+        ``_split(mask)``."""
+        rows, sigs = self.member_rows, self.sigs
+        groups = [(0, src, mask)]
+        for b in self.nexts:
+            want, r = rows[b], rows[sigs[b][1]]
+            split = []
+            for s, w, m in groups:
+                wants, held = w & want, m & r
+                if wants != w and held != m:
+                    split.append((s << 1, w ^ wants, m ^ held))
+                if wants and held:
+                    split.append((s << 1 | 1, wants, held))
+            groups = split
+        return [(s, m) for s, _, m in groups]
+
+    def _may_live(self, cls: str) -> bool:
+        """Whether a root of the class can outlive the first prune round:
+        a terminal root always does, a non-terminal one only when the
+        bucket it wants holds an atom of the class.  Once the table is
+        split into buckets that check would save nothing, so any root
+        will do."""
+        admitted = self._class_mask(cls)
+        roots = admitted & self.origin_bit
+        if not roots or "_buckets" in self.__dict__:
+            return bool(roots)
+        return bool(roots & self.terminal or self._image(roots, admitted))
+
     @functools.cached_property
     def _buckets(self) -> list[tuple[int, int]]:
         return self._split(self._classes["gen"])
@@ -457,9 +500,6 @@ class _Table:
         if cls not in self._classes:
             raise ValueError(f"unknown trace class {cls!r}")
         return self._classes[cls]
-
-    def has_root(self, cls: str) -> bool:
-        return bool(self._class_mask(cls) & self.origin_bit)
 
     def lex_order(self, ids: list[int]) -> list[int]:
         """The atoms ``ids`` in lexicographic order on member bit-vectors."""

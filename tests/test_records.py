@@ -11,6 +11,7 @@ import pickle
 
 import pytest
 
+from caretkit.fuzz import CampaignReport, GenConfig
 from caretkit.proof import (
     MP, AxiomInstance, GenAbsNext, GenNext, IndAbsUntil, IndUntil,
     ProofScript, ProofStep, Schema, Taut, Verdict,
@@ -73,6 +74,17 @@ RECORDS = [
     (lambda: Verdict(True), "Verdict(ok=True, step=None, reason=None)"),
     (lambda: Verdict(False, 3, reason="bad"),
      "Verdict(ok=False, step=3, reason='bad')"),
+    (GenConfig,
+     "GenConfig(seed=0, max_formula_size=6, alphabet=('p', 'q'), "
+     "max_finite_len=8, max_lasso_total=8, mode='ltl')"),
+    (lambda: GenConfig(7, 9, ["r"], mode="caret"),
+     "GenConfig(seed=7, max_formula_size=9, alphabet=('r',), "
+     "max_finite_len=8, max_lasso_total=8, mode='caret')"),
+    (lambda: CampaignReport((("T1", 5),), 0),
+     "CampaignReport(counts=(('T1', 5),), failures=0, first_failure=None)"),
+    (lambda: CampaignReport((), 1, first_failure=(P, None, 0)),
+     "CampaignReport(counts=(), failures=1, "
+     "first_failure=(Prop('p'), None, 0))"),
 ]
 NAMES = [text.split("(", 1)[0] for _, text in RECORDS]
 
@@ -115,6 +127,25 @@ def test_records_take_keywords_and_defaults():
                                                           implication=1))
     assert ProofScript(system="ax", steps=(step,)).steps[0] is step
     assert Schema(name="A", metavars=(), params=(), text="true").text == "true"
+    assert GenConfig() == GenConfig(seed=0, max_formula_size=6,
+                                    alphabet=("p", "q"), max_finite_len=8,
+                                    max_lasso_total=8, mode="ltl")
+    assert CampaignReport(counts=(), failures=0) \
+        == CampaignReport((), 0, first_failure=None)
+
+
+def test_gen_config_keeps_its_alphabet_a_tuple_and_its_checks():
+    assert GenConfig(alphabet=["p", "q"]) == GenConfig()
+    assert GenConfig(alphabet=iter("pq")).alphabet == ("p", "q")
+    for kw, message in [({"alphabet": ()}, "alphabet must be nonempty"),
+                        ({"alphabet": ("p", "P")}, "'P' is not a proposition"),
+                        ({"alphabet": "pqp"}, "repeats a letter"),
+                        ({"max_lasso_total": 0}, "all bounds must be positive"),
+                        ({"mode": "both"}, "unknown mode 'both'")]:
+        with pytest.raises(ValueError, match=message):
+            GenConfig(**kw)
+    with pytest.raises(ValueError, match="counterexample disagree"):
+        CampaignReport((), 0, ("x",))
 
 
 def test_axiom_instances_normalise_dicts():

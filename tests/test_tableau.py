@@ -9,7 +9,6 @@ import random
 import sys
 import weakref
 from collections import Counter, deque
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +56,14 @@ from caretkit.trace import FiniteTrace, LassoTrace, trace_to_text
 
 from exhaustive_oracle import enumerate_formulas
 from test_syntax import ltl_formulas
+
+
+def replace(record, **changes):
+    """The record with the named fields changed, as dataclasses.replace
+    changes a dataclass."""
+    fields = dict(zip(record._fields, record._values()))
+    return type(record)(**{**fields, **changes})
+
 
 TERMINAL = WeakNext(FALSE)
 FIN_MARK = Until(TRUE, TERMINAL)
@@ -1203,17 +1210,32 @@ def test_mixed_class_matches_class_graph_decisions(monkeypatch, order):
         for cls in order:
             assert decide_sat(f, cls, closure_cap=None) == expected[f, cls]
         # a class builds a graph only when an atom of its class mask holds
-        # the origin; gen first builds one graph, and inf its own only
-        # when fin has a model
+        # the origin, and, until a graph of the table has split it into
+        # buckets, only when a root may outlive the first prune round; gen
+        # first builds one graph, and inf its own only when fin has a model
         tab = _Table(closure(f), None)
         root = {cls: bool(tab._class_mask(cls) & tab.origin_bit)
                 for cls in CLASSES}
+        may = {cls: root[cls] and _roots_want_the_class(tab, cls)
+               for cls in CLASSES}
         if order[0] == "gen":
-            graphs = root["gen"] + (expected[f, "fin"].satisfiable
-                                    and root["inf"])
+            graphs = may["gen"] + (expected[f, "fin"].satisfiable
+                                   and root["inf"])
         else:
-            graphs = root["fin"] + root["inf"]
+            first, second = order[0], ("inf" if order[0] == "fin" else "fin")
+            graphs = may[first] + (root[second]
+                                   and (may[first] or may[second]))
         assert len(built) == graphs
+
+
+def _roots_want_the_class(tab, cls):
+    """Whether a root of the class is terminal or wants a bucket holding an
+    atom of the class, read off the listed views of the class's buckets
+    before any is pruned."""
+    admitted = tab._class_mask(cls)
+    buckets, wants = tab.listed(dict(tab._split(admitted)))
+    return any(wants[a] < 0 or wants[a] in buckets
+               for a in tableau._set_bits(admitted & tab.origin_bit))
 
 
 def test_no_graph_without_a_root(monkeypatch):
@@ -1297,6 +1319,58 @@ def test_builders_find_the_same_witnesses(monkeypatch, order):
     monkeypatch.setattr(tableau, "_MEMO_ATOMS", -1)
     assert decide_all() == in_order
     assert len(built) == len(formulas) * len(order)
+
+
+# ---------------------------------------------------------------------------
+# The exit before the class graph, against the full graph it skips: a class
+# whose roots are all non-terminal and want only buckets holding no atom of
+# the class has no model, and ``_image`` names those buckets without
+# splitting the class.
+
+def _check_image(tab, cls):
+    admitted = tab._class_mask(cls)
+    split = tab._split(admitted)
+    assert tab._image(-1, admitted) == split
+    roots = admitted & tab.origin_bit
+    for src in (roots, admitted, admitted & tab.member_rows[tab.free[0]],
+                admitted & ~tab.terminal, tab.terminal):
+        wanted = set(tab._wanted(src))
+        assert tab._image(src, admitted) \
+            == [(s, m) for s, m in split if s in wanted]
+
+
+def _check_exit(formulas, monkeypatch):
+    """Every class of every formula: the decision against the search of
+    the full class graph, the exit against that graph's live roots, and
+    ``_image`` against the split; the number of classes the exit fires in."""
+    fired = 0
+    for f in formulas:
+        clo = closure(f)
+        for cls in CLASSES:
+            monkeypatch.setattr(tableau, "_memo", None)
+            assert decide_sat(f, cls, closure_cap=None) \
+                == _class_graph_decision(f, cls), (f, cls)
+            tab = _Table(clo, None)
+            _check_image(tab, cls)
+            if tab._class_mask(cls) & tab.origin_bit \
+                    and not tab._may_live(cls):
+                assert not tab.class_graph(cls)[1], (f, cls)
+                fired += 1
+    return fired
+
+
+def test_exit_matches_class_graph_small_formulas(monkeypatch):
+    by_size = enumerate_formulas(6)
+    formulas = [g for n in sorted(by_size) for g in by_size[n]]
+    assert len(formulas) == 4563
+    assert _check_exit(formulas, monkeypatch) > 0
+
+
+def test_exit_matches_class_graph_heavy_and_seeded(monkeypatch):
+    formulas = [_negated_instance(*inst) for inst in HEAVY_INSTANCES]
+    formulas += _seeded_band(11, 13, 100)
+    formulas += [Not(f) for f, _ in _valid_axiom_instances()]
+    assert _check_exit(formulas, monkeypatch) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1405,13 +1479,12 @@ def _count_key_passes(monkeypatch):
     return passes
 
 
-def test_valid_axiom_instances_print_nothing(monkeypatch):
-    # seeded criterion-5 instances, all VALID: no class keeps a live root
-    # of the negation, so no decision orders an atom
+def _valid_axiom_instances():
+    """Seeded criterion-5 instances, with the class each is valid in: 40
+    per schema of every ltl system."""
     from caretkit.fuzz import _child_seed, _random_formula
     from caretkit.proof import SCHEMAS, axiom_schemas
-    passes = _count_key_passes(monkeypatch)
-    decided = 0
+    instances = []
     for system, cls in (("ax", "inf"), ("ax-gen", "gen"),
                         ("ax-inf", "inf"), ("ax-fin", "fin")):
         cfg = GenConfig(seed=20260815)
@@ -1420,11 +1493,39 @@ def test_valid_axiom_instances_print_nothing(monkeypatch):
                 rng = random.Random(_child_seed(cfg.seed, 16 + si, k))
                 bindings = {v: _random_formula(rng, cfg, "ltl")
                             for v in SCHEMAS[name].metavars}
-                monkeypatch.setattr(tableau, "_memo", None)
-                assert decide_valid(build_schema_instance(name, {}, bindings),
-                                    cls, closure_cap=None)
-                decided += 1
+                instances.append((build_schema_instance(name, {}, bindings),
+                                  cls))
+    return instances
+
+
+def test_valid_axiom_instances_print_nothing(monkeypatch):
+    # seeded criterion-5 instances, all VALID: no class keeps a live root
+    # of the negation, so no decision orders an atom
+    passes = _count_key_passes(monkeypatch)
+    decided = 0
+    for f, cls in _valid_axiom_instances():
+        monkeypatch.setattr(tableau, "_memo", None)
+        assert decide_valid(f, cls, closure_cap=None)
+        decided += 1
     assert decided > 500 and passes == []
+
+
+def test_valid_axiom_instances_split_nothing(monkeypatch):
+    # every root of their negations wants a bucket holding no atom of the
+    # class, so no decision builds a class graph or splits its table
+    built = _count_class_graphs(monkeypatch)
+    splits = []
+    split = _Table._split
+
+    def counting(tab, mask):
+        splits.append(mask)
+        return split(tab, mask)
+
+    monkeypatch.setattr(_Table, "_split", counting)
+    for f, cls in _valid_axiom_instances():
+        monkeypatch.setattr(tableau, "_memo", None)
+        assert decide_valid(f, cls, closure_cap=None)
+    assert built == [] and splits == []
 
 
 def test_one_key_pass_per_table(monkeypatch):
